@@ -8,9 +8,8 @@ on pre-clamp raw scores, where the local-accuracy identity
 
     base_value + sum(contributions) = raw model score
 
-is exact. A brute-force subset-enumeration oracle is included for
-verification on small trees, along with permutation importance as a
-model-agnostic cross-check.
+is exact. Permutation importance is included as a model-agnostic
+cross-check.
 """
 
 from __future__ import annotations
@@ -18,14 +17,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .fusion import FusionModel, RegressionTree, raw_score_matrix
-from .ingest import FeatureVector, FusionDataset
+from .ingest import TARGET_NAMES, FeatureVector, FusionDataset
 
 __all__ = [
     "AttributionVector",
@@ -35,8 +33,6 @@ __all__ = [
     "global_importance",
     "permutation_importance",
     "tree_shap_single",
-    "tree_expectation",
-    "brute_force_shap",
     "write_importance_csv",
     "write_attributions_csv",
     "write_permutation_csv",
@@ -64,146 +60,82 @@ class GlobalImportance:
     tag_aggregate: float = 0.0
 
 
-def _tree_as_lists(tree: RegressionTree):
-    return (
-        tree.feature.tolist(),
-        tree.threshold.tolist(),
-        tree.left.tolist(),
-        tree.right.tolist(),
-        tree.value.tolist(),
-        tree.cover.tolist(),
-    )
+def _tree_paths(tree: RegressionTree) -> dict[int, tuple[np.ndarray, ...]]:
+    """Root-to-leaf paths of one tree, grouped by their count of distinct
+    features ``k``: ``{k: (leaf values, features, zero fractions, lower,
+    upper)}`` with one row per path and one column per distinct feature.
+
+    A feature split on several times along a path becomes one element: its
+    zero fraction is the product of the cover ratios at each occurrence, and
+    the row reaches the leaf through it exactly when ``lower < x <= upper``.
+    """
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    value, cover = tree.value.tolist(), tree.cover.tolist()
+    groups: dict[int, list[tuple]] = {}
+    stack: list[tuple[int, dict[int, tuple[float, float, float]]]] = [(0, {})]
+    while stack:
+        node, elements = stack.pop()
+        f = feature[node]
+        if f < 0:
+            if elements:  # a root leaf attributes nothing
+                groups.setdefault(len(elements), []).append(
+                    (value[node], tuple(elements), *zip(*elements.values()))
+                )
+            continue
+        t = threshold[node]
+        for child, goes_left in ((left[node], True), (right[node], False)):
+            z, lower, upper = elements.get(f, (1.0, -math.inf, math.inf))
+            z *= cover[child] / cover[node]
+            merged = (z, lower, min(upper, t)) if goes_left else (z, max(lower, t), upper)
+            stack.append((child, {**elements, f: merged}))
+    return {k: tuple(np.asarray(col) for col in zip(*paths)) for k, paths in groups.items()}
 
 
-def _extend(path: list[list[float]], pz: float, po: float, pi: int) -> None:
-    l = len(path)
-    path.append([pi, pz, po, 1.0 if l == 0 else 0.0])
-    for i in range(l - 1, -1, -1):
-        path[i + 1][3] += po * path[i][3] * (i + 1) / (l + 1)
-        path[i][3] = pz * path[i][3] * (l - i) / (l + 1)
+def _accumulate_tree_shap(tree: RegressionTree, X: np.ndarray, phi: np.ndarray, scale: float) -> None:
+    """Add ``scale`` times one tree's path-dependent Shapley values for every
+    row of ``X`` into ``phi`` (features x rows).
 
-
-def _unwind(path: list[list[float]], index: int) -> None:
-    l = len(path) - 1
-    z, o = path[index][1], path[index][2]
-    n = path[l][3]
-    for j in range(l - 1, -1, -1):
-        if o != 0.0:
-            t = path[j][3]
-            path[j][3] = n * (l + 1) / ((j + 1) * o)
-            n = t - path[j][3] * z * (l - j) / (l + 1)
-        else:
-            path[j][3] = path[j][3] * (l + 1) / (z * (l - j))
-    for j in range(index, l):
-        path[j][0] = path[j + 1][0]
-        path[j][1] = path[j + 1][1]
-        path[j][2] = path[j + 1][2]
-    path.pop()
-
-
-def _unwound_sum(path: list[list[float]], index: int) -> float:
-    l = len(path) - 1
-    z, o = path[index][1], path[index][2]
-    n = path[l][3]
-    total = 0.0
-    if o != 0.0:
-        for j in range(l - 1, -1, -1):
-            t = n * (l + 1) / ((j + 1) * o)
-            total += t
-            n = path[j][3] - t * z * ((l - j) / (l + 1))
-    else:
-        for j in range(l - 1, -1, -1):
-            total += path[j][3] / (z * ((l - j) / (l + 1)))
-    return total
+    Path-level TreeSHAP: EXTEND and UNWOUND-SUM of the per-node recursion run
+    once per group of equally long paths, over arrays shaped
+    (paths, elements, rows). The first path element is the unit root
+    element, so the weights of a path with ``k`` features have ``k + 1``
+    entries.
+    """
+    if tree.cover[0] <= 0:
+        raise DataError("tree lacks cover metadata; cannot compute attributions")
+    for k, (values, features, z, lower, upper) in _tree_paths(tree).items():
+        x = X.T[features]  # (paths, k, rows)
+        o = ((x > lower[:, :, None]) & (x <= upper[:, :, None])).astype(np.float64)
+        zc = z[:, :, None]
+        # EXTEND by each element in turn, with ``size`` elements so far:
+        # w'[m] = z w[m] (size - m)/(size + 1) + o w[m - 1] m/(size + 1).
+        w = np.zeros((values.shape[0], k + 1, X.shape[0]))
+        w[:, 0] = 1.0
+        for size in range(1, k + 1):
+            m = np.arange(1, size + 1)[:, None] / (size + 1)
+            z_new, o_new = zc[:, size - 1 : size], o[:, size - 1 : size]
+            w[:, 1 : size + 1] = o_new * w[:, :size] * m + z_new * w[:, 1 : size + 1] * (size / (size + 1) - m)
+            w[:, 0] *= z_new[:, 0] * (size / (size + 1))
+        # UNWOUND-SUM of every element at once, both branches. One fractions
+        # are 0 or 1, so the branch for o != 0 needs no division by o.
+        n = w[:, k : k + 1]
+        sum_if_one = np.zeros_like(o)
+        for j in range(k - 1, -1, -1):
+            t = n * ((k + 1) / (j + 1))
+            sum_if_one += t
+            n = w[:, j : j + 1] - t * zc * ((k - j) / (k + 1))
+        ratios = (k + 1) / (k - np.arange(k))
+        sum_if_zero = np.einsum("pjr,j->pr", w[:, :k], ratios)[:, None, :] / zc
+        unwound = np.where(o != 0, sum_if_one, sum_if_zero)
+        np.add.at(phi, features, (values * scale)[:, None, None] * (o - zc) * unwound)
 
 
 def tree_shap_single(tree: RegressionTree, x, n_features: int) -> np.ndarray:
     """Path-dependent Shapley contributions of one tree for one input row."""
-    if tree.cover[0] <= 0:
-        raise DataError("tree lacks cover metadata; cannot compute attributions")
-    phi = [0.0] * n_features
-    _shap_accumulate(_tree_as_lists(tree), [float(v) for v in x], phi, 1.0)
-    return np.asarray(phi, dtype=np.float64)
-
-
-def _shap_accumulate(tree_lists, xs: list[float], phi: list[float], scale: float) -> None:
-    feature, threshold, left, right, value, cover = tree_lists
-
-    def recurse(node: int, path: list[list[float]], pz: float, po: float, pi: int) -> None:
-        path = [el[:] for el in path]
-        _extend(path, pz, po, pi)
-        f = feature[node]
-        if f < 0:
-            leaf_value = value[node] * scale
-            for i in range(1, len(path)):
-                w = _unwound_sum(path, i)
-                el = path[i]
-                phi[int(el[0])] += w * (el[2] - el[1]) * leaf_value
-            return
-        if xs[f] <= threshold[node]:
-            hot, cold = left[node], right[node]
-        else:
-            hot, cold = right[node], left[node]
-        iz = io = 1.0
-        found = -1
-        for i in range(len(path)):
-            if path[i][0] == f:
-                found = i
-                break
-        if found >= 0:
-            iz, io = path[found][1], path[found][2]
-            _unwind(path, found)
-        parent_cover = cover[node]
-        recurse(hot, path, iz * cover[hot] / parent_cover, io, f)
-        recurse(cold, path, iz * cover[cold] / parent_cover, 0.0, f)
-
-    recurse(0, [], 1.0, 1.0, -1)
-
-
-def tree_expectation(tree: RegressionTree, x, present: frozenset[int] | set[int]) -> float:
-    """Cover-weighted conditional expectation with only ``present`` features
-    following the input; the brute-force oracle's value function."""
-    feature, threshold, left, right, value, cover = _tree_as_lists(tree)
-    xs = [float(v) for v in x]
-
-    def recurse(node: int) -> float:
-        f = feature[node]
-        if f < 0:
-            return value[node]
-        if f in present:
-            child = left[node] if xs[f] <= threshold[node] else right[node]
-            return recurse(child)
-        cl, cr = cover[left[node]], cover[right[node]]
-        return (cl * recurse(left[node]) + cr * recurse(right[node])) / (cl + cr)
-
-    return recurse(0)
-
-
-def brute_force_shap(tree: RegressionTree, x, n_features: int) -> tuple[np.ndarray, float]:
-    """Exact Shapley values by enumerating all 2^n feature subsets.
-
-    Exponential in the feature count; intended as a verification oracle for
-    small trees only. Returns (contributions, base value).
-    """
-    values: dict[frozenset[int], float] = {}
-
-    def v(subset: frozenset[int]) -> float:
-        if subset not in values:
-            values[subset] = tree_expectation(tree, x, subset)
-        return values[subset]
-
-    phi = np.zeros(n_features)
-    all_features = list(range(n_features))
-    fact = math.factorial
-    denom = fact(n_features)
-    for i in all_features:
-        others = [j for j in all_features if j != i]
-        for size in range(len(others) + 1):
-            weight = fact(size) * fact(n_features - size - 1) / denom
-            for subset in combinations(others, size):
-                s = frozenset(subset)
-                phi[i] += weight * (v(s | {i}) - v(s))
-    return phi, v(frozenset())
+    phi = np.zeros((n_features, 1))
+    _accumulate_tree_shap(tree, np.asarray(x, dtype=np.float64)[None, :], phi, 1.0)
+    return phi[:, 0]
 
 
 def _target_model(model: FusionModel, target: str):
@@ -226,35 +158,31 @@ def shap_values(model: FusionModel, target: str, x: FeatureVector | np.ndarray) 
 def shap_matrix(model: FusionModel, target: str, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Attributions for every row of a feature matrix; returns (phi, base)."""
     tm = _target_model(model, target)
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise DataError("non-finite feature values; cannot compute attributions")
     lr = model.hyperparams.learning_rate
-    n = len(model.feature_names)
-    rows = [[float(v) for v in row] for row in X]
-    acc = [[0.0] * n for _ in rows]
+    phi = np.zeros((len(model.feature_names), X.shape[0]))
     base = tm.base_score
     for tree in tm.trees:
-        if tree.cover[0] <= 0:
-            raise DataError("tree lacks cover metadata; cannot compute attributions")
-        lists = _tree_as_lists(tree)
-        for xs, phi_row in zip(rows, acc):
-            _shap_accumulate(lists, xs, phi_row, lr)
+        _accumulate_tree_shap(tree, X, phi, lr)
         base += lr * tree.expected_value()
-    return np.asarray(acc, dtype=np.float64), float(base)
+    return phi.T, float(base)
 
 
-def global_importance(model: FusionModel, target: str, rows: np.ndarray) -> GlobalImportance:
-    """Mean absolute attribution per feature over an evaluation set."""
-    if rows.shape[0] == 0:
+def global_importance(feature_names: tuple[str, ...], phi: np.ndarray) -> GlobalImportance:
+    """Mean absolute attribution per feature over the rows of ``phi``."""
+    if phi.shape[0] == 0:
         raise DataError("global importance needs at least one row")
-    phi, _ = shap_matrix(model, target, rows)
     mean_abs = np.abs(phi).mean(axis=0)
-    order = sorted(range(len(model.feature_names)), key=lambda i: (-mean_abs[i], i))
+    order = sorted(range(len(feature_names)), key=lambda i: (-mean_abs[i], i))
     tag_total = float(
-        sum(mean_abs[i] for i, name in enumerate(model.feature_names) if name.startswith("tag_"))
+        sum(mean_abs[i] for i, name in enumerate(feature_names) if name.startswith("tag_"))
     )
     return GlobalImportance(
-        feature_names=model.feature_names,
+        feature_names=feature_names,
         mean_abs=mean_abs,
-        ranking=tuple(model.feature_names[i] for i in order),
+        ranking=tuple(feature_names[i] for i in order),
         tag_aggregate=tag_total,
     )
 
@@ -271,11 +199,9 @@ def permutation_importance(
         raise ConfigError(f"repeats must be positive, got {repeats}")
     if dataset.split_index >= dataset.n_rows:
         raise DataError("validation partition is empty")
-    t_index = list(model.targets).index(target) if target in model.targets else None
-    if t_index is None:
-        raise ConfigError(f"unknown target {target!r}")
+    _target_model(model, target)
     X = dataset.X_valid
-    y = dataset.Y_valid[:, t_index]
+    y = dataset.Y_valid[:, TARGET_NAMES.index(target)]
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         raise DataError("validation target has zero variance")

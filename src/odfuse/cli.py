@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import logging
@@ -85,7 +86,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict:
-    config = DEFAULT_CONFIG
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -229,21 +230,27 @@ def cmd_eval(config: dict) -> int:
     return 0
 
 
+def _positive_int(opts: dict, key: str, default: int) -> int:
+    value = opts.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"explain.{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def cmd_explain(config: dict) -> int:
-    _, model, dataset = _load_model_and_dataset(config)
     opts = config.get("explain") or {}
     target = opts.get("target", "total")
-    max_rows = int(opts.get("max_rows", 256))
-    repeats = int(opts.get("repeats", 5))
+    max_rows = _positive_int(opts, "max_rows", 256)
+    repeats = _positive_int(opts, "repeats", 5)
+    _, model, dataset = _load_model_and_dataset(config)
     X = dataset.X_valid
     if X.shape[0] > max_rows:
         stride = X.shape[0] / max_rows
         picks = sorted({int(i * stride) for i in range(max_rows)})
         X = X[picks]
     out = _out_dir(config)
-    imp = global_importance(model, target, X)
-    write_importance_csv(out / "importance.csv", imp)
     phi, base = shap_matrix(model, target, X)
+    write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
     write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
     drops = permutation_importance(model, target, dataset, repeats=repeats, seed=int(config["seed"]))
     write_permutation_csv(out / "permutation.csv", drops)

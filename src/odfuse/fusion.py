@@ -17,6 +17,7 @@ function of (data, hyperparameters).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -402,23 +403,60 @@ def save_model(model: FusionModel, path: str | Path) -> None:
         json.dump(doc, fh, sort_keys=True)
 
 
+def _check_tree(label: str, tree: RegressionTree, n_features: int) -> None:
+    """Reject a tree that could misroute, loop or index out of range: every
+    split leads to higher-numbered children, covers are positive and add up,
+    and every number is finite."""
+    n = tree.n_nodes
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.cover)
+    if n == 0 or {a.shape for a in arrays} != {(n,)}:
+        raise DataError(f"{label}: node arrays must be non-empty and of equal length")
+    if (tree.feature[(tree.left == -1) & (tree.right == -1)] != -1).any():
+        raise DataError(f"{label}: leaves must have feature -1")
+    internal = tree.feature != -1
+    parent = np.arange(n)[internal]
+    left, right = tree.left[internal], tree.right[internal]
+    if ((left <= parent) | (right <= parent) | (left >= n) | (right >= n)).any():
+        raise DataError(f"{label}: children must have higher indices than their parent")
+    if ((tree.feature[internal] < 0) | (tree.feature[internal] >= n_features)).any():
+        raise DataError(f"{label}: split features must lie in [0, {n_features})")
+    if not all(np.isfinite(a).all() for a in (tree.threshold, tree.value, tree.cover)):
+        raise DataError(f"{label}: thresholds, values and covers must be finite")
+    if (tree.cover <= 0).any() or (tree.cover[internal] != tree.cover[left] + tree.cover[right]).any():
+        raise DataError(f"{label}: covers must be positive and equal the sum of their children's")
+
+
 def load_model(path: str | Path) -> FusionModel:
     p = Path(path)
     if not p.exists():
         raise DataError(f"model file not found: {p}")
-    with open(p, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return _model_from_doc(doc, p)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed model file {p}: {exc!r}") from exc
+
+
+def _model_from_doc(doc: dict, p: Path) -> FusionModel:
     if doc.get("format") != MODEL_FORMAT:
         raise DataError(f"{p} is not a fusion model file")
     if doc.get("version") != MODEL_VERSION:
         raise DataError(f"unsupported model version {doc.get('version')} in {p}")
-    model = FusionModel(
-        hyperparams=GbtHyperparams(**doc["hyperparams"]),
-        feature_names=tuple(doc["feature_names"]),
-    )
-    for name, tdoc in doc["targets"].items():
-        trees = [
-            RegressionTree(
+    if tuple(doc["feature_names"]) != FEATURE_NAMES:
+        raise DataError(f"{p}: feature names {doc['feature_names']} differ from {list(FEATURE_NAMES)}")
+    if set(doc["targets"]) != set(TARGET_NAMES):
+        raise DataError(f"{p}: targets {sorted(doc['targets'])} differ from {list(TARGET_NAMES)}")
+    model = FusionModel(hyperparams=GbtHyperparams(**doc["hyperparams"]), feature_names=FEATURE_NAMES)
+    # save_model sorts keys; rebuild in TARGET_NAMES order, the column order of Y.
+    for name in TARGET_NAMES:
+        tdoc = doc["targets"][name]
+        base_score = float(tdoc["base_score"])
+        if not math.isfinite(base_score):
+            raise DataError(f"{p}: target {name} has a non-finite base score")
+        trees = []
+        for i, t in enumerate(tdoc["trees"]):
+            tree = RegressionTree(
                 feature=np.asarray(t["feature"], dtype=np.int32),
                 threshold=np.asarray(t["threshold"], dtype=np.float64),
                 left=np.asarray(t["left"], dtype=np.int32),
@@ -426,9 +464,9 @@ def load_model(path: str | Path) -> FusionModel:
                 value=np.asarray(t["value"], dtype=np.float64),
                 cover=np.asarray(t["cover"], dtype=np.float64),
             )
-            for t in tdoc["trees"]
-        ]
-        model.targets[name] = TargetModel(base_score=float(tdoc["base_score"]), trees=trees)
+            _check_tree(f"{p}: target {name} tree {i}", tree, len(FEATURE_NAMES))
+            trees.append(tree)
+        model.targets[name] = TargetModel(base_score=base_score, trees=trees)
     return model
 
 

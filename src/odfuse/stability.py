@@ -105,7 +105,7 @@ def sym_kl(p: TemporalProfile, q: TemporalProfile, epsilon: float = 1e-9) -> flo
         if a == b:
             continue
         out += (a - b) * math.log(a / b)
-    return out
+    return float(out)
 
 
 def nmse(p: TemporalProfile, q: TemporalProfile) -> float | None:

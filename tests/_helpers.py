@@ -1,14 +1,15 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The oracles here deliberately avoid the production code paths: split
-search by full enumeration, Shapley values by subset enumeration (in the
-package, reused here), apportionment by integer-vector search, and
-conservation by direct recomputation from raw counts.
+search by full enumeration, Shapley values by subset enumeration,
+apportionment by integer-vector search, and conservation by direct
+recomputation from raw counts.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from itertools import combinations, product
 
 import numpy as np
 
@@ -59,6 +60,54 @@ def random_cover_tree(rng, n_features: int, max_depth: int, root_cover: int | No
 
     grow(0, root_cover or int(rng.integers(20, 200)))
     return make_tree(feature, threshold, left, right, value, cover)
+
+
+def tree_expectation(tree: RegressionTree, x, present: frozenset[int] | set[int]) -> float:
+    """Cover-weighted conditional expectation with only ``present`` features
+    following the input; the brute-force oracle's value function."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    value, cover = tree.value.tolist(), tree.cover.tolist()
+    xs = [float(v) for v in x]
+
+    def recurse(node: int) -> float:
+        f = feature[node]
+        if f < 0:
+            return value[node]
+        if f in present:
+            child = left[node] if xs[f] <= threshold[node] else right[node]
+            return recurse(child)
+        cl, cr = cover[left[node]], cover[right[node]]
+        return (cl * recurse(left[node]) + cr * recurse(right[node])) / (cl + cr)
+
+    return recurse(0)
+
+
+def brute_force_shap(tree: RegressionTree, x, n_features: int) -> tuple[np.ndarray, float]:
+    """Exact Shapley values by enumerating all 2^n feature subsets.
+
+    Exponential in the feature count; a verification oracle for small trees
+    only. Returns (contributions, base value).
+    """
+    values: dict[frozenset[int], float] = {}
+
+    def v(subset: frozenset[int]) -> float:
+        if subset not in values:
+            values[subset] = tree_expectation(tree, x, subset)
+        return values[subset]
+
+    phi = np.zeros(n_features)
+    all_features = list(range(n_features))
+    fact = math.factorial
+    denom = fact(n_features)
+    for i in all_features:
+        others = [j for j in all_features if j != i]
+        for size in range(len(others) + 1):
+            weight = fact(size) * fact(n_features - size - 1) / denom
+            for subset in combinations(others, size):
+                s = frozenset(subset)
+                phi[i] += weight * (v(s | {i}) - v(s))
+    return phi, v(frozenset())
 
 
 def exhaustive_best_split(X: np.ndarray, g: np.ndarray, min_samples_leaf: int, lam: float):

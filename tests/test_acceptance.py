@@ -16,7 +16,7 @@ import pytest
 from odfuse.cli import main
 from odfuse.core import CATEGORY_ORDER, RoadTag, make_hour_key
 from odfuse.fusion import GbtHyperparams, evaluate, raw_score_matrix, residual_table, train
-from odfuse.attribution import brute_force_shap, shap_matrix, tree_expectation, tree_shap_single
+from odfuse.attribution import shap_matrix, tree_shap_single
 from odfuse.ingest import BiasProfile, build_dataset, generate_synthetic
 from odfuse.network import trondheim_fixture
 from odfuse.routing import (
@@ -31,10 +31,12 @@ from odfuse.routing import (
 from odfuse.stability import DIURNAL, TemporalProfile, compare_periods, nmse, pearson, sym_kl
 
 from _helpers import (
+    brute_force_shap,
     exhaustive_best_split,
     expected_hour_total,
     pair_only_network,
     random_cover_tree,
+    tree_expectation,
 )
 from test_fusion import dataset_from_arrays, random_features
 

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from odfuse.attribution import (
-    brute_force_shap,
     global_importance,
     permutation_importance,
     shap_matrix,
     shap_values,
-    tree_expectation,
     tree_shap_single,
 )
 from odfuse.core import RoadTag
@@ -29,7 +27,7 @@ from odfuse.ingest import (
 )
 from odfuse.network import trondheim_fixture
 
-from _helpers import make_tree, random_cover_tree
+from _helpers import brute_force_shap, make_tree, random_cover_tree, tree_expectation
 
 
 def dataset_from_arrays(X, y, split_index) -> FusionDataset:
@@ -80,6 +78,25 @@ class TestTreeShapSingle:
             assert np.abs(fast - slow).max() < 1e-9
             pred = tree_expectation(tree, x, frozenset(range(5)))
             assert abs(base + fast.sum() - pred) < 1e-9
+
+    @pytest.mark.parametrize(
+        "n_features, max_depth",
+        [(5, 3), (5, 6), (2, 4)],  # (2, 4) splits on one feature repeatedly along a path
+    )
+    def test_shap_matrix_matches_brute_force_on_row_batches(self, n_features, max_depth):
+        rng = np.random.default_rng(100 * n_features + max_depth)
+        names = tuple(f"f{i}" for i in range(n_features))
+        for _ in range(20):
+            tree = random_cover_tree(rng, n_features, max_depth)
+            model = FusionModel(hyperparams=GbtHyperparams(learning_rate=1.0), feature_names=names)
+            model.targets["total"] = TargetModel(base_score=0.0, trees=[tree])
+            X = rng.random((8, n_features))
+            phi, base = shap_matrix(model, "total", X)
+            assert phi.shape == (8, n_features)
+            for x, row in zip(X, phi):
+                slow, slow_base = brute_force_shap(tree, x, n_features)
+                assert np.abs(row - slow).max() < 1e-9
+                assert abs(base - slow_base) < 1e-9
 
     def test_handles_repeated_features_on_path(self):
         rng = np.random.default_rng(7)
@@ -146,6 +163,13 @@ class TestEnsembleShap:
         vec = shap_values(model, "total", x)
         assert np.abs(vec.contributions - manual).max() < 1e-9
 
+    def test_non_finite_rows_rejected(self, small_model):
+        model, ds = small_model
+        X = ds.X_valid[:4].copy()
+        X[2, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            shap_matrix(model, "total", X)
+
     def test_constant_model_all_zero(self):
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
@@ -166,7 +190,7 @@ class TestGlobalImportance:
         y = 3.0 * X[:, 0] + (X[:, 0] > 500) * 200
         ds = dataset_from_arrays(X, y, split_index=240)
         model = train(ds, GbtHyperparams(n_trees=20, max_depth=4))
-        imp = global_importance(model, "total", ds.X_valid)
+        imp = global_importance(model.feature_names, shap_matrix(model, "total", ds.X_valid)[0])
         named = dict(zip(imp.feature_names, imp.mean_abs))
         assert imp.ranking[0] == "people_flow"
         others = [v for k, v in named.items() if k != "people_flow"]
@@ -183,7 +207,7 @@ class TestGlobalImportance:
         tb, rt = generate_synthetic(net, 6, profile)
         ds = build_dataset(tb, rt, 0.2)
         model = train(ds, GbtHyperparams(n_trees=30, max_depth=4))
-        imp = global_importance(model, "total", ds.X_valid[:80])
+        imp = global_importance(model.feature_names, shap_matrix(model, "total", ds.X_valid[:80])[0])
         named = dict(zip(imp.feature_names, imp.mean_abs))
         assert named["hour_of_day"] > 0
         assert imp.tag_aggregate >= named["tag_primary"]
@@ -192,8 +216,13 @@ class TestGlobalImportance:
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
             model.targets[name] = TargetModel(base_score=1.0, trees=[])
-        imp = global_importance(model, "total", np.zeros((5, len(FEATURE_NAMES))))
+        phi, _ = shap_matrix(model, "total", np.zeros((5, len(FEATURE_NAMES))))
+        imp = global_importance(model.feature_names, phi)
         assert np.all(imp.mean_abs == 0.0)
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DataError, match="at least one row"):
+            global_importance(FEATURE_NAMES, np.zeros((0, len(FEATURE_NAMES))))
 
 
 @pytest.fixture(scope="module")

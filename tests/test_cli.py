@@ -1,7 +1,16 @@
 import csv
 import json
+import math
+import shutil
 
-from odfuse.cli import main
+import numpy as np
+import pytest
+
+from odfuse.attribution import permutation_importance
+from odfuse.cli import DEFAULT_CONFIG, load_config, main
+from odfuse.fusion import GbtHyperparams, train
+from odfuse.ingest import FEATURE_NAMES, build_dataset, read_routing_csv, read_tollbooth_csv
+from odfuse.network import trondheim_fixture
 
 from _helpers import WORKED_EXAMPLE_HOUR, write_worked_example_fixture
 
@@ -101,6 +110,103 @@ class TestPipeline:
         assert any("config hash" in r.message for r in caplog.records)
 
 
+@pytest.fixture(scope="module")
+def explained_run(tmp_path_factory):
+    """One synth -> train -> explain run; returns (config path, out dir)."""
+    base = tmp_path_factory.mktemp("explained")
+    cfg = write_config(
+        base / "run.json",
+        synthetic={"days": 4},
+        hyperparams={"n_trees": 10, "max_depth": 4},
+        explain={"target": "total", "max_rows": 32, "repeats": 2},
+    )
+    for cmd in ("synth", "train", "explain"):
+        assert main(["--config", str(cfg), cmd]) == 0
+    return cfg, base / "out"
+
+
+class TestExplainArtifacts:
+    def test_permutation_uses_the_target_column_after_reload(self, explained_run):
+        cfg, out = explained_run
+        drops = {name: float(v) for name, v in read_csv(out / "permutation.csv")[1:]}
+        top = max(drops, key=drops.get)
+        assert top == "people_flow" and drops[top] > 0
+        # The same importances from a model that never went through disk.
+        net = trondheim_fixture()
+        ds = build_dataset(
+            read_tollbooth_csv(out / "tollbooth.csv", net), read_routing_csv(out / "routing.csv", net), 0.2
+        )
+        model = train(ds, GbtHyperparams(n_trees=10, max_depth=4, seed=7))
+        expected = permutation_importance(model, "total", ds, repeats=2, seed=7)
+        assert drops == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_importance_is_mean_abs_of_attributions(self, explained_run):
+        _, out = explained_run
+        att = read_csv(out / "attributions.csv")
+        assert att[0] == ["base_value", *FEATURE_NAMES] and len(att) == 1 + 32
+        phi = np.array([[float(v) for v in row[1:]] for row in att[1:]])
+        imp = {row[0]: float(row[1]) for row in read_csv(out / "importance.csv")[1:]}
+        for j, name in enumerate(FEATURE_NAMES):
+            assert imp[name] == pytest.approx(np.abs(phi[:, j]).mean(), rel=1e-12, abs=1e-15)
+        tags = math.fsum(v for name, v in imp.items() if name.startswith("tag_"))
+        assert imp["tagValue"] == pytest.approx(tags, rel=1e-12, abs=1e-15)
+
+
+# Each corruption of the first "total" tree and the message that rejects it.
+CORRUPT_TREES = {
+    "self-referencing-child": "higher indices",
+    "leaf-with-feature": "leaves must have feature -1",
+    "feature-out-of-range": "split features",
+    "cover-not-sum-of-children": "covers",
+    "non-positive-cover": "covers",
+    "non-finite-value": "finite",
+}
+
+
+def corrupt_tree(tree: dict, case: str) -> None:
+    leaf = tree["feature"].index(-1)
+    if case == "self-referencing-child":
+        tree["left"][0] = 0
+    elif case == "leaf-with-feature":
+        tree["feature"][leaf] = 0
+    elif case == "feature-out-of-range":
+        tree["feature"][0] = len(FEATURE_NAMES)
+    elif case == "cover-not-sum-of-children":
+        tree["cover"][0] += 1
+    elif case == "non-positive-cover":
+        tree["cover"] = [0.0] * len(tree["cover"])
+    elif case == "non-finite-value":
+        tree["value"][leaf] = math.nan
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_TREES))
+    def test_malformed_tree_is_data_error(self, explained_run, tmp_path, capsys, case):
+        _, out = explained_run
+        bad = tmp_path / "out"
+        bad.mkdir()
+        for name in ("tollbooth.csv", "routing.csv"):
+            shutil.copy(out / name, bad / name)
+        doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        tree = doc["targets"]["total"]["trees"][0]
+        assert tree["feature"][0] != -1
+        corrupt_tree(tree, case)
+        (bad / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json", out_dir=str(bad))
+        assert main(["--config", str(cfg), "eval"]) == 2
+        assert CORRUPT_TREES[case] in capsys.readouterr().err
+
+    def test_foreign_feature_layout_is_data_error(self, explained_run, tmp_path):
+        _, out = explained_run
+        doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        doc["feature_names"] = doc["feature_names"][::-1]
+        (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        for name in ("tollbooth.csv", "routing.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        cfg = write_config(tmp_path / "run.json", out_dir=str(tmp_path))
+        assert main(["--config", str(cfg), "eval"]) == 2
+
+
 class TestStabilityCommand:
     def test_compares_two_periods(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.json", out_dir=str(tmp_path / "out_a"), seed=1)
@@ -123,6 +229,9 @@ class TestStabilityCommand:
         rows = read_csv(tmp_path / "out" / "stability.csv")
         assert rows[0] == ["profile_kind", "pearson", "sym_kl_nats", "nmse"]
         assert [r[0] for r in rows[1:]] == ["diurnal", "weekly"]
+        for row in rows[1:]:
+            for field in row[1:]:
+                assert field == "NA" or math.isfinite(float(field)), field
 
     def test_missing_inputs_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
@@ -195,3 +304,19 @@ class TestConfigHandling:
 
     def test_unknown_flag_exit_1(self, tmp_path):
         assert main(["--nonsense"]) == 1
+
+    def test_flag_overrides_do_not_leak_into_defaults(self):
+        load_config(None, 5, "elsewhere")
+        config = load_config(None, None, None)
+        assert (config["seed"], config["out_dir"]) == (42, "out")
+        assert (DEFAULT_CONFIG["seed"], DEFAULT_CONFIG["out_dir"]) == (42, "out")
+
+    @pytest.mark.parametrize(
+        "explain",
+        [{"max_rows": 0}, {"max_rows": "16"}, {"repeats": 0}, {"repeats": 1.5}, {"repeats": True}],
+        ids=["max_rows-zero", "max_rows-string", "repeats-zero", "repeats-float", "repeats-bool"],
+    )
+    def test_bad_explain_option_exit_1(self, tmp_path, capsys, explain):
+        cfg = write_config(tmp_path / "run.json", explain=explain)
+        assert main(["--config", str(cfg), "explain"]) == 1
+        assert "explain." in capsys.readouterr().err
