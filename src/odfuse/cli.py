@@ -305,7 +305,7 @@ def cmd_route(config: dict) -> int:
     out = _out_dir(config)
     write_od_csv(out / "od_matrix.csv", run.matrix)
     write_ledger_csv(out / "ledger.csv", run.ledger)
-    log.info("route: %d OD entries over %d decisions -> %s", len(run.matrix.entries), len(run.decisions), out)
+    log.info("route: %d OD entries over %d decisions -> %s", len(run.matrix), len(run.decisions), out)
     return 0
 
 

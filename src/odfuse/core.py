@@ -227,14 +227,6 @@ class CountsByCategory:
     def category_sum(self) -> float:
         return sum(self.counts.values())
 
-    def __add__(self, other: "CountsByCategory") -> "CountsByCategory":
-        merged = {cat: self.counts[cat] + other.counts[cat] for cat in CATEGORY_ORDER}
-        return CountsByCategory(
-            counts=merged,
-            total=self.total + other.total,
-            total_mismatch=self.total_mismatch or other.total_mismatch,
-        )
-
 
 @dataclass(frozen=True)
 class TollboothObservation:

@@ -19,49 +19,35 @@ category) probability distribution: the destination marginal is
 renormalized over the scenario's eligible subset, integerized by largest
 remainder, then each destination's share is split across categories the
 same way. Every step is integer-exact, so vehicles are conserved.
+
+``build_od_matrix`` works on arrays: one prediction block, marginals once per
+hour, one row-batched apportionment per eligible-destination tuple and a
+columnar OD matrix. The one-hour functions wrap the same kernels.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
-from math import floor
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    CATEGORY_ORDER,
-    HourKey,
-    RoutingReportObservation,
-    VehicleCategory,
-    VehicleType,
-    map_vehicle_type,
-)
+from .core import (CATEGORY_ORDER, HourKey, RoutingReportObservation, VehicleCategory, VehicleType,
+                   map_vehicle_type)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
 from .ingest import feature_vector
 from .network import NetworkConfig
 
 __all__ = [
-    "Scenario",
-    "FlowDecision",
-    "JointDistribution",
-    "Marginals",
-    "ODEntry",
-    "ODMatrix",
-    "LedgerEvent",
-    "RoutingRun",
-    "largest_remainder",
-    "infer_joint_distribution",
-    "marginals",
-    "decide_flows",
-    "distribute",
-    "build_od_matrix",
-    "write_od_csv",
-    "write_ledger_csv",
+    "Scenario", "FlowDecision", "JointDistribution", "Marginals", "ODEntry", "ODMatrix",
+    "LedgerEvent", "RoutingRun", "largest_remainder", "infer_joint_distribution", "marginals",
+    "decide_flows", "distribute", "build_od_matrix", "write_od_csv", "write_ledger_csv",
     "conservation_violations",
 ]
 
@@ -74,6 +60,12 @@ class Scenario(Enum):
     LOCAL_OUTFLOW = "LocalOutflow"
     PASSTHROUGH_NET = "PassthroughNet"
     PASSTHROUGH_BYPASS = "PassthroughBypass"
+
+
+# Code tables of the OD matrix's scenario and vehicle_type columns.
+_SCENARIOS: tuple[Scenario, ...] = tuple(Scenario)
+_VEHICLE_TYPES: tuple[VehicleType, ...] = tuple(VehicleType)
+_CATEGORY_TYPE_CODES = np.array([_VEHICLE_TYPES.index(map_vehicle_type(c)) for c in CATEGORY_ORDER])
 
 
 @dataclass(frozen=True)
@@ -116,10 +108,7 @@ class JointDistribution:
             raise DataError("joint distribution has negative mass")
 
     def destinations(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for dest, _ in self.mass:
-            seen.setdefault(dest)
-        return list(seen)
+        return list(dict.fromkeys(dest for dest, _ in self.mass))
 
 
 @dataclass(frozen=True)
@@ -140,12 +129,43 @@ class ODEntry:
     direction: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ODMatrix:
-    entries: list[ODEntry]
+    """OD entries as integer columns, in decision order.
+
+    ``hour`` indexes ``hours``; ``origin`` and ``destination`` index
+    ``nodes``; ``vehicle_type`` and ``scenario`` index the members of
+    ``VehicleType`` and ``Scenario`` in definition order; ``decision``
+    indexes ``decisions``, the run's decisions.
+    """
+
+    hours: tuple[HourKey, ...]
+    nodes: tuple[str, ...]
+    decisions: tuple[FlowDecision, ...]
+    hour: np.ndarray
+    origin: np.ndarray
+    destination: np.ndarray
+    vehicle_type: np.ndarray
+    scenario: np.ndarray
+    count: np.ndarray
+    decision: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.count)
 
     def total(self) -> int:
-        return sum(e.count for e in self.entries)
+        return int(self.count.sum())
+
+    @property
+    def entries(self) -> list[ODEntry]:
+        """The rows as ``ODEntry`` objects, built anew on every access."""
+        columns = (self.hour, self.origin, self.destination, self.vehicle_type, self.count,
+                   self.scenario, self.decision)
+        return [
+            ODEntry(self.hours[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n,
+                    _SCENARIOS[s], self.decisions[k].direction)
+            for h, o, d, v, n, s, k in zip(*(c.tolist() for c in columns))
+        ]
 
 
 @dataclass(frozen=True)
@@ -166,7 +186,39 @@ class RoutingRun:
     matrix: ODMatrix
     decisions: list[FlowDecision]
     ledger: list[LedgerEvent]
-    entries_by_decision: list[tuple[FlowDecision, list[ODEntry]]]
+
+
+def _sequential_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right as Python's ``sum`` does."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
+def _apportion(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-batched ``largest_remainder``: row i splits ``totals[i]`` by ``weights[i]``."""
+    totals = np.asarray(totals, dtype=np.int64)
+    if (totals < 0).any():
+        raise DataError(f"total must be non-negative, got {int(totals[totals < 0][0])}")
+    if (weights < 0).any():
+        raise DataError("weights must be non-negative")
+    sums = _sequential_sum(weights)
+    bad = ~(np.abs(sums - 1.0) <= MASS_TOLERANCE)
+    if bad.any():
+        raise DataError(f"weights sum to {float(sums[bad][0])!r}, not 1")
+    quotas = totals[:, None] * weights
+    floors = np.floor(quotas)
+    result = floors.astype(np.int64)
+    extras = totals - result.sum(axis=1)
+    drift = (extras < 0) | (extras > weights.shape[1])
+    if drift.any():
+        raise InternalError(
+            f"apportionment drift: {int(extras[drift][0])} extras for {weights.shape[1]} weights"
+        )
+    # lexsort is stable, so equal (remainder, weight) keys keep index order.
+    order = np.lexsort((-weights, -(quotas - floors)), axis=-1)
+    rank = np.argsort(order, axis=-1)
+    return result + (rank < extras[:, None])
 
 
 def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
@@ -176,25 +228,45 @@ def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
     remainders, ties broken by larger weight then earlier index. Every
     output is floor(quota) or ceil(quota) and the outputs sum to ``total``.
     """
-    if total < 0:
-        raise DataError(f"total must be non-negative, got {total}")
-    if any(w < 0 for w in weights):
-        raise DataError("weights must be non-negative")
-    s = sum(weights)
-    if abs(s - 1.0) > MASS_TOLERANCE:
-        raise DataError(f"weights sum to {s!r}, not 1")
-    quotas = [total * w for w in weights]
-    result = [floor(q) for q in quotas]
-    extras = total - sum(result)
-    if extras < 0 or extras > len(weights):
-        raise InternalError(f"apportionment drift: {extras} extras for {len(weights)} weights")
-    order = sorted(
-        range(len(weights)),
-        key=lambda i: (-(quotas[i] - result[i]), -weights[i], i),
-    )
-    for i in order[:extras]:
-        result[i] += 1
-    return result
+    return _apportion(np.array([total]), np.asarray(weights, dtype=np.float64).reshape(1, -1))[0].tolist()
+
+
+def _clamped_table(category_counts: np.ndarray, censored: Sequence[bool]) -> np.ndarray:
+    """Predictions clamped at zero, with censored rows contributing nothing."""
+    table = np.maximum(np.asarray(category_counts, dtype=np.float64), 0.0)
+    table[np.asarray(censored, dtype=bool)] = 0.0
+    return table
+
+
+def _hour_mass(table: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One hour's joint mass, normalised in row order; uniform (flagged) if empty."""
+    total = float(table.sum())
+    if total <= 0.0:
+        return np.full(table.shape, 1.0 / table.size), True
+    return table / total, False
+
+
+def _marginals(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Destination marginals and per-destination category distributions.
+
+    A destination without mass gets a uniform category distribution.
+    """
+    weight = _sequential_sum(mass)[:, None]
+    per_destination = np.full(mass.shape, 1.0 / mass.shape[1])
+    np.divide(mass, weight, out=per_destination, where=weight > 0.0)
+    return weight[:, 0], per_destination
+
+
+def _split(volumes: np.ndarray, shares: np.ndarray, per_destination: np.ndarray) -> np.ndarray:
+    """Counts ``(B, k, 6)``: each volume split over its k eligible destinations by
+    their renormalised shares (uniform without mass), then over categories."""
+    mass = _sequential_sum(shares)[:, None]
+    weights = np.full(shares.shape, 1.0 / shares.shape[1])
+    np.divide(shares, mass, out=weights, where=mass > 0.0)
+    dest_counts = _apportion(volumes, weights)
+    n_cat = per_destination.shape[-1]
+    counts = _apportion(dest_counts.reshape(-1), per_destination.reshape(-1, n_cat))
+    return counts.reshape(per_destination.shape)
 
 
 def joint_from_predictions(
@@ -209,22 +281,25 @@ def joint_from_predictions(
     night hour where every report was suppressed) the joint falls back to
     uniform and is flagged.
     """
-    table = np.maximum(np.asarray(category_counts, dtype=np.float64), 0.0)
-    for i, is_censored in enumerate(censored):
-        if is_censored:
-            table[i, :] = 0.0
-    total = float(table.sum())
-    mass: dict[tuple[str, VehicleCategory], float] = {}
-    if total <= 0.0:
-        uniform = 1.0 / (len(destination_names) * len(CATEGORY_ORDER))
-        for dest in destination_names:
-            for cat in CATEGORY_ORDER:
-                mass[(dest, cat)] = uniform
-        return JointDistribution(hour=hour, mass=mass, fallback_uniform=True)
-    for i, dest in enumerate(destination_names):
-        for j, cat in enumerate(CATEGORY_ORDER):
-            mass[(dest, cat)] = float(table[i, j]) / total
-    return JointDistribution(hour=hour, mass=mass)
+    mass, fallback = _hour_mass(_clamped_table(category_counts, censored))
+    keys = product(destination_names, CATEGORY_ORDER)
+    return JointDistribution(
+        hour=hour, mass=dict(zip(keys, mass.ravel().tolist())), fallback_uniform=fallback
+    )
+
+
+def _check_hour_rows(hour: HourKey, names: list[str]) -> None:
+    if not names:
+        raise DataError(f"no destination routing rows for hour {hour.isoformat()}")
+    if len(set(names)) != len(names):
+        raise DataError(f"duplicate destination rows for hour {hour.isoformat()}")
+
+
+def _predict_categories(model: FusionModel, rows: list[RoutingReportObservation]) -> np.ndarray:
+    if not rows:
+        return np.zeros((0, len(CATEGORY_ORDER)))
+    X = np.stack([feature_vector(r).to_array() for r in rows])
+    return predict_matrix(model, X)[:, 1:]  # category columns only
 
 
 def infer_joint_distribution(
@@ -234,55 +309,43 @@ def infer_joint_distribution(
 ) -> JointDistribution:
     """Predict category counts at each destination and normalize to a joint."""
     rows = [r for r in routing_rows if r.hour.timestamp == hour.timestamp]
-    if not rows:
-        raise DataError(f"no destination routing rows for hour {hour.isoformat()}")
     names = [r.node.name for r in rows]
-    if len(set(names)) != len(names):
-        raise DataError(f"duplicate destination rows for hour {hour.isoformat()}")
-    X = np.stack([feature_vector(r).to_array() for r in rows])
-    preds = predict_matrix(model, X)[:, 1:]  # category columns only
+    _check_hour_rows(hour, names)
+    preds = _predict_categories(model, rows)
     return joint_from_predictions(hour, names, preds, [r.censored for r in rows])
+
+
+def _joint_arrays(joint: JointDistribution) -> tuple[list[str], np.ndarray, np.ndarray]:
+    names = joint.destinations()
+    mass = np.array([[joint.mass.get((d, c), 0.0) for c in CATEGORY_ORDER] for d in names])
+    return (names, *_marginals(mass))
 
 
 def marginals(joint: JointDistribution) -> Marginals:
     """Destination marginal plus per-destination category distributions."""
-    global_by_dest: dict[str, float] = {}
-    for (dest, _), p in joint.mass.items():
-        global_by_dest[dest] = global_by_dest.get(dest, 0.0) + p
-    per_dest: dict[str, dict[VehicleCategory, float]] = {}
-    flagged: list[str] = []
-    for dest in joint.destinations():
-        weight = global_by_dest[dest]
-        if weight > 0.0:
-            per_dest[dest] = {
-                cat: joint.mass.get((dest, cat), 0.0) / weight for cat in CATEGORY_ORDER
-            }
-        else:
-            flagged.append(dest)
-            per_dest[dest] = {cat: 1.0 / len(CATEGORY_ORDER) for cat in CATEGORY_ORDER}
+    names, weight, per_destination = _joint_arrays(joint)
     return Marginals(
-        global_by_destination=global_by_dest,
-        per_destination=per_dest,
-        uniform_category_destinations=tuple(flagged),
+        global_by_destination=dict(zip(names, weight.tolist())),
+        per_destination={
+            d: dict(zip(CATEGORY_ORDER, row)) for d, row in zip(names, per_destination.tolist())
+        },
+        uniform_category_destinations=tuple(d for d, w in zip(names, weight) if not w > 0.0),
     )
 
 
 class _CountLedger:
-    """Tracks per-key consumption across phases within one hour."""
+    """Tracks per-key residual counts across phases within one hour."""
 
     def __init__(self, counts: Mapping[str, int]):
-        self.raw = dict(counts)
-        self.consumed: dict[str, int] = {}
+        self.left = dict(counts)
 
     def remaining(self, key: str) -> int:
-        left = self.raw[key] - self.consumed.get(key, 0)
-        if left < 0:
-            raise InternalError(f"negative residual for count key {key!r}: {left}")
-        return left
+        return self.left[key]
 
     def consume(self, key: str, amount: int) -> None:
-        self.consumed[key] = self.consumed.get(key, 0) + amount
-        self.remaining(key)
+        self.left[key] -= amount
+        if self.left[key] < 0:
+            raise InternalError(f"negative residual for count key {key!r}: {self.left[key]}")
 
 
 def decide_flows(
@@ -309,18 +372,18 @@ def decide_flows(
     decisions: list[FlowDecision] = []
     events: list[LedgerEvent] = []
 
-    def record(decision: FlowDecision) -> None:
-        decisions.append(decision)
-        events.append(
-            LedgerEvent(
-                hour=hour,
-                entry_type="decision",
-                scenario=decision.scenario.value,
-                direction=decision.direction,
-                key=decision.origin,
-                amount=decision.volume,
-            )
+    def event(entry_type: str, scenario: str, direction: str, key: str, amount: int, flag: str = "") -> None:
+        events.append(LedgerEvent(hour, entry_type, scenario, direction, key, amount, flag))
+
+    def record(scenario: Scenario, direction: str, volume: int, origin: str, eligible: Sequence[str],
+               reversed_roles: bool = False) -> None:
+        decisions.append(
+            FlowDecision(hour, scenario, direction, volume, origin, tuple(eligible), reversed_roles)
         )
+        event("decision", scenario.value, direction, origin, volume)
+
+    def subset(scenario: str) -> list[str]:
+        return network.group_members(network.scenario_subsets[scenario])
 
     # Phase 1: internal circulation across the boundary booth.
     boundary = network.boundary
@@ -333,61 +396,21 @@ def decide_flows(
             ramp_key = network.ramps.onramp if side.consumes == "onramp" else network.ramps.offramp
             applied = min(volume, ledger.remaining(ramp_key))
             ledger.consume(ramp_key, applied)
-            events.append(
-                LedgerEvent(
-                    hour=hour,
-                    entry_type="consume",
-                    scenario=Scenario.INTERNAL.value,
-                    direction=side.label,
-                    key=ramp_key,
-                    amount=applied,
-                    flag="capped" if applied < volume else "",
-                )
-            )
-            record(
-                FlowDecision(
-                    hour=hour,
-                    scenario=Scenario.INTERNAL,
-                    direction=side.label,
-                    volume=volume,
-                    origin=boundary.node,
-                    eligible_destinations=tuple(network.group_members(side.groups)),
-                )
-            )
+            flag = "capped" if applied < volume else ""
+            event("consume", Scenario.INTERNAL.value, side.label, ramp_key, applied, flag)
+            record(Scenario.INTERNAL, side.label, volume, boundary.node, network.group_members(side.groups))
 
     # Phase 2: remaining ramp traffic enters or leaves the area.
     if network.ramps is not None:
         inflow = ledger.remaining(network.ramps.onramp)
         if inflow > 0:
             ledger.consume(network.ramps.onramp, inflow)
-            record(
-                FlowDecision(
-                    hour=hour,
-                    scenario=Scenario.LOCAL_INFLOW,
-                    direction="onramp:in",
-                    volume=inflow,
-                    origin=network.ramps.onramp,
-                    eligible_destinations=tuple(
-                        network.group_members(network.scenario_subsets["LocalInflow"])
-                    ),
-                )
-            )
+            record(Scenario.LOCAL_INFLOW, "onramp:in", inflow, network.ramps.onramp, subset("LocalInflow"))
         outflow = ledger.remaining(network.ramps.offramp)
         if outflow > 0:
             ledger.consume(network.ramps.offramp, outflow)
-            record(
-                FlowDecision(
-                    hour=hour,
-                    scenario=Scenario.LOCAL_OUTFLOW,
-                    direction="offramp:out",
-                    volume=outflow,
-                    origin=network.ramps.offramp,
-                    eligible_destinations=tuple(
-                        network.group_members(network.scenario_subsets["LocalOutflow"])
-                    ),
-                    reversed_roles=True,
-                )
-            )
+            record(Scenario.LOCAL_OUTFLOW, "offramp:out", outflow, network.ramps.offramp,
+                   subset("LocalOutflow"), reversed_roles=True)
 
     # Phase 3: paired booths, shared minimum bypasses, difference is net.
     # Both decisions are always recorded, at volume zero when balanced, so
@@ -395,53 +418,30 @@ def decide_flows(
     for pair in network.passthrough_pairs:
         up = ledger.remaining(pair.upstream)
         down = ledger.remaining(pair.downstream)
-        record(
-            FlowDecision(
-                hour=hour,
-                scenario=Scenario.PASSTHROUGH_BYPASS,
-                direction=f"{pair.axis}:bypass",
-                volume=min(up, down),
-                origin=pair.upstream,
-                eligible_destinations=(pair.downstream,),
-            )
-        )
+        record(Scenario.PASSTHROUGH_BYPASS, f"{pair.axis}:bypass", min(up, down), pair.upstream,
+               (pair.downstream,))
         net = up - down
-        eligible = tuple(network.group_members(network.scenario_subsets["PassthroughNet"]))
         if net >= 0:
-            record(
-                FlowDecision(
-                    hour=hour,
-                    scenario=Scenario.PASSTHROUGH_NET,
-                    direction=f"{pair.axis}:inflow",
-                    volume=net,
-                    origin=pair.upstream,
-                    eligible_destinations=eligible,
-                )
-            )
+            record(Scenario.PASSTHROUGH_NET, f"{pair.axis}:inflow", net, pair.upstream,
+                   subset("PassthroughNet"))
         else:
-            record(
-                FlowDecision(
-                    hour=hour,
-                    scenario=Scenario.PASSTHROUGH_NET,
-                    direction=f"{pair.axis}:outflow",
-                    volume=-net,
-                    origin=pair.downstream,
-                    eligible_destinations=eligible,
-                    reversed_roles=True,
-                )
-            )
+            record(Scenario.PASSTHROUGH_NET, f"{pair.axis}:outflow", -net, pair.downstream,
+                   subset("PassthroughNet"), reversed_roles=True)
 
-    events.append(
-        LedgerEvent(
-            hour=hour,
-            entry_type="balance",
-            scenario="",
-            direction="",
-            key="total",
-            amount=sum(d.volume for d in decisions),
-        )
-    )
+    event("balance", "", "", "total", sum(d.volume for d in decisions))
     return decisions, events
+
+
+def _check_eligible(decision: FlowDecision, present: list[str]) -> None:
+    """A decision that splits volume needs every eligible destination present."""
+    if decision.volume == 0 or decision.scenario is Scenario.PASSTHROUGH_BYPASS:
+        return
+    unknown = [d for d in decision.eligible_destinations if d not in present]
+    if unknown:
+        raise DataError(
+            f"eligible destinations {unknown} absent from the joint distribution "
+            f"at {decision.hour.isoformat()}"
+        )
 
 
 def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry]:
@@ -452,59 +452,11 @@ def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry
     eligible destinations by the renormalized destination marginal, then
     across categories per destination; both splits use largest remainder.
     """
-    if decision.volume == 0:
-        return []
-    if decision.scenario is Scenario.PASSTHROUGH_BYPASS:
-        return [
-            ODEntry(
-                hour=decision.hour,
-                origin=decision.origin,
-                destination=decision.eligible_destinations[0],
-                vehicle_type=VehicleType.ALL,
-                count=decision.volume,
-                scenario=decision.scenario,
-                direction=decision.direction,
-            )
-        ]
-    known = set(joint.destinations())
-    unknown = [d for d in decision.eligible_destinations if d not in known]
-    if unknown:
-        raise DataError(
-            f"eligible destinations {unknown} absent from the joint distribution "
-            f"at {decision.hour.isoformat()}"
-        )
-    marg = marginals(joint)
-    shares = [marg.global_by_destination[d] for d in decision.eligible_destinations]
-    mass = sum(shares)
-    if mass > 0.0:
-        weights = [s / mass for s in shares]
-    else:
-        weights = [1.0 / len(shares)] * len(shares)
-    dest_counts = largest_remainder(decision.volume, weights)
-    entries: list[ODEntry] = []
-    for dest, dest_count in zip(decision.eligible_destinations, dest_counts):
-        if dest_count == 0:
-            continue
-        cat_dist = marg.per_destination[dest]
-        cat_counts = largest_remainder(dest_count, [cat_dist[c] for c in CATEGORY_ORDER])
-        for cat, cat_count in zip(CATEGORY_ORDER, cat_counts):
-            if cat_count == 0:
-                continue
-            origin, destination = (
-                (dest, decision.origin) if decision.reversed_roles else (decision.origin, dest)
-            )
-            entries.append(
-                ODEntry(
-                    hour=decision.hour,
-                    origin=origin,
-                    destination=destination,
-                    vehicle_type=map_vehicle_type(cat),
-                    count=cat_count,
-                    scenario=decision.scenario,
-                    direction=decision.direction,
-                )
-            )
-    return entries
+    names, weight, per_destination = _joint_arrays(joint)
+    _check_eligible(decision, names)
+    one_hour = np.zeros(1, dtype=np.int64)
+    return _od_matrix((decision.hour,), [decision], one_hour, weight[None], per_destination[None],
+                      names).entries
 
 
 def _counts_by_hour(tollbooth) -> dict[object, dict[str, int]]:
@@ -534,91 +486,118 @@ def build_od_matrix(
     """
     counts_by_hour = _counts_by_hour(tollbooth)
     dest_names = network.destination_names()
-    dest_set = set(dest_names)
+    dest_index = {name: i for i, name in enumerate(dest_names)}
     dest_rows: dict[object, list[RoutingReportObservation]] = {}
     for obs in routing:
-        if obs.node.name in dest_set:
+        if obs.node.name in dest_index:
             dest_rows.setdefault(obs.hour.timestamp, []).append(obs)
 
     if hours is None:
-        hour_keys = sorted(
-            {obs.hour.timestamp: obs.hour for obs in tollbooth}.values(),
-            key=lambda h: h.timestamp,
-        )
-    else:
-        hour_keys = sorted(hours, key=lambda h: h.timestamp)
+        hours = {obs.hour.timestamp: obs.hour for obs in tollbooth}.values()
+    hour_keys = sorted(hours, key=lambda h: h.timestamp)
 
-    # Batch all destination predictions up front; per-hour loops only slice.
+    # One prediction block for every hour, rows in file order within an hour.
     flat_rows: list[RoutingReportObservation] = []
-    offsets: dict[object, tuple[int, int]] = {}
+    bounds = [0]
     for hk in hour_keys:
-        rows = dest_rows.get(hk.timestamp, [])
-        offsets[hk.timestamp] = (len(flat_rows), len(rows))
-        flat_rows.extend(rows)
-    if flat_rows:
-        X = np.stack([feature_vector(r).to_array() for r in flat_rows])
-        all_preds = predict_matrix(model, X)[:, 1:]
-    else:
-        all_preds = np.zeros((0, len(CATEGORY_ORDER)))
+        flat_rows.extend(dest_rows.get(hk.timestamp, []))
+        bounds.append(len(flat_rows))
+    table = _clamped_table(_predict_categories(model, flat_rows), [r.censored for r in flat_rows])
+    mass = np.empty_like(table)
 
-    matrix_entries: list[ODEntry] = []
-    all_decisions: list[FlowDecision] = []
+    decisions: list[FlowDecision] = []
+    decision_hour: list[int] = []
     ledger: list[LedgerEvent] = []
-    grouped: list[tuple[FlowDecision, list[ODEntry]]] = []
-    for hk in hour_keys:
+    for h, hk in enumerate(hour_keys):
         counts = counts_by_hour.get(hk.timestamp)
         if counts is None:
             raise DataError(f"no tollbooth counts for hour {hk.isoformat()}")
-        start, n_rows = offsets[hk.timestamp]
-        rows = flat_rows[start : start + n_rows]
-        if not rows:
-            raise DataError(f"no destination routing rows for hour {hk.isoformat()}")
-        names = [r.node.name for r in rows]
-        if len(set(names)) != len(names):
-            raise DataError(f"duplicate destination rows for hour {hk.isoformat()}")
-        joint = joint_from_predictions(
-            hk, names, all_preds[start : start + n_rows], [r.censored for r in rows]
-        )
-        if joint.fallback_uniform:
-            ledger.append(
-                LedgerEvent(
-                    hour=hk,
-                    entry_type="consume",
-                    scenario="",
-                    direction="",
-                    key="joint",
-                    amount=0,
-                    flag="uniform_fallback",
-                )
-            )
-        decisions, events = decide_flows(network, counts, hk)
+        start, stop = bounds[h], bounds[h + 1]
+        names = [r.node.name for r in flat_rows[start:stop]]
+        _check_hour_rows(hk, names)
+        mass[start:stop], fallback = _hour_mass(table[start:stop])
+        if fallback:
+            ledger.append(LedgerEvent(hk, "consume", "", "", "joint", 0, "uniform_fallback"))
+        hour_decisions, events = decide_flows(network, counts, hk)
         ledger.extend(events)
-        for decision in decisions:
-            entries = distribute(decision, joint)
-            grouped.append((decision, entries))
-            matrix_entries.extend(entries)
-        all_decisions.extend(decisions)
-    return RoutingRun(
-        matrix=ODMatrix(entries=matrix_entries),
-        decisions=all_decisions,
-        ledger=ledger,
-        entries_by_decision=grouped,
-    )
+        if len(names) < len(dest_names):
+            for d in hour_decisions:
+                _check_eligible(d, names)
+        decisions.extend(hour_decisions)
+        decision_hour.extend([h] * len(hour_decisions))
+
+    # Marginals once per (hour, destination), scattered on a grid.
+    weight, per_destination = _marginals(mass)
+    row_hour = np.repeat(np.arange(len(hour_keys)), np.diff(bounds))
+    row_dest = np.array([dest_index[r.node.name] for r in flat_rows], dtype=np.int64)
+    weight_grid = np.zeros((len(hour_keys), len(dest_names)))
+    weight_grid[row_hour, row_dest] = weight
+    category_grid = np.zeros(weight_grid.shape + (len(CATEGORY_ORDER),))
+    category_grid[row_hour, row_dest] = per_destination
+    matrix = _od_matrix(tuple(hour_keys), decisions, np.array(decision_hour, dtype=np.int64),
+                        weight_grid, category_grid, dest_names)
+    return RoutingRun(matrix=matrix, decisions=decisions, ledger=ledger)
+
+
+def _od_matrix(hours: tuple[HourKey, ...], decisions: list[FlowDecision], decision_hour: np.ndarray,
+               weight_grid: np.ndarray, category_grid: np.ndarray, dest_names: list[str]) -> ODMatrix:
+    """Distribute every decision over its hour's row of the marginal grids.
+
+    ``weight_grid`` is ``(hours, destinations)``, ``category_grid`` adds the
+    category axis. Decisions that share an eligible-destination tuple are
+    apportioned in one batch; bypass decisions keep their whole volume.
+    """
+    node_codes: dict[str, int] = {}
+    code = lambda name: node_codes.setdefault(name, len(node_codes))  # noqa: E731
+    dest_index = {name: i for i, name in enumerate(dest_names)}
+    volume = np.array([d.volume for d in decisions], dtype=np.int64)
+    origin = np.array([code(d.origin) for d in decisions], dtype=np.int64)
+    reverse = np.array([d.reversed_roles for d in decisions], dtype=bool)
+    groups: dict[tuple[str, ...] | None, list[int]] = {}
+    for i, d in enumerate(decisions):
+        if d.volume:
+            bypass = d.scenario is Scenario.PASSTHROUGH_BYPASS
+            groups.setdefault(None if bypass else d.eligible_destinations, []).append(i)
+
+    # Rows: decision, position within it, origin, destination, type, count.
+    pieces = [np.zeros((6, 0), dtype=np.int64)]
+    for eligible, members in groups.items():
+        idx = np.array(members, dtype=np.int64)
+        if eligible is None:
+            dest = np.array([code(decisions[i].eligible_destinations[0]) for i in members])
+            kind = np.full(len(idx), _VEHICLE_TYPES.index(VehicleType.ALL))
+            pieces.append(np.stack((idx, np.zeros_like(idx), origin[idx], dest, kind, volume[idx])))
+            continue
+        rows, cols = decision_hour[idx][:, None], [dest_index[name] for name in eligible]
+        counts = _split(volume[idx], weight_grid[rows, cols], category_grid[rows, cols])
+        b, j, c = np.nonzero(counts)
+        dec = idx[b]
+        dest = np.array([code(name) for name in eligible], dtype=np.int64)[j]
+        rev = reverse[dec]
+        ends = (np.where(rev, dest, origin[dec]), np.where(rev, origin[dec], dest))
+        pieces.append(np.stack((dec, j * len(CATEGORY_ORDER) + c, *ends, _CATEGORY_TYPE_CODES[c],
+                                counts[b, j, c])))
+    columns = np.concatenate(pieces, axis=1)
+    dec, _, origin, destination, kind, count = columns[:, np.lexsort((columns[1], columns[0]))]
+    scenario = np.array([_SCENARIOS.index(d.scenario) for d in decisions], dtype=np.int64)
+    return ODMatrix(hours=hours, nodes=tuple(node_codes), decisions=tuple(decisions),
+                    hour=decision_hour[dec], origin=origin, destination=destination,
+                    vehicle_type=kind, scenario=scenario[dec], count=count, decision=dec)
 
 
 def conservation_violations(run: RoutingRun) -> list[str]:
     """Check that no vehicle was created or destroyed anywhere in the run."""
     problems: list[str] = []
-    for decision, entries in run.entries_by_decision:
-        allocated = sum(e.count for e in entries)
-        if decision.volume != allocated:
-            problems.append(
-                f"{decision.hour.isoformat()} {decision.scenario.value} {decision.direction}: "
-                f"decided {decision.volume}, allocated {allocated}"
-            )
-    balances = {
-        e.hour.timestamp: e.amount for e in run.ledger if e.entry_type == "balance"
-    }
+    volumes = np.array([d.volume for d in run.decisions], dtype=np.int64)
+    allocated = np.bincount(run.matrix.decision, weights=run.matrix.count, minlength=len(volumes))
+    allocated = allocated.astype(np.int64)
+    for i in np.nonzero(allocated != volumes)[0]:
+        decision = run.decisions[i]
+        problems.append(
+            f"{decision.hour.isoformat()} {decision.scenario.value} {decision.direction}: "
+            f"decided {decision.volume}, allocated {allocated[i]}"
+        )
+    balances = {e.hour.timestamp: e.amount for e in run.ledger if e.entry_type == "balance"}
     decided: dict[object, int] = {}
     for d in run.decisions:
         decided[d.hour.timestamp] = decided.get(d.hour.timestamp, 0) + d.volume
@@ -628,31 +607,52 @@ def conservation_violations(run: RoutingRun) -> list[str]:
     return problems
 
 
+def _ranks(keys: Sequence) -> np.ndarray:
+    """Position of each key in the sorted table."""
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
+def _csv_cell(value: str) -> str:
+    """A non-empty ``value`` as csv.writer writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([value])
+    return buf.getvalue()
+
+
 def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
-    rows = sorted(
-        (e for e in matrix.entries if e.count > 0),
-        key=lambda e: (
-            e.hour.timestamp,
-            e.scenario.value,
-            e.origin,
-            e.destination,
-            e.vehicle_type.value,
-        ),
-    )
+    keep = np.nonzero(matrix.count > 0)[0]
+    node_rank = _ranks(matrix.nodes)
+    # lexsort is stable: rows with equal keys stay in decision order.
+    order = keep[np.lexsort((
+        _ranks([t.value for t in _VEHICLE_TYPES])[matrix.vehicle_type[keep]],
+        node_rank[matrix.destination[keep]],
+        node_rank[matrix.origin[keep]],
+        _ranks([s.value for s in _SCENARIOS])[matrix.scenario[keep]],
+        _ranks([h.timestamp for h in matrix.hours])[matrix.hour[keep]],
+    ))]
+    hours = [_csv_cell(h.isoformat()) for h in matrix.hours]
+    nodes = [_csv_cell(name) for name in matrix.nodes]
+    kinds = [_csv_cell(t.value) for t in _VEHICLE_TYPES]
+    scenarios = [_csv_cell(s.value) for s in _SCENARIOS]
+    columns = (matrix.hour, matrix.origin, matrix.destination, matrix.vehicle_type, matrix.count,
+               matrix.scenario)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"])
-        for e in rows:
-            writer.writerow(
-                [e.hour.isoformat(), e.origin, e.destination, e.vehicle_type.value, e.count, e.scenario.value]
-            )
+        csv.writer(fh).writerow(["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"])
+        for block in np.array_split(order, len(order) // 8192 + 1):  # never the whole text at once
+            fh.write("".join([
+                f"{hours[h]},{nodes[o]},{nodes[d]},{kinds[v]},{n},{scenarios[s]}\r\n"
+                for h, o, d, v, n, s in zip(*(col[block].tolist() for col in columns))
+            ]))
 
 
 def write_ledger_csv(path: str | Path, ledger: list[LedgerEvent]) -> None:
+    iso = {ts: hour.isoformat() for ts, hour in {e.hour.timestamp: e.hour for e in ledger}.items()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"])
-        for e in ledger:
-            writer.writerow(
-                [e.hour.isoformat(), e.entry_type, e.scenario, e.direction, e.key, e.amount, e.flag]
-            )
+        writer.writerows(
+            [iso[e.hour.timestamp], e.entry_type, e.scenario, e.direction, e.key, e.amount, e.flag]
+            for e in ledger
+        )

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths: split
 search by full enumeration, Shapley values by subset enumeration,
-apportionment by integer-vector search, and conservation by direct
-recomputation from raw counts.
+apportionment by integer-vector search and by the scalar largest-remainder
+loop, OD rows by the per-decision routing loop, permutation importance by
+full re-scoring, and conservation by direct recomputation from raw counts.
 """
 
 from __future__ import annotations
@@ -352,3 +353,146 @@ def expected_hour_total(network: NetworkConfig, counts: dict[str, int]) -> int:
         up, down = counts[pair.upstream], counts[pair.downstream]
         total += min(up, down) + abs(up - down)
     return total
+
+
+def reference_largest_remainder(total: int, weights: list[float]) -> list[int]:
+    """Scalar largest remainder, one split at a time: the oracle for the
+    row-batched kernel in ``odfuse.routing``.
+
+    Quotas are floored; leftover units go to the largest fractional
+    remainders, ties broken by larger weight then earlier index.
+    """
+    from odfuse.errors import DataError, InternalError
+
+    if total < 0:
+        raise DataError(f"total must be non-negative, got {total}")
+    if any(w < 0 for w in weights):
+        raise DataError("weights must be non-negative")
+    s = sum(weights)
+    if abs(s - 1.0) > 1e-9:
+        raise DataError(f"weights sum to {s!r}, not 1")
+    quotas = [total * w for w in weights]
+    result = [math.floor(q) for q in quotas]
+    extras = total - sum(result)
+    if extras < 0 or extras > len(weights):
+        raise InternalError(f"apportionment drift: {extras} extras for {len(weights)} weights")
+    order = sorted(
+        range(len(weights)),
+        key=lambda i: (-(quotas[i] - result[i]), -weights[i], i),
+    )
+    for i in order[:extras]:
+        result[i] += 1
+    return result
+
+
+def _reference_distribute(decision, mass: dict) -> list[tuple]:
+    """One decision's OD rows with the hour's marginals rebuilt from the
+    (destination, category) mass dict, as routing did per decision."""
+    from odfuse.core import CATEGORY_ORDER, map_vehicle_type
+    from odfuse.routing import Scenario
+
+    def row(origin, destination, vehicle_type, count):
+        return (decision.hour.isoformat(), origin, destination, vehicle_type, count,
+                decision.scenario.value, decision.direction)
+
+    if decision.volume == 0:
+        return []
+    if decision.scenario is Scenario.PASSTHROUGH_BYPASS:
+        return [row(decision.origin, decision.eligible_destinations[0], "All", decision.volume)]
+    by_dest: dict[str, float] = {}
+    for (dest, _), p in mass.items():
+        by_dest[dest] = by_dest.get(dest, 0.0) + p
+    shares = [by_dest[d] for d in decision.eligible_destinations]
+    share_sum = sum(shares)
+    if share_sum > 0.0:
+        weights = [s / share_sum for s in shares]
+    else:
+        weights = [1.0 / len(shares)] * len(shares)
+    rows = []
+    dest_counts = reference_largest_remainder(decision.volume, weights)
+    for dest, dest_count in zip(decision.eligible_destinations, dest_counts):
+        if dest_count == 0:
+            continue
+        weight = by_dest[dest]
+        if weight > 0.0:
+            cat_dist = [mass.get((dest, c), 0.0) / weight for c in CATEGORY_ORDER]
+        else:
+            cat_dist = [1.0 / len(CATEGORY_ORDER)] * len(CATEGORY_ORDER)
+        for cat, count in zip(CATEGORY_ORDER, reference_largest_remainder(dest_count, cat_dist)):
+            if count == 0:
+                continue
+            ends = (dest, decision.origin) if decision.reversed_roles else (decision.origin, dest)
+            rows.append(row(*ends, map_vehicle_type(cat).value, count))
+    return rows
+
+
+def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tuple]:
+    """OD rows of the per-decision routing loop, in decision order.
+
+    Each hour's joint is a dict normalised by the hour's table sum (rows in
+    file order, censored rows zeroed, uniform when nothing remains); each
+    decision rebuilds the marginals and splits with the scalar largest
+    remainder. Rows are (timestamp, origin, destination, vehicle_type,
+    count, scenario, direction).
+    """
+    from odfuse.core import CATEGORY_ORDER
+    from odfuse.fusion import predict_matrix
+    from odfuse.ingest import feature_vector
+    from odfuse.routing import decide_flows
+
+    counts_by_hour: dict = {}
+    for obs in tollbooth:
+        counts_by_hour.setdefault(obs.hour.timestamp, {})[obs.join_key()] = int(obs.counts.total)
+    dest_names = set(network.destination_names())
+    dest_rows: dict = {}
+    for obs in routing:
+        if obs.node.name in dest_names:
+            dest_rows.setdefault(obs.hour.timestamp, []).append(obs)
+    if hours is None:
+        hours = {obs.hour.timestamp: obs.hour for obs in tollbooth}.values()
+    out = []
+    for hour in sorted(hours, key=lambda h: h.timestamp):
+        rows = dest_rows[hour.timestamp]
+        names = [r.node.name for r in rows]
+        preds = predict_matrix(model, np.stack([feature_vector(r).to_array() for r in rows]))
+        table = np.maximum(preds[:, 1:], 0.0)
+        for i, r in enumerate(rows):
+            if r.censored:
+                table[i, :] = 0.0
+        total = float(table.sum())
+        mass = {}
+        for i, dest in enumerate(names):
+            for j, cat in enumerate(CATEGORY_ORDER):
+                mass[(dest, cat)] = float(table[i, j]) / total if total > 0.0 else 1.0 / table.size
+        decisions, _ = decide_flows(network, counts_by_hour[hour.timestamp], hour)
+        for decision in decisions:
+            out.extend(_reference_distribute(decision, mass))
+    return out
+
+
+def reference_permutation_importance(model, target: str, dataset, repeats: int, seed: int) -> dict:
+    """Permutation importance that re-scores every tree for every shuffle:
+    the oracle for the version that re-scores only the trees that split on
+    the shuffled column."""
+    from odfuse.fusion import raw_score_matrix
+    from odfuse.ingest import TARGET_NAMES
+
+    X = dataset.X_valid
+    y = dataset.Y_valid[:, TARGET_NAMES.index(target)]
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+
+    def r2_of(Xm: np.ndarray) -> float:
+        pred = np.maximum(raw_score_matrix(model, Xm, target), 0.0)
+        return 1.0 - float(np.sum((pred - y) ** 2)) / ss_tot
+
+    base_r2 = r2_of(X)
+    rng = np.random.default_rng(seed)
+    drops = {}
+    for j, name in enumerate(model.feature_names):
+        acc = 0.0
+        for _ in range(repeats):
+            Xp = X.copy()
+            Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
+            acc += base_r2 - r2_of(Xp)
+        drops[name] = acc / repeats
+    return drops

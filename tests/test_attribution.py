@@ -27,7 +27,13 @@ from odfuse.ingest import (
 )
 from odfuse.network import trondheim_fixture
 
-from _helpers import brute_force_shap, make_tree, random_cover_tree, tree_expectation
+from _helpers import (
+    brute_force_shap,
+    make_tree,
+    random_cover_tree,
+    reference_permutation_importance,
+    tree_expectation,
+)
 
 
 def dataset_from_arrays(X, y, split_index) -> FusionDataset:
@@ -260,6 +266,12 @@ class TestPermutationImportance:
         r2 = 1 - np.sum((pred - y) ** 2) / np.sum((y - y.mean()) ** 2)
         assert r2 < drops["people_flow"] < 2.2 * r2
         assert abs(drops["hour_of_day"]) < 0.05
+
+    @pytest.mark.parametrize("fixture", ["small_model", "signal_model"])
+    def test_equals_full_rescoring_exactly(self, request, fixture):
+        model, ds = request.getfixturevalue(fixture)
+        got = permutation_importance(model, "total", ds, repeats=3, seed=4)
+        assert got == reference_permutation_importance(model, "total", ds, repeats=3, seed=4)
 
     def test_determinism_given_seed(self, signal_model):
         model, ds = signal_model

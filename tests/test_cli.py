@@ -262,6 +262,41 @@ class TestRoute:
         ledger = read_csv(tmp_path / "fixture" / "out" / "ledger.csv")
         assert ledger[0] == ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                [("2025-01-30T18:00", name, flow) for name, flow in
+                 (("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Industripark", 300))],
+                "no destination routing rows for hour 2025-01-30T17:00",
+            ),
+            (
+                [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
+                 (("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Brøttemsvegen", 300))],
+                "duplicate destination rows for hour 2025-01-30T17:00",
+            ),
+            (
+                [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
+                 (("Brøttemsvegen", 100), ("Industripark", 300))],
+                "eligible destinations ['Heimsdalvegen'] absent from the joint distribution "
+                "at 2025-01-30T17:00",
+            ),
+        ],
+        ids=["no-destination-rows", "duplicate-destination", "eligible-destination-missing"],
+    )
+    def test_bad_simulation_hour_exit_2(self, tmp_path, capsys, rows, message):
+        config = write_worked_example_fixture(tmp_path / "fixture")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        with open(config["simulation"]["routing_csv"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "node", "people_flow", "road_tag"])
+            writer.writerows([*row, "Secondary"] for row in rows)
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "route"]) == 2
+        assert f"odfuse: data error: {message}\n" in capsys.readouterr().err
+
     def test_route_before_train_fails(self, tmp_path):
         config = write_worked_example_fixture(tmp_path / "fixture")
         cfg_path = tmp_path / "run.json"

@@ -123,25 +123,6 @@ class TestCountsByCategory:
         with pytest.raises(DataError):
             CountsByCategory.from_categories({VehicleCategory.UNDER_5_6: -1})
 
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e6), min_size=6, max_size=6),
-        st.lists(st.floats(min_value=0, max_value=1e6), min_size=6, max_size=6),
-    )
-    def test_addition_commutes_and_totals_add(self, a, b):
-        ca = CountsByCategory.from_categories(dict(zip(CATEGORY_ORDER, a)))
-        cb = CountsByCategory.from_categories(dict(zip(CATEGORY_ORDER, b)))
-        assert (ca + cb).counts == (cb + ca).counts
-        assert (ca + cb).total == pytest.approx(ca.total + cb.total, abs=1e-6)
-
-    def test_addition_associative(self):
-        vals = [
-            CountsByCategory.from_categories({cat: float(i + j) for j, cat in enumerate(CATEGORY_ORDER)})
-            for i in range(3)
-        ]
-        left = (vals[0] + vals[1]) + vals[2]
-        right = vals[0] + (vals[1] + vals[2])
-        assert left.counts == right.counts
-
 
 class TestVehicleTypeMapping:
     def test_passenger(self):

@@ -1,24 +1,39 @@
+import csv
+import dataclasses
+from datetime import timedelta
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odfuse.core import (
     CATEGORY_ORDER,
+    CountsByCategory,
+    Direction,
     NodeId,
     NodeKind,
     RoadTag,
     RoutingReportObservation,
+    TollboothObservation,
     VehicleType,
     make_hour_key,
 )
 from odfuse.errors import DataError
 from odfuse.fusion import GbtHyperparams, train
 from odfuse.ingest import BiasProfile, build_dataset, generate_synthetic
-from odfuse.network import trondheim_fixture
+from odfuse.network import (
+    BoundaryConfig,
+    BoundaryDirection,
+    NetworkConfig,
+    PassthroughPair,
+    RampConfig,
+    trondheim_fixture,
+)
 from odfuse.routing import (
     FlowDecision,
     JointDistribution,
     Scenario,
+    _apportion,
     build_od_matrix,
     conservation_violations,
     decide_flows,
@@ -31,10 +46,14 @@ from odfuse.routing import (
 )
 
 from _helpers import (
+    destination,
     expected_hour_total,
     minimax_apportionment,
     pair_only_network,
     ramp_network,
+    reference_largest_remainder,
+    reference_od_rows,
+    station,
 )
 
 HOUR = make_hour_key("2025-01-30T17:00")
@@ -451,9 +470,11 @@ class TestBuildOdMatrix:
             decided[d.hour.timestamp] = decided.get(d.hour.timestamp, 0) + d.volume
         for ts, counts in counts_by_hour.items():
             assert decided[ts] == expected_hour_total(net, counts)
-        # every entry group sums to its decision volume
-        for decision, entries in run.entries_by_decision:
-            assert sum(e.count for e in entries) == decision.volume
+        # the OD rows of every decision sum to its volume
+        allocated = [0] * len(run.decisions)
+        for k, n in zip(run.matrix.decision.tolist(), run.matrix.count.tolist()):
+            allocated[k] += n
+        assert allocated == [d.volume for d in run.decisions]
 
     def test_deterministic_od_csv(self, trained_small, tmp_path):
         net, model, tb, rt = trained_small
@@ -502,3 +523,206 @@ class TestBuildOdMatrix:
         for hour, rows in list(by_hour.items())[:24]:
             joint = infer_joint_distribution(model, rows, hour)
             assert sum(joint.mass.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def apportion_batches(draw):
+    """Rows of one width k: small integer weights and equal weights give
+    exact remainder ties, floats give the general case."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    n_rows = draw(st.integers(min_value=1, max_value=5))
+    style = draw(st.sampled_from(["integers", "equal", "floats"]))
+    weights = []
+    for _ in range(n_rows):
+        if style == "equal":
+            raw = [1.0] * k
+        elif style == "integers":
+            raw = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+        else:
+            raw = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=k, max_size=k))
+        total = sum(raw)
+        weights.append([r / total for r in raw])
+    totals = draw(
+        st.lists(st.integers(0, 20) | st.integers(0, 100_000), min_size=n_rows, max_size=n_rows)
+    )
+    return np.array(totals, dtype=np.int64), np.array(weights)
+
+
+class TestBatchedApportionment:
+    @settings(max_examples=300, deadline=None)
+    @given(apportion_batches())
+    @example((np.array([3, 2, 0]), np.array([[0.5, 1 / 3, 1 / 6]] * 3)))
+    @example((np.array([2, 5]), np.array([[0.25] * 4, [0.25, 0.25, 0.5, 0.0]])))
+    def test_matches_scalar_reference_row_for_row(self, batch):
+        totals, weights = batch
+        got = _apportion(totals, weights)
+        for total, w, row in zip(totals.tolist(), weights.tolist(), got.tolist()):
+            assert row == reference_largest_remainder(total, w)
+
+
+@pytest.fixture(scope="module")
+def criterion7():
+    """The 48-hour criterion-7 acceptance fixture."""
+    net = trondheim_fixture()
+    gains = {RoadTag.PRIMARY: 1.4, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 0.7}
+    profile = BiasProfile(gains=gains, noise_scale=0.1, censor_threshold=120, seed=77)
+    tb, rt = generate_synthetic(net, 2, profile)
+    model = train(build_dataset(tb, rt, 0.2), GbtHyperparams(n_trees=20, max_depth=3, seed=77))
+    return net, model, tb, rt
+
+
+def mixed_network() -> NetworkConfig:
+    """Boundary, ramps and a passthrough pair; one destination name needs
+    CSV quoting."""
+    return NetworkConfig(
+        name="mixed",
+        nodes=(
+            station("Boundary", directions=("Inbound", "Outbound")),
+            station("Onramp"),
+            station("Offramp"),
+            station("Up"),
+            station("Down"),
+            destination("East-A"),
+            destination('East, "B"'),
+            destination("West-A"),
+        ),
+        destination_groups={"east": ("East-A", 'East, "B"'), "west": ("West-A",)},
+        passthrough_pairs=(PassthroughPair(upstream="Up", downstream="Down", axis="north"),),
+        scenario_subsets={
+            "LocalInflow": ("east", "west"),
+            "LocalOutflow": ("west", "east"),
+            "PassthroughNet": ("east", "west"),
+        },
+        boundary=BoundaryConfig(
+            node="Boundary",
+            inbound_key="Boundary|Inbound",
+            outbound_key="Boundary|Outbound",
+            positive=BoundaryDirection(label="eastbound", consumes="onramp", groups=("east",)),
+            negative=BoundaryDirection(label="westbound", consumes="offramp", groups=("west",)),
+        ),
+        ramps=RampConfig(onramp="Onramp", offramp="Offramp"),
+    )
+
+
+def mixed_observations(net, censored_hour: int, n_hours: int = 8, seed: int = 5):
+    """Random counts where the pair alternates between net inflow and net
+    outflow; every report of ``censored_hour`` is censored."""
+    rng = np.random.default_rng(seed)
+    start = make_hour_key("2024-03-04T06:00").timestamp
+    series = [("Boundary", Direction.INBOUND), ("Boundary", Direction.OUTBOUND),
+              ("Onramp", Direction.UNDIRECTED), ("Offramp", Direction.UNDIRECTED),
+              ("Up", Direction.UNDIRECTED), ("Down", Direction.UNDIRECTED)]
+    tb, rt = [], []
+    for h in range(n_hours):
+        hour = make_hour_key(start + timedelta(hours=h))
+        counts = rng.integers(20, 400, size=len(series))
+        up, down = sorted(counts[4:])
+        counts[4:] = (up, down) if h % 2 else (down, up)
+        for (name, direction), n in zip(series, counts.tolist()):
+            tb.append(TollboothObservation(
+                node=NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH),
+                direction=direction,
+                hour=hour,
+                counts=CountsByCategory.from_categories({C1: float(n)}),
+            ))
+        for node in net.destinations():
+            censored = h == censored_hour
+            rt.append(RoutingReportObservation(
+                node=node.node,
+                hour=hour,
+                people_flow=0.0 if censored else float(rng.integers(0, 3000)),
+                road_tag=node.road_tag,
+                censored=censored,
+            ))
+    return tb, rt
+
+
+def od_rows(run) -> list[tuple]:
+    return [
+        (e.hour.isoformat(), e.origin, e.destination, e.vehicle_type.value, e.count,
+         e.scenario.value, e.direction)
+        for e in run.matrix.entries
+    ]
+
+
+def write_reference_od_csv(path, rows) -> None:
+    """The OD CSV as written from one entry object per row: sorted by
+    (timestamp, scenario, origin, destination, vehicle type), stably."""
+    ordered = sorted(rows, key=lambda r: (r[0], r[5], r[1], r[2], r[3]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"])
+        writer.writerows(r[:6] for r in ordered)
+
+
+class TestOdParity:
+    """The batched build against the per-decision reference loop: the same
+    rows in the same order, and the same OD CSV bytes."""
+
+    def check(self, tmp_path, net, model, tb, rt, hours=None):
+        run = build_od_matrix(net, model, tb, rt, hours)
+        expected = reference_od_rows(net, model, tb, rt, hours)
+        assert od_rows(run) == expected
+        assert len(run.matrix) == len(expected)
+        write_od_csv(tmp_path / "od.csv", run.matrix)
+        write_reference_od_csv(tmp_path / "reference.csv", expected)
+        assert (tmp_path / "od.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert conservation_violations(run) == []
+        return run
+
+    def test_criterion7_fixture(self, criterion7, tmp_path):
+        self.check(tmp_path, *criterion7)
+
+    def test_censored_hour_and_reversed_roles(self, trained_small, tmp_path):
+        _, model, _, _ = trained_small
+        net = mixed_network()
+        tb, rt = mixed_observations(net, censored_hour=3)
+        run = self.check(tmp_path, net, model, tb, rt)
+        fallback = [e for e in run.ledger if e.flag == "uniform_fallback"]
+        assert [e.hour.isoformat() for e in fallback] == ["2024-03-04T09:00"]
+        reversed_scenarios = {d.scenario for d in run.decisions if d.reversed_roles and d.volume}
+        assert reversed_scenarios == {Scenario.LOCAL_OUTFLOW, Scenario.PASSTHROUGH_NET}
+        assert b'"East, ""B"""' in (tmp_path / "od.csv").read_bytes()
+
+    def test_rows_shuffled_within_hours(self, criterion7, tmp_path):
+        net, model, tb, rt = criterion7
+        rng = np.random.default_rng(11)
+        by_hour: dict = {}
+        for obs in rt:
+            by_hour.setdefault(obs.hour.timestamp, []).append(obs)
+        shuffled = [rows[i] for rows in by_hour.values() for i in rng.permutation(len(rows))]
+        assert shuffled != list(rt)
+        self.check(tmp_path, net, model, tb, shuffled)
+
+    def test_simulation_window(self, criterion7, tmp_path):
+        net, model, tb, rt = criterion7
+        start = make_hour_key("2023-11-06T05:00").timestamp
+        end = make_hour_key("2023-11-06T17:00").timestamp
+        hours = [
+            hk for hk in {o.hour.timestamp: o.hour for o in tb}.values()
+            if start <= hk.timestamp <= end
+        ]
+        assert len(hours) == 13
+        run = self.check(tmp_path, net, model, tb, rt, hours)
+        assert {e.hour.timestamp for e in run.matrix.entries} <= {hk.timestamp for hk in hours}
+
+
+class TestConservationViolations:
+    def test_changed_od_count_is_reported(self, criterion7):
+        run = build_od_matrix(*criterion7)
+        run.matrix.count[0] += 1
+        d = run.decisions[run.matrix.decision[0]]
+        assert conservation_violations(run) == [
+            f"{d.hour.isoformat()} {d.scenario.value} {d.direction}: "
+            f"decided {d.volume}, allocated {d.volume + 1}"
+        ]
+
+    def test_changed_ledger_balance_is_reported(self, criterion7):
+        run = build_od_matrix(*criterion7)
+        i = next(i for i, e in enumerate(run.ledger) if e.entry_type == "balance")
+        event = run.ledger[i]
+        run.ledger[i] = dataclasses.replace(event, amount=event.amount + 1)
+        assert conservation_violations(run) == [
+            f"balance mismatch at {event.hour.timestamp}: ledger {event.amount + 1}, "
+            f"decisions {event.amount}"
+        ]
