@@ -128,18 +128,27 @@ def _network(config: dict) -> NetworkConfig:
     return load_network(path) if path else trondheim_fixture()
 
 
+def _setting(value, key: str, convert):
+    """``convert(value)``, or a ConfigError naming the config ``key``."""
+    try:
+        return convert(value)
+    except (AttributeError, TypeError, ValueError, OverflowError, DataError) as exc:
+        raise ConfigError(f"{key}: bad value {value!r}: {exc}") from exc
+
+
+def _seed(config: dict) -> int:
+    return _setting(config["seed"], "seed", int)
+
+
 def _bias_profile(config: dict) -> BiasProfile:
     synth = config.get("synthetic") or {}
-    gains_raw = synth.get("gains", {})
-    try:
-        gains = {RoadTag.parse(k): float(v) for k, v in gains_raw.items()}
-    except DataError as exc:
-        raise ConfigError(f"synthetic.gains: {exc}") from exc
+    gains = _setting(synth.get("gains", {}), "synthetic.gains",
+                     lambda raw: {RoadTag.parse(k): float(v) for k, v in raw.items()})
     return BiasProfile(
         gains=gains,
-        noise_scale=float(synth.get("noise_scale", 0.0)),
-        censor_threshold=float(synth.get("censor_threshold", 0.0)),
-        seed=int(config["seed"]),
+        noise_scale=_setting(synth.get("noise_scale", 0.0), "synthetic.noise_scale", float),
+        censor_threshold=_setting(synth.get("censor_threshold", 0.0), "synthetic.censor_threshold", float),
+        seed=_seed(config),
     )
 
 
@@ -157,7 +166,7 @@ def _data_paths(config: dict) -> tuple[Path, Path]:
 
 def _hyperparams(config: dict) -> GbtHyperparams:
     hp = dict(config.get("hyperparams") or {})
-    hp.setdefault("seed", int(config["seed"]))
+    hp.setdefault("seed", _seed(config))
     try:
         return GbtHyperparams(**hp)
     except TypeError as exc:
@@ -169,7 +178,7 @@ def cmd_synth(config: dict, days_override: int | None = None) -> int:
         raise ConfigError("synth requires synthetic parameters in the config")
     if days_override is not None:
         config = _merge(config, {"synthetic": {"days": days_override}})
-    days = int(config["synthetic"].get("days", 30))
+    days = _setting(config["synthetic"].get("days", 30), "synthetic.days", int)
     if days < 1:
         raise ConfigError(f"synthetic.days must be >= 1, got {days}")
     network = _network(config)
@@ -188,7 +197,7 @@ def cmd_train(config: dict) -> int:
     tollbooth_path, routing_path = _data_paths(config)
     tollbooth = read_tollbooth_csv(tollbooth_path, network)
     routing = read_routing_csv(routing_path, network)
-    dataset = build_dataset(tollbooth, routing, float(config["valid_fraction"]))
+    dataset = build_dataset(tollbooth, routing, _setting(config["valid_fraction"], "valid_fraction", float))
     model = train(dataset, _hyperparams(config))
     out = _out_dir(config)
     save_model(model, out / "model.json")
@@ -205,7 +214,7 @@ def _load_model_and_dataset(config: dict):
     tollbooth_path, routing_path = _data_paths(config)
     tollbooth = read_tollbooth_csv(tollbooth_path, network)
     routing = read_routing_csv(routing_path, network)
-    dataset = build_dataset(tollbooth, routing, float(config["valid_fraction"]))
+    dataset = build_dataset(tollbooth, routing, _setting(config["valid_fraction"], "valid_fraction", float))
     return network, model, dataset
 
 
@@ -252,7 +261,7 @@ def cmd_explain(config: dict) -> int:
     phi, base = shap_matrix(model, target, X)
     write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
     write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
-    drops = permutation_importance(model, target, dataset, repeats=repeats, seed=int(config["seed"]))
+    drops = permutation_importance(model, target, dataset, repeats=repeats, seed=_seed(config))
     write_permutation_csv(out / "permutation.csv", drops)
     log.info("explain: target %s over %d rows -> %s", target, X.shape[0], out)
     return 0
@@ -293,7 +302,7 @@ def cmd_route(config: dict) -> int:
         end = make_hour_key(sim["end"]).timestamp if sim.get("end") else None
         hours = [
             hk
-            for hk in {o.hour.timestamp: o.hour for o in tollbooth}.values()
+            for hk in tollbooth.hours
             if (start is None or hk.timestamp >= start) and (end is None or hk.timestamp <= end)
         ]
         if not hours:

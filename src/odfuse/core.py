@@ -5,9 +5,12 @@ Everything here is an immutable value type, safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+
+import numpy as np
 
 from .errors import DataError
 
@@ -22,10 +25,15 @@ __all__ = [
     "Direction",
     "TollboothObservation",
     "RoutingReportObservation",
+    "TollboothTable",
+    "RoutingTable",
     "make_hour_key",
+    "series_key",
+    "station_of",
     "category_of_length",
     "map_vehicle_type",
     "CATEGORY_ORDER",
+    "TAG_ORDER",
 ]
 
 
@@ -43,6 +51,10 @@ class RoadTag(Enum):
                 return tag
         allowed = ", ".join(t.value for t in cls)
         raise DataError(f"unknown road tag {raw!r}; allowed: {allowed}")
+
+
+# Code table of routing tag columns, and the order of the tag one-hot features.
+TAG_ORDER: tuple[RoadTag, ...] = tuple(RoadTag)
 
 
 class VehicleCategory(Enum):
@@ -141,6 +153,21 @@ class Direction(Enum):
         raise DataError(f"unknown direction {raw!r}; allowed: {allowed}")
 
 
+def series_key(station: str, direction: Direction) -> str:
+    """Count key of a station's series: the name, direction-qualified when split.
+
+    Tollbooth series join the routing reports of the node named by their key.
+    """
+    if direction is Direction.UNDIRECTED:
+        return station
+    return f"{station}|{direction.value}"
+
+
+def station_of(key: str) -> str:
+    """The station name inside a count key made by ``series_key``."""
+    return key.split("|", 1)[0]
+
+
 @dataclass(frozen=True)
 class HourKey:
     """A calendar hour with its derived temporal features.
@@ -224,9 +251,6 @@ class CountsByCategory:
         mismatch = abs(total - sum(full.values())) > TOTAL_MISMATCH_TOLERANCE * total
         return cls(counts=full, total=float(total), total_mismatch=mismatch)
 
-    def category_sum(self) -> float:
-        return sum(self.counts.values())
-
 
 @dataclass(frozen=True)
 class TollboothObservation:
@@ -242,9 +266,7 @@ class TollboothObservation:
 
         Direction-qualified series are distinct nodes for joining purposes.
         """
-        if self.direction is Direction.UNDIRECTED:
-            return self.node.name
-        return f"{self.node.name}|{self.direction.value}"
+        return series_key(self.node.name, self.direction)
 
 
 @dataclass(frozen=True)
@@ -266,3 +288,139 @@ class RoutingReportObservation:
             raise DataError(f"people_flow must be non-negative, got {self.people_flow}")
         if self.censored and self.people_flow != 0:
             raise DataError("censored rows must carry people_flow = 0")
+
+
+def _ranks(keys: Sequence) -> np.ndarray:
+    """Position of each key in the sorted table."""
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
+def _first_repeat(codes: np.ndarray) -> int | None:
+    """Index of the first element equal to an earlier one, or None."""
+    order = np.argsort(codes, kind="stable")
+    repeats = order[1:][codes[order[1:]] == codes[order[:-1]]]
+    return int(repeats.min()) if len(repeats) else None
+
+
+def _codes(keys: list, values: list) -> tuple[tuple, np.ndarray]:
+    """Codes of ``keys`` in order of first appearance, and the first value
+    seen for each code."""
+    codes: dict = {}
+    column = np.array([codes.setdefault(key, len(codes)) for key in keys], dtype=np.int64)
+    first = np.unique(column, return_index=True)[1]
+    return tuple(values[i] for i in first.tolist()), column
+
+
+class _Rows(Sequence):
+    """Read-only sequence over a column table with ``hours`` and ``hour``;
+    items are built on demand."""
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.hour)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(i) for i in range(len(self))[index]]
+        return self._item(range(len(self))[index])
+
+    def hour_field(self, name: str) -> np.ndarray:
+        """One ``HourKey`` field per row, such as ``"hour_of_day"``, as integers."""
+        return np.array([int(getattr(h, name)) for h in self.hours], dtype=np.int64)[self.hour]
+
+
+@dataclass(frozen=True, eq=False)
+class TollboothTable(_Rows):
+    """Tollbooth observations as columns, one row per observation in input order.
+
+    ``hour`` indexes ``hours``, the distinct hours by timestamp in order of
+    first appearance; ``series`` indexes ``series_ids``, the distinct
+    (station, direction) series. ``counts`` holds the six length-band
+    counts in CATEGORY_ORDER and ``total`` the reported total. Indexing and
+    iteration build ``TollboothObservation`` objects.
+    """
+
+    hours: tuple[HourKey, ...]
+    series_ids: tuple[tuple[NodeId, Direction], ...]
+    hour: np.ndarray
+    series: np.ndarray
+    counts: np.ndarray
+    total: np.ndarray
+
+    @classmethod
+    def from_rows(cls, hours: list[HourKey], series: list[tuple[NodeId, Direction]], values) -> "TollboothTable":
+        """A table from each row's hour and series and its six counts followed by the total."""
+        values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
+        hour_table, hour = _codes([h.timestamp for h in hours], hours)
+        series_ids, series_codes = _codes(series, series)
+        return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
+                   counts=values[:, :-1], total=values[:, -1])
+
+    @classmethod
+    def of(cls, observations: "TollboothTable | Iterable[TollboothObservation]") -> "TollboothTable":
+        """The observations as a table; a table comes back as it is."""
+        if isinstance(observations, cls):
+            return observations
+        obs = list(observations)
+        values = [[o.counts.counts.get(c, 0.0) for c in CATEGORY_ORDER] + [o.counts.total] for o in obs]
+        return cls.from_rows([o.hour for o in obs], [(o.node, o.direction) for o in obs], values)
+
+    def series_keys(self) -> list[str]:
+        """The count key of each series, as ``TollboothObservation.join_key``."""
+        return [series_key(node.name, direction) for node, direction in self.series_ids]
+
+    def _item(self, i: int) -> TollboothObservation:
+        node, direction = self.series_ids[self.series[i]]
+        counts = dict(zip(CATEGORY_ORDER, self.counts[i].tolist()))
+        return TollboothObservation(node=node, direction=direction, hour=self.hours[self.hour[i]],
+                                    counts=CountsByCategory.with_reported_total(counts, float(self.total[i])))
+
+
+@dataclass(frozen=True, eq=False)
+class RoutingTable(_Rows):
+    """Mobility reports as columns, one row per report in input order.
+
+    ``hour`` indexes ``hours``, the distinct hours by timestamp in order of
+    first appearance; ``node`` indexes ``nodes``; ``tag`` indexes
+    TAG_ORDER. ``flow`` is the people flow, zero where ``censored``.
+    Indexing and iteration build ``RoutingReportObservation`` objects.
+    """
+
+    hours: tuple[HourKey, ...]
+    nodes: tuple[NodeId, ...]
+    hour: np.ndarray
+    node: np.ndarray
+    flow: np.ndarray
+    tag: np.ndarray
+    censored: np.ndarray
+
+    @classmethod
+    def from_rows(cls, hours: list[HourKey], nodes: list[NodeId], flow: list, tags: list[RoadTag],
+                  censored: list[bool]) -> "RoutingTable":
+        """A table from each row's hour, node, flow, road tag and censor flag."""
+        hour_table, hour = _codes([h.timestamp for h in hours], hours)
+        node_table, node = _codes(nodes, nodes)
+        tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}
+        return cls(hours=hour_table, nodes=node_table, hour=hour, node=node,
+                   flow=np.array(flow, dtype=np.float64), tag=np.array([tag_codes[t] for t in tags], dtype=np.int64),
+                   censored=np.array(censored, dtype=bool))
+
+    @classmethod
+    def of(cls, observations: "RoutingTable | Iterable[RoutingReportObservation]") -> "RoutingTable":
+        """The observations as a table; a table comes back as it is."""
+        if isinstance(observations, cls):
+            return observations
+        obs = list(observations)
+        return cls.from_rows([o.hour for o in obs], [o.node for o in obs], [o.people_flow for o in obs],
+                             [o.road_tag for o in obs], [o.censored for o in obs])
+
+    def _item(self, i: int) -> RoutingReportObservation:
+        return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],
+                                        people_flow=float(self.flow[i]), road_tag=TAG_ORDER[self.tag[i]],
+                                        censored=bool(self.censored[i]))

@@ -57,11 +57,6 @@ class NetworkNode:
     scale: float
     directions: tuple[str, ...] = ()
 
-    def count_keys(self) -> list[str]:
-        if self.directions:
-            return [f"{self.node.name}|{d}" for d in self.directions]
-        return [self.node.name]
-
 
 @dataclass(frozen=True)
 class BoundaryDirection:
@@ -134,11 +129,7 @@ class NetworkConfig:
         if ungrouped:
             raise ConfigError(f"destinations missing from every group: {sorted(ungrouped)}")
         for scenario, labels in self.scenario_subsets.items():
-            for label in labels:
-                if label not in self.destination_groups:
-                    raise ConfigError(
-                        f"scenario {scenario!r} references unknown group {label!r}"
-                    )
+            self._check_groups(f"scenario {scenario!r}", labels)
         if self.ramps is not None:
             for scenario in ("LocalInflow", "LocalOutflow"):
                 if scenario not in self.scenario_subsets:
@@ -152,13 +143,20 @@ class NetworkConfig:
                     raise ConfigError(
                         f"boundary direction {d.label!r} must consume onramp or offramp"
                     )
-                for label in d.groups:
-                    if label not in self.destination_groups:
-                        raise ConfigError(
-                            f"boundary direction {d.label!r} references unknown group {label!r}"
-                        )
+                self._check_groups(f"boundary direction {d.label!r}", d.groups)
             if self.ramps is None:
                 raise ConfigError("boundary phase requires ramps")
+
+    def _check_groups(self, context: str, labels: tuple[str, ...]) -> None:
+        """Routed volume is split over these groups' members, so each group
+        must exist and hold a destination."""
+        if not labels:
+            raise ConfigError(f"{context} names no destination group")
+        for label in labels:
+            if label not in self.destination_groups:
+                raise ConfigError(f"{context} references unknown group {label!r}")
+            if not self.destination_groups[label]:
+                raise ConfigError(f"{context} references empty destination group {label!r}")
 
     def _require(self, name: str, context: str) -> NetworkNode:
         node = self._by_name.get(name)

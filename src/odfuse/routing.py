@@ -37,11 +37,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (CATEGORY_ORDER, HourKey, RoutingReportObservation, VehicleCategory, VehicleType,
-                   map_vehicle_type)
+from .core import (CATEGORY_ORDER, HourKey, RoutingReportObservation, RoutingTable, TollboothObservation,
+                   TollboothTable, VehicleCategory, VehicleType, _first_repeat, _ranks, map_vehicle_type)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
-from .ingest import feature_vector
+from .ingest import feature_matrix
 from .network import NetworkConfig
 
 __all__ = [
@@ -295,24 +295,19 @@ def _check_hour_rows(hour: HourKey, names: list[str]) -> None:
         raise DataError(f"duplicate destination rows for hour {hour.isoformat()}")
 
 
-def _predict_categories(model: FusionModel, rows: list[RoutingReportObservation]) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, len(CATEGORY_ORDER)))
-    X = np.stack([feature_vector(r).to_array() for r in rows])
-    return predict_matrix(model, X)[:, 1:]  # category columns only
-
-
 def infer_joint_distribution(
     model: FusionModel,
-    routing_rows: list[RoutingReportObservation],
+    routing_rows: RoutingTable | list[RoutingReportObservation],
     hour: HourKey,
 ) -> JointDistribution:
     """Predict category counts at each destination and normalize to a joint."""
-    rows = [r for r in routing_rows if r.hour.timestamp == hour.timestamp]
-    names = [r.node.name for r in rows]
+    routing = RoutingTable.of(routing_rows)
+    at_hour = np.array([h.timestamp == hour.timestamp for h in routing.hours], dtype=bool)
+    rows = np.nonzero(at_hour[routing.hour])[0]
+    names = [routing.nodes[n].name for n in routing.node[rows].tolist()]
     _check_hour_rows(hour, names)
-    preds = _predict_categories(model, rows)
-    return joint_from_predictions(hour, names, preds, [r.censored for r in rows])
+    preds = predict_matrix(model, feature_matrix(routing, rows))[:, 1:]  # category columns only
+    return joint_from_predictions(hour, names, preds, routing.censored[rows])
 
 
 def _joint_arrays(joint: JointDistribution) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -459,22 +454,11 @@ def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry
                       names).entries
 
 
-def _counts_by_hour(tollbooth) -> dict[object, dict[str, int]]:
-    by_hour: dict[object, dict[str, int]] = {}
-    for obs in tollbooth:
-        key = obs.join_key()
-        slot = by_hour.setdefault(obs.hour.timestamp, {})
-        if key in slot:
-            raise DataError(f"duplicate tollbooth series {key!r} at {obs.hour.isoformat()}")
-        slot[key] = int(obs.counts.total)
-    return by_hour
-
-
 def build_od_matrix(
     network: NetworkConfig,
     model: FusionModel,
-    tollbooth,
-    routing,
+    tollbooth: TollboothTable | list[TollboothObservation],
+    routing: RoutingTable | list[RoutingReportObservation],
     hours: Iterable[HourKey] | None = None,
 ) -> RoutingRun:
     """Assemble the OD matrix over a range of hours.
@@ -484,43 +468,59 @@ def build_od_matrix(
     distribute, and append to the conservation ledger. ``hours`` defaults
     to every hour present in the tollbooth data.
     """
-    counts_by_hour = _counts_by_hour(tollbooth)
+    tollbooth, routing = TollboothTable.of(tollbooth), RoutingTable.of(routing)
+    # Hour x count-key grid of integer totals, -1 where a series has no row.
+    series_keys = tollbooth.series_keys()
+    keys = list(dict.fromkeys(series_keys))
+    key_codes = {k: i for i, k in enumerate(keys)}
+    row_key = np.array([key_codes[k] for k in series_keys], dtype=np.int64)[tollbooth.series]
+    repeat = _first_repeat(tollbooth.hour * len(keys) + row_key)
+    if repeat is not None:
+        raise DataError(f"duplicate tollbooth series {keys[row_key[repeat]]!r} "
+                        f"at {tollbooth.hours[tollbooth.hour[repeat]].isoformat()}")
+    totals = np.full((len(tollbooth.hours), len(keys)), -1, dtype=np.int64)
+    totals[tollbooth.hour, row_key] = tollbooth.total.astype(np.int64)
+    tollbooth_hour = {h.timestamp: i for i, h in enumerate(tollbooth.hours)}
+
+    hour_keys = sorted(tollbooth.hours if hours is None else hours, key=lambda h: h.timestamp)
+
+    # Destination rows stable-sorted by hour: file order within an hour.
     dest_names = network.destination_names()
     dest_index = {name: i for i, name in enumerate(dest_names)}
-    dest_rows: dict[object, list[RoutingReportObservation]] = {}
-    for obs in routing:
-        if obs.node.name in dest_index:
-            dest_rows.setdefault(obs.hour.timestamp, []).append(obs)
+    node_dest = np.array([dest_index.get(n.name, -1) for n in routing.nodes], dtype=np.int64)[routing.node]
+    routing_hour = {h.timestamp: i for i, h in enumerate(routing.hours)}
+    by_hour = np.nonzero(node_dest >= 0)[0]
+    by_hour = by_hour[np.argsort(routing.hour[by_hour], kind="stable")]
+    codes = np.array([routing_hour.get(hk.timestamp, -1) for hk in hour_keys], dtype=np.int64)
+    lo = np.searchsorted(routing.hour[by_hour], codes, "left")
+    hi = np.searchsorted(routing.hour[by_hour], codes, "right")
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [by_hour[a:b] for a, b in zip(lo, hi)])
+    bounds = np.concatenate(([0], np.cumsum(hi - lo)))
+    row_dest = node_dest[flat]
 
-    if hours is None:
-        hours = {obs.hour.timestamp: obs.hour for obs in tollbooth}.values()
-    hour_keys = sorted(hours, key=lambda h: h.timestamp)
-
-    # One prediction block for every hour, rows in file order within an hour.
-    flat_rows: list[RoutingReportObservation] = []
-    bounds = [0]
-    for hk in hour_keys:
-        flat_rows.extend(dest_rows.get(hk.timestamp, []))
-        bounds.append(len(flat_rows))
-    table = _clamped_table(_predict_categories(model, flat_rows), [r.censored for r in flat_rows])
+    # One prediction block for every hour.
+    preds = predict_matrix(model, feature_matrix(routing, flat))[:, 1:]  # category columns only
+    table = _clamped_table(preds, routing.censored[flat])
     mass = np.empty_like(table)
 
     decisions: list[FlowDecision] = []
     decision_hour: list[int] = []
     ledger: list[LedgerEvent] = []
     for h, hk in enumerate(hour_keys):
-        counts = counts_by_hour.get(hk.timestamp)
-        if counts is None:
+        t = tollbooth_hour.get(hk.timestamp)
+        if t is None:
             raise DataError(f"no tollbooth counts for hour {hk.isoformat()}")
         start, stop = bounds[h], bounds[h + 1]
-        names = [r.node.name for r in flat_rows[start:stop]]
-        _check_hour_rows(hk, names)
+        dests = row_dest[start:stop].tolist()
+        _check_hour_rows(hk, dests)
         mass[start:stop], fallback = _hour_mass(table[start:stop])
         if fallback:
             ledger.append(LedgerEvent(hk, "consume", "", "", "joint", 0, "uniform_fallback"))
+        counts = {key: total for key, total in zip(keys, totals[t].tolist()) if total >= 0}
         hour_decisions, events = decide_flows(network, counts, hk)
         ledger.extend(events)
-        if len(names) < len(dest_names):
+        if len(dests) < len(dest_names):
+            names = [dest_names[d] for d in dests]
             for d in hour_decisions:
                 _check_eligible(d, names)
         decisions.extend(hour_decisions)
@@ -529,7 +529,6 @@ def build_od_matrix(
     # Marginals once per (hour, destination), scattered on a grid.
     weight, per_destination = _marginals(mass)
     row_hour = np.repeat(np.arange(len(hour_keys)), np.diff(bounds))
-    row_dest = np.array([dest_index[r.node.name] for r in flat_rows], dtype=np.int64)
     weight_grid = np.zeros((len(hour_keys), len(dest_names)))
     weight_grid[row_hour, row_dest] = weight
     category_grid = np.zeros(weight_grid.shape + (len(CATEGORY_ORDER),))
@@ -605,13 +604,6 @@ def conservation_violations(run: RoutingRun) -> list[str]:
         if decided.get(ts, 0) != balance:
             problems.append(f"balance mismatch at {ts}: ledger {balance}, decisions {decided.get(ts, 0)}")
     return problems
-
-
-def _ranks(keys: Sequence) -> np.ndarray:
-    """Position of each key in the sorted table."""
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    return ranks
 
 
 def _csv_cell(value: str) -> str:

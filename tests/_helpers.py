@@ -4,18 +4,33 @@ The oracles here deliberately avoid the production code paths: split
 search by full enumeration, Shapley values by subset enumeration,
 apportionment by integer-vector search and by the scalar largest-remainder
 loop, OD rows by the per-decision routing loop, permutation importance by
-full re-scoring, and conservation by direct recomputation from raw counts.
+full re-scoring, conservation by direct recomputation from raw counts, and
+CSV parsing by the per-row readers that build observation objects.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
-from odfuse.core import NodeId, NodeKind, RoadTag
+from odfuse.core import (
+    CATEGORY_ORDER,
+    CountsByCategory,
+    Direction,
+    NodeId,
+    NodeKind,
+    RoadTag,
+    RoutingReportObservation,
+    TollboothObservation,
+    make_hour_key,
+)
+from odfuse.errors import ConfigError, DataError
 from odfuse.fusion import RegressionTree
+from odfuse.ingest import CENSOR_SENTINEL, ROUTING_HEADER, TOLLBOOTH_HEADER
 from odfuse.network import (
     BoundaryConfig,
     BoundaryDirection,
@@ -496,3 +511,158 @@ def reference_permutation_importance(model, target: str, dataset, repeats: int, 
             acc += base_r2 - r2_of(Xp)
         drops[name] = acc / repeats
     return drops
+
+
+def _reference_int_field(raw: str, line: int, field: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise DataError(f"unparseable integer {raw!r} at line {line}, field {field!r}") from exc
+    if value < 0:
+        raise DataError(f"negative count at line {line}, field {field!r}")
+    return value
+
+
+def _reference_check_header(row: list[str] | None, expected: list[str], path: Path) -> None:
+    if row is None:
+        raise DataError(f"{path}: empty file, expected header {','.join(expected)}")
+    if row != expected:
+        raise DataError(
+            f"{path}: bad header {','.join(row)!r}, expected {','.join(expected)!r}"
+        )
+
+
+def reference_read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -> list[TollboothObservation]:
+    """The per-row tollbooth reader: one set of observation objects per row.
+    The oracle for the column reader ``odfuse.ingest.read_tollbooth_csv``."""
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"tollbooth file not found: {p}")
+    out: list[TollboothObservation] = []
+    with open(p, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _reference_check_header(header, TOLLBOOTH_HEADER, p)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TOLLBOOTH_HEADER):
+                raise DataError(f"{p}: line {line} has {len(row)} fields, expected {len(TOLLBOOTH_HEADER)}")
+            try:
+                hour = make_hour_key(row[0])
+            except DataError as exc:
+                raise DataError(f"{p}: line {line}, field 'timestamp': {exc}") from exc
+            name = row[1]
+            if not name:
+                raise DataError(f"{p}: line {line}: empty station name")
+            direction = Direction.parse(row[2])
+            counts = {
+                cat: float(_reference_int_field(row[3 + i], line, TOLLBOOTH_HEADER[3 + i]))
+                for i, cat in enumerate(CATEGORY_ORDER)
+            }
+            total = _reference_int_field(row[9], line, "total")
+            kind = NodeKind.MAIN_TOLLBOOTH
+            if network is not None:
+                try:
+                    kind = network.node_named(name).node.kind
+                except ConfigError:
+                    pass
+            out.append(
+                TollboothObservation(
+                    node=NodeId(name=name, kind=kind),
+                    direction=direction,
+                    hour=hour,
+                    counts=CountsByCategory.with_reported_total(counts, float(total)),
+                )
+            )
+    return out
+
+
+def reference_read_routing_csv(
+    path: str | Path,
+    network: NetworkConfig | None = None,
+    sentinel: str = CENSOR_SENTINEL,
+) -> list[RoutingReportObservation]:
+    """The per-row routing reader: the oracle for ``odfuse.ingest.read_routing_csv``."""
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"routing file not found: {p}")
+    out: list[RoutingReportObservation] = []
+    with open(p, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _reference_check_header(header, ROUTING_HEADER, p)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(ROUTING_HEADER):
+                raise DataError(f"{p}: line {line} has {len(row)} fields, expected {len(ROUTING_HEADER)}")
+            try:
+                hour = make_hour_key(row[0])
+            except DataError as exc:
+                raise DataError(f"{p}: line {line}, field 'timestamp': {exc}") from exc
+            name = row[1]
+            if not name:
+                raise DataError(f"{p}: line {line}: empty node name")
+            censored = row[2] == sentinel
+            flow = 0 if censored else _reference_int_field(row[2], line, "people_flow")
+            try:
+                tag = RoadTag.parse(row[3])
+            except DataError as exc:
+                raise DataError(f"{p}: line {line}: {exc}") from exc
+            kind = NodeKind.INFERRED_DESTINATION
+            if network is not None:
+                base = name.split("|", 1)[0]
+                try:
+                    kind = network.node_named(base).node.kind
+                except ConfigError:
+                    pass
+            out.append(
+                RoutingReportObservation(
+                    node=NodeId(name=name, kind=kind),
+                    hour=hour,
+                    people_flow=float(flow),
+                    road_tag=tag,
+                    censored=censored,
+                )
+            )
+    return out
+
+
+def reference_join_rows(tollbooth, routing) -> list[tuple]:
+    """(tollbooth, routing) observation pairs joined one row at a time on
+    (node key, hour), censored routing rows dropped, sorted stably by
+    (timestamp, node key): the oracle for the column join in ``odfuse.ingest``."""
+    index: dict = {}
+    for obs in routing:
+        key = (obs.node.name, obs.hour.timestamp)
+        if key in index:
+            raise DataError(f"duplicate routing row for node {obs.node.name!r} at {obs.hour.isoformat()}")
+        index[key] = obs
+    pairs = []
+    for tb in tollbooth:
+        rt = index.get((tb.join_key(), tb.hour.timestamp))
+        if rt is not None and not rt.censored:
+            pairs.append((tb, rt))
+    pairs.sort(key=lambda pair: (pair[0].hour.timestamp, pair[0].join_key()))
+    return pairs
+
+
+def reference_dataset(tollbooth, routing, valid_fraction: float) -> tuple:
+    """(X, Y, node keys, hours, split index) built one joined pair at a time."""
+    from odfuse.ingest import feature_vector
+
+    pairs = reference_join_rows(tollbooth, routing)
+    timestamps = sorted({tb.hour.timestamp for tb, _ in pairs})
+    cutoff = timestamps[len(timestamps) - max(1, round(valid_fraction * len(timestamps)))]
+    X = np.array([feature_vector(rt).to_array() for _, rt in pairs])
+    Y = np.array([[tb.counts.total] + [tb.counts.counts[c] for c in CATEGORY_ORDER] for tb, _ in pairs])
+    split_index = sum(1 for tb, _ in pairs if tb.hour.timestamp < cutoff)
+    return X, Y, [tb.join_key() for tb, _ in pairs], [tb.hour for tb, _ in pairs], split_index
+
+
+def reference_difference_series(tollbooth, routing) -> dict:
+    sums: dict = {}
+    for tb, rt in reference_join_rows(tollbooth, routing):
+        sums.setdefault((tb.join_key(), tb.hour.hour_of_day), []).append(tb.counts.total - rt.people_flow)
+    return {cell: sum(vals) / len(vals) for cell, vals in sorted(sums.items())}

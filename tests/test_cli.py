@@ -355,3 +355,84 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "run.json", explain=explain)
         assert main(["--config", str(cfg), "explain"]) == 1
         assert "explain." in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("synth", {"synthetic": {"days": "x"}}, "synthetic.days"),
+            ("synth", {"seed": "abc"}, "seed"),
+            ("train", {"valid_fraction": "abc"}, "valid_fraction"),
+            ("synth", {"synthetic": {"days": 2, "noise_scale": "a"}}, "synthetic.noise_scale"),
+            ("synth", {"synthetic": {"days": 2, "gains": [1, 2]}}, "synthetic.gains"),
+        ],
+        ids=["days", "seed", "valid_fraction", "noise_scale", "gains"],
+    )
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, command, overrides, key):
+        if command == "train":
+            assert main(["--config", str(write_config(tmp_path / "good.json")), "synth"]) == 0
+        cfg = write_config(tmp_path / "run.json", **overrides)
+        assert main(["--config", str(cfg), command]) == 1
+        assert f"error: {key}: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["tollbooth.csv", "routing.csv"])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "run.json")
+        assert main(["--config", str(cfg), "synth"]) == 0
+        path = tmp_path / "out" / name
+        path.write_bytes(path.read_bytes() + b"2023-11-08T00:00,\xff\n")
+        assert main(["--config", str(cfg), "train"]) == 2
+        assert f"{name}: not UTF-8" in capsys.readouterr().err
+
+
+def bundled_network_doc() -> dict:
+    from importlib import resources
+
+    return json.loads(resources.files("odfuse.data").joinpath("trondheim_network.json").read_text(encoding="utf-8"))
+
+
+class TestNetworkValidation:
+    """Routed volume is split over a scenario's destinations, so none of these
+    configs may reach routing (they ended in ZeroDivisionError)."""
+
+    def route_exit_code(self, tmp_path, doc) -> int:
+        (tmp_path / "network.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json", network=str(tmp_path / "network.json"))
+        return main(["--config", str(cfg), "route"])
+
+    def test_empty_group_used_by_a_subset_exit_1(self, tmp_path, capsys):
+        doc = bundled_network_doc()
+        doc["destination_groups"]["g"] = []
+        doc["scenario_subsets"]["PassthroughNet"] = ["g"]
+        assert self.route_exit_code(tmp_path, doc) == 1
+        assert "empty destination group 'g'" in capsys.readouterr().err
+
+    def test_empty_scenario_subset_exit_1(self, tmp_path, capsys):
+        doc = bundled_network_doc()
+        doc["scenario_subsets"]["PassthroughNet"] = []
+        assert self.route_exit_code(tmp_path, doc) == 1
+        assert "scenario 'PassthroughNet' names no destination group" in capsys.readouterr().err
+
+    def test_boundary_direction_without_groups_exit_1(self, tmp_path, capsys):
+        doc = bundled_network_doc()
+        doc["boundary"]["negative"]["groups"] = []
+        assert self.route_exit_code(tmp_path, doc) == 1
+        assert "boundary direction 'westbound' names no destination group" in capsys.readouterr().err
+
+
+def test_cli_path_builds_no_per_row_objects(tmp_path, monkeypatch):
+    """synth, train and route work on column tables: no observation or
+    feature object is constructed."""
+    from odfuse.core import RoutingReportObservation, TollboothObservation
+    from odfuse.ingest import FeatureVector
+
+    built = []
+    for cls in (TollboothObservation, RoutingReportObservation, FeatureVector):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    cfg = write_config(tmp_path / "run.json")
+    for command in ("synth", "train", "route"):
+        assert main(["--config", str(cfg), command]) == 0
+    assert built == []

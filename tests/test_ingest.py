@@ -1,5 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from odfuse.core import (
     CATEGORY_ORDER,
@@ -9,10 +13,12 @@ from odfuse.core import (
     NodeKind,
     RoadTag,
     RoutingReportObservation,
+    RoutingTable,
     TollboothObservation,
+    TollboothTable,
     make_hour_key,
 )
-from odfuse.errors import ConfigError, DataError
+from odfuse.errors import ConfigError, DataError, OdfuseError
 from odfuse.ingest import (
     BiasProfile,
     FEATURE_NAMES,
@@ -27,7 +33,14 @@ from odfuse.ingest import (
 )
 from odfuse.network import NetworkConfig, trondheim_fixture
 
-from _helpers import destination, station
+from _helpers import (
+    destination,
+    reference_dataset,
+    reference_difference_series,
+    reference_read_routing_csv,
+    reference_read_tollbooth_csv,
+    station,
+)
 
 TOLLBOOTH_HEADER = (
     "timestamp,station,direction,c_under5_6,c_5_6_7_6,c_7_6_12_5,c_12_5_16_0,c_16_0_24_0,c_over24_0,total"
@@ -82,7 +95,7 @@ class TestReadTollboothCsv:
 
     def test_empty_file_with_header(self, tmp_path):
         p = write_lines(tmp_path / "tb.csv", TOLLBOOTH_HEADER)
-        assert read_tollbooth_csv(p) == []
+        assert len(read_tollbooth_csv(p)) == 0
 
     def test_missing_column_rejected(self, tmp_path):
         p = write_lines(tmp_path / "tb.csv", TOLLBOOTH_HEADER.rsplit(",", 1)[0])
@@ -320,3 +333,186 @@ class TestDifferenceSeries:
         assert table[("N", 8)] == 10
         assert table[("N", 9)] == -10
         assert ("N", 10) not in table
+
+
+class TestTables:
+    def test_items_are_the_observations(self):
+        tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
+        tb2, rt2 = obs_pair("B", "2023-11-06T09:00", 20, 0, censored=True)
+        tollbooth = TollboothTable.of([tb1, tb2, tb1])
+        routing = RoutingTable.of([rt1, rt2])
+        assert list(tollbooth) == [tb1, tb2, tb1]
+        assert list(routing) == [rt1, rt2]
+        assert (tollbooth[-1], tollbooth[1:]) == (tb1, [tb2, tb1])
+        assert len(tollbooth.hours) == 2 and len(tollbooth.series_ids) == 2
+        with pytest.raises(IndexError):
+            routing[2]
+        assert TollboothTable.of(tollbooth) is tollbooth
+        assert RoutingTable.of(routing) is routing
+
+    def test_lists_and_tables_build_the_same_dataset(self):
+        net = grid_network(n_stations=3, n_dest=1)
+        profile = BiasProfile(gains={tag: 1.0 for tag in RoadTag}, noise_scale=0.2, censor_threshold=80, seed=4)
+        tb, rt = generate_synthetic(net, 3, profile)
+        from_tables = build_dataset(tb, rt, 0.25)
+        from_lists = build_dataset(list(tb), list(rt), 0.25)
+        assert np.array_equal(from_tables.X, from_lists.X)
+        assert np.array_equal(from_tables.Y, from_lists.Y)
+        assert from_tables.split_index == from_lists.split_index
+        assert from_tables.node_keys == from_lists.node_keys
+        assert from_tables.hours == from_lists.hours
+        assert difference_series(tb, rt) == difference_series(list(tb), list(rt))
+
+
+class TestJoinParity:
+    """The column join against the per-pair join, on rows shuffled, thinned,
+    repeated and mixed with reports of nodes no station counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dataset_and_differences_match_per_pair_join(self, seed):
+        rng = np.random.default_rng(seed)
+        net = grid_network(n_stations=3, n_dest=2)
+        profile = BiasProfile(gains={tag: 1.2 for tag in RoadTag}, noise_scale=0.3, censor_threshold=70, seed=seed)
+        tb, rt = (list(rows) for rows in generate_synthetic(net, 2, profile))
+        tb = [tb[i] for i in rng.permutation(len(tb))[: int(len(tb) * rng.uniform(0.5, 1.0))]]
+        tb += [tb[i] for i in rng.integers(0, len(tb), size=int(rng.integers(0, 4)))]
+        rt = [rt[i] for i in rng.permutation(len(rt))[: int(len(rt) * rng.uniform(0.5, 1.0))]]
+        X, Y, node_keys, hours, split_index = reference_dataset(tb, rt, 0.3)
+        ds = build_dataset(tb, rt, 0.3)
+        assert np.array_equal(ds.X, X) and np.array_equal(ds.Y, Y)
+        assert (ds.node_keys, ds.hours, ds.split_index) == (node_keys, hours, split_index)
+        assert difference_series(tb, rt) == reference_difference_series(tb, rt)
+
+    def test_first_duplicate_routing_row_is_named(self):
+        tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
+        tb2, rt2 = obs_pair("B", "2023-11-06T09:00", 20, 22)
+        with pytest.raises(DataError, match="duplicate routing row for node 'B' at 2023-11-06T09:00"):
+            build_dataset([tb1, tb2], [rt2, rt1, rt2, rt1])
+
+
+# Text pools for generated CSV files: one hour in two text forms, names that
+# need quoting or carry a direction, counts that int() reads with spaces or
+# underscores, and per column the malformed values a corrupted row gets.
+_TIMESTAMPS = ["2023-11-06T08:00", "2023-11-06 08:00", "2023-11-06T09:00", "2023-11-11T23:00"]
+_STATIONS = ["E6-Klett", "ØstreRosten", 'Gate, "7"']
+_DIRECTIONS = ["Inbound", "Outbound", "Undirected"]
+_NODES = ["Brøttemsvegen", "ØstreRosten|Inbound", 'Gate, "7"', "E6-Klett"]
+_TAGS = ["Primary", "Trunk", "Secondary"]
+_COUNTS = st.one_of(st.integers(0, 10**7).map(str), st.sampled_from([" 7", "1_000", "0"]))
+_BAD_TIMESTAMPS = ["2023-11-06T08:30", "nonsense", ""]
+_BAD_COUNTS = ["-1", "", "x", "1.5"]
+
+
+def _csv_text(header, rows, blank_after, crlf):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n" if crlf else "\n")
+    writer.writerow(header)
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        if i in blank_after:
+            buf.write("\r\n" if crlf else "\n")
+    return buf.getvalue()
+
+
+def _corrupted(draw, rows, bad_values):
+    """Half the files stay valid; the rest get one bad field, or one row one
+    field short or one too many."""
+    if not rows or draw(st.booleans()):
+        return rows
+    i = draw(st.integers(0, len(rows) - 1))
+    column = draw(st.integers(-1, len(bad_values)))
+    if column == -1:
+        rows[i] = rows[i][:-1]
+    elif column == len(bad_values):
+        rows[i] = rows[i] + ["9"]
+    else:
+        rows[i][column] = draw(st.sampled_from(bad_values[column]))
+    return rows
+
+
+def _file_text(draw, header, columns, bad_values):
+    rows = [[draw(column) for column in columns] for _ in range(draw(st.integers(0, 12)))]
+    rows = _corrupted(draw, rows, bad_values)
+    return _csv_text(header, rows, draw(st.sets(st.integers(0, 12), max_size=3)), draw(st.booleans()))
+
+
+@st.composite
+def tollbooth_files(draw):
+    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_STATIONS), st.sampled_from(_DIRECTIONS)]
+    columns += [_COUNTS] * 7
+    bad = [_BAD_TIMESTAMPS, [""], ["Sideways", "inbound"]] + [_BAD_COUNTS] * 7
+    return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad)
+
+
+@st.composite
+def routing_files(draw):
+    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_NODES), st.just("<T") | _COUNTS,
+               st.sampled_from(_TAGS)]
+    bad = [_BAD_TIMESTAMPS, [""], _BAD_COUNTS + ["<t"], ["Motorway", ""]]
+    return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad)
+
+
+def _outcome(read, path, network):
+    try:
+        rows = read(path, network)
+    except DataError as exc:
+        return "DataError", str(exc)
+    observations = list(rows)
+    if isinstance(rows, (TollboothTable, RoutingTable)):
+        # Code tables hold each distinct hour (by timestamp) and series or
+        # node once, in order of first appearance.
+        assert rows.hours == tuple({o.hour.timestamp: o.hour for o in observations}.values())
+        if isinstance(rows, TollboothTable):
+            assert rows.series_ids == tuple(dict.fromkeys((o.node, o.direction) for o in observations))
+        else:
+            assert rows.nodes == tuple(dict.fromkeys(o.node for o in observations))
+    mismatch = [o.counts.total_mismatch for o in observations if isinstance(o, TollboothObservation)]
+    return observations, mismatch
+
+
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestReaderParity:
+    """The column readers against the per-row readers: the same observations,
+    or DataErrors with the same message."""
+
+    @_FUZZ
+    @given(text=tollbooth_files(), with_network=st.booleans())
+    def test_tollbooth_reader_matches_per_row_reader(self, tmp_path_factory, text, with_network):
+        path = tmp_path_factory.mktemp("parity") / "tollbooth.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        net = trondheim_fixture() if with_network else None
+        assert _outcome(read_tollbooth_csv, path, net) == _outcome(reference_read_tollbooth_csv, path, net)
+
+    @_FUZZ
+    @given(text=routing_files(), with_network=st.booleans())
+    def test_routing_reader_matches_per_row_reader(self, tmp_path_factory, text, with_network):
+        path = tmp_path_factory.mktemp("parity") / "routing.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        net = trondheim_fixture() if with_network else None
+        assert _outcome(read_routing_csv, path, net) == _outcome(reference_read_routing_csv, path, net)
+
+    @_FUZZ
+    @given(body=st.binary(max_size=200), which=st.sampled_from(["tollbooth", "routing"]))
+    @example(body=b"2023-11-06T08:00,A,Inbound," + b"9" * 400 + b",0,0,0,0,0,1\n", which="tollbooth")
+    @example(body=b"2023-11-06T08:00,A," + b"9" * 400 + b",Primary\n", which="routing")
+    @example(body=b"2023-11-06T08:00,A,\xff,Primary\n", which="routing")
+    @example(body=b'2023-11-06T08:00,"A\x00,1,Primary\n', which="routing")
+    def test_only_package_errors_escape(self, tmp_path_factory, body, which):
+        header = TOLLBOOTH_HEADER if which == "tollbooth" else "timestamp,node,people_flow,road_tag"
+        path = tmp_path_factory.mktemp("fuzz") / f"{which}.csv"
+        path.write_bytes(header.encode() + b"\n" + body)
+        read = read_tollbooth_csv if which == "tollbooth" else read_routing_csv
+        try:
+            list(read(path))
+        except OdfuseError:
+            pass
+
+    @pytest.mark.parametrize("read", [read_tollbooth_csv, read_routing_csv])
+    def test_non_utf8_file_is_a_data_error_naming_it(self, tmp_path, read):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\xff\xfe not text\n")
+        with pytest.raises(DataError, match="input.csv: not UTF-8"):
+            read(path)

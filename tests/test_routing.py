@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -512,6 +513,14 @@ class TestBuildOdMatrix:
         net, model, tb, _ = trained_small
         with pytest.raises(DataError, match="destination routing rows"):
             build_od_matrix(net, model, tb, [])
+
+    def test_first_duplicate_tollbooth_series_is_named(self, trained_small):
+        net, model, tb, rt = trained_small
+        rows = list(tb)
+        rows = rows[:30] + [rows[25], rows[7]] + rows[30:]
+        key, hour = rows[25].join_key(), rows[25].hour.isoformat()
+        with pytest.raises(DataError, match=re.escape(f"duplicate tollbooth series {key!r} at {hour}")):
+            build_od_matrix(net, model, rows, rt)
 
     def test_joint_sums_to_one_every_hour(self, trained_small):
         net, model, tb, rt = trained_small
