@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fusion import FusionModel, RegressionTree
+from .fusion import FusionModel, RegressionTree, raw_score_matrix
 from .ingest import TARGET_NAMES, FeatureVector, FusionDataset
 
 __all__ = [
@@ -199,36 +199,26 @@ def permutation_importance(
         raise ConfigError(f"repeats must be positive, got {repeats}")
     if dataset.split_index >= dataset.n_rows:
         raise DataError("validation partition is empty")
-    tm = _target_model(model, target)
+    _target_model(model, target)
     X = dataset.X_valid
     y = dataset.Y_valid[:, TARGET_NAMES.index(target)]
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         raise DataError("validation target has zero variance")
-    lr = model.hyperparams.learning_rate
 
-    def r2_of(tree_scores: list[np.ndarray]) -> float:
-        # Added tree by tree in model order, exactly as raw_score_matrix does.
-        pred = np.full(X.shape[0], tm.base_score, dtype=np.float64)
-        for score in tree_scores:
-            pred += score
+    def r2_of(Xs: np.ndarray) -> float:
+        pred = raw_score_matrix(model, Xs, target)
         return 1.0 - float(np.sum((np.maximum(pred, 0.0) - y) ** 2)) / ss_tot
 
-    # A shuffled column only moves the trees that split on it.
-    scores = [lr * tree.predict_batch(X) for tree in tm.trees]
-    base_r2 = r2_of(scores)
+    base_r2 = r2_of(X)
     rng = np.random.default_rng(seed)
     drops: dict[str, float] = {}
     for j, name in enumerate(model.feature_names):
-        users = [t for t, tree in enumerate(tm.trees) if (tree.feature == j).any()]
         acc = 0.0
         for _ in range(repeats):
             Xp = X.copy()
             Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
-            shuffled = list(scores)
-            for t in users:
-                shuffled[t] = lr * tm.trees[t].predict_batch(Xp)
-            acc += base_r2 - r2_of(shuffled)
+            acc += base_r2 - r2_of(Xp)
         drops[name] = acc / repeats
     return drops
 

@@ -298,8 +298,8 @@ def cmd_route(config: dict) -> int:
     routing = read_routing_csv(routing_path, network)
     hours = None
     if sim.get("start") or sim.get("end"):
-        start = make_hour_key(sim["start"]).timestamp if sim.get("start") else None
-        end = make_hour_key(sim["end"]).timestamp if sim.get("end") else None
+        start = _setting(sim["start"], "simulation.start", make_hour_key).timestamp if sim.get("start") else None
+        end = _setting(sim["end"], "simulation.end", make_hour_key).timestamp if sim.get("end") else None
         hours = [
             hk
             for hk in tollbooth.hours

@@ -12,7 +12,16 @@ where G sums the current residuals (unit hessian per sample). Leaf values
 are sum(residuals)/(count + l2) and enter the prediction scaled by the
 learning rate. Training draws no random numbers, so models are a pure
 function of (data, hyperparameters).
-"""
+
+A tree node keeps its rows sorted by every feature, with each row's rank
+among the feature's distinct training values, so the gain is evaluated only
+at value boundaries that leave ``min_samples_leaf`` rows on each side. The
+residual prefix sums still run sequentially in each feature's sorted order:
+they decide between mathematically tied candidates (complementary one-hot
+columns, ``day_of_week`` against ``is_weekend``), so the same data always
+gives the same tree. Prediction walks all of a target's trees at once over
+one node table, a block of rows at a time, and adds the leaf values tree by
+tree in model order, so scores equal a per-tree loop bit for bit."""
 
 from __future__ import annotations
 
@@ -136,16 +145,19 @@ class FusionModel:
 
 
 class _TreeBuilder:
-    """Grows one tree on the current residuals via exact greedy splits."""
+    """Grows one tree on the current residuals via exact greedy splits.
 
-    def __init__(self, X: np.ndarray, g: np.ndarray, hp: GbtHyperparams):
-        self.X = X
+    A node holds, per feature, its rows in ascending order of that feature
+    and their value codes, as one contiguous ``(2, F, n)`` integer array.
+    """
+
+    def __init__(self, codes: np.ndarray, values: list[np.ndarray], g: np.ndarray, hp: GbtHyperparams):
+        self.codes = codes
+        self.values = values
         self.g = g
         self.lam = hp.l2_leaf_regularization
         self.msl = hp.min_samples_leaf
         self.max_depth = hp.max_depth
-        self.n_features = X.shape[1]
-        self._cols = np.arange(self.n_features)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -154,8 +166,8 @@ class _TreeBuilder:
         self.cover: list[float] = []
         self.leaf_assignments: list[tuple[np.ndarray, float]] = []
 
-    def build(self, sorted_cols: np.ndarray) -> RegressionTree:
-        self._grow(sorted_cols, depth=0)
+    def build(self, node: np.ndarray) -> RegressionTree:
+        self._grow(node, depth=0)
         return RegressionTree(
             feature=np.asarray(self.feature, dtype=np.int32),
             threshold=np.asarray(self.threshold, dtype=np.float64),
@@ -182,53 +194,53 @@ class _TreeBuilder:
         self.cover[idx] = float(n)
         self.leaf_assignments.append((rows, val))
 
-    def _grow(self, sorted_cols: np.ndarray, depth: int) -> int:
+    def _grow(self, node: np.ndarray, depth: int) -> int:
         idx = self._new_node()
-        n = sorted_cols.shape[0]
-        rows = sorted_cols[:, 0]
+        rows, codes = node
+        n = rows.shape[1]
         if depth >= self.max_depth or n < 2 * self.msl:
-            self._make_leaf(idx, rows)
+            self._make_leaf(idx, rows[0])
             return idx
 
-        gv = self.g[sorted_cols]
-        xv = self.X[sorted_cols, self._cols[None, :]]
-        csum = np.cumsum(gv, axis=0)
-        G = csum[-1]
-        nL = np.arange(1, n, dtype=np.float64)[:, None]
+        # Candidates: value boundaries leaving at least msl rows on each
+        # side, in feature-major order so that argmax breaks ties to the
+        # lowest feature, then the lowest threshold.
+        msl = self.msl
+        boundary = codes[:, msl : n - msl + 1] != codes[:, msl - 1 : n - msl]
+        feat, pos = np.divmod(np.flatnonzero(boundary), n - 2 * msl + 1)
+        if feat.shape[0] == 0:
+            self._make_leaf(idx, rows[0])
+            return idx
+        pos += msl - 1
+        # Sequential prefix sums in each feature's sorted order: they decide
+        # mathematically tied candidates, so their order must not change.
+        csum = np.cumsum(self.g[rows], axis=1)
+        G = csum[:, -1][feat]
+        GL = csum.reshape(-1)[feat * n + pos]
+        GR = G - GL
+        nL = pos + 1.0
         nR = n - nL
-        GL = csum[:-1]
-        GR = G[None, :] - GL
-        gain = (
-            GL * GL / (nL + self.lam)
-            + GR * GR / (nR + self.lam)
-            - (G * G / (n + self.lam))[None, :]
-        )
-        valid = (xv[1:] != xv[:-1]) & (nL >= self.msl) & (nR >= self.msl)
-        gain = np.where(valid, gain, -np.inf)
-        # Feature-major argmax: ties resolve to the lowest feature index,
-        # then the lowest threshold, deterministically.
-        flat = int(np.argmax(gain.T))
-        f, pos = divmod(flat, n - 1)
-        best_gain = gain[pos, f]
-        if not np.isfinite(best_gain) or best_gain <= 0.0:
-            self._make_leaf(idx, rows)
+        gain = GL * GL / (nL + self.lam) + GR * GR / (nR + self.lam) - G * G / (n + self.lam)
+        best = int(np.argmax(gain))
+        if not np.isfinite(gain[best]) or gain[best] <= 0.0:
+            self._make_leaf(idx, rows[0])
             return idx
 
-        thr = (xv[pos, f] + xv[pos + 1, f]) / 2.0
-        left_rows = sorted_cols[: pos + 1, f]
-        goes_left = np.zeros(self.X.shape[0], dtype=bool)
-        goes_left[left_rows] = True
-        mask = goes_left[sorted_cols]
-        n_left = pos + 1
-        # Stable per-column partition: boolean indexing on the transposed
-        # layout keeps each column's sorted order.
-        left_sorted = sorted_cols.T[mask.T].reshape(self.n_features, n_left).T
-        right_sorted = sorted_cols.T[~mask.T].reshape(self.n_features, n - n_left).T
+        f, p = int(feat[best]), int(pos[best])
+        cut = codes[f, p]
+        thr = (self.values[f][cut] + self.values[f][codes[f, p + 1]]) / 2.0
+        # Compressing the flat (2, F * n) array keeps every feature's sorted
+        # order on each side.
+        goes_left = (self.codes[f][rows] <= cut).reshape(-1)
+        flat = node.reshape(2, -1)
+        n_left = p + 1
+        left = flat.compress(goes_left, axis=1).reshape(2, -1, n_left)
+        right = flat.compress(~goes_left, axis=1).reshape(2, -1, n - n_left)
 
-        self.feature[idx] = int(f)
+        self.feature[idx] = f
         self.threshold[idx] = float(thr)
-        left_idx = self._grow(left_sorted, depth + 1)
-        right_idx = self._grow(right_sorted, depth + 1)
+        left_idx = self._grow(left, depth + 1)
+        right_idx = self._grow(right, depth + 1)
         self.left[idx] = left_idx
         self.right[idx] = right_idx
         self.cover[idx] = self.cover[left_idx] + self.cover[right_idx]
@@ -246,7 +258,15 @@ def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionMod
     if not np.isfinite(dataset.Y_train).all():
         raise DataError("non-finite target values in training partition")
 
-    sorted_cols = np.argsort(X, axis=0, kind="stable").astype(np.int64)
+    # Root node: each feature's rows in stable ascending order, and their
+    # lossless codes (ranks among the feature's distinct values).
+    order = np.argsort(X, axis=0, kind="stable").T
+    codes = np.empty(order.shape, dtype=np.intp)
+    values = []
+    for f in range(X.shape[1]):
+        distinct, codes[f] = np.unique(X[:, f], return_inverse=True)
+        values.append(distinct)
+    root = np.stack([order, np.take_along_axis(codes, order, axis=1)])
     model = FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES)
     for t, name in enumerate(TARGET_NAMES):
         y = dataset.Y_train[:, t]
@@ -254,13 +274,53 @@ def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionMod
         pred = np.full(y.shape[0], base, dtype=np.float64)
         trees: list[RegressionTree] = []
         for _ in range(hp.n_trees):
-            builder = _TreeBuilder(X, y - pred, hp)
-            tree = builder.build(sorted_cols)
+            builder = _TreeBuilder(codes, values, y - pred, hp)
+            tree = builder.build(root)
             for rows, val in builder.leaf_assignments:
                 pred[rows] += hp.learning_rate * val
             trees.append(tree)
         model.targets[name] = TargetModel(base_score=base, trees=trees)
     return model
+
+
+# Rows walked at once: bounds the (trees x rows) index arrays of a walk.
+_BLOCK_ROWS = 2048
+
+
+def _node_table(trees: list[RegressionTree]) -> tuple[np.ndarray, ...]:
+    """All trees' nodes in one table: root of each tree, split feature (-1 at
+    leaves), threshold, children as (right, left) pairs and leaf value.
+    Leaves are their own children, so a walk may overrun them."""
+    sizes = np.array([tree.n_nodes for tree in trees])
+    roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    offset = np.repeat(roots, sizes)
+    own = np.arange(offset.shape[0])
+    feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
+    leaf = feature < 0
+    children = np.empty((own.shape[0], 2), dtype=np.intp)
+    children[:, 0] = np.where(leaf, own, np.concatenate([tree.right for tree in trees]) + offset)
+    children[:, 1] = np.where(leaf, own, np.concatenate([tree.left for tree in trees]) + offset)
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    value = np.concatenate([tree.value for tree in trees])
+    return roots, feature, threshold, children.reshape(-1), value
+
+
+def _leaf_values(nodes: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
+    """``(trees, rows)`` leaf values: every tree walks every row at once, one
+    level per step, until no row sits on an internal node."""
+    roots, feature, threshold, children, value = nodes
+    n_rows, n_features = X.shape
+    x = np.ascontiguousarray(X).reshape(-1)
+    row_start = np.arange(0, n_rows * n_features, n_features)
+    at = np.repeat(roots[:, None], n_rows, axis=1)
+    while True:
+        f = feature[at]
+        if f.max(initial=-1) < 0:
+            return value[at]
+        # At a leaf f is -1, which reads some other cell; both children are
+        # the leaf itself, so the comparison does not matter there.
+        go_left = x[row_start + f] <= threshold[at]
+        at = children[2 * at + go_left]
 
 
 def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str) -> np.ndarray:
@@ -269,9 +329,15 @@ def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str) -> np.ndarr
     if tm is None:
         raise ConfigError(f"unknown target {target!r}; known: {list(model.targets)}")
     out = np.full(X.shape[0], tm.base_score, dtype=np.float64)
+    if not tm.trees:
+        return out
     lr = model.hyperparams.learning_rate
-    for tree in tm.trees:
-        out += lr * tree.predict_batch(X)
+    nodes = _node_table(tm.trees)
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        block = out[start : start + _BLOCK_ROWS]
+        # Added tree by tree in model order, as a per-tree loop would.
+        for leaf_value in _leaf_values(nodes, X[start : start + _BLOCK_ROWS]):
+            block += lr * leaf_value
     return out
 
 

@@ -483,6 +483,9 @@ def build_od_matrix(
     tollbooth_hour = {h.timestamp: i for i, h in enumerate(tollbooth.hours)}
 
     hour_keys = sorted(tollbooth.hours if hours is None else hours, key=lambda h: h.timestamp)
+    for earlier, later in zip(hour_keys, hour_keys[1:]):
+        if earlier.timestamp == later.timestamp:
+            raise DataError(f"hour {later.isoformat()} is listed twice in the hours to route")
 
     # Destination rows stable-sorted by hour: file order within an hour.
     dest_names = network.destination_names()

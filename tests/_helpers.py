@@ -1,12 +1,13 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The oracles here deliberately avoid the production code paths: split
-search by full enumeration, Shapley values by subset enumeration,
-apportionment by integer-vector search and by the scalar largest-remainder
-loop, OD rows by the per-decision routing loop, permutation importance by
-full re-scoring, conservation by direct recomputation from raw counts, and
-CSV parsing by the per-row readers that build observation objects.
-"""
+search by full enumeration, tree growth by scanning every (row, feature)
+position, raw scores by one ``predict_batch`` call per tree, Shapley
+values by subset enumeration, apportionment by integer-vector search and
+by the scalar largest-remainder loop, OD rows by the per-decision routing
+loop, permutation importance by tree-by-tree re-scoring, conservation by
+direct recomputation from raw counts, and CSV parsing by the per-row
+readers that build observation objects."""
 
 from __future__ import annotations
 
@@ -486,10 +487,8 @@ def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tu
 
 
 def reference_permutation_importance(model, target: str, dataset, repeats: int, seed: int) -> dict:
-    """Permutation importance that re-scores every tree for every shuffle:
-    the oracle for the version that re-scores only the trees that split on
-    the shuffled column."""
-    from odfuse.fusion import raw_score_matrix
+    """Permutation importance that re-scores every shuffle tree by tree with
+    ``RegressionTree.predict_batch``: the oracle for the whole-target walk."""
     from odfuse.ingest import TARGET_NAMES
 
     X = dataset.X_valid
@@ -497,7 +496,7 @@ def reference_permutation_importance(model, target: str, dataset, repeats: int, 
     ss_tot = float(np.sum((y - y.mean()) ** 2))
 
     def r2_of(Xm: np.ndarray) -> float:
-        pred = np.maximum(raw_score_matrix(model, Xm, target), 0.0)
+        pred = np.maximum(reference_raw_scores(model, Xm, target), 0.0)
         return 1.0 - float(np.sum((pred - y) ** 2)) / ss_tot
 
     base_r2 = r2_of(X)
@@ -511,6 +510,130 @@ def reference_permutation_importance(model, target: str, dataset, repeats: int, 
             acc += base_r2 - r2_of(Xp)
         drops[name] = acc / repeats
     return drops
+
+
+def reference_raw_scores(model, X: np.ndarray, target: str) -> np.ndarray:
+    """Raw scores summed tree by tree, one ``predict_batch`` call per tree."""
+    tm = model.targets[target]
+    out = np.full(X.shape[0], tm.base_score, dtype=np.float64)
+    for tree in tm.trees:
+        out += model.hyperparams.learning_rate * tree.predict_batch(X)
+    return out
+
+
+class _ReferenceTreeBuilder:
+    """Exact greedy tree growth over every (row, feature) position: each node
+    re-gathers its ``n x F`` sorted row indices and feature values and scores
+    all ``n - 1`` positions per feature, masking the invalid ones."""
+
+    def __init__(self, X: np.ndarray, g: np.ndarray, hp):
+        self.X = X
+        self.g = g
+        self.lam = hp.l2_leaf_regularization
+        self.msl = hp.min_samples_leaf
+        self.max_depth = hp.max_depth
+        self.n_features = X.shape[1]
+        self._cols = np.arange(self.n_features)
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+        self.cover: list[float] = []
+        self.leaf_assignments: list[tuple[np.ndarray, float]] = []
+
+    def build(self, sorted_cols: np.ndarray) -> RegressionTree:
+        self._grow(sorted_cols, depth=0)
+        return make_tree(self.feature, self.threshold, self.left, self.right, self.value, self.cover)
+
+    def _new_node(self) -> int:
+        idx = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        self.cover.append(0.0)
+        return idx
+
+    def _make_leaf(self, idx: int, rows: np.ndarray) -> None:
+        n = rows.shape[0]
+        val = float(self.g[rows].sum() / (n + self.lam))
+        self.value[idx] = val
+        self.cover[idx] = float(n)
+        self.leaf_assignments.append((rows, val))
+
+    def _grow(self, sorted_cols: np.ndarray, depth: int) -> int:
+        idx = self._new_node()
+        n = sorted_cols.shape[0]
+        rows = sorted_cols[:, 0]
+        if depth >= self.max_depth or n < 2 * self.msl:
+            self._make_leaf(idx, rows)
+            return idx
+
+        gv = self.g[sorted_cols]
+        xv = self.X[sorted_cols, self._cols[None, :]]
+        csum = np.cumsum(gv, axis=0)
+        G = csum[-1]
+        nL = np.arange(1, n, dtype=np.float64)[:, None]
+        nR = n - nL
+        GL = csum[:-1]
+        GR = G[None, :] - GL
+        gain = (
+            GL * GL / (nL + self.lam)
+            + GR * GR / (nR + self.lam)
+            - (G * G / (n + self.lam))[None, :]
+        )
+        valid = (xv[1:] != xv[:-1]) & (nL >= self.msl) & (nR >= self.msl)
+        gain = np.where(valid, gain, -np.inf)
+        flat = int(np.argmax(gain.T))
+        f, pos = divmod(flat, n - 1)
+        best_gain = gain[pos, f]
+        if not np.isfinite(best_gain) or best_gain <= 0.0:
+            self._make_leaf(idx, rows)
+            return idx
+
+        thr = (xv[pos, f] + xv[pos + 1, f]) / 2.0
+        left_rows = sorted_cols[: pos + 1, f]
+        goes_left = np.zeros(self.X.shape[0], dtype=bool)
+        goes_left[left_rows] = True
+        mask = goes_left[sorted_cols]
+        n_left = pos + 1
+        left_sorted = sorted_cols.T[mask.T].reshape(self.n_features, n_left).T
+        right_sorted = sorted_cols.T[~mask.T].reshape(self.n_features, n - n_left).T
+
+        self.feature[idx] = int(f)
+        self.threshold[idx] = float(thr)
+        left_idx = self._grow(left_sorted, depth + 1)
+        right_idx = self._grow(right_sorted, depth + 1)
+        self.left[idx] = left_idx
+        self.right[idx] = right_idx
+        self.cover[idx] = self.cover[left_idx] + self.cover[right_idx]
+        return idx
+
+
+def reference_train(dataset, hp):
+    """Boosting loop over the full-scan builder: the oracle that the trainer
+    must reproduce array for array."""
+    from odfuse.fusion import FusionModel, TargetModel
+    from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES
+
+    X = dataset.X_train
+    sorted_cols = np.argsort(X, axis=0, kind="stable").astype(np.int64)
+    model = FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES)
+    for t, name in enumerate(TARGET_NAMES):
+        y = dataset.Y_train[:, t]
+        base = float(y.mean())
+        pred = np.full(y.shape[0], base, dtype=np.float64)
+        trees = []
+        for _ in range(hp.n_trees):
+            builder = _ReferenceTreeBuilder(X, y - pred, hp)
+            tree = builder.build(sorted_cols)
+            for rows, val in builder.leaf_assignments:
+                pred[rows] += hp.learning_rate * val
+            trees.append(tree)
+        model.targets[name] = TargetModel(base_score=base, trees=trees)
+    return model
 
 
 def _reference_int_field(raw: str, line: int, field: str) -> int:

@@ -297,6 +297,19 @@ class TestRoute:
         assert main(["--config", str(cfg_path), "route"]) == 2
         assert f"odfuse: data error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["start", "end"])
+    @pytest.mark.parametrize("value", ["garbage", "2025-01-30T17:30", 17])
+    def test_bad_simulation_window_exit_1(self, tmp_path, capsys, key, value):
+        config = write_worked_example_fixture(tmp_path / "fixture")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        config["simulation"][key] = value
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "route"]) == 1
+        assert f"odfuse: error: simulation.{key}: bad value {value!r}" in capsys.readouterr().err
+
     def test_route_before_train_fails(self, tmp_path):
         config = write_worked_example_fixture(tmp_path / "fixture")
         cfg_path = tmp_path / "run.json"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odfuse.core import RoadTag
 from odfuse.errors import ConfigError, DataError
+from odfuse import fusion
 from odfuse.fusion import (
     FusionModel,
     GbtHyperparams,
@@ -27,7 +29,13 @@ from odfuse.ingest import (
 )
 from odfuse.network import trondheim_fixture
 
-from _helpers import exhaustive_best_split
+from _helpers import (
+    exhaustive_best_split,
+    make_tree,
+    random_cover_tree,
+    reference_raw_scores,
+    reference_train,
+)
 
 
 def dataset_from_arrays(X, Y, split_index) -> FusionDataset:
@@ -329,3 +337,138 @@ class TestPersistence:
         (tmp_path / "junk.json").write_text("{}", encoding="utf-8")
         with pytest.raises(DataError, match="not a fusion model"):
             load_model(tmp_path / "junk.json")
+
+
+# Column kinds of the parity datasets: continuous, few repeated values,
+# binary, the indicator of the previous column's minimum (the complement of
+# a binary column, as one-hot tags are), a threshold of the previous column
+# (as is_weekend is of day_of_week) and constant.
+_COLUMN_KINDS = ("continuous", "repeated", "binary", "complement", "threshold", "constant")
+
+
+def _parity_dataset(seed: int, n: int, kinds: list[str]) -> FusionDataset:
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, len(FEATURE_NAMES)))
+    for j, kind in enumerate(kinds):
+        prev = X[:, j - 1] if j else rng.integers(0, 7, n).astype(float)
+        X[:, j] = {
+            "continuous": lambda: rng.random(n) * 1000.0,
+            "repeated": lambda: rng.integers(0, int(rng.integers(2, 8)), n).astype(float),
+            "binary": lambda: rng.integers(0, 2, n).astype(float),
+            "complement": lambda: (prev == prev.min()).astype(float),
+            "threshold": lambda: (prev >= np.median(prev)).astype(float),
+            "constant": lambda: np.full(n, 3.0),
+        }[kind]()
+    Y = np.column_stack([
+        rng.normal(size=n) * 37.3 if t % 3 == 0 else
+        rng.integers(0, 60, n).astype(float) if t % 3 == 1 else
+        rng.random(n) * rng.integers(0, 2)  # sometimes all zero
+        for t in range(len(TARGET_NAMES))
+    ])
+    return FusionDataset(X=X, Y=Y, node_keys=["n"] * n, hours=[None] * n, split_index=n)
+
+
+def _assert_same_model(got, want):
+    assert list(got.targets) == list(want.targets)
+    for name, tm in want.targets.items():
+        assert got.targets[name].base_score == tm.base_score
+        assert len(got.targets[name].trees) == len(tm.trees)
+        for a, b in zip(got.targets[name].trees, tm.trees):
+            for field in ("feature", "threshold", "left", "right", "value", "cover"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (name, field)
+
+
+class TestTrainerParity:
+    """The trainer reproduces the full-scan builder array for array, ties
+    included: same features, thresholds, children, values and covers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        msl=st.integers(1, 6),
+        n_extra=st.one_of(st.integers(-1, 2), st.integers(3, 60)),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=len(FEATURE_NAMES), max_size=len(FEATURE_NAMES)),
+        depth=st.integers(1, 6),
+        lam=st.sampled_from([0.0, 1.0]),
+        n_trees=st.integers(1, 3),
+        learning_rate=st.sampled_from([0.1, 1.0]),
+    )
+    def test_matches_full_scan_reference(self, seed, msl, n_extra, kinds, depth, lam, n_trees, learning_rate):
+        n = max(1, 2 * msl + n_extra)  # n_extra in [-1, 2] puts n near 2 * msl
+        ds = _parity_dataset(seed, n, kinds)
+        hp = GbtHyperparams(n_trees=n_trees, max_depth=depth, learning_rate=learning_rate,
+                            min_samples_leaf=msl, l2_leaf_regularization=lam)
+        _assert_same_model(train(ds, hp), reference_train(ds, hp))
+
+    def test_matches_reference_on_synthetic_counts(self):
+        # One-hot road tags and day_of_week against is_weekend tie in gain.
+        gains = {RoadTag.PRIMARY: 1.4, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 0.7}
+        profile = BiasProfile(gains=gains, noise_scale=0.1, censor_threshold=120, seed=5)
+        ds = build_dataset(*generate_synthetic(trondheim_fixture(), 3, profile), 0.2)
+        hp = GbtHyperparams(n_trees=4, max_depth=6)
+        _assert_same_model(train(ds, hp), reference_train(ds, hp))
+
+
+def _model_of(trees_per_target: list, base: float = 2.5, lr: float = 0.1) -> FusionModel:
+    model = FusionModel(hyperparams=GbtHyperparams(learning_rate=lr), feature_names=FEATURE_NAMES)
+    for name, trees in zip(TARGET_NAMES, trees_per_target):
+        model.targets[name] = TargetModel(base_score=base, trees=trees)
+    return model
+
+
+def _assert_scores_match_per_tree_sum(model, X):
+    for name in model.targets:
+        got = raw_score_matrix(model, X, name)
+        assert got.shape == (X.shape[0],)
+        assert np.array_equal(got, reference_raw_scores(model, X, name)), name
+
+
+class TestPredictorParity:
+    """The whole-target walk equals the tree-by-tree predict_batch sum bit
+    for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depths=st.lists(st.integers(0, 7), min_size=len(TARGET_NAMES), max_size=len(TARGET_NAMES) * 4),
+        n_rows=st.sampled_from([0, 1, 2, 17]),
+        lr=st.sampled_from([0.1, 0.3, 1.0]),
+    )
+    def test_random_ensembles(self, seed, depths, n_rows, lr):
+        rng = np.random.default_rng(seed)
+        # Mixed depths, single leaves (depth 0) and zero-tree targets.
+        trees = [random_cover_tree(rng, len(FEATURE_NAMES), d) for d in depths]
+        split = sorted(rng.integers(0, len(trees) + 1, len(TARGET_NAMES) - 1).tolist())
+        per_target = np.split(np.arange(len(trees)), split)
+        model = _model_of([[trees[i] for i in idx] for idx in per_target], float(rng.normal()), lr)
+        X = rng.random((n_rows, len(FEATURE_NAMES)))
+        # Some cells equal a threshold: x <= threshold goes left.
+        thresholds = np.concatenate([t.threshold for t in trees])
+        hits = rng.random(X.shape) < 0.3
+        X[hits] = rng.choice(thresholds, size=int(hits.sum()))
+        _assert_scores_match_per_tree_sum(model, X)
+
+    def test_zero_tree_targets_give_the_base_score(self):
+        model = _model_of([[]] * len(TARGET_NAMES), base=-3.25)
+        for n_rows in (0, 1, 5):
+            X = np.ones((n_rows, len(FEATURE_NAMES)))
+            _assert_scores_match_per_tree_sum(model, X)
+            assert np.all(raw_score_matrix(model, X, "total") == -3.25)
+
+    def test_single_leaf_trees(self):
+        leaves = [make_tree([-1], [0.0], [-1], [-1], [v], [4.0]) for v in (1.5, -0.25, 3.0)]
+        model = _model_of([leaves] * len(TARGET_NAMES))
+        _assert_scores_match_per_tree_sum(model, np.zeros((3, len(FEATURE_NAMES))))
+
+    def test_rows_beyond_one_block(self, synthetic_model):
+        model, ds = synthetic_model
+        rng = np.random.default_rng(21)
+        n_rows = 2 * fusion._BLOCK_ROWS + 3
+        X = ds.X[rng.integers(0, ds.n_rows, n_rows)]
+        _assert_scores_match_per_tree_sum(model, X)
+        assert np.array_equal(predict_matrix(model, X)[-5:], predict_matrix(model, X[-5:]))
+
+    def test_non_contiguous_input(self, synthetic_model):
+        model, ds = synthetic_model
+        X = np.asfortranarray(ds.X_valid)
+        _assert_scores_match_per_tree_sum(model, X)

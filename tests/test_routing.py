@@ -477,6 +477,12 @@ class TestBuildOdMatrix:
             allocated[k] += n
         assert allocated == [d.volume for d in run.decisions]
 
+    def test_hour_listed_twice_is_data_error(self, trained_small):
+        net, model, tb, rt = trained_small
+        first, second = tb.hours[0], tb.hours[1]
+        with pytest.raises(DataError, match=f"hour {re.escape(second.isoformat())} is listed twice"):
+            build_od_matrix(net, model, tb, rt, [second, first, second])
+
     def test_deterministic_od_csv(self, trained_small, tmp_path):
         net, model, tb, rt = trained_small
         for tag in ("a", "b"):
