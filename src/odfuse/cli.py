@@ -137,7 +137,10 @@ def _setting(value, key: str, convert):
 
 
 def _seed(config: dict) -> int:
-    return _setting(config["seed"], "seed", int)
+    seed = config["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed: bad value {seed!r}: must be an integer >= 0")
+    return seed
 
 
 def _bias_profile(config: dict) -> BiasProfile:
@@ -169,7 +172,7 @@ def _hyperparams(config: dict) -> GbtHyperparams:
     hp.setdefault("seed", _seed(config))
     try:
         return GbtHyperparams(**hp)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"hyperparams: {exc}") from exc
 
 
@@ -221,8 +224,9 @@ def _load_model_and_dataset(config: dict):
 def cmd_eval(config: dict) -> int:
     _, model, dataset = _load_model_and_dataset(config)
     out = _out_dir(config)
-    write_metrics_csv(out / "metrics.csv", evaluate(model, dataset))
-    write_residuals_csv(out / "residuals.csv", residual_table(model, dataset))
+    report = evaluate(model, dataset)
+    write_metrics_csv(out / "metrics.csv", report)
+    write_residuals_csv(out / "residuals.csv", residual_table(dataset, report.pred_valid))
     # Diagnostic only: the headline baseline row uses the raw flow; this
     # logs how much a linear rescaling fitted on the training split would
     # close the gap.

@@ -414,12 +414,12 @@ class BiasProfile:
             gain = self.gains.get(tag)
             if gain is None:
                 raise ConfigError(f"bias profile missing gain for {tag.value}")
-            if gain <= 0:
-                raise ConfigError(f"gain for {tag.value} must be positive, got {gain}")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be non-negative")
-        if self.censor_threshold < 0:
-            raise ConfigError("censor_threshold must be non-negative")
+            if not math.isfinite(gain) or gain <= 0:
+                raise ConfigError(f"gain for {tag.value} must be finite and positive, got {gain}")
+        if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
+            raise ConfigError(f"noise_scale must be finite and non-negative, got {self.noise_scale}")
+        if not math.isfinite(self.censor_threshold) or self.censor_threshold < 0:
+            raise ConfigError(f"censor_threshold must be finite and non-negative, got {self.censor_threshold}")
 
     @classmethod
     def identity(cls, seed: int = 0) -> "BiasProfile":

@@ -59,7 +59,7 @@ def uplift_runs():
         ds = build_dataset(tb, rt, 0.2)
         model = train(ds, GbtHyperparams(seed=seed))
         rep = evaluate(model, ds)
-        rows = residual_table(model, ds)
+        rows = residual_table(ds, rep.pred_valid)
         top = rows[int(0.9 * len(rows)) :]
         ratio = float(
             np.mean([abs(rm) for _, rm, _ in top]) / np.mean([abs(rb) for _, _, rb in top])

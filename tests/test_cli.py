@@ -206,6 +206,17 @@ class TestModelValidation:
         cfg = write_config(tmp_path / "run.json", out_dir=str(tmp_path))
         assert main(["--config", str(cfg), "eval"]) == 2
 
+    def test_non_integer_hyperparameter_is_data_error(self, explained_run, tmp_path, capsys):
+        _, out = explained_run
+        for name in ("tollbooth.csv", "routing.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        doc["hyperparams"]["max_depth"] = 2.5
+        (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json", out_dir=str(tmp_path))
+        assert main(["--config", str(cfg), "eval"]) == 2
+        assert "max_depth must be an integer >= 1" in capsys.readouterr().err
+
 
 class TestStabilityCommand:
     def test_compares_two_periods(self, tmp_path):
@@ -377,8 +388,11 @@ class TestConfigHandling:
             ("train", {"valid_fraction": "abc"}, "valid_fraction"),
             ("synth", {"synthetic": {"days": 2, "noise_scale": "a"}}, "synthetic.noise_scale"),
             ("synth", {"synthetic": {"days": 2, "gains": [1, 2]}}, "synthetic.gains"),
+            ("synth", {"seed": -1}, "seed"),
+            ("synth", {"seed": 1.5}, "seed"),
+            ("train", {"seed": True}, "seed"),
         ],
-        ids=["days", "seed", "valid_fraction", "noise_scale", "gains"],
+        ids=["days", "seed", "valid_fraction", "noise_scale", "gains", "seed-negative", "seed-float", "seed-bool"],
     )
     def test_bad_config_value_exit_1(self, tmp_path, capsys, command, overrides, key):
         if command == "train":
@@ -386,6 +400,27 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "run.json", **overrides)
         assert main(["--config", str(cfg), command]) == 1
         assert f"error: {key}: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("train", {"hyperparams": {"n_trees": 2.5}}, "hyperparams: n_trees must be an integer >= 1"),
+            ("train", {"hyperparams": {"max_depth": 2.5}}, "hyperparams: max_depth must be an integer >= 1"),
+            ("train", {"hyperparams": {"min_samples_leaf": True}}, "hyperparams: min_samples_leaf must be"),
+            ("train", {"hyperparams": {"l2_leaf_regularization": math.inf}}, "l2_leaf_regularization must be finite"),
+            ("train", {"hyperparams": {"seed": "abc"}}, "hyperparams: seed must be an integer >= 0"),
+            ("synth", {"synthetic": {"days": 2, "gains": {"Primary": "nan"}}}, "gain for Primary must be finite"),
+            ("synth", {"synthetic": {"days": 2, "noise_scale": math.nan}}, "noise_scale must be finite"),
+        ],
+        ids=["n_trees-float", "max_depth-float", "min_samples_leaf-bool", "l2-inf", "seed-string", "gain-nan", "noise-nan"],
+    )
+    def test_non_integer_or_non_finite_number_exit_1(self, tmp_path, capsys, command, overrides, message):
+        if command == "train":
+            assert main(["--config", str(write_config(tmp_path / "good.json")), "synth"]) == 0
+        cfg = write_config(tmp_path / "run.json", **overrides)
+        assert main(["--config", str(cfg), command]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()
 
     @pytest.mark.parametrize("name", ["tollbooth.csv", "routing.csv"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, name):

@@ -1,9 +1,14 @@
+import concurrent.futures
+import json
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from odfuse.core import RoadTag
-from odfuse.errors import ConfigError, DataError
+from odfuse.errors import ConfigError, DataError, InternalError
 from odfuse import fusion
 from odfuse.fusion import (
     FusionModel,
@@ -197,10 +202,14 @@ class TestTrain:
             train(ds, GbtHyperparams(n_trees=1))
 
     def test_bad_hyperparams_rejected(self):
-        with pytest.raises(ConfigError):
-            GbtHyperparams(n_trees=0)
-        with pytest.raises(ConfigError):
-            GbtHyperparams(learning_rate=1.5)
+        for bad in (
+            {"n_trees": 0}, {"learning_rate": 1.5},
+            {"n_trees": 2.5}, {"max_depth": 2.5}, {"max_depth": True}, {"min_samples_leaf": 5.0},
+            {"l2_leaf_regularization": float("inf")}, {"l2_leaf_regularization": float("nan")},
+            {"seed": -1}, {"seed": 1.5},
+        ):
+            with pytest.raises(ConfigError):
+                GbtHyperparams(**bad)
 
 
 class TestPredict:
@@ -298,9 +307,11 @@ class TestResidualTable:
         Y[:, 0] = totals
         ds = dataset_from_arrays(X, Y, split_index=8)
         model = train(ds, GbtHyperparams(n_trees=2, max_depth=2))
-        rows = residual_table(model, ds)
+        rows = residual_table(ds, evaluate(model, ds).pred_valid)
         assert all(rb == 0 for _, _, rb in rows)
         assert [y for y, _, _ in rows] == sorted(y for y, _, _ in rows)
+        want = predict_matrix(model, ds.X_valid)[:, 0] - ds.Y_valid[:, 0]
+        assert [rm for _, rm, _ in rows] == want[np.argsort(ds.Y_valid[:, 0])].tolist()
 
     def test_multiplicative_bias_grows_with_volume(self):
         rng = np.random.default_rng(12)
@@ -311,7 +322,7 @@ class TestResidualTable:
         Y[:, 0] = totals
         ds = dataset_from_arrays(X, Y, split_index=20)
         model = train(ds, GbtHyperparams(n_trees=2, max_depth=2))
-        rows = residual_table(model, ds)
+        rows = residual_table(ds, evaluate(model, ds).pred_valid)
         baseline = [rb for _, _, rb in rows]
         assert all(rb > 0 for rb in baseline)
         assert baseline[-1] > baseline[0]
@@ -332,6 +343,12 @@ class TestPersistence:
         save_model(model, tmp_path / "a.json")
         save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_file_is_the_document_with_sorted_keys(self, synthetic_model, tmp_path):
+        model, _ = synthetic_model
+        save_model(model, tmp_path / "model.json")
+        text = (tmp_path / "model.json").read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), sort_keys=True) == text
 
     def test_rejects_foreign_json(self, tmp_path):
         (tmp_path / "junk.json").write_text("{}", encoding="utf-8")
@@ -407,6 +424,80 @@ class TestTrainerParity:
         ds = build_dataset(*generate_synthetic(trondheim_fixture(), 3, profile), 0.2)
         hp = GbtHyperparams(n_trees=4, max_depth=6)
         _assert_same_model(train(ds, hp), reference_train(ds, hp))
+
+
+@pytest.fixture(scope="module")
+def above_threshold():
+    """A dataset and hyperparameters whose fit just exceeds the work threshold."""
+    gains = {RoadTag.PRIMARY: 1.4, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 0.7}
+    profile = BiasProfile(gains=gains, noise_scale=0.1, censor_threshold=120, seed=9)
+    ds = build_dataset(*generate_synthetic(trondheim_fixture(), 2, profile), 0.2)
+    n_trees = fusion._PARALLEL_MIN_WORK // ds.X_train.shape[0] + 1
+    return ds, GbtHyperparams(n_trees=n_trees, max_depth=3)
+
+
+def _set_cpus(monkeypatch, cpus: set[int]) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+class TestTwoProcessFit:
+    """A forked worker fits the odd-indexed targets of a large enough fit on
+    two CPUs; the model is the one a single process fits."""
+
+    def test_same_model_in_one_and_two_processes(self, above_threshold, monkeypatch, tmp_path):
+        ds, hp = above_threshold
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        _set_cpus(monkeypatch, {0, 1})
+        two = train(ds, hp)
+        assert len(pools) == 1
+        _set_cpus(monkeypatch, {0})
+        one = train(ds, hp)
+        assert len(pools) == 1
+        _assert_same_model(two, one)
+        save_model(two, tmp_path / "two.json")
+        save_model(one, tmp_path / "one.json")
+        assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+    def test_fit_below_threshold_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _set_cpus(monkeypatch, {0, 1})
+        n = 60
+        ds = _parity_dataset(3, n, ["continuous"] * len(FEATURE_NAMES))
+        hp = GbtHyperparams(n_trees=(fusion._PARALLEL_MIN_WORK - 1) // n, max_depth=1)
+        assert len(train(ds, hp).targets) == len(TARGET_NAMES)
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("raise", DataError, "raised in the worker"),
+        ("exit", InternalError, "worker died"),
+    ])
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, fault, error, message):
+        parent = os.getpid()
+        build = fusion._TreeBuilder.build
+
+        def build_fails_in_worker(self, node):
+            if os.getpid() != parent:
+                if fault == "exit":
+                    os._exit(1)
+                raise DataError("raised in the worker")
+            return build(self, node)
+
+        monkeypatch.setattr(fusion._TreeBuilder, "build", build_fails_in_worker)
+        monkeypatch.setattr(fusion, "_PARALLEL_MIN_WORK", 0)
+        _set_cpus(monkeypatch, {0, 1})
+        ds = _parity_dataset(4, 20, ["continuous"] * len(FEATURE_NAMES))
+        with pytest.raises(error, match=message):
+            train(ds, GbtHyperparams(n_trees=1))
 
 
 def _model_of(trees_per_target: list, base: float = 2.5, lr: float = 0.1) -> FusionModel:
