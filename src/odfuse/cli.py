@@ -2,8 +2,9 @@
 
 Subcommands: ``synth``, ``train``, ``eval``, ``explain``, ``stability``,
 ``route``. One JSON run configuration drives everything; flags override
-the seed and output directory. Every command logs a hash of its effective
-configuration and overwrites its artifacts idempotently.
+the seed, output directory and synthetic days. ``load_config`` checks every
+key once, so commands read plain values. Every command logs a hash of its
+effective configuration and overwrites its artifacts idempotently.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (including missing upstream artifacts), 3 internal invariant violation.
@@ -40,6 +41,7 @@ from .attribution import (
     write_permutation_csv,
 )
 from .ingest import (
+    TARGET_NAMES,
     BiasProfile,
     build_dataset,
     difference_series,
@@ -75,6 +77,61 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+def _integer(low: int) -> tuple:
+    return (lambda v: not isinstance(v, bool) and isinstance(v, int) and v >= low), f"an integer >= {low}", None
+
+
+def _is_number(value) -> bool:
+    """A JSON number a float can hold: not a bool, NaN, an infinity or an int beyond float range."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _is_hour(value) -> bool:
+    try:
+        make_hour_key(value)
+    except DataError:
+        return False
+    return True
+
+
+# Each rule is (test, expected, name); a message names the key itself when name is None.
+_OBJECT = (lambda v: isinstance(v, dict), "an object", None)
+_NUMBER = (_is_number, "finite and numeric", None)
+_TEXT = (lambda v: isinstance(v, str) and "\0" not in v, "a string", None)  # a path: the OS rejects NUL
+_PATH = (lambda v: v is None or _TEXT[0](v), "a string or null", None)
+_HOUR = (lambda v: v is None or _is_hour(v), "an ISO hour such as 2025-01-30T17:00, or null", None)
+_GAINS = {tag.value: (_is_number, "finite and numeric", f"gain for {tag.value}") for tag in RoadTag}
+_TARGET = (lambda v: v in TARGET_NAMES, "one of " + ", ".join(TARGET_NAMES), None)
+
+# What load_config accepts for each key of DEFAULT_CONFIG. A dict of rules is
+# an object with those keys; GbtHyperparams checks the keys of hyperparams.
+CONFIG_RULES: dict = {
+    "seed": _integer(0),
+    "out_dir": _TEXT,
+    "valid_fraction": _NUMBER,
+    "network": _PATH,
+    "data": {"tollbooth_csv": _PATH, "routing_csv": _PATH},
+    "synthetic": {"days": _integer(1), "gains": _GAINS, "noise_scale": _NUMBER, "censor_threshold": _NUMBER},
+    "hyperparams": _OBJECT,
+    "simulation": {"tollbooth_csv": _PATH, "routing_csv": _PATH, "start": _HOUR, "end": _HOUR},
+    "explain": {"target": _TARGET, "max_rows": _integer(1), "repeats": _integer(1)},
+    "stability": {"routing_a": _PATH, "routing_b": _PATH},
+}
+
+
+def _check(path: str, value, rule) -> None:
+    """Raise a ConfigError naming ``path`` unless ``value`` meets ``rule``; a missing key is null."""
+    test, expected, name = _OBJECT if isinstance(rule, dict) else rule
+    if not test(value):
+        raise ConfigError(f"{path}: bad value {value!r}: {name or path.rpartition('.')[2]} must be {expected}")
+    if isinstance(rule, dict):
+        unknown = sorted(set(value) - set(rule))
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {unknown}")
+        for key, sub in rule.items():
+            _check(f"{path}.{key}", value.setdefault(key, None), sub)
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -85,7 +142,8 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict:
+def load_config(path: str | None, seed: int | None, out_dir: str | None, days: int | None = None) -> dict:
+    """DEFAULT_CONFIG, then the file at ``path``, then the flags; each key checked against CONFIG_RULES."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         p = Path(path)
@@ -105,10 +163,19 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict
         config["seed"] = seed
     if out_dir is not None:
         config["out_dir"] = out_dir
-    if config.get("data") and config.get("synthetic"):
-        explicit = config["data"].get("tollbooth_csv") or config["data"].get("routing_csv")
-        if explicit:
-            raise ConfigError("exactly one of data paths or synthetic parameters may be active")
+    if days is not None and isinstance(config["synthetic"], dict):
+        config["synthetic"]["days"] = days
+    # A null data or synthetic section switches that source off; any other
+    # null section means its defaults.
+    for key, rule in CONFIG_RULES.items():
+        if config[key] is None and key in ("data", "synthetic"):
+            continue
+        if config[key] is None and isinstance(DEFAULT_CONFIG[key], dict):
+            config[key] = copy.deepcopy(DEFAULT_CONFIG[key])
+        _check(key, config[key], rule)
+    data = config["data"]
+    if data and config["synthetic"] and (data["tollbooth_csv"] or data["routing_csv"]):
+        raise ConfigError("exactly one of data paths or synthetic parameters may be active")
     return config
 
 
@@ -124,70 +191,52 @@ def _out_dir(config: dict) -> Path:
 
 
 def _network(config: dict) -> NetworkConfig:
-    path = config.get("network")
-    return load_network(path) if path else trondheim_fixture()
+    return load_network(config["network"]) if config["network"] else trondheim_fixture()
 
 
-def _setting(value, key: str, convert):
-    """``convert(value)``, or a ConfigError naming the config ``key``."""
+def _built(key: str, build, **kwargs):
+    """``build(**kwargs)``, a typed object that range-checks itself. Its rejection, or the
+    TypeError of a keyword it lacks, becomes a ConfigError naming ``key``."""
     try:
-        return convert(value)
-    except (AttributeError, TypeError, ValueError, OverflowError, DataError) as exc:
-        raise ConfigError(f"{key}: bad value {value!r}: {exc}") from exc
+        return build(**kwargs)
+    except (TypeError, OverflowError, ConfigError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _seed(config: dict) -> int:
-    seed = config["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed: bad value {seed!r}: must be an integer >= 0")
-    return seed
+def _model(config: dict):
+    path = Path(config["out_dir"]) / "model.json"
+    if not path.exists():
+        raise DataError(f"missing model artifact: {path} (run `odfuse train` first)")
+    return load_model(path)
 
 
-def _bias_profile(config: dict) -> BiasProfile:
-    synth = config.get("synthetic") or {}
-    gains = _setting(synth.get("gains", {}), "synthetic.gains",
-                     lambda raw: {RoadTag.parse(k): float(v) for k, v in raw.items()})
-    return BiasProfile(
-        gains=gains,
-        noise_scale=_setting(synth.get("noise_scale", 0.0), "synthetic.noise_scale", float),
-        censor_threshold=_setting(synth.get("censor_threshold", 0.0), "synthetic.censor_threshold", float),
-        seed=_seed(config),
-    )
+def _tables(config: dict, network: NetworkConfig, section: str = "data"):
+    """Tollbooth and routing tables from ``section``'s CSVs, else data.*'s, else synth's in out_dir."""
+    def path(name: str):
+        for opts in (config[section], config["data"]):
+            if opts and opts[f"{name}_csv"]:
+                return opts[f"{name}_csv"]
+        return Path(config["out_dir"]) / f"{name}.csv"
+
+    return read_tollbooth_csv(path("tollbooth"), network), read_routing_csv(path("routing"), network)
 
 
-def _data_paths(config: dict) -> tuple[Path, Path]:
-    """Training data files: explicit paths, or the synth outputs in out_dir."""
-    data = config.get("data") or {}
-    out = Path(config["out_dir"])
-    tollbooth = Path(data.get("tollbooth_csv") or out / "tollbooth.csv")
-    routing = Path(data.get("routing_csv") or out / "routing.csv")
-    for p, label in ((tollbooth, "tollbooth"), (routing, "routing")):
-        if not p.exists():
-            raise DataError(f"missing {label} data file: {p} (run `odfuse synth` or point data.* at files)")
-    return tollbooth, routing
-
-
-def _hyperparams(config: dict) -> GbtHyperparams:
-    hp = dict(config.get("hyperparams") or {})
-    hp.setdefault("seed", _seed(config))
-    try:
-        return GbtHyperparams(**hp)
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"hyperparams: {exc}") from exc
-
-
-def cmd_synth(config: dict, days_override: int | None = None) -> int:
-    if not config.get("synthetic"):
-        raise ConfigError("synth requires synthetic parameters in the config")
-    if days_override is not None:
-        config = _merge(config, {"synthetic": {"days": days_override}})
-    days = _setting(config["synthetic"].get("days", 30), "synthetic.days", int)
-    if days < 1:
-        raise ConfigError(f"synthetic.days must be >= 1, got {days}")
+def _model_and_dataset(config: dict):
     network = _network(config)
-    profile = _bias_profile(config)
+    model = _model(config)
+    return model, build_dataset(*_tables(config, network), config["valid_fraction"])
+
+
+def cmd_synth(config: dict) -> int:
+    synth = config["synthetic"]
+    if not synth:
+        raise ConfigError("synth requires synthetic parameters in the config")
+    network = _network(config)
+    profile = _built("synthetic", BiasProfile, gains={RoadTag(k): v for k, v in synth["gains"].items()},
+                     noise_scale=synth["noise_scale"], censor_threshold=synth["censor_threshold"],
+                     seed=config["seed"])
     out = _out_dir(config)
-    tollbooth, routing = generate_synthetic(network, days, profile)
+    tollbooth, routing = generate_synthetic(network, synth["days"], profile)
     write_tollbooth_csv(out / "tollbooth.csv", tollbooth)
     write_routing_csv(out / "routing.csv", routing)
     write_difference_csv(out / "difference.csv", difference_series(tollbooth, routing))
@@ -196,33 +245,17 @@ def cmd_synth(config: dict, days_override: int | None = None) -> int:
 
 
 def cmd_train(config: dict) -> int:
-    network = _network(config)
-    tollbooth_path, routing_path = _data_paths(config)
-    tollbooth = read_tollbooth_csv(tollbooth_path, network)
-    routing = read_routing_csv(routing_path, network)
-    dataset = build_dataset(tollbooth, routing, _setting(config["valid_fraction"], "valid_fraction", float))
-    model = train(dataset, _hyperparams(config))
+    dataset = build_dataset(*_tables(config, _network(config)), config["valid_fraction"])
+    hp = _built("hyperparams", GbtHyperparams, **{"seed": config["seed"], **config["hyperparams"]})
+    model = train(dataset, hp)
     out = _out_dir(config)
     save_model(model, out / "model.json")
     log.info("train: %d rows (split %d) -> %s", dataset.n_rows, dataset.split_index, out / "model.json")
     return 0
 
 
-def _load_model_and_dataset(config: dict):
-    network = _network(config)
-    model_path = Path(config["out_dir"]) / "model.json"
-    if not model_path.exists():
-        raise DataError(f"missing model artifact: {model_path} (run `odfuse train` first)")
-    model = load_model(model_path)
-    tollbooth_path, routing_path = _data_paths(config)
-    tollbooth = read_tollbooth_csv(tollbooth_path, network)
-    routing = read_routing_csv(routing_path, network)
-    dataset = build_dataset(tollbooth, routing, _setting(config["valid_fraction"], "valid_fraction", float))
-    return network, model, dataset
-
-
 def cmd_eval(config: dict) -> int:
-    _, model, dataset = _load_model_and_dataset(config)
+    model, dataset = _model_and_dataset(config)
     out = _out_dir(config)
     report = evaluate(model, dataset)
     write_metrics_csv(out / "metrics.csv", report)
@@ -243,38 +276,28 @@ def cmd_eval(config: dict) -> int:
     return 0
 
 
-def _positive_int(opts: dict, key: str, default: int) -> int:
-    value = opts.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"explain.{key} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def cmd_explain(config: dict) -> int:
-    opts = config.get("explain") or {}
-    target = opts.get("target", "total")
-    max_rows = _positive_int(opts, "max_rows", 256)
-    repeats = _positive_int(opts, "repeats", 5)
-    _, model, dataset = _load_model_and_dataset(config)
+    opts = config["explain"]
+    model, dataset = _model_and_dataset(config)
     X = dataset.X_valid
-    if X.shape[0] > max_rows:
-        stride = X.shape[0] / max_rows
-        picks = sorted({int(i * stride) for i in range(max_rows)})
+    if X.shape[0] > opts["max_rows"]:
+        stride = X.shape[0] / opts["max_rows"]
+        picks = sorted({int(i * stride) for i in range(opts["max_rows"])})
         X = X[picks]
     out = _out_dir(config)
-    phi, base = shap_matrix(model, target, X)
+    phi, base = shap_matrix(model, opts["target"], X)
     write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
     write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
-    drops = permutation_importance(model, target, dataset, repeats=repeats, seed=_seed(config))
+    drops = permutation_importance(model, opts["target"], dataset,
+                                   repeats=opts["repeats"], seed=config["seed"])
     write_permutation_csv(out / "permutation.csv", drops)
-    log.info("explain: target %s over %d rows -> %s", target, X.shape[0], out)
+    log.info("explain: target %s over %d rows -> %s", opts["target"], X.shape[0], out)
     return 0
 
 
 def cmd_stability(config: dict, routing_a: str | None, routing_b: str | None) -> int:
-    opts = config.get("stability") or {}
-    path_a = routing_a or opts.get("routing_a")
-    path_b = routing_b or opts.get("routing_b")
+    path_a = routing_a or config["stability"]["routing_a"]
+    path_b = routing_b or config["stability"]["routing_b"]
     if not path_a or not path_b:
         raise ConfigError("stability needs two routing CSVs (--routing-a/--routing-b or config.stability)")
     rows_a = read_routing_csv(path_a)
@@ -287,28 +310,13 @@ def cmd_stability(config: dict, routing_a: str | None, routing_b: str | None) ->
 
 def cmd_route(config: dict) -> int:
     network = _network(config)
-    model_path = Path(config["out_dir"]) / "model.json"
-    if not model_path.exists():
-        raise DataError(f"missing model artifact: {model_path} (run `odfuse train` first)")
-    model = load_model(model_path)
-    sim = config.get("simulation") or {}
-    tollbooth_path = sim.get("tollbooth_csv")
-    routing_path = sim.get("routing_csv")
-    if tollbooth_path is None or routing_path is None:
-        tollbooth_default, routing_default = _data_paths(config)
-        tollbooth_path = tollbooth_path or tollbooth_default
-        routing_path = routing_path or routing_default
-    tollbooth = read_tollbooth_csv(tollbooth_path, network)
-    routing = read_routing_csv(routing_path, network)
+    model = _model(config)
+    tollbooth, routing = _tables(config, network, "simulation")
+    sim = config["simulation"]
     hours = None
-    if sim.get("start") or sim.get("end"):
-        start = _setting(sim["start"], "simulation.start", make_hour_key).timestamp if sim.get("start") else None
-        end = _setting(sim["end"], "simulation.end", make_hour_key).timestamp if sim.get("end") else None
-        hours = [
-            hk
-            for hk in tollbooth.hours
-            if (start is None or hk.timestamp >= start) and (end is None or hk.timestamp <= end)
-        ]
+    if sim["start"] or sim["end"]:
+        start, end = (make_hour_key(sim[k]).timestamp if sim[k] else None for k in ("start", "end"))
+        hours = [hk for hk in tollbooth.hours if (start or hk.timestamp) <= hk.timestamp <= (end or hk.timestamp)]
         if not hours:
             raise DataError("no tollbooth hours inside the requested simulation window")
     run = build_od_matrix(network, model, tollbooth, routing, hours)
@@ -350,21 +358,13 @@ def run(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = load_config(args.config, args.seed, args.out)
+    config = load_config(args.config, args.seed, args.out, getattr(args, "days", None))
     log.info("command %s, config hash %s", args.command, config_hash(config))
-    if args.command == "synth":
-        return cmd_synth(config, args.days)
-    if args.command == "train":
-        return cmd_train(config)
-    if args.command == "eval":
-        return cmd_eval(config)
-    if args.command == "explain":
-        return cmd_explain(config)
     if args.command == "stability":
         return cmd_stability(config, args.routing_a, args.routing_b)
-    if args.command == "route":
-        return cmd_route(config)
-    raise ConfigError(f"unknown command {args.command!r}")
+    commands = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
+                "explain": cmd_explain, "route": cmd_route}
+    return commands[args.command](config)
 
 
 def main(argv: list[str] | None = None) -> int:

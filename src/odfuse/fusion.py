@@ -45,9 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CATEGORY_ORDER, CountsByCategory, VehicleCategory
 from .errors import ConfigError, DataError, InternalError
-from .ingest import FEATURE_NAMES, TARGET_NAMES, FeatureVector, FusionDataset
+from .ingest import FEATURE_NAMES, TARGET_NAMES, FusionDataset
 
 __all__ = [
     "GbtHyperparams",
@@ -56,7 +55,6 @@ __all__ = [
     "MetricRow",
     "MetricsReport",
     "train",
-    "predict",
     "predict_matrix",
     "raw_score_matrix",
     "evaluate",
@@ -420,19 +418,6 @@ def predict_matrix(model: FusionModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(model: FusionModel, x: FeatureVector) -> CountsByCategory:
-    """Predict per-category counts for one feature vector.
-
-    The total comes from its own model rather than the category sum, so the
-    two can disagree; negative raw scores clamp to zero.
-    """
-    row = predict_matrix(model, x.to_array()[None, :])[0]
-    counts: dict[VehicleCategory, float] = {
-        cat: float(row[1 + j]) for j, cat in enumerate(CATEGORY_ORDER)
-    }
-    return CountsByCategory(counts=counts, total=float(row[0]))
-
-
 @dataclass(frozen=True)
 class MetricRow:
     name: str
@@ -556,7 +541,7 @@ def _check_tree(label: str, tree: RegressionTree, n_features: int) -> None:
     """Reject a tree that could misroute, loop or index out of range: every
     split leads to higher-numbered children, covers are positive and add up,
     and every number is finite."""
-    n = tree.n_nodes
+    n = tree.feature.size  # not n_nodes: a 0-d array has no length
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.cover)
     if n == 0 or {a.shape for a in arrays} != {(n,)}:
         raise DataError(f"{label}: node arrays must be non-empty and of equal length")
@@ -583,7 +568,7 @@ def load_model(path: str | Path) -> FusionModel:
         with open(p, encoding="utf-8") as fh:
             doc = json.load(fh)
         return _model_from_doc(doc, p)
-    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ConfigError) as exc:
         raise DataError(f"malformed model file {p}: {exc!r}") from exc
 
 

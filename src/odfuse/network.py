@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import NodeId, NodeKind, RoadTag
+from .core import Direction, NodeId, NodeKind, RoadTag
 from .errors import ConfigError
 
 __all__ = [
@@ -196,15 +196,21 @@ class NetworkConfig:
         return keys
 
 
+_DIRECTIONS = tuple(d.value for d in Direction)
+
+
 def _parse_node(raw: dict) -> NetworkNode:
     try:
         kind = NodeKind(raw["kind"])
         tag = RoadTag.parse(raw["road_tag"])
+        directions = raw.get("directions", [])
+        if not isinstance(directions, list) or not all(d in _DIRECTIONS for d in directions):
+            raise ConfigError(f"node {raw['name']!r}: directions must be a list of {list(_DIRECTIONS)}")
         return NetworkNode(
             node=NodeId(name=raw["name"], kind=kind),
             road_tag=tag,
             scale=float(raw.get("scale", 100.0)),
-            directions=tuple(raw.get("directions", ())),
+            directions=tuple(directions),
         )
     except KeyError as exc:
         raise ConfigError(f"node entry missing field {exc}") from exc
@@ -232,6 +238,14 @@ def _parse_boundary(raw: dict | None) -> BoundaryConfig | None:
 
 
 def network_from_dict(doc: dict) -> NetworkConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"network config must be an object, got {type(doc).__name__}")
+    name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ConfigError(f"network name must be a string, got {name!r}")
+    for key in ("destination_groups", "scenario_subsets"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"network {key} must be an object, got {doc[key]!r}")
     try:
         nodes = tuple(_parse_node(n) for n in doc["nodes"])
         groups = {k: tuple(v) for k, v in doc["destination_groups"].items()}
@@ -243,7 +257,7 @@ def network_from_dict(doc: dict) -> NetworkConfig:
         ramps_raw = doc.get("ramps")
         ramps = RampConfig(**ramps_raw) if ramps_raw else None
         return NetworkConfig(
-            name=doc.get("name", "unnamed"),
+            name=name,
             nodes=nodes,
             destination_groups=groups,
             passthrough_pairs=pairs,
@@ -259,7 +273,7 @@ def network_from_dict(doc: dict) -> NetworkConfig:
 
 def load_network(path: str | Path) -> NetworkConfig:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"network config not found: {p}")
     with open(p, encoding="utf-8") as fh:
         try:

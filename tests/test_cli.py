@@ -1,13 +1,16 @@
+import copy
 import csv
 import json
 import math
+import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odfuse.attribution import permutation_importance
-from odfuse.cli import DEFAULT_CONFIG, load_config, main
+from odfuse.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from odfuse.fusion import GbtHyperparams, train
 from odfuse.ingest import FEATURE_NAMES, build_dataset, read_routing_csv, read_tollbooth_csv
 from odfuse.network import trondheim_fixture
@@ -422,6 +425,50 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("train", {"hyperparams": [1]}, "hyperparams: bad value [1]: hyperparams must be an object"),
+            ("train", {"data": "foo"}, "data: bad value 'foo': data must be an object"),
+            ("synth", {"network": 5}, "network: bad value 5: network must be a string or null"),
+            ("synth", {"out_dir": 5}, "out_dir: bad value 5: out_dir must be a string"),
+            ("synth", {"synthetic": [1]}, "synthetic: bad value [1]: synthetic must be an object"),
+            ("explain", {"explain": "x"}, "explain: bad value 'x': explain must be an object"),
+            ("route", {"simulation": "x"}, "simulation: bad value 'x': simulation must be an object"),
+            ("stability", {"stability": "x"}, "stability: bad value 'x': stability must be an object"),
+            ("train", {"data": {"tollbooth_csv": 5}}, "data.tollbooth_csv: bad value 5: tollbooth_csv must be"),
+            ("route", {"simulation": {"tollbooth_csv": 5}}, "simulation.tollbooth_csv: bad value 5"),
+            ("synth", {"synthetic": {"days": True}}, "synthetic.days: bad value True: days must be an integer >= 1"),
+            ("synth", {"synthetic": {"days": 1.7}}, "synthetic.days: bad value 1.7: days must be an integer >= 1"),
+            ("explain", {"explain": {"max_row": 8}}, "explain: unknown keys ['max_row']"),
+            ("explain", {"explain": {"target": "lorry"}}, "explain.target: bad value 'lorry': target must be one of"),
+        ],
+        ids=["hyperparams-list", "data-string", "network-number", "out_dir-number", "synthetic-list",
+             "explain-string", "simulation-string", "stability-string", "data-path-number",
+             "simulation-path-number", "days-bool", "days-float", "explain-typo", "explain-target"],
+    )
+    def test_wrong_container_or_type_exit_1(self, tmp_path, capsys, command, overrides, message):
+        cfg = write_config(tmp_path / "run.json", **overrides)
+        assert main(["--config", str(cfg), command]) == 1
+        assert f"odfuse: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["explain", "simulation", "stability", "hyperparams"])
+    def test_null_section_means_its_defaults(self, tmp_path, section):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: None}), encoding="utf-8")
+        assert load_config(str(cfg), None, None) == DEFAULT_CONFIG
+
+    def test_logged_hash_covers_the_days_flag(self, tmp_path, caplog):
+        cfg = write_config(tmp_path / "run.json")  # synthetic.days is 2
+        hashes = []
+        for flags in ([], ["--days", "2"], ["--days", "1"]):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="odfuse"):
+                assert main(["--config", str(cfg), "synth", *flags]) == 0
+            hashes += [r.message.rpartition(" ")[2] for r in caplog.records if "config hash" in r.message]
+        assert hashes[0] == hashes[1] != hashes[2]
+        assert config_hash(load_config(None, None, None)) == "30acda7fb9736ee2"
+
     @pytest.mark.parametrize("name", ["tollbooth.csv", "routing.csv"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path / "run.json")
@@ -439,8 +486,9 @@ def bundled_network_doc() -> dict:
 
 
 class TestNetworkValidation:
-    """Routed volume is split over a scenario's destinations, so none of these
-    configs may reach routing (they ended in ZeroDivisionError)."""
+    """Malformed network documents exit 1 before anything is routed. Routed
+    volume is split over a scenario's destinations, so empty groups and
+    subsets must not reach routing (they ended in ZeroDivisionError)."""
 
     def route_exit_code(self, tmp_path, doc) -> int:
         (tmp_path / "network.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -466,6 +514,28 @@ class TestNetworkValidation:
         assert self.route_exit_code(tmp_path, doc) == 1
         assert "boundary direction 'westbound' names no destination group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, "g", ["g"], 3], ids=["null", "string", "list", "number"])
+    @pytest.mark.parametrize("key", ["destination_groups", "scenario_subsets"])
+    def test_container_of_wrong_type_exit_1(self, tmp_path, capsys, key, value):
+        doc = bundled_network_doc()
+        doc[key] = value
+        assert self.route_exit_code(tmp_path, doc) == 1
+        assert f"network {key} must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("directions", ["Inbound", ["Northbound"], [["Inbound"]], None])
+    def test_directions_not_a_list_of_directions_exit_1(self, tmp_path, capsys, directions):
+        doc = bundled_network_doc()
+        doc["nodes"][0]["directions"] = directions
+        assert self.route_exit_code(tmp_path, doc) == 1
+        assert "directions must be a list of ['Inbound', 'Outbound', 'Undirected']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [5, None, ["Trondheim"]])
+    def test_name_not_a_string_exit_1(self, tmp_path, capsys, name):
+        doc = bundled_network_doc()
+        doc["name"] = name
+        assert self.route_exit_code(tmp_path, doc) == 1
+        assert "network name must be a string" in capsys.readouterr().err
+
 
 def test_cli_path_builds_no_per_row_objects(tmp_path, monkeypatch):
     """synth, train and route work on column tables: no observation or
@@ -484,3 +554,103 @@ def test_cli_path_builds_no_per_row_objects(tmp_path, monkeypatch):
     for command in ("synth", "train", "route"):
         assert main(["--config", str(cfg), command]) == 0
     assert built == []
+
+
+# Each key path the config fuzz replaces, and the command that reads it.
+FUZZED_KEYS = {
+    "seed": "explain", "out_dir": "synth", "valid_fraction": "train", "network": "route",
+    "data": "eval", "data.tollbooth_csv": "train", "data.routing_csv": "explain",
+    "synthetic": "synth", "synthetic.days": "synth", "synthetic.gains": "synth",
+    "synthetic.gains.Trunk": "synth", "synthetic.noise_scale": "synth", "synthetic.censor_threshold": "synth",
+    "hyperparams": "train", "hyperparams.n_trees": "train", "hyperparams.max_depth": "train",
+    "hyperparams.learning_rate": "train", "hyperparams.min_samples_leaf": "train",
+    "hyperparams.l2_leaf_regularization": "train", "hyperparams.seed": "train",
+    "simulation": "route", "simulation.tollbooth_csv": "route", "simulation.routing_csv": "route",
+    "simulation.start": "route", "simulation.end": "route",
+    "explain": "explain", "explain.target": "explain", "explain.max_rows": "explain",
+    "explain.repeats": "explain", "stability": "stability", "stability.routing_a": "stability",
+    "stability.routing_b": "stability",
+}
+# Keys whose value sizes the work: only small integers are drawn for them.
+SIZING_KEYS = {"synthetic.days", "hyperparams.n_trees", "hyperparams.max_depth", "explain.repeats"}
+ONE_DAY_CONFIG = {
+    "seed": 3, "synthetic": {"days": 1}, "hyperparams": {"n_trees": 2, "max_depth": 2},
+    "explain": {"max_rows": 8, "repeats": 1},
+    "stability": {"routing_a": "out/routing.csv", "routing_b": "out/routing.csv"},
+}
+
+
+def json_values(huge_ints: bool):
+    # No "/" in drawn text, so a drawn path stays inside the run's directory.
+    text = st.one_of(st.text("a.0é \x00", max_size=6), st.sampled_from(["total", "2023-11-06T08:00", "out"]))
+    ints = st.integers(-3, 3)
+    if huge_ints:
+        ints = st.one_of(ints, st.integers(-(2**70), 2**70), st.just(10**400))
+    scalars = st.one_of(st.none(), st.booleans(), ints, st.floats(), text)
+    return st.one_of(scalars, st.lists(scalars, max_size=3), st.dictionaries(text, scalars, max_size=3))
+
+
+@pytest.fixture(scope="module")
+def one_day_run(tmp_path_factory):
+    """A one-day synth and a two-tree train; returns the directory holding out/."""
+    base = tmp_path_factory.mktemp("one_day")
+    cfg = base / "run.json"
+    cfg.write_text(json.dumps({**ONE_DAY_CONFIG, "out_dir": str(base / "out")}), encoding="utf-8")
+    for command in ("synth", "train"):
+        assert main(["--config", str(cfg), command]) == 0
+    return base
+
+
+def run_in_copy(base, tmp_dir, doc: dict, argv: list[str]) -> int:
+    """Run ``argv`` with config ``doc`` from inside ``tmp_dir``, on a copy of base/out."""
+    shutil.copytree(base / "out", tmp_dir / "out")
+    (tmp_dir / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(tmp_dir)
+    try:
+        return main(["--config", "run.json", *argv])
+    finally:
+        os.chdir(cwd)
+
+
+def field_paths(node, prefix=()):
+    """Every key or index path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from field_paths(child, (*prefix, key))
+
+
+class TestFuzz:
+    """The exit-code contract under arbitrary input: a malformed config exits 1,
+    a malformed artifact 2, and nothing may raise out of ``main``."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), key=st.sampled_from(sorted(FUZZED_KEYS)))
+    def test_any_value_for_one_config_key_exits_0_1_or_2(self, one_day_run, tmp_path_factory, data, key):
+        value = data.draw(json_values(key not in SIZING_KEYS), label=key)
+        doc = {**copy.deepcopy(ONE_DAY_CONFIG), "out_dir": "out"}
+        *parents, leaf = key.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        assert run_in_copy(one_day_run, tmp_path_factory.mktemp("fuzz"), doc, [FUZZED_KEYS[key]]) in (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_value_for_one_model_field_exits_0_or_2(self, one_day_run, tmp_path_factory, data):
+        doc = json.loads((one_day_run / "out" / "model.json").read_text(encoding="utf-8"))
+        paths = list(field_paths(doc))
+        path = data.draw(st.sampled_from(paths), label="field")
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = data.draw(json_values(True), label="value")
+        tmp_dir = tmp_path_factory.mktemp("fuzz_model")
+        (tmp_dir / "bad").mkdir()
+        (tmp_dir / "bad" / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        config = {**ONE_DAY_CONFIG, "data": {"tollbooth_csv": "out/tollbooth.csv", "routing_csv": "out/routing.csv"},
+                  "synthetic": None, "out_dir": "bad"}
+        assert run_in_copy(one_day_run, tmp_dir, config, ["eval"]) in (0, 2)
+

@@ -16,7 +16,6 @@ from odfuse.fusion import (
     TargetModel,
     evaluate,
     load_model,
-    predict,
     predict_matrix,
     raw_score_matrix,
     residual_table,
@@ -220,18 +219,9 @@ class TestPredict:
         fv = FeatureVector(
             people_flow=10, hour_of_day=8, day_of_week=0, is_weekend=0, road_tag=RoadTag.TRUNK
         )
-        counts = predict(model, fv)
-        assert counts.total == 0.0
-        assert all(v == 0.0 for v in counts.counts.values())
-
-    def test_predict_returns_all_categories(self, synthetic_model):
-        model, ds = synthetic_model
-        fv = FeatureVector(
-            people_flow=500, hour_of_day=8, day_of_week=0, is_weekend=0, road_tag=RoadTag.PRIMARY
-        )
-        counts = predict(model, fv)
-        assert len(counts.counts) == 6
-        assert counts.total >= 0
+        pred = predict_matrix(model, fv.to_array()[None, :])
+        assert pred.shape == (1, len(TARGET_NAMES))
+        assert (pred == 0.0).all()
 
 
 class TestEvaluate:
