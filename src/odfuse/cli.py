@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .core import RoadTag, make_hour_key
 from .errors import ConfigError, DataError, InternalError, OdfuseError
+from .errors import NUMBER, OBJECT, PATH, TEXT, check, integer, is_number, one_of
 from .fusion import (
     GbtHyperparams,
     evaluate,
@@ -77,15 +78,6 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _integer(low: int) -> tuple:
-    return (lambda v: not isinstance(v, bool) and isinstance(v, int) and v >= low), f"an integer >= {low}", None
-
-
-def _is_number(value) -> bool:
-    """A JSON number a float can hold: not a bool, NaN, an infinity or an int beyond float range."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
 def _is_hour(value) -> bool:
     try:
         make_hour_key(value)
@@ -94,42 +86,23 @@ def _is_hour(value) -> bool:
     return True
 
 
-# Each rule is (test, expected, name); a message names the key itself when name is None.
-_OBJECT = (lambda v: isinstance(v, dict), "an object", None)
-_NUMBER = (_is_number, "finite and numeric", None)
-_TEXT = (lambda v: isinstance(v, str) and "\0" not in v, "a string", None)  # a path: the OS rejects NUL
-_PATH = (lambda v: v is None or _TEXT[0](v), "a string or null", None)
 _HOUR = (lambda v: v is None or _is_hour(v), "an ISO hour such as 2025-01-30T17:00, or null", None)
-_GAINS = {tag.value: (_is_number, "finite and numeric", f"gain for {tag.value}") for tag in RoadTag}
-_TARGET = (lambda v: v in TARGET_NAMES, "one of " + ", ".join(TARGET_NAMES), None)
+_GAINS = {tag.value: (is_number, "finite and numeric", f"gain for {tag.value}") for tag in RoadTag}
 
-# What load_config accepts for each key of DEFAULT_CONFIG. A dict of rules is
-# an object with those keys; GbtHyperparams checks the keys of hyperparams.
+# What load_config accepts for each key of DEFAULT_CONFIG (see errors.check for
+# the rule forms); GbtHyperparams checks the keys of hyperparams.
 CONFIG_RULES: dict = {
-    "seed": _integer(0),
-    "out_dir": _TEXT,
-    "valid_fraction": _NUMBER,
-    "network": _PATH,
-    "data": {"tollbooth_csv": _PATH, "routing_csv": _PATH},
-    "synthetic": {"days": _integer(1), "gains": _GAINS, "noise_scale": _NUMBER, "censor_threshold": _NUMBER},
-    "hyperparams": _OBJECT,
-    "simulation": {"tollbooth_csv": _PATH, "routing_csv": _PATH, "start": _HOUR, "end": _HOUR},
-    "explain": {"target": _TARGET, "max_rows": _integer(1), "repeats": _integer(1)},
-    "stability": {"routing_a": _PATH, "routing_b": _PATH},
+    "seed": integer(0),
+    "out_dir": TEXT,
+    "valid_fraction": NUMBER,
+    "network": PATH,
+    "data": {"tollbooth_csv": PATH, "routing_csv": PATH},
+    "synthetic": {"days": integer(1), "gains": _GAINS, "noise_scale": NUMBER, "censor_threshold": NUMBER},
+    "hyperparams": OBJECT,
+    "simulation": {"tollbooth_csv": PATH, "routing_csv": PATH, "start": _HOUR, "end": _HOUR},
+    "explain": {"target": one_of(TARGET_NAMES), "max_rows": integer(1), "repeats": integer(1)},
+    "stability": {"routing_a": PATH, "routing_b": PATH},
 }
-
-
-def _check(path: str, value, rule) -> None:
-    """Raise a ConfigError naming ``path`` unless ``value`` meets ``rule``; a missing key is null."""
-    test, expected, name = _OBJECT if isinstance(rule, dict) else rule
-    if not test(value):
-        raise ConfigError(f"{path}: bad value {value!r}: {name or path.rpartition('.')[2]} must be {expected}")
-    if isinstance(rule, dict):
-        unknown = sorted(set(value) - set(rule))
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys {unknown}")
-        for key, sub in rule.items():
-            _check(f"{path}.{key}", value.setdefault(key, None), sub)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -151,7 +124,7 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None, days: i
             raise ConfigError(f"config file not found: {p}")
         try:
             user = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in config {p}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object, got {type(user).__name__}")
@@ -172,7 +145,7 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None, days: i
             continue
         if config[key] is None and isinstance(DEFAULT_CONFIG[key], dict):
             config[key] = copy.deepcopy(DEFAULT_CONFIG[key])
-        _check(key, config[key], rule)
+        check(key, config[key], rule)
     data = config["data"]
     if data and config["synthetic"] and (data["tollbooth_csv"] or data["routing_csv"]):
         raise ConfigError("exactly one of data paths or synthetic parameters may be active")

@@ -590,15 +590,19 @@ def _model_from_doc(doc: dict, p: Path) -> FusionModel:
             raise DataError(f"{p}: target {name} has a non-finite base score")
         trees = []
         for i, t in enumerate(tdoc["trees"]):
+            label = f"{p}: target {name} tree {i}"
+            # Whole-array checks, so a float or out-of-range index is rejected, not truncated.
+            ints = {key: np.asarray(t[key]) for key in ("feature", "left", "right")}
+            for key, values in ints.items():
+                if values.dtype.kind != "i" or (values.astype(np.int32) != values).any():
+                    raise DataError(f"{label}: {key} must hold int32 integers")
             tree = RegressionTree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
+                **{key: values.astype(np.int32) for key, values in ints.items()},
                 threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
                 value=np.asarray(t["value"], dtype=np.float64),
                 cover=np.asarray(t["cover"], dtype=np.float64),
             )
-            _check_tree(f"{p}: target {name} tree {i}", tree, len(FEATURE_NAMES))
+            _check_tree(label, tree, len(FEATURE_NAMES))
             trees.append(tree)
         model.targets[name] = TargetModel(base_score=base_score, trees=trees)
     return model

@@ -431,6 +431,7 @@ class BiasProfile:
 _BASE_COMPOSITION = np.array([0.78, 0.075, 0.065, 0.03, 0.035, 0.015])
 
 _SYNTH_START = "2023-11-06T00:00"  # a Monday
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's largest rate
 
 
 def _node_composition(index: int) -> np.ndarray:
@@ -484,6 +485,10 @@ def generate_synthetic(
         for series_index, direction in enumerate(series):
             # Directional series of one station get slightly different scales.
             scale = node.scale * (1.0 - 0.12 * series_index)
+            # In Python floats a huge scale overflows to inf without a numpy warning.
+            if scale * float(shape.max()) * float(comp.max()) > _POISSON_LAM_MAX:
+                raise ConfigError(f"network.nodes.{node_index}.scale: bad value {node.scale!r}: "
+                                  f"node {node.node.name!r} would draw beyond numpy's largest Poisson rate")
             rates = np.maximum((scale * shape)[:, None] * comp, 0.0)
             counts = np.empty_like(rates)
             noise = np.zeros(len(hours))
@@ -494,13 +499,16 @@ def generate_synthetic(
                 total = counts[i].sum()
                 if total > 0:
                     noise[i] = rng.normal(0.0, profile.noise_scale * gain * total)
-            flow = np.maximum(np.round(gain * counts.sum(axis=1) + noise), 0.0).astype(np.int64)
+            flow = np.maximum(np.round(gain * counts.sum(axis=1) + noise), 0.0)
+            if not (flow < 2.0**63).all():  # NaN fails too
+                raise ConfigError(f"node {node.node.name!r}: the gain for {node.road_tag.value}, noise_scale "
+                                  "or the node's scale makes synthetic flows overflow int64")
             if is_station:
                 series_ids.append((node.node, direction))
                 station_counts.append(counts)
             nodes.append(NodeId(name=series_key(node.node.name, direction), kind=node.node.kind))
             tags.append(TAG_ORDER.index(node.road_tag))
-            flows.append(flow)
+            flows.append(flow.astype(np.int64))
 
     n_hours = len(hours)
     counts = np.concatenate([np.zeros((0, len(CATEGORY_ORDER)))] + station_counts)

@@ -2,41 +2,33 @@
 
 The routing engine is geography-agnostic; everything location-specific
 (which booths are paired, which destinations each traffic scenario may
-reach, how the boundary booth splits the area) lives in a JSON document
-with the schema below.
+reach, how the boundary booth splits the area) lives in one JSON document.
+``NETWORK_RULES`` is its checked schema: keys, types, allowed values and
+defaults. ``NetworkConfig`` then checks the cross-references. What the
+schema does not say:
 
-Top-level keys:
-
-* ``name``: free-form label.
-* ``nodes``: list of ``{name, kind, road_tag, scale, directions?}``.
-  ``kind`` is one of ``main_tollbooth``, ``county_tollbooth``,
-  ``inferred_destination``. ``scale`` is the synthetic generator's mean
-  peak-hour volume for the node. ``directions`` (optional) lists
-  directional series emitted for the station, e.g. ``["Inbound",
-  "Outbound"]``; each series is a distinct count key named
-  ``<name>|<direction>``.
-* ``destination_groups``: map group label -> list of destination names.
-* ``boundary``: the booth separating the two local sub-regions:
-  ``{node, inbound_key, outbound_key, positive, negative}`` where
-  ``positive``/``negative`` describe the two net directions as
-  ``{label, consumes, groups}`` (``consumes`` is ``onramp`` or
-  ``offramp``). Optional; ``null`` disables the internal phase.
-* ``ramps``: ``{onramp, offramp}`` count keys. Optional.
-* ``passthrough_pairs``: list of ``{upstream, downstream, axis}``.
-* ``scenario_subsets``: map scenario name (``Internal`` uses the
-  boundary's per-direction groups instead) -> list of group labels:
-  ``LocalInflow``, ``LocalOutflow``, ``PassthroughNet``.
+* A node's ``scale`` is the synthetic generator's mean peak-hour volume.
+  Each of a station's ``directions`` is a series of its own, with count
+  key ``<name>|<direction>``.
+* ``boundary`` is the booth between the two local sub-regions. Its
+  ``positive`` and ``negative`` net directions each consume a ramp and
+  route to their groups. A missing or null ``boundary`` or ``ramps``
+  disables that phase.
+* ``scenario_subsets`` maps ``LocalInflow``, ``LocalOutflow`` and
+  ``PassthroughNet`` to group labels; the internal phase uses the
+  boundary's groups instead.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import Direction, NodeId, NodeKind, RoadTag
-from .errors import ConfigError
+from .core import Direction, NodeId, NodeKind, RoadTag, series_key
+from .errors import NUMBER, ConfigError, Default, Each, check, one_of
 
 __all__ = [
     "NetworkNode",
@@ -139,13 +131,14 @@ class NetworkConfig:
         if self.boundary is not None:
             self._require(self.boundary.node, "boundary")
             for d in (self.boundary.positive, self.boundary.negative):
-                if d.consumes not in ("onramp", "offramp"):
-                    raise ConfigError(
-                        f"boundary direction {d.label!r} must consume onramp or offramp"
-                    )
                 self._check_groups(f"boundary direction {d.label!r}", d.groups)
             if self.ramps is None:
                 raise ConfigError("boundary phase requires ramps")
+        series = {series_key(n.node.name, Direction(d)) for n in self.stations()
+                  for d in n.directions or (Direction.UNDIRECTED.value,)}
+        unknown = [key for key in self.referenced_count_keys() if key not in series]
+        if unknown:
+            raise ConfigError(f"count keys {unknown} are not the series key of any station")
 
     def _check_groups(self, context: str, labels: tuple[str, ...]) -> None:
         """Routed volume is split over these groups' members, so each group
@@ -196,90 +189,63 @@ class NetworkConfig:
         return keys
 
 
-_DIRECTIONS = tuple(d.value for d in Direction)
+_STRING = (lambda v: isinstance(v, str), "a string", None)
+_NAMES = Each(_STRING)
+_NODE = {
+    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string", None),  # as NodeId requires
+    "kind": one_of(tuple(kind.value for kind in NodeKind)),
+    "road_tag": one_of(tuple(tag.value for tag in RoadTag)),
+    "scale": Default(NUMBER, 100.0),
+    "directions": Default(Each(one_of(tuple(d.value for d in Direction))), ()),
+}
+_BOUNDARY_DIRECTION = {"label": _STRING, "consumes": one_of(("onramp", "offramp")), "groups": _NAMES}
 
-
-def _parse_node(raw: dict) -> NetworkNode:
-    try:
-        kind = NodeKind(raw["kind"])
-        tag = RoadTag.parse(raw["road_tag"])
-        directions = raw.get("directions", [])
-        if not isinstance(directions, list) or not all(d in _DIRECTIONS for d in directions):
-            raise ConfigError(f"node {raw['name']!r}: directions must be a list of {list(_DIRECTIONS)}")
-        return NetworkNode(
-            node=NodeId(name=raw["name"], kind=kind),
-            road_tag=tag,
-            scale=float(raw.get("scale", 100.0)),
-            directions=tuple(directions),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"node entry missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad node entry {raw.get('name')!r}: {exc}") from exc
-
-
-def _parse_boundary(raw: dict | None) -> BoundaryConfig | None:
-    if raw is None:
-        return None
-    def direction(d: dict) -> BoundaryDirection:
-        return BoundaryDirection(
-            label=d["label"], consumes=d["consumes"], groups=tuple(d["groups"])
-        )
-    try:
-        return BoundaryConfig(
-            node=raw["node"],
-            inbound_key=raw["inbound_key"],
-            outbound_key=raw["outbound_key"],
-            positive=direction(raw["positive"]),
-            negative=direction(raw["negative"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"boundary config missing field {exc}") from exc
+# What network_from_dict accepts (see errors.check for the rule forms).
+NETWORK_RULES: dict = {
+    "name": Default(_STRING, "unnamed"),
+    "nodes": Each(_NODE),
+    "destination_groups": Each(_NAMES, keyed=True),
+    "boundary": Default({"node": _STRING, "inbound_key": _STRING, "outbound_key": _STRING,
+                         "positive": _BOUNDARY_DIRECTION, "negative": _BOUNDARY_DIRECTION}, None),
+    "ramps": Default({"onramp": _STRING, "offramp": _STRING}, None),
+    "passthrough_pairs": Default(Each({"upstream": _STRING, "downstream": _STRING, "axis": _STRING}), ()),
+    "scenario_subsets": Default(Each(_NAMES, keyed=True), {}),
+}
 
 
 def network_from_dict(doc: dict) -> NetworkConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"network config must be an object, got {type(doc).__name__}")
-    name = doc.get("name", "unnamed")
-    if not isinstance(name, str):
-        raise ConfigError(f"network name must be a string, got {name!r}")
-    for key in ("destination_groups", "scenario_subsets"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ConfigError(f"network {key} must be an object, got {doc[key]!r}")
-    try:
-        nodes = tuple(_parse_node(n) for n in doc["nodes"])
-        groups = {k: tuple(v) for k, v in doc["destination_groups"].items()}
-        pairs = tuple(
-            PassthroughPair(upstream=p["upstream"], downstream=p["downstream"], axis=p["axis"])
-            for p in doc.get("passthrough_pairs", ())
-        )
-        subsets = {k: tuple(v) for k, v in doc.get("scenario_subsets", {}).items()}
-        ramps_raw = doc.get("ramps")
-        ramps = RampConfig(**ramps_raw) if ramps_raw else None
-        return NetworkConfig(
-            name=name,
-            nodes=nodes,
-            destination_groups=groups,
-            passthrough_pairs=pairs,
-            scenario_subsets=subsets,
-            boundary=_parse_boundary(doc.get("boundary")),
-            ramps=ramps,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"network config missing field {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"malformed network config: {exc}") from exc
+    """The network a JSON document describes; a copy of ``doc`` is checked against NETWORK_RULES."""
+    doc = copy.deepcopy(doc)
+    check("network", doc, NETWORK_RULES)
+    boundary, ramps = doc["boundary"], doc["ramps"]
+    if boundary is not None:
+        sides = {side: BoundaryDirection(**{**boundary[side], "groups": tuple(boundary[side]["groups"])})
+                 for side in ("positive", "negative")}
+        boundary = BoundaryConfig(**{**boundary, **sides})
+    nodes = tuple(
+        NetworkNode(node=NodeId(name=n["name"], kind=NodeKind(n["kind"])), road_tag=RoadTag(n["road_tag"]),
+                    scale=float(n["scale"]), directions=tuple(n["directions"]))
+        for n in doc["nodes"]
+    )
+    return NetworkConfig(
+        name=doc["name"],
+        nodes=nodes,
+        destination_groups={k: tuple(v) for k, v in doc["destination_groups"].items()},
+        passthrough_pairs=tuple(PassthroughPair(**p) for p in doc["passthrough_pairs"]),
+        scenario_subsets={k: tuple(v) for k, v in doc["scenario_subsets"].items()},
+        boundary=boundary,
+        ramps=RampConfig(**ramps) if ramps is not None else None,
+    )
 
 
 def load_network(path: str | Path) -> NetworkConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"network config not found: {p}")
-    with open(p, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
     return network_from_dict(doc)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ class TestSynth:
     def test_zero_days_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         assert main(["--config", str(cfg), "synth", "--days", "0"]) == 1
+
+    def test_huge_gain_exits_1_without_a_warning(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", synthetic={"days": 1, "gains": {"Primary": 1e300}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), "synth"]) == 1
+        assert "node 'E6-Klett': the gain for Primary" in capsys.readouterr().err
 
     def test_writes_difference_table(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
@@ -163,6 +171,8 @@ CORRUPT_TREES = {
     "cover-not-sum-of-children": "covers",
     "non-positive-cover": "covers",
     "non-finite-value": "finite",
+    "float-feature": "feature must hold int32 integers",
+    "float-child": "left must hold int32 integers",
 }
 
 
@@ -180,6 +190,10 @@ def corrupt_tree(tree: dict, case: str) -> None:
         tree["cover"] = [0.0] * len(tree["cover"])
     elif case == "non-finite-value":
         tree["value"][leaf] = math.nan
+    elif case == "float-feature":
+        tree["feature"][0] += 0.5
+    elif case == "float-child":
+        tree["left"][0] += 0.5
 
 
 class TestModelValidation:
@@ -337,6 +351,15 @@ class TestConfigHandling:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["--config", str(bad), "synth"]) == 1
 
+    @pytest.mark.parametrize("document", ["config", "network"])
+    def test_non_utf8_json_exit_1(self, tmp_path, capsys, document):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        cfg = bad if document == "config" else write_config(tmp_path / "run.json", network=str(bad))
+        assert main(["--config", str(cfg), "synth"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid JSON in" in err and "'utf-8' codec can't decode" in err
+
     def test_unknown_key_exit_1(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
@@ -490,10 +513,10 @@ class TestNetworkValidation:
     volume is split over a scenario's destinations, so empty groups and
     subsets must not reach routing (they ended in ZeroDivisionError)."""
 
-    def route_exit_code(self, tmp_path, doc) -> int:
+    def route_exit_code(self, tmp_path, doc, command="route") -> int:
         (tmp_path / "network.json").write_text(json.dumps(doc), encoding="utf-8")
         cfg = write_config(tmp_path / "run.json", network=str(tmp_path / "network.json"))
-        return main(["--config", str(cfg), "route"])
+        return main(["--config", str(cfg), command])
 
     def test_empty_group_used_by_a_subset_exit_1(self, tmp_path, capsys):
         doc = bundled_network_doc()
@@ -520,21 +543,46 @@ class TestNetworkValidation:
         doc = bundled_network_doc()
         doc[key] = value
         assert self.route_exit_code(tmp_path, doc) == 1
-        assert f"network {key} must be an object" in capsys.readouterr().err
+        assert f"network.{key}: bad value {value!r}: {key} must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("directions", ["Inbound", ["Northbound"], [["Inbound"]], None])
     def test_directions_not_a_list_of_directions_exit_1(self, tmp_path, capsys, directions):
         doc = bundled_network_doc()
         doc["nodes"][0]["directions"] = directions
         assert self.route_exit_code(tmp_path, doc) == 1
-        assert "directions must be a list of ['Inbound', 'Outbound', 'Undirected']" in capsys.readouterr().err
+        assert "error: network.nodes.0.directions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", [5, None, ["Trondheim"]])
     def test_name_not_a_string_exit_1(self, tmp_path, capsys, name):
         doc = bundled_network_doc()
         doc["name"] = name
         assert self.route_exit_code(tmp_path, doc) == 1
-        assert "network name must be a string" in capsys.readouterr().err
+        assert f"network.name: bad value {name!r}: name must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("nodes", 0, "road_tag"), 5, "network.nodes.0.road_tag: bad value 5: road_tag must be one of"),
+            (("nodes", 0, "road_tag"), "Motorway", "network.nodes.0.road_tag: bad value 'Motorway'"),
+            (("nodes", 0, "scale"), "100", "network.nodes.0.scale: bad value '100': scale must be finite"),
+            (("nodes", 0, "scael"), 3, "network.nodes.0: unknown keys ['scael']"),
+            (("nodez",), [], "network: unknown keys ['nodez']"),
+            (("passthrough_pairs", 0, "axis"), 5, "network.passthrough_pairs.0.axis: bad value 5: axis must be"),
+            (("boundary", "positive", "label"), ["x"], "network.boundary.positive.label: bad value ['x']"),
+            (("ramps",), {"onramp": 5, "offramp": 6}, "network.ramps.onramp: bad value 5: onramp must be"),
+            (("ramps", "onramp"), "Nowhere", "count keys ['Nowhere'] are not the series key of any station"),
+            (("boundary", "inbound_key"), "ØstreRosten", "count keys ['ØstreRosten'] are not the series key"),
+            (("nodes", 0, "scale"), 1e308, "network.nodes.0.scale: bad value 1e+308: node 'E6-Klett'"),
+        ],
+        ids=["road_tag-number", "road_tag-unknown", "scale-string", "node-key-typo", "top-level-typo",
+             "axis-number", "label-list", "ramps-numbers", "ramp-unknown-key", "boundary-undirected-key",
+             "scale-huge"],
+    )
+    def test_bad_field_exits_1_at_synth(self, tmp_path, capsys, path, value, message):
+        doc = bundled_network_doc()
+        set_field(doc, path, value)
+        assert self.route_exit_code(tmp_path, doc, "synth") == 1
+        assert message in capsys.readouterr().err
 
 
 def test_cli_path_builds_no_per_row_objects(tmp_path, monkeypatch):
@@ -613,6 +661,12 @@ def run_in_copy(base, tmp_dir, doc: dict, argv: list[str]) -> int:
         os.chdir(cwd)
 
 
+def set_field(doc, path: tuple, value) -> None:
+    for part in path[:-1]:
+        doc = doc[part]
+    doc[path[-1]] = value
+
+
 def field_paths(node, prefix=()):
     """Every key or index path into a JSON document, containers included."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -641,12 +695,8 @@ class TestFuzz:
     @given(data=st.data())
     def test_any_value_for_one_model_field_exits_0_or_2(self, one_day_run, tmp_path_factory, data):
         doc = json.loads((one_day_run / "out" / "model.json").read_text(encoding="utf-8"))
-        paths = list(field_paths(doc))
-        path = data.draw(st.sampled_from(paths), label="field")
-        node = doc
-        for part in path[:-1]:
-            node = node[part]
-        node[path[-1]] = data.draw(json_values(True), label="value")
+        path = data.draw(st.sampled_from(list(field_paths(doc))), label="field")
+        set_field(doc, path, data.draw(json_values(True), label="value"))
         tmp_dir = tmp_path_factory.mktemp("fuzz_model")
         (tmp_dir / "bad").mkdir()
         (tmp_dir / "bad" / "model.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -654,3 +704,14 @@ class TestFuzz:
                   "synthetic": None, "out_dir": "bad"}
         assert run_in_copy(one_day_run, tmp_dir, config, ["eval"]) in (0, 2)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_value_for_one_network_field_exits_0_or_1(self, tmp_path_factory, data):
+        doc = bundled_network_doc()
+        path = data.draw(st.sampled_from(list(field_paths(doc))), label="field")
+        set_field(doc, path, data.draw(json_values(True), label="value"))
+        tmp_dir = tmp_path_factory.mktemp("fuzz_network")
+        (tmp_dir / "network.json").write_text(json.dumps(doc), encoding="utf-8")
+        config = {**ONE_DAY_CONFIG, "network": str(tmp_dir / "network.json"), "out_dir": str(tmp_dir / "out")}
+        (tmp_dir / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(tmp_dir / "run.json"), "synth"]) in (0, 1)
