@@ -23,12 +23,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fusion import FusionModel, RegressionTree, raw_score_matrix
-from .ingest import TARGET_NAMES, FeatureVector, FusionDataset
+from .ingest import TARGET_NAMES, FusionDataset
 
 __all__ = [
-    "AttributionVector",
     "GlobalImportance",
-    "shap_values",
     "shap_matrix",
     "global_importance",
     "permutation_importance",
@@ -37,18 +35,6 @@ __all__ = [
     "write_attributions_csv",
     "write_permutation_csv",
 ]
-
-
-@dataclass(frozen=True)
-class AttributionVector:
-    """Per-feature contributions plus the expected score they start from."""
-
-    feature_names: tuple[str, ...]
-    contributions: np.ndarray
-    base_value: float
-
-    def total(self) -> float:
-        return self.base_value + float(self.contributions.sum())
 
 
 @dataclass(frozen=True)
@@ -145,18 +131,9 @@ def _target_model(model: FusionModel, target: str):
     return tm
 
 
-def shap_values(model: FusionModel, target: str, x: FeatureVector | np.ndarray) -> AttributionVector:
-    """Ensemble attributions for one input: per-tree path-dependent values,
-    scaled by the learning rate and summed across trees."""
-    row = x.to_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    phi, base = shap_matrix(model, target, row[None, :])
-    return AttributionVector(
-        feature_names=model.feature_names, contributions=phi[0], base_value=base
-    )
-
-
 def shap_matrix(model: FusionModel, target: str, X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Attributions for every row of a feature matrix; returns (phi, base)."""
+    """Ensemble attributions for every row of a feature matrix, per-tree values
+    scaled by the learning rate and summed across trees; returns (phi, base)."""
     tm = _target_model(model, target)
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():

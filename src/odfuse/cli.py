@@ -218,8 +218,8 @@ def cmd_synth(config: dict) -> int:
 
 
 def cmd_train(config: dict) -> int:
-    dataset = build_dataset(*_tables(config, _network(config)), config["valid_fraction"])
     hp = _built("hyperparams", GbtHyperparams, **{"seed": config["seed"], **config["hyperparams"]})
+    dataset = build_dataset(*_tables(config, _network(config)), config["valid_fraction"])
     model = train(dataset, hp)
     out = _out_dir(config)
     save_model(model, out / "model.json")

@@ -5,7 +5,7 @@ Everything here is an immutable value type, safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -231,14 +231,6 @@ class CountsByCategory:
     total_mismatch: bool = field(default=False, compare=False)
 
     @classmethod
-    def from_categories(cls, counts: dict[VehicleCategory, float]) -> "CountsByCategory":
-        full = {cat: float(counts.get(cat, 0.0)) for cat in CATEGORY_ORDER}
-        for cat, v in full.items():
-            if v < 0:
-                raise DataError(f"negative count {v!r} for category {cat.key}")
-        return cls(counts=full, total=sum(full.values()))
-
-    @classmethod
     def with_reported_total(
         cls, counts: dict[VehicleCategory, float], total: float
     ) -> "CountsByCategory":
@@ -362,15 +354,6 @@ class TollboothTable(_Rows):
         return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
                    counts=values[:, :-1], total=values[:, -1])
 
-    @classmethod
-    def of(cls, observations: "TollboothTable | Iterable[TollboothObservation]") -> "TollboothTable":
-        """The observations as a table; a table comes back as it is."""
-        if isinstance(observations, cls):
-            return observations
-        obs = list(observations)
-        values = [[o.counts.counts.get(c, 0.0) for c in CATEGORY_ORDER] + [o.counts.total] for o in obs]
-        return cls.from_rows([o.hour for o in obs], [(o.node, o.direction) for o in obs], values)
-
     def series_keys(self) -> list[str]:
         """The count key of each series, as ``TollboothObservation.join_key``."""
         return [series_key(node.name, direction) for node, direction in self.series_ids]
@@ -410,15 +393,6 @@ class RoutingTable(_Rows):
         return cls(hours=hour_table, nodes=node_table, hour=hour, node=node,
                    flow=np.array(flow, dtype=np.float64), tag=np.array([tag_codes[t] for t in tags], dtype=np.int64),
                    censored=np.array(censored, dtype=bool))
-
-    @classmethod
-    def of(cls, observations: "RoutingTable | Iterable[RoutingReportObservation]") -> "RoutingTable":
-        """The observations as a table; a table comes back as it is."""
-        if isinstance(observations, cls):
-            return observations
-        obs = list(observations)
-        return cls.from_rows([o.hour for o in obs], [o.node for o in obs], [o.people_flow for o in obs],
-                             [o.road_tag for o in obs], [o.censored for o in obs])
 
     def _item(self, i: int) -> RoutingReportObservation:
         return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InternalError
+from .errors import ConfigError, DataError, InternalError, is_number
 from .ingest import FEATURE_NAMES, TARGET_NAMES, FusionDataset
 
 __all__ = [
@@ -88,9 +88,9 @@ class GbtHyperparams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0 < self.learning_rate <= 1:
-            raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not math.isfinite(self.l2_leaf_regularization) or self.l2_leaf_regularization < 0:
+        if not (is_number(self.learning_rate) and 0 < self.learning_rate <= 1):
+            raise ConfigError(f"learning_rate must be a number in (0, 1], got {self.learning_rate!r}")
+        if not is_number(self.l2_leaf_regularization) or self.l2_leaf_regularization < 0:
             raise ConfigError(f"l2_leaf_regularization must be finite and non-negative, "
                               f"got {self.l2_leaf_regularization!r}")
 

@@ -29,9 +29,7 @@ from .core import (
     NodeId,
     NodeKind,
     RoadTag,
-    RoutingReportObservation,
     RoutingTable,
-    TollboothObservation,
     TollboothTable,
     _first_repeat,
     _ranks,
@@ -39,17 +37,15 @@ from .core import (
     series_key,
     station_of,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_number
 from .network import NetworkConfig
 
 __all__ = [
     "FEATURE_NAMES",
     "TARGET_NAMES",
     "CENSOR_SENTINEL",
-    "FeatureVector",
     "FusionDataset",
     "BiasProfile",
-    "feature_vector",
     "feature_matrix",
     "read_tollbooth_csv",
     "read_routing_csv",
@@ -106,33 +102,8 @@ def _features(flow, hour_of_day, day_of_week, is_weekend, tag) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Model input features for one (node, hour) routing report."""
-
-    people_flow: float
-    hour_of_day: int
-    day_of_week: int
-    is_weekend: int
-    road_tag: RoadTag
-
-    def to_array(self) -> np.ndarray:
-        return _features([self.people_flow], [self.hour_of_day], [self.day_of_week], [self.is_weekend],
-                         [TAG_ORDER.index(self.road_tag)])[0]
-
-
-def feature_vector(obs: RoutingReportObservation) -> FeatureVector:
-    return FeatureVector(
-        people_flow=float(obs.people_flow),
-        hour_of_day=obs.hour.hour_of_day,
-        day_of_week=obs.hour.day_of_week,
-        is_weekend=int(obs.hour.is_weekend),
-        road_tag=obs.road_tag,
-    )
-
-
 def feature_matrix(routing: RoutingTable, rows: np.ndarray) -> np.ndarray:
-    """Model features of the given routing rows, as ``feature_vector`` builds them."""
+    """Model features of the given routing rows, one row each in FEATURE_NAMES order."""
     hour_fields = (routing.hour_field(name)[rows] for name in ("hour_of_day", "day_of_week", "is_weekend"))
     return _features(routing.flow[rows], *hour_fields, routing.tag[rows])
 
@@ -294,8 +265,7 @@ def read_routing_csv(
     return RoutingTable.from_rows(row_hours, row_nodes, flows, row_tags, censored)
 
 
-def write_tollbooth_csv(path: str | Path, observations: TollboothTable | list[TollboothObservation]) -> None:
-    table = TollboothTable.of(observations)
+def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
     hours = [h.isoformat() for h in table.hours]
     series = [(node.name, direction.value) for node, direction in table.series_ids]
     counts = np.column_stack((table.counts, table.total)).astype(np.int64)
@@ -309,10 +279,9 @@ def write_tollbooth_csv(path: str | Path, observations: TollboothTable | list[To
 
 def write_routing_csv(
     path: str | Path,
-    observations: RoutingTable | list[RoutingReportObservation],
+    table: RoutingTable,
     sentinel: str = CENSOR_SENTINEL,
 ) -> None:
-    table = RoutingTable.of(observations)
     hours = [h.isoformat() for h in table.hours]
     names = [node.name for node in table.nodes]
     tags = [t.value for t in TAG_ORDER]
@@ -361,8 +330,8 @@ def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray,
 
 
 def build_dataset(
-    tollbooth: TollboothTable | list[TollboothObservation],
-    routing: RoutingTable | list[RoutingReportObservation],
+    tollbooth: TollboothTable,
+    routing: RoutingTable,
     valid_fraction: float = 0.2,
 ) -> FusionDataset:
     """Join the two sources and split chronologically.
@@ -374,7 +343,6 @@ def build_dataset(
     """
     if not 0 < valid_fraction < 1:
         raise ConfigError(f"valid_fraction must be in (0, 1), got {valid_fraction}")
-    tollbooth, routing = TollboothTable.of(tollbooth), RoutingTable.of(routing)
     tb_rows, rt_rows, key, keys = _join(tollbooth, routing)
     if not len(tb_rows):
         raise DataError("no overlapping (node, hour) pairs between tollbooth and routing data")
@@ -414,12 +382,12 @@ class BiasProfile:
             gain = self.gains.get(tag)
             if gain is None:
                 raise ConfigError(f"bias profile missing gain for {tag.value}")
-            if not math.isfinite(gain) or gain <= 0:
-                raise ConfigError(f"gain for {tag.value} must be finite and positive, got {gain}")
-        if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be finite and non-negative, got {self.noise_scale}")
-        if not math.isfinite(self.censor_threshold) or self.censor_threshold < 0:
-            raise ConfigError(f"censor_threshold must be finite and non-negative, got {self.censor_threshold}")
+            if not is_number(gain) or gain <= 0:
+                raise ConfigError(f"gain for {tag.value} must be finite and positive, got {gain!r}")
+        for name in ("noise_scale", "censor_threshold"):
+            value = getattr(self, name)
+            if not is_number(value) or value < 0:
+                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
 
     @classmethod
     def identity(cls, seed: int = 0) -> "BiasProfile":
@@ -526,17 +494,13 @@ def generate_synthetic(
     return tollbooth, routing
 
 
-def difference_series(
-    tollbooth: TollboothTable | list[TollboothObservation],
-    routing: RoutingTable | list[RoutingReportObservation],
-) -> dict[tuple[str, int], float]:
+def difference_series(tollbooth: TollboothTable, routing: RoutingTable) -> dict[tuple[str, int], float]:
     """Mean (tollbooth total - people_flow) per node and hour of day.
 
     Positive cells mean the ground truth exceeds the mobility estimate.
     Joined like build_dataset, so censored rows are excluded; cells with no
     joined rows are simply absent.
     """
-    tollbooth, routing = TollboothTable.of(tollbooth), RoutingTable.of(routing)
     tb_rows, rt_rows, key, keys = _join(tollbooth, routing)
     # Cells in (node key, hour of day) order; bincount adds in pair order.
     cell = key * 24 + tollbooth.hour_field("hour_of_day")[tb_rows]

@@ -134,9 +134,15 @@ class NetworkConfig:
                 self._check_groups(f"boundary direction {d.label!r}", d.groups)
             if self.ramps is None:
                 raise ConfigError("boundary phase requires ramps")
-        series = {series_key(n.node.name, Direction(d)) for n in self.stations()
-                  for d in n.directions or (Direction.UNDIRECTED.value,)}
-        unknown = [key for key in self.referenced_count_keys() if key not in series]
+        # Every node writes one series per direction, destinations included.
+        series = [(n.node.kind, series_key(n.node.name, Direction(d))) for n in self.nodes
+                  for d in n.directions or (Direction.UNDIRECTED.value,)]
+        keys = [key for _, key in series]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            raise ConfigError(f"repeated series keys {repeated}: each node and direction needs a key of its own")
+        counted = {key for kind, key in series if kind is not NodeKind.INFERRED_DESTINATION}
+        unknown = [key for key in self.referenced_count_keys() if key not in counted]
         if unknown:
             raise ConfigError(f"count keys {unknown} are not the series key of any station")
 

@@ -37,8 +37,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (CATEGORY_ORDER, HourKey, RoutingReportObservation, RoutingTable, TollboothObservation,
-                   TollboothTable, VehicleCategory, VehicleType, _first_repeat, _ranks, map_vehicle_type)
+from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType,
+                   _first_repeat, _ranks, map_vehicle_type)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
 from .ingest import feature_matrix
@@ -46,7 +46,7 @@ from .network import NetworkConfig
 
 __all__ = [
     "Scenario", "FlowDecision", "JointDistribution", "Marginals", "ODEntry", "ODMatrix",
-    "LedgerEvent", "RoutingRun", "largest_remainder", "infer_joint_distribution", "marginals",
+    "LedgerEvent", "RoutingRun", "largest_remainder", "joint_from_predictions", "marginals",
     "decide_flows", "distribute", "build_od_matrix", "write_od_csv", "write_ledger_csv",
     "conservation_violations",
 ]
@@ -295,21 +295,6 @@ def _check_hour_rows(hour: HourKey, names: list[str]) -> None:
         raise DataError(f"duplicate destination rows for hour {hour.isoformat()}")
 
 
-def infer_joint_distribution(
-    model: FusionModel,
-    routing_rows: RoutingTable | list[RoutingReportObservation],
-    hour: HourKey,
-) -> JointDistribution:
-    """Predict category counts at each destination and normalize to a joint."""
-    routing = RoutingTable.of(routing_rows)
-    at_hour = np.array([h.timestamp == hour.timestamp for h in routing.hours], dtype=bool)
-    rows = np.nonzero(at_hour[routing.hour])[0]
-    names = [routing.nodes[n].name for n in routing.node[rows].tolist()]
-    _check_hour_rows(hour, names)
-    preds = predict_matrix(model, feature_matrix(routing, rows))[:, 1:]  # category columns only
-    return joint_from_predictions(hour, names, preds, routing.censored[rows])
-
-
 def _joint_arrays(joint: JointDistribution) -> tuple[list[str], np.ndarray, np.ndarray]:
     names = joint.destinations()
     mass = np.array([[joint.mass.get((d, c), 0.0) for c in CATEGORY_ORDER] for d in names])
@@ -457,8 +442,8 @@ def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry
 def build_od_matrix(
     network: NetworkConfig,
     model: FusionModel,
-    tollbooth: TollboothTable | list[TollboothObservation],
-    routing: RoutingTable | list[RoutingReportObservation],
+    tollbooth: TollboothTable,
+    routing: RoutingTable,
     hours: Iterable[HourKey] | None = None,
 ) -> RoutingRun:
     """Assemble the OD matrix over a range of hours.
@@ -468,7 +453,6 @@ def build_od_matrix(
     distribute, and append to the conservation ledger. ``hours`` defaults
     to every hour present in the tollbooth data.
     """
-    tollbooth, routing = TollboothTable.of(tollbooth), RoutingTable.of(routing)
     # Hour x count-key grid of integer totals, -1 where a series has no row.
     series_keys = tollbooth.series_keys()
     keys = list(dict.fromkeys(series_keys))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RoutingReportObservation, RoutingTable
+from .core import RoutingTable
 from .errors import DataError
 
 __all__ = [
@@ -55,16 +55,15 @@ class TemporalProfile:
             raise DataError(f"profile mass sums to {float(self.mass.sum())!r}, not 1")
 
 
-def build_profile(rows: RoutingTable | list[RoutingReportObservation], kind: ProfileKind) -> TemporalProfile:
+def build_profile(rows: RoutingTable, kind: ProfileKind) -> TemporalProfile:
     """Bin flows by hour of day or day of week and normalize to 1."""
     bins = _BINS.get(kind)
     if bins is None:
         raise DataError(f"unknown profile kind {kind!r}; use {sorted(_BINS)}")
-    table = RoutingTable.of(rows)
-    if not len(table):
+    if not len(rows):
         raise DataError("cannot build a profile from zero rows")
-    index = table.hour_field("hour_of_day" if kind == DIURNAL else "day_of_week")
-    mass = np.bincount(index, weights=table.flow, minlength=bins)
+    index = rows.hour_field("hour_of_day" if kind == DIURNAL else "day_of_week")
+    mass = np.bincount(index, weights=rows.flow, minlength=bins)
     total = float(mass.sum())
     if total <= 0.0:
         raise DataError("profile undefined: all flows are zero")
@@ -126,12 +125,11 @@ class StabilityRow:
 
 
 def compare_periods(
-    rows_a: RoutingTable | list[RoutingReportObservation],
-    rows_b: RoutingTable | list[RoutingReportObservation],
+    rows_a: RoutingTable,
+    rows_b: RoutingTable,
     epsilon: float = 1e-9,
 ) -> list[StabilityRow]:
     """Compare diurnal and weekly profiles between two periods."""
-    rows_a, rows_b = RoutingTable.of(rows_a), RoutingTable.of(rows_b)
     out = []
     for kind in (DIURNAL, WEEKLY):
         pa = build_profile(rows_a, kind)

@@ -6,12 +6,14 @@ position, raw scores by one ``predict_batch`` call per tree, Shapley
 values by subset enumeration, apportionment by integer-vector search and
 by the scalar largest-remainder loop, OD rows by the per-decision routing
 loop, permutation importance by tree-by-tree re-scoring, conservation by
-direct recomputation from raw counts, and CSV parsing by the per-row
-readers that build observation objects."""
+direct recomputation from raw counts, CSV parsing by the per-row
+readers that build observation objects, and model features by the
+encoding written out one report at a time."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from itertools import combinations, product
 from pathlib import Path
@@ -25,6 +27,7 @@ from odfuse.core import (
     NodeId,
     NodeKind,
     RoadTag,
+    TAG_ORDER,
     RoutingReportObservation,
     TollboothObservation,
     make_hour_key,
@@ -176,6 +179,13 @@ def minimax_apportionment(total: int, weights: list[float]) -> list[int]:
             best = key
     assert best is not None
     return list(best[2])
+
+
+def take_rows(table, rows):
+    """The rows of a tollbooth or routing table at ``rows``, in that order and
+    repeats allowed; the code tables stay as they are."""
+    columns = {name: value[rows] for name, value in vars(table).items() if isinstance(value, np.ndarray)}
+    return dataclasses.replace(table, **columns)
 
 
 def station(name: str, tag: RoadTag = RoadTag.PRIMARY, scale: float = 100.0, directions=()) -> NetworkNode:
@@ -453,7 +463,6 @@ def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tu
     """
     from odfuse.core import CATEGORY_ORDER
     from odfuse.fusion import predict_matrix
-    from odfuse.ingest import feature_vector
     from odfuse.routing import decide_flows
 
     counts_by_hour: dict = {}
@@ -470,7 +479,7 @@ def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tu
     for hour in sorted(hours, key=lambda h: h.timestamp):
         rows = dest_rows[hour.timestamp]
         names = [r.node.name for r in rows]
-        preds = predict_matrix(model, np.stack([feature_vector(r).to_array() for r in rows]))
+        preds = predict_matrix(model, np.array([reference_features(r) for r in rows]))
         table = np.maximum(preds[:, 1:], 0.0)
         for i, r in enumerate(rows):
             if r.censored:
@@ -771,14 +780,22 @@ def reference_join_rows(tollbooth, routing) -> list[tuple]:
     return pairs
 
 
+def reference_features(obs: RoutingReportObservation) -> list[float]:
+    """One routing report's model features, written out from its timestamp:
+    flow, hour of day, day of week (Monday 0), weekend flag, then the road
+    tag one-hot in TAG_ORDER order."""
+    ts = obs.hour.timestamp
+    return [obs.people_flow, ts.hour, ts.weekday(), float(ts.weekday() >= 5)] + [
+        float(obs.road_tag is tag) for tag in TAG_ORDER
+    ]
+
+
 def reference_dataset(tollbooth, routing, valid_fraction: float) -> tuple:
     """(X, Y, node keys, hours, split index) built one joined pair at a time."""
-    from odfuse.ingest import feature_vector
-
     pairs = reference_join_rows(tollbooth, routing)
     timestamps = sorted({tb.hour.timestamp for tb, _ in pairs})
     cutoff = timestamps[len(timestamps) - max(1, round(valid_fraction * len(timestamps)))]
-    X = np.array([feature_vector(rt).to_array() for _, rt in pairs])
+    X = np.array([reference_features(rt) for _, rt in pairs])
     Y = np.array([[tb.counts.total] + [tb.counts.counts[c] for c in CATEGORY_ORDER] for tb, _ in pairs])
     split_index = sum(1 for tb, _ in pairs if tb.hour.timestamp < cutoff)
     return X, Y, [tb.join_key() for tb, _ in pairs], [tb.hour for tb, _ in pairs], split_index

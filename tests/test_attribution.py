@@ -5,7 +5,6 @@ from odfuse.attribution import (
     global_importance,
     permutation_importance,
     shap_matrix,
-    shap_values,
     tree_shap_single,
 )
 from odfuse.core import RoadTag
@@ -166,8 +165,8 @@ class TestEnsembleShap:
         manual = np.zeros(len(FEATURE_NAMES))
         for tree in model.targets["total"].trees:
             manual += lr * tree_shap_single(tree, x, len(FEATURE_NAMES))
-        vec = shap_values(model, "total", x)
-        assert np.abs(vec.contributions - manual).max() < 1e-9
+        phi, _ = shap_matrix(model, "total", x[None, :])
+        assert np.abs(phi[0] - manual).max() < 1e-9
 
     def test_non_finite_rows_rejected(self, small_model):
         model, ds = small_model
@@ -180,9 +179,9 @@ class TestEnsembleShap:
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
             model.targets[name] = TargetModel(base_score=5.0, trees=[])
-        vec = shap_values(model, "total", np.zeros(len(FEATURE_NAMES)))
-        assert np.all(vec.contributions == 0.0)
-        assert vec.base_value == 5.0
+        phi, base = shap_matrix(model, "total", np.zeros((1, len(FEATURE_NAMES))))
+        assert np.all(phi == 0.0)
+        assert base == 5.0
 
 
 class TestGlobalImportance:

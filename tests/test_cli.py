@@ -427,6 +427,15 @@ class TestConfigHandling:
         assert main(["--config", str(cfg), command]) == 1
         assert f"error: {key}: bad value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hyperparams", [{"learning_rate": True}, {"l2_leaf_regularization": True}],
+                             ids=["learning_rate-bool", "l2-bool"])
+    def test_boolean_hyperparameter_exits_1_before_reading_data(self, tmp_path, capsys, hyperparams):
+        # No synth ran, so reading the input CSVs first would exit 2.
+        cfg = write_config(tmp_path / "run.json", hyperparams=hyperparams)
+        assert main(["--config", str(cfg), "train"]) == 1
+        assert f"hyperparams: {next(iter(hyperparams))} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, overrides, message",
         [
@@ -559,6 +568,21 @@ class TestNetworkValidation:
         assert self.route_exit_code(tmp_path, doc) == 1
         assert f"network.name: bad value {name!r}: name must be a string" in capsys.readouterr().err
 
+    def test_repeated_direction_exit_1(self, tmp_path, capsys):
+        doc = bundled_network_doc()
+        assert doc["nodes"][7]["name"] == "Bjørndalsbrua"
+        doc["nodes"][7]["directions"] = ["Inbound", "Inbound"]
+        assert self.route_exit_code(tmp_path, doc, "synth") == 1
+        assert "repeated series keys ['Bjørndalsbrua|Inbound']" in capsys.readouterr().err
+
+    def test_destination_named_like_a_directional_series_exit_1(self, tmp_path, capsys):
+        doc = bundled_network_doc()
+        doc["nodes"] += [{"name": "A", "kind": "county_tollbooth", "road_tag": "Trunk", "directions": ["Inbound"]},
+                         {"name": "A|Inbound", "kind": "inferred_destination", "road_tag": "Trunk"}]
+        doc["destination_groups"]["rosten-east"].append("A|Inbound")
+        assert self.route_exit_code(tmp_path, doc, "synth") == 1
+        assert "repeated series keys ['A|Inbound']" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -586,13 +610,12 @@ class TestNetworkValidation:
 
 
 def test_cli_path_builds_no_per_row_objects(tmp_path, monkeypatch):
-    """synth, train and route work on column tables: no observation or
-    feature object is constructed."""
+    """synth, train and route work on column tables: no observation object
+    is constructed."""
     from odfuse.core import RoutingReportObservation, TollboothObservation
-    from odfuse.ingest import FeatureVector
 
     built = []
-    for cls in (TollboothObservation, RoutingReportObservation, FeatureVector):
+    for cls in (TollboothObservation, RoutingReportObservation):
         def counting_init(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)

@@ -103,11 +103,6 @@ class TestCategoryOfLength:
 
 
 class TestCountsByCategory:
-    def test_from_categories_sums(self):
-        c = CountsByCategory.from_categories({VehicleCategory.UNDER_5_6: 10, VehicleCategory.OVER_24_0: 2})
-        assert c.total == 12
-        assert not c.total_mismatch
-
     def test_reported_total_within_tolerance(self):
         counts = dict(zip(CATEGORY_ORDER, [412, 23, 31, 12, 18, 4]))
         c = CountsByCategory.with_reported_total(counts, 500)
@@ -121,7 +116,7 @@ class TestCountsByCategory:
 
     def test_negative_count_rejected(self):
         with pytest.raises(DataError):
-            CountsByCategory.from_categories({VehicleCategory.UNDER_5_6: -1})
+            CountsByCategory.with_reported_total({VehicleCategory.UNDER_5_6: -1}, 0)
 
 
 class TestVehicleTypeMapping:
@@ -159,6 +154,6 @@ class TestObservations:
             node=NodeId(name="B", kind=NodeKind.MAIN_TOLLBOOTH),
             direction=Direction.INBOUND,
             hour=make_hour_key("2023-11-06T08:00"),
-            counts=CountsByCategory.from_categories({}),
+            counts=CountsByCategory.with_reported_total({}, 0),
         )
         assert obs.join_key() == "B|Inbound"

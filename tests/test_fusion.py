@@ -26,7 +26,6 @@ from odfuse.ingest import (
     BiasProfile,
     FEATURE_NAMES,
     TARGET_NAMES,
-    FeatureVector,
     FusionDataset,
     build_dataset,
     generate_synthetic,
@@ -205,7 +204,7 @@ class TestTrain:
             {"n_trees": 0}, {"learning_rate": 1.5},
             {"n_trees": 2.5}, {"max_depth": 2.5}, {"max_depth": True}, {"min_samples_leaf": 5.0},
             {"l2_leaf_regularization": float("inf")}, {"l2_leaf_regularization": float("nan")},
-            {"seed": -1}, {"seed": 1.5},
+            {"seed": -1}, {"seed": 1.5}, {"learning_rate": True}, {"l2_leaf_regularization": True},
         ):
             with pytest.raises(ConfigError):
                 GbtHyperparams(**bad)
@@ -216,10 +215,8 @@ class TestPredict:
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
             model.targets[name] = TargetModel(base_score=-3.2, trees=[])
-        fv = FeatureVector(
-            people_flow=10, hour_of_day=8, day_of_week=0, is_weekend=0, road_tag=RoadTag.TRUNK
-        )
-        pred = predict_matrix(model, fv.to_array()[None, :])
+        # flow 10 at 08:00 on a Monday, on a trunk road
+        pred = predict_matrix(model, np.array([[10.0, 8, 0, 0, 0, 1, 0]]))
         assert pred.shape == (1, len(TARGET_NAMES))
         assert (pred == 0.0).all()
 

@@ -40,6 +40,7 @@ from _helpers import (
     reference_read_routing_csv,
     reference_read_tollbooth_csv,
     station,
+    take_rows,
 )
 
 TOLLBOOTH_HEADER = (
@@ -149,29 +150,29 @@ class TestReadRoutingCsv:
 
 
 def obs_pair(name, ts, total, flow, tag=RoadTag.TRUNK, censored=False):
-    hour = make_hour_key(ts)
-    counts = {CATEGORY_ORDER[0]: float(total)}
-    tb = TollboothObservation(
-        node=NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH),
-        direction=Direction.UNDIRECTED,
-        hour=hour,
-        counts=CountsByCategory.from_categories(counts),
-    )
-    rt = RoutingReportObservation(
-        node=NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH),
-        hour=hour,
-        people_flow=0.0 if censored else float(flow),
-        road_tag=tag,
-        censored=censored,
-    )
-    return tb, rt
+    """One station-hour's tollbooth row and routing row, as ``tables`` takes them."""
+    return (name, ts, total), (name, ts, 0.0 if censored else flow, tag, censored)
+
+
+def tables(tb_rows, rt_rows):
+    """Tables of undirected main-tollbooth rows: (name, timestamp, total) with the
+    total in the shortest length band, and (name, timestamp, flow, tag, censored)."""
+    node = {name: NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH) for name, *_ in tb_rows + rt_rows}
+    names, stamps, totals = zip(*tb_rows)
+    tollbooth = TollboothTable.from_rows([make_hour_key(ts) for ts in stamps],
+                                         [(node[n], Direction.UNDIRECTED) for n in names],
+                                         [[total, 0, 0, 0, 0, 0, total] for total in totals])
+    names, stamps, flows, tags, censored = zip(*rt_rows)
+    routing = RoutingTable.from_rows([make_hour_key(ts) for ts in stamps], [node[n] for n in names], flows, tags,
+                                     censored)
+    return tollbooth, routing
 
 
 class TestBuildDataset:
     def test_small_join_and_split(self):
         tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
         tb2, rt2 = obs_pair("A", "2023-11-06T09:00", 20, 22)
-        ds = build_dataset([tb1, tb2], [rt1, rt2], valid_fraction=0.5)
+        ds = build_dataset(*tables([tb1, tb2], [rt1, rt2]), valid_fraction=0.5)
         assert ds.n_rows == 2
         assert ds.split_index == 1
 
@@ -179,13 +180,13 @@ class TestBuildDataset:
         tb, _ = obs_pair("A", "2023-11-06T08:00", 10, 12)
         _, rt = obs_pair("B", "2023-11-06T08:00", 10, 12)
         with pytest.raises(DataError, match="no overlapping"):
-            build_dataset([tb], [rt])
+            build_dataset(*tables([tb], [rt]))
 
     def test_censored_rows_excluded(self):
         tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
         tb2, rt2 = obs_pair("A", "2023-11-06T09:00", 20, 0, censored=True)
         tb3, rt3 = obs_pair("A", "2023-11-06T10:00", 30, 31)
-        ds = build_dataset([tb1, tb2, tb3], [rt1, rt2, rt3], valid_fraction=0.4)
+        ds = build_dataset(*tables([tb1, tb2, tb3], [rt1, rt2, rt3]), valid_fraction=0.4)
         assert ds.n_rows == 2
 
     def test_full_grid_splits_at_timestamp_boundary(self):
@@ -213,12 +214,12 @@ class TestBuildDataset:
     def test_bad_fraction_rejected(self):
         tb, rt = obs_pair("A", "2023-11-06T08:00", 10, 12)
         with pytest.raises(ConfigError):
-            build_dataset([tb], [rt], valid_fraction=1.5)
+            build_dataset(*tables([tb], [rt]), valid_fraction=1.5)
 
     def test_feature_layout(self):
         tb, rt = obs_pair("A", "2023-11-06T08:00", 10, 12, tag=RoadTag.TRUNK)
         tb2, rt2 = obs_pair("A", "2023-11-07T09:00", 11, 13, tag=RoadTag.TRUNK)
-        ds = build_dataset([tb, tb2], [rt, rt2], valid_fraction=0.5)
+        ds = build_dataset(*tables([tb, tb2], [rt, rt2]), valid_fraction=0.5)
         row = ds.X[0]
         assert row[FEATURE_NAMES.index("people_flow")] == 12
         assert row[FEATURE_NAMES.index("hour_of_day")] == 8
@@ -290,6 +291,13 @@ class TestGenerateSynthetic:
         assert len(tb) == 8 * 720 + 720
         assert len(rt) == (9 + 8) * 720
 
+    @pytest.mark.parametrize("setting", [{"gains": {RoadTag.PRIMARY: True, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 1.0}},
+                                         {"noise_scale": True}, {"censor_threshold": True}],
+                             ids=["gain", "noise_scale", "censor_threshold"])
+    def test_boolean_bias_setting_rejected(self, setting):
+        with pytest.raises(ConfigError, match="must be finite"):
+            BiasProfile(**{"gains": {tag: 1.0 for tag in RoadTag}, **setting})
+
     def test_rejects_zero_days(self):
         with pytest.raises(ConfigError):
             generate_synthetic(grid_network(), 0, identity_profile())
@@ -329,7 +337,7 @@ class TestDifferenceSeries:
     def test_hand_built_cells(self):
         tb1, rt1 = obs_pair("N", "2023-11-06T08:00", 100, 90)
         tb2, rt2 = obs_pair("N", "2023-11-06T09:00", 100, 110)
-        table = difference_series([tb1, tb2], [rt1, rt2])
+        table = difference_series(*tables([tb1, tb2], [rt1, rt2]))
         assert table[("N", 8)] == 10
         assert table[("N", 9)] == -10
         assert ("N", 10) not in table
@@ -339,29 +347,24 @@ class TestTables:
     def test_items_are_the_observations(self):
         tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
         tb2, rt2 = obs_pair("B", "2023-11-06T09:00", 20, 0, censored=True)
-        tollbooth = TollboothTable.of([tb1, tb2, tb1])
-        routing = RoutingTable.of([rt1, rt2])
-        assert list(tollbooth) == [tb1, tb2, tb1]
-        assert list(routing) == [rt1, rt2]
-        assert (tollbooth[-1], tollbooth[1:]) == (tb1, [tb2, tb1])
+        tollbooth, routing = tables([tb1, tb2, tb1], [rt1, rt2])
+        a, b = (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH) for name in "AB")
+        h8, h9 = make_hour_key("2023-11-06T08:00"), make_hour_key("2023-11-06T09:00")
+
+        def counts(total):
+            return CountsByCategory.with_reported_total({CATEGORY_ORDER[0]: total}, total)
+
+        at_a = TollboothObservation(node=a, direction=Direction.UNDIRECTED, hour=h8, counts=counts(10))
+        at_b = TollboothObservation(node=b, direction=Direction.UNDIRECTED, hour=h9, counts=counts(20))
+        assert list(tollbooth) == [at_a, at_b, at_a]
+        assert list(routing) == [
+            RoutingReportObservation(node=a, hour=h8, people_flow=12.0, road_tag=RoadTag.TRUNK),
+            RoutingReportObservation(node=b, hour=h9, people_flow=0.0, road_tag=RoadTag.TRUNK, censored=True),
+        ]
+        assert (tollbooth[-1], tollbooth[1:]) == (at_a, [at_b, at_a])
         assert len(tollbooth.hours) == 2 and len(tollbooth.series_ids) == 2
         with pytest.raises(IndexError):
             routing[2]
-        assert TollboothTable.of(tollbooth) is tollbooth
-        assert RoutingTable.of(routing) is routing
-
-    def test_lists_and_tables_build_the_same_dataset(self):
-        net = grid_network(n_stations=3, n_dest=1)
-        profile = BiasProfile(gains={tag: 1.0 for tag in RoadTag}, noise_scale=0.2, censor_threshold=80, seed=4)
-        tb, rt = generate_synthetic(net, 3, profile)
-        from_tables = build_dataset(tb, rt, 0.25)
-        from_lists = build_dataset(list(tb), list(rt), 0.25)
-        assert np.array_equal(from_tables.X, from_lists.X)
-        assert np.array_equal(from_tables.Y, from_lists.Y)
-        assert from_tables.split_index == from_lists.split_index
-        assert from_tables.node_keys == from_lists.node_keys
-        assert from_tables.hours == from_lists.hours
-        assert difference_series(tb, rt) == difference_series(list(tb), list(rt))
 
 
 class TestJoinParity:
@@ -374,10 +377,11 @@ class TestJoinParity:
         rng = np.random.default_rng(seed)
         net = grid_network(n_stations=3, n_dest=2)
         profile = BiasProfile(gains={tag: 1.2 for tag in RoadTag}, noise_scale=0.3, censor_threshold=70, seed=seed)
-        tb, rt = (list(rows) for rows in generate_synthetic(net, 2, profile))
-        tb = [tb[i] for i in rng.permutation(len(tb))[: int(len(tb) * rng.uniform(0.5, 1.0))]]
-        tb += [tb[i] for i in rng.integers(0, len(tb), size=int(rng.integers(0, 4)))]
-        rt = [rt[i] for i in rng.permutation(len(rt))[: int(len(rt) * rng.uniform(0.5, 1.0))]]
+        tb, rt = generate_synthetic(net, 2, profile)
+        tb_rows = rng.permutation(len(tb))[: int(len(tb) * rng.uniform(0.5, 1.0))]
+        tb_rows = np.concatenate([tb_rows, tb_rows[rng.integers(0, len(tb_rows), size=int(rng.integers(0, 4)))]])
+        rt_rows = rng.permutation(len(rt))[: int(len(rt) * rng.uniform(0.5, 1.0))]
+        tb, rt = take_rows(tb, tb_rows), take_rows(rt, rt_rows)
         X, Y, node_keys, hours, split_index = reference_dataset(tb, rt, 0.3)
         ds = build_dataset(tb, rt, 0.3)
         assert np.array_equal(ds.X, X) and np.array_equal(ds.Y, Y)
@@ -388,7 +392,7 @@ class TestJoinParity:
         tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
         tb2, rt2 = obs_pair("B", "2023-11-06T09:00", 20, 22)
         with pytest.raises(DataError, match="duplicate routing row for node 'B' at 2023-11-06T09:00"):
-            build_dataset([tb1, tb2], [rt2, rt1, rt2, rt1])
+            build_dataset(*tables([tb1, tb2], [rt2, rt1, rt2, rt1]))
 
 
 # Text pools for generated CSV files: one hour in two text forms, names that

@@ -9,18 +9,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from odfuse.core import (
     CATEGORY_ORDER,
-    CountsByCategory,
     Direction,
     NodeId,
     NodeKind,
     RoadTag,
-    RoutingReportObservation,
-    TollboothObservation,
+    RoutingTable,
+    TollboothTable,
     VehicleType,
     make_hour_key,
 )
 from odfuse.errors import DataError
-from odfuse.fusion import GbtHyperparams, train
+from odfuse.fusion import GbtHyperparams, predict_matrix, train
 from odfuse.ingest import BiasProfile, build_dataset, generate_synthetic
 from odfuse.network import (
     BoundaryConfig,
@@ -39,7 +38,6 @@ from odfuse.routing import (
     conservation_violations,
     decide_flows,
     distribute,
-    infer_joint_distribution,
     joint_from_predictions,
     largest_remainder,
     marginals,
@@ -52,9 +50,11 @@ from _helpers import (
     minimax_apportionment,
     pair_only_network,
     ramp_network,
+    reference_features,
     reference_largest_remainder,
     reference_od_rows,
     station,
+    take_rows,
 )
 
 HOUR = make_hour_key("2025-01-30T17:00")
@@ -182,38 +182,6 @@ class TestJointAndMarginals:
                 marg.global_by_destination[d] for d in big
             )
             assert share_big <= share_small + 1e-12
-
-
-class TestInferJointDistribution:
-    def test_requires_rows_for_hour(self):
-        from odfuse.fusion import FusionModel, TargetModel
-        from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES
-
-        model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
-        for name in TARGET_NAMES:
-            model.targets[name] = TargetModel(base_score=1.0, trees=[])
-        with pytest.raises(DataError, match="2025-01-30T17:00"):
-            infer_joint_distribution(model, [], HOUR)
-
-    def test_constant_model_uniform_destinations(self):
-        from odfuse.fusion import FusionModel, TargetModel
-        from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES
-
-        model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
-        for name in TARGET_NAMES:
-            model.targets[name] = TargetModel(base_score=10.0, trees=[])
-        rows = [
-            RoutingReportObservation(
-                node=NodeId(name=n, kind=NodeKind.INFERRED_DESTINATION),
-                hour=HOUR,
-                people_flow=100.0,
-                road_tag=RoadTag.SECONDARY,
-            )
-            for n in ("A", "B")
-        ]
-        joint = infer_joint_distribution(model, rows, HOUR)
-        marg = marginals(joint)
-        assert marg.global_by_destination["A"] == pytest.approx(0.5)
 
 
 class TestDecideFlows:
@@ -427,17 +395,11 @@ class TestDistribute:
 
 
 def destination_rows(net, hour, flows):
-    rows = []
-    for node in net.destinations():
-        rows.append(
-            RoutingReportObservation(
-                node=node.node,
-                hour=hour,
-                people_flow=float(flows.get(node.node.name, 0.0)),
-                road_tag=node.road_tag,
-            )
-        )
-    return rows
+    """A routing table with one uncensored report per destination at ``hour``."""
+    dests = net.destinations()
+    return RoutingTable.from_rows([hour] * len(dests), [d.node for d in dests],
+                                  [flows.get(d.node.name, 0.0) for d in dests], [d.road_tag for d in dests],
+                                  [False] * len(dests))
 
 
 @pytest.fixture(scope="module")
@@ -493,17 +455,11 @@ class TestBuildOdMatrix:
     def test_balanced_hour_emits_only_bypass(self):
         net = pair_only_network()
         hour = HOUR
-        from odfuse.core import CountsByCategory, Direction, TollboothObservation
-
-        tb = [
-            TollboothObservation(
-                node=NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH),
-                direction=Direction.UNDIRECTED,
-                hour=hour,
-                counts=CountsByCategory.from_categories({C1: 250.0}),
-            )
-            for name in ("E6-Klett", "Storlersbakken-Trondheim")
-        ]
+        names = ("E6-Klett", "Storlersbakken-Trondheim")
+        tb = TollboothTable.from_rows(
+            [hour] * 2, [(NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH), Direction.UNDIRECTED) for name in names],
+            [[250, 0, 0, 0, 0, 0, 250]] * 2,
+        )
         rt = destination_rows(net, hour, {"Brøttemsvegen": 60, "Heimsdalvegen": 40, "Industripark": 50})
         from odfuse.fusion import FusionModel, TargetModel
         from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES
@@ -516,15 +472,14 @@ class TestBuildOdMatrix:
         assert all(e.scenario is Scenario.PASSTHROUGH_BYPASS for e in run.matrix.entries)
 
     def test_missing_destination_rows_fail_with_hour(self, trained_small):
-        net, model, tb, _ = trained_small
+        net, model, tb, rt = trained_small
         with pytest.raises(DataError, match="destination routing rows"):
-            build_od_matrix(net, model, tb, [])
+            build_od_matrix(net, model, tb, take_rows(rt, []))
 
     def test_first_duplicate_tollbooth_series_is_named(self, trained_small):
         net, model, tb, rt = trained_small
-        rows = list(tb)
-        rows = rows[:30] + [rows[25], rows[7]] + rows[30:]
-        key, hour = rows[25].join_key(), rows[25].hour.isoformat()
+        rows = take_rows(tb, np.r_[0:30, 25, 7, 30:len(tb)])
+        key, hour = tb[25].join_key(), tb[25].hour.isoformat()
         with pytest.raises(DataError, match=re.escape(f"duplicate tollbooth series {key!r} at {hour}")):
             build_od_matrix(net, model, rows, rt)
 
@@ -536,7 +491,8 @@ class TestBuildOdMatrix:
             if obs.node.name in dest_names:
                 by_hour.setdefault(obs.hour, []).append(obs)
         for hour, rows in list(by_hour.items())[:24]:
-            joint = infer_joint_distribution(model, rows, hour)
+            preds = predict_matrix(model, np.array([reference_features(r) for r in rows]))[:, 1:]
+            joint = joint_from_predictions(hour, [r.node.name for r in rows], preds, [r.censored for r in rows])
             assert sum(joint.mass.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -627,29 +583,18 @@ def mixed_observations(net, censored_hour: int, n_hours: int = 8, seed: int = 5)
     series = [("Boundary", Direction.INBOUND), ("Boundary", Direction.OUTBOUND),
               ("Onramp", Direction.UNDIRECTED), ("Offramp", Direction.UNDIRECTED),
               ("Up", Direction.UNDIRECTED), ("Down", Direction.UNDIRECTED)]
-    tb, rt = [], []
+    tb, rt = [], []  # rows as from_rows arguments
     for h in range(n_hours):
         hour = make_hour_key(start + timedelta(hours=h))
         counts = rng.integers(20, 400, size=len(series))
         up, down = sorted(counts[4:])
         counts[4:] = (up, down) if h % 2 else (down, up)
         for (name, direction), n in zip(series, counts.tolist()):
-            tb.append(TollboothObservation(
-                node=NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH),
-                direction=direction,
-                hour=hour,
-                counts=CountsByCategory.from_categories({C1: float(n)}),
-            ))
+            tb.append((hour, (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH), direction), [n, 0, 0, 0, 0, 0, n]))
         for node in net.destinations():
             censored = h == censored_hour
-            rt.append(RoutingReportObservation(
-                node=node.node,
-                hour=hour,
-                people_flow=0.0 if censored else float(rng.integers(0, 3000)),
-                road_tag=node.road_tag,
-                censored=censored,
-            ))
-    return tb, rt
+            rt.append((hour, node.node, 0 if censored else int(rng.integers(0, 3000)), node.road_tag, censored))
+    return TollboothTable.from_rows(*zip(*tb)), RoutingTable.from_rows(*zip(*rt))
 
 
 def od_rows(run) -> list[tuple]:
@@ -703,11 +648,11 @@ class TestOdParity:
         net, model, tb, rt = criterion7
         rng = np.random.default_rng(11)
         by_hour: dict = {}
-        for obs in rt:
-            by_hour.setdefault(obs.hour.timestamp, []).append(obs)
+        for row, hour in enumerate(rt.hour.tolist()):
+            by_hour.setdefault(hour, []).append(row)
         shuffled = [rows[i] for rows in by_hour.values() for i in rng.permutation(len(rows))]
-        assert shuffled != list(rt)
-        self.check(tmp_path, net, model, tb, shuffled)
+        assert shuffled != list(range(len(rt)))
+        self.check(tmp_path, net, model, tb, take_rows(rt, shuffled))
 
     def test_simulation_window(self, criterion7, tmp_path):
         net, model, tb, rt = criterion7

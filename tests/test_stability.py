@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odfuse.core import NodeId, NodeKind, RoadTag, RoutingReportObservation, make_hour_key
+from odfuse.core import NodeId, NodeKind, RoadTag, RoutingTable, make_hour_key
 from odfuse.errors import DataError
 from odfuse.stability import (
     DIURNAL,
@@ -18,13 +18,12 @@ from odfuse.stability import (
 )
 
 
-def flow_row(ts, flow, node="N"):
-    return RoutingReportObservation(
-        node=NodeId(name=node, kind=NodeKind.MAIN_TOLLBOOTH),
-        hour=make_hour_key(ts),
-        people_flow=float(flow),
-        road_tag=RoadTag.TRUNK,
-    )
+def flow_table(rows):
+    """A routing table of one node's trunk-road reports, one per (timestamp, flow) pair."""
+    n = len(rows)
+    node = NodeId(name="N", kind=NodeKind.MAIN_TOLLBOOTH)
+    return RoutingTable.from_rows([make_hour_key(ts) for ts, _ in rows], [node] * n, [flow for _, flow in rows],
+                                  [RoadTag.TRUNK] * n, [False] * n)
 
 
 def profile(kind, values):
@@ -42,38 +41,36 @@ def random_profiles(seed, kind=DIURNAL, n=24):
 
 class TestBuildProfile:
     def test_uniform_flows(self):
-        rows = [flow_row(f"2023-11-06T{h:02d}:00", 10) for h in range(24)]
-        prof = build_profile(rows, DIURNAL)
+        rows = [(f"2023-11-06T{h:02d}:00", 10) for h in range(24)]
+        prof = build_profile(flow_table(rows), DIURNAL)
         assert np.allclose(prof.mass, 1 / 24)
 
     def test_point_mass(self):
-        rows = [flow_row("2023-11-06T08:00", 50)]
-        prof = build_profile(rows, DIURNAL)
+        prof = build_profile(flow_table([("2023-11-06T08:00", 50)]), DIURNAL)
         assert prof.mass[8] == 1.0
         assert prof.mass.sum() == 1.0
 
     def test_two_identical_days_same_as_one(self):
-        day1 = [flow_row(f"2023-11-06T{h:02d}:00", 10 + h) for h in range(24)]
-        day2 = [flow_row(f"2023-11-07T{h:02d}:00", 10 + h) for h in range(24)]
-        p1 = build_profile(day1, DIURNAL)
-        p2 = build_profile(day1 + day2, DIURNAL)
+        day1 = [(f"2023-11-06T{h:02d}:00", 10 + h) for h in range(24)]
+        day2 = [(f"2023-11-07T{h:02d}:00", 10 + h) for h in range(24)]
+        p1 = build_profile(flow_table(day1), DIURNAL)
+        p2 = build_profile(flow_table(day1 + day2), DIURNAL)
         assert np.allclose(p1.mass, p2.mass)
 
     def test_weekly_binning(self):
-        rows = [flow_row("2023-11-06T08:00", 30), flow_row("2023-11-11T08:00", 10)]
-        prof = build_profile(rows, WEEKLY)
+        prof = build_profile(flow_table([("2023-11-06T08:00", 30), ("2023-11-11T08:00", 10)]), WEEKLY)
         assert prof.mass[0] == pytest.approx(0.75)
         assert prof.mass[5] == pytest.approx(0.25)
 
     def test_all_zero_flows_error(self):
-        rows = [flow_row("2023-11-06T08:00", 0)]
         with pytest.raises(DataError, match="all flows are zero"):
-            build_profile(rows, DIURNAL)
+            build_profile(flow_table([("2023-11-06T08:00", 0)]), DIURNAL)
 
     def test_scale_invariance(self):
-        rows = [flow_row(f"2023-11-06T{h:02d}:00", 10 + 3 * h) for h in range(24)]
-        scaled = [flow_row(f"2023-11-06T{h:02d}:00", 7 * (10 + 3 * h)) for h in range(24)]
-        assert np.allclose(build_profile(rows, DIURNAL).mass, build_profile(scaled, DIURNAL).mass)
+        rows = [(f"2023-11-06T{h:02d}:00", 10 + 3 * h) for h in range(24)]
+        scaled = [(f"2023-11-06T{h:02d}:00", 7 * (10 + 3 * h)) for h in range(24)]
+        p1, p2 = (build_profile(flow_table(r), DIURNAL) for r in (rows, scaled))
+        assert np.allclose(p1.mass, p2.mass)
 
 
 class TestPearson:
@@ -170,8 +167,8 @@ class TestNmse:
 
 class TestComparePeriods:
     def test_identical_periods_are_stable(self):
-        rows = [flow_row(f"2023-11-06T{h:02d}:00", 10 + h * h) for h in range(24)]
-        report = compare_periods(rows, list(rows))
+        rows = [(f"2023-11-06T{h:02d}:00", 10 + h * h) for h in range(24)]
+        report = compare_periods(flow_table(rows), flow_table(rows))
         for row in report:
             assert row.pearson == 1.0
             assert row.sym_kl_nats == 0.0
