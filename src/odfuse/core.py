@@ -296,6 +296,12 @@ def _first_repeat(codes: np.ndarray) -> int | None:
     return int(repeats.min()) if len(repeats) else None
 
 
+def _reject(bad: np.ndarray, rule: str) -> None:
+    """A DataError naming the first row where ``bad`` is set, if any is."""
+    if bad.any():
+        raise DataError(f"row {int(np.argmax(bad))}: {rule}")
+
+
 def _codes(keys: list, values: list) -> tuple[tuple, np.ndarray]:
     """Codes of ``keys`` in order of first appearance, and the first value
     seen for each code."""
@@ -347,8 +353,10 @@ class TollboothTable(_Rows):
 
     @classmethod
     def from_rows(cls, hours: list[HourKey], series: list[tuple[NodeId, Direction]], values) -> "TollboothTable":
-        """A table from each row's hour and series and its six counts followed by the total."""
+        """A table from each row's hour and series and its six counts followed
+        by the total; a negative or non-finite value is a DataError."""
         values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
+        _reject(~((values >= 0) & (values < np.inf)).all(axis=1), "counts and total must be finite and non-negative")
         hour_table, hour = _codes([h.timestamp for h in hours], hours)
         series_ids, series_codes = _codes(series, series)
         return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
@@ -386,13 +394,17 @@ class RoutingTable(_Rows):
     @classmethod
     def from_rows(cls, hours: list[HourKey], nodes: list[NodeId], flow: list, tags: list[RoadTag],
                   censored: list[bool]) -> "RoutingTable":
-        """A table from each row's hour, node, flow, road tag and censor flag."""
+        """A table from each row's hour, node, flow, road tag and censor flag;
+        a negative or non-finite flow, or a censored row with a non-zero
+        flow, is a DataError."""
+        flow, censored = np.array(flow, dtype=np.float64), np.array(censored, dtype=bool)
+        _reject(~((flow >= 0) & (flow < np.inf)), "people_flow must be finite and non-negative")
+        _reject(censored & (flow != 0), "censored rows must carry people_flow = 0")
         hour_table, hour = _codes([h.timestamp for h in hours], hours)
         node_table, node = _codes(nodes, nodes)
         tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}
-        return cls(hours=hour_table, nodes=node_table, hour=hour, node=node,
-                   flow=np.array(flow, dtype=np.float64), tag=np.array([tag_codes[t] for t in tags], dtype=np.int64),
-                   censored=np.array(censored, dtype=bool))
+        return cls(hours=hour_table, nodes=node_table, hour=hour, node=node, flow=flow,
+                   tag=np.array([tag_codes[t] for t in tags], dtype=np.int64), censored=censored)
 
     def _item(self, i: int) -> RoutingReportObservation:
         return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],

@@ -13,7 +13,6 @@ encoding written out one report at a time."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from itertools import combinations, product
 from pathlib import Path
@@ -29,7 +28,9 @@ from odfuse.core import (
     RoadTag,
     TAG_ORDER,
     RoutingReportObservation,
+    RoutingTable,
     TollboothObservation,
+    TollboothTable,
     make_hour_key,
 )
 from odfuse.errors import ConfigError, DataError
@@ -183,9 +184,16 @@ def minimax_apportionment(total: int, weights: list[float]) -> list[int]:
 
 def take_rows(table, rows):
     """The rows of a tollbooth or routing table at ``rows``, in that order and
-    repeats allowed; the code tables stay as they are."""
-    columns = {name: value[rows] for name, value in vars(table).items() if isinstance(value, np.ndarray)}
-    return dataclasses.replace(table, **columns)
+    repeats allowed, built again through ``from_rows``: the hour, series and
+    node tables follow the picked rows' first appearance, as a file with
+    these rows in this order would give."""
+    rows = np.asarray(rows, dtype=np.int64)
+    hours = [table.hours[h] for h in table.hour[rows]]
+    if isinstance(table, TollboothTable):
+        return TollboothTable.from_rows(hours, [table.series_ids[s] for s in table.series[rows]],
+                                        np.column_stack((table.counts, table.total))[rows])
+    return RoutingTable.from_rows(hours, [table.nodes[n] for n in table.node[rows]], table.flow[rows],
+                                  [TAG_ORDER[t] for t in table.tag[rows]], table.censored[rows])
 
 
 def station(name: str, tag: RoadTag = RoadTag.PRIMARY, scale: float = 100.0, directions=()) -> NetworkNode:

@@ -149,44 +149,39 @@ class TestReadRoutingCsv:
             read_routing_csv(p)
 
 
-def obs_pair(name, ts, total, flow, tag=RoadTag.TRUNK, censored=False):
-    """One station-hour's tollbooth row and routing row, as ``tables`` takes them."""
-    return (name, ts, total), (name, ts, 0.0 if censored else flow, tag, censored)
+H8, H9, H10 = "2023-11-06T08:00", "2023-11-06T09:00", "2023-11-06T10:00"
 
 
 def tables(tb_rows, rt_rows):
-    """Tables of undirected main-tollbooth rows: (name, timestamp, total) with the
-    total in the shortest length band, and (name, timestamp, flow, tag, censored)."""
+    """Tables of undirected main-tollbooth rows on trunk roads: tollbooth rows
+    (name, timestamp, total) with the total in the shortest length band, and
+    routing rows (name, timestamp, flow) with flow None for a censored report."""
     node = {name: NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH) for name, *_ in tb_rows + rt_rows}
     names, stamps, totals = zip(*tb_rows)
     tollbooth = TollboothTable.from_rows([make_hour_key(ts) for ts in stamps],
                                          [(node[n], Direction.UNDIRECTED) for n in names],
                                          [[total, 0, 0, 0, 0, 0, total] for total in totals])
-    names, stamps, flows, tags, censored = zip(*rt_rows)
-    routing = RoutingTable.from_rows([make_hour_key(ts) for ts in stamps], [node[n] for n in names], flows, tags,
-                                     censored)
+    names, stamps, flows = zip(*rt_rows)
+    routing = RoutingTable.from_rows([make_hour_key(ts) for ts in stamps], [node[n] for n in names],
+                                     [flow or 0 for flow in flows], [RoadTag.TRUNK] * len(names),
+                                     [flow is None for flow in flows])
     return tollbooth, routing
 
 
 class TestBuildDataset:
     def test_small_join_and_split(self):
-        tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
-        tb2, rt2 = obs_pair("A", "2023-11-06T09:00", 20, 22)
-        ds = build_dataset(*tables([tb1, tb2], [rt1, rt2]), valid_fraction=0.5)
+        ds = build_dataset(*tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("A", H9, 22)]),
+                           valid_fraction=0.5)
         assert ds.n_rows == 2
         assert ds.split_index == 1
 
     def test_disjoint_nodes_error(self):
-        tb, _ = obs_pair("A", "2023-11-06T08:00", 10, 12)
-        _, rt = obs_pair("B", "2023-11-06T08:00", 10, 12)
         with pytest.raises(DataError, match="no overlapping"):
-            build_dataset(*tables([tb], [rt]))
+            build_dataset(*tables([("A", H8, 10)], [("B", H8, 12)]))
 
     def test_censored_rows_excluded(self):
-        tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
-        tb2, rt2 = obs_pair("A", "2023-11-06T09:00", 20, 0, censored=True)
-        tb3, rt3 = obs_pair("A", "2023-11-06T10:00", 30, 31)
-        ds = build_dataset(*tables([tb1, tb2, tb3], [rt1, rt2, rt3]), valid_fraction=0.4)
+        ds = build_dataset(*tables([("A", H8, 10), ("A", H9, 20), ("A", H10, 30)],
+                                   [("A", H8, 12), ("A", H9, None), ("A", H10, 31)]), valid_fraction=0.4)
         assert ds.n_rows == 2
 
     def test_full_grid_splits_at_timestamp_boundary(self):
@@ -212,14 +207,13 @@ class TestBuildDataset:
         assert ds.n_rows <= min(len(tb), len(rt))
 
     def test_bad_fraction_rejected(self):
-        tb, rt = obs_pair("A", "2023-11-06T08:00", 10, 12)
         with pytest.raises(ConfigError):
-            build_dataset(*tables([tb], [rt]), valid_fraction=1.5)
+            build_dataset(*tables([("A", H8, 10)], [("A", H8, 12)]), valid_fraction=1.5)
 
     def test_feature_layout(self):
-        tb, rt = obs_pair("A", "2023-11-06T08:00", 10, 12, tag=RoadTag.TRUNK)
-        tb2, rt2 = obs_pair("A", "2023-11-07T09:00", 11, 13, tag=RoadTag.TRUNK)
-        ds = build_dataset(*tables([tb, tb2], [rt, rt2]), valid_fraction=0.5)
+        later = "2023-11-07T09:00"
+        ds = build_dataset(*tables([("A", H8, 10), ("A", later, 11)], [("A", H8, 12), ("A", later, 13)]),
+                           valid_fraction=0.5)
         row = ds.X[0]
         assert row[FEATURE_NAMES.index("people_flow")] == 12
         assert row[FEATURE_NAMES.index("hour_of_day")] == 8
@@ -335,9 +329,7 @@ class TestDifferenceSeries:
         assert all(v < 0 for v in table.values())
 
     def test_hand_built_cells(self):
-        tb1, rt1 = obs_pair("N", "2023-11-06T08:00", 100, 90)
-        tb2, rt2 = obs_pair("N", "2023-11-06T09:00", 100, 110)
-        table = difference_series(*tables([tb1, tb2], [rt1, rt2]))
+        table = difference_series(*tables([("N", H8, 100), ("N", H9, 100)], [("N", H8, 90), ("N", H9, 110)]))
         assert table[("N", 8)] == 10
         assert table[("N", 9)] == -10
         assert ("N", 10) not in table
@@ -345,11 +337,9 @@ class TestDifferenceSeries:
 
 class TestTables:
     def test_items_are_the_observations(self):
-        tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
-        tb2, rt2 = obs_pair("B", "2023-11-06T09:00", 20, 0, censored=True)
-        tollbooth, routing = tables([tb1, tb2, tb1], [rt1, rt2])
+        tollbooth, routing = tables([("A", H8, 10), ("B", H9, 20), ("A", H8, 10)], [("A", H8, 12), ("B", H9, None)])
         a, b = (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH) for name in "AB")
-        h8, h9 = make_hour_key("2023-11-06T08:00"), make_hour_key("2023-11-06T09:00")
+        h8, h9 = make_hour_key(H8), make_hour_key(H9)
 
         def counts(total):
             return CountsByCategory.with_reported_total({CATEGORY_ORDER[0]: total}, total)
@@ -365,6 +355,25 @@ class TestTables:
         assert len(tollbooth.hours) == 2 and len(tollbooth.series_ids) == 2
         with pytest.raises(IndexError):
             routing[2]
+
+    @pytest.mark.parametrize("values", [[-5, 0, 0, 0, 0, 0, 5], [5, 0, 0, 0, 0, 0, -5], [np.nan] * 7, [np.inf] * 7],
+                             ids=["count", "total", "nan", "inf"])
+    def test_bad_counts_rejected(self, values):
+        series = (NodeId(name="A", kind=NodeKind.MAIN_TOLLBOOTH), Direction.UNDIRECTED)
+        with pytest.raises(DataError, match="row 1: counts and total must be finite and non-negative"):
+            TollboothTable.from_rows([make_hour_key(H8), make_hour_key(H9)], [series] * 2, [[1] * 7, values])
+
+    @pytest.mark.parametrize(("flow", "censored", "rule"), [
+        (-50, False, "people_flow must be finite and non-negative"),
+        (np.nan, False, "people_flow must be finite and non-negative"),
+        (np.inf, False, "people_flow must be finite and non-negative"),
+        (3, True, "censored rows must carry people_flow = 0"),
+    ], ids=["negative", "nan", "inf", "censored-nonzero"])
+    def test_bad_flows_rejected(self, flow, censored, rule):
+        node = NodeId(name="A", kind=NodeKind.MAIN_TOLLBOOTH)
+        with pytest.raises(DataError, match=f"row 1: {rule}"):
+            RoutingTable.from_rows([make_hour_key(H8), make_hour_key(H9)], [node] * 2, [4, flow],
+                                   [RoadTag.TRUNK] * 2, [False, censored])
 
 
 class TestJoinParity:
@@ -389,10 +398,9 @@ class TestJoinParity:
         assert difference_series(tb, rt) == reference_difference_series(tb, rt)
 
     def test_first_duplicate_routing_row_is_named(self):
-        tb1, rt1 = obs_pair("A", "2023-11-06T08:00", 10, 12)
-        tb2, rt2 = obs_pair("B", "2023-11-06T09:00", 20, 22)
+        rt_a, rt_b = ("A", H8, 12), ("B", H9, 22)
         with pytest.raises(DataError, match="duplicate routing row for node 'B' at 2023-11-06T09:00"):
-            build_dataset(*tables([tb1, tb2], [rt2, rt1, rt2, rt1]))
+            build_dataset(*tables([("A", H8, 10), ("B", H9, 20)], [rt_b, rt_a, rt_b, rt_a]))
 
 
 # Text pools for generated CSV files: one hour in two text forms, names that

@@ -575,7 +575,7 @@ def mixed_network() -> NetworkConfig:
     )
 
 
-def mixed_observations(net, censored_hour: int, n_hours: int = 8, seed: int = 5):
+def mixed_tables(net, censored_hour: int, n_hours: int = 8, seed: int = 5):
     """Random counts where the pair alternates between net inflow and net
     outflow; every report of ``censored_hour`` is censored."""
     rng = np.random.default_rng(seed)
@@ -636,7 +636,7 @@ class TestOdParity:
     def test_censored_hour_and_reversed_roles(self, trained_small, tmp_path):
         _, model, _, _ = trained_small
         net = mixed_network()
-        tb, rt = mixed_observations(net, censored_hour=3)
+        tb, rt = mixed_tables(net, censored_hour=3)
         run = self.check(tmp_path, net, model, tb, rt)
         fallback = [e for e in run.ledger if e.flag == "uniform_fallback"]
         assert [e.hour.isoformat() for e in fallback] == ["2024-03-04T09:00"]
