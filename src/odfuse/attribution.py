@@ -14,13 +14,13 @@ cross-check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .core import stat_cell, write_csv
 from .errors import ConfigError, DataError
 from .fusion import FusionModel, RegressionTree, raw_score_matrix
 from .ingest import TARGET_NAMES, FusionDataset
@@ -124,17 +124,10 @@ def tree_shap_single(tree: RegressionTree, x, n_features: int) -> np.ndarray:
     return phi[:, 0]
 
 
-def _target_model(model: FusionModel, target: str):
-    tm = model.targets.get(target)
-    if tm is None:
-        raise ConfigError(f"unknown target {target!r}; known: {list(model.targets)}")
-    return tm
-
-
 def shap_matrix(model: FusionModel, target: str, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Ensemble attributions for every row of a feature matrix, per-tree values
     scaled by the learning rate and summed across trees; returns (phi, base)."""
-    tm = _target_model(model, target)
+    tm = model.target(target)
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise DataError("non-finite feature values; cannot compute attributions")
@@ -176,7 +169,7 @@ def permutation_importance(
         raise ConfigError(f"repeats must be positive, got {repeats}")
     if dataset.split_index >= dataset.n_rows:
         raise DataError("validation partition is empty")
-    _target_model(model, target)
+    model.target(target)
     X = dataset.X_valid
     y = dataset.Y_valid[:, TARGET_NAMES.index(target)]
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -202,27 +195,15 @@ def permutation_importance(
 
 def write_importance_csv(path: str | Path, imp: GlobalImportance) -> None:
     rank_of = {name: i + 1 for i, name in enumerate(imp.ranking)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "mean_abs_shap", "rank"])
-        for i, name in enumerate(imp.feature_names):
-            writer.writerow([name, repr(float(imp.mean_abs[i])), rank_of[name]])
-        writer.writerow(["tagValue", repr(imp.tag_aggregate), ""])
+    rows = [[name, stat_cell(imp.mean_abs[i]), rank_of[name]] for i, name in enumerate(imp.feature_names)]
+    write_csv(path, ["feature", "mean_abs_shap", "rank"], [*rows, ["tagValue", stat_cell(imp.tag_aggregate), ""]])
 
 
 def write_attributions_csv(
     path: str | Path, feature_names: tuple[str, ...], phi: np.ndarray, base: float
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["base_value", *feature_names])
-        for row in phi:
-            writer.writerow([repr(base), *(repr(float(v)) for v in row)])
+    write_csv(path, ["base_value", *feature_names], ([stat_cell(base), *map(stat_cell, row)] for row in phi))
 
 
 def write_permutation_csv(path: str | Path, drops: dict[str, float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "r2_drop"])
-        for name, drop in drops.items():
-            writer.writerow([name, repr(drop)])
+    write_csv(path, ["feature", "r2_drop"], ([name, stat_cell(drop)] for name, drop in drops.items()))

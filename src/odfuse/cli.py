@@ -20,7 +20,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import RoadTag, make_hour_key
+from .core import RoadTag, make_hour_key, read_json
 from .errors import ConfigError, DataError, InternalError, OdfuseError
 from .errors import NUMBER, OBJECT, PATH, TEXT, check, integer, is_number, one_of
 from .fusion import (
@@ -119,13 +119,7 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None, days: i
     """DEFAULT_CONFIG, then the file at ``path``, then the flags; each key checked against CONFIG_RULES."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            user = json.loads(p.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"invalid JSON in config {p}: {exc}") from exc
+        user = read_json(path, "config file", ConfigError)
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object, got {type(user).__name__}")
         unknown = set(user) - set(DEFAULT_CONFIG)
@@ -159,7 +153,10 @@ def config_hash(config: dict) -> str:
 
 def _out_dir(config: dict) -> Path:
     out = Path(config["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file in its place, or no permission
+        raise ConfigError(f"cannot create out_dir {out}: {exc.strerror}") from exc
     return out
 
 
@@ -349,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"odfuse: data error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an artifact that cannot be written: every reader maps its own errors
+        print(f"odfuse: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     except InternalError as exc:
         print(f"odfuse: internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,14 +1,21 @@
-"""Shared domain vocabulary: time keys, nodes, vehicle categories and counts.
+"""Shared domain vocabulary and the program's file formats.
 
-Everything here is an immutable value type, safe to share between threads.
+Time keys, nodes, vehicle categories, counts and the input tables are
+immutable value types, safe to share between threads. Every CSV artifact is
+written in one dialect, ``write_csv``'s, with statistics formatted by
+``stat_cell``; every JSON document a user supplies is read by ``read_json``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import csv
+import io
+import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +35,10 @@ __all__ = [
     "TollboothTable",
     "RoutingTable",
     "make_hour_key",
+    "write_csv",
+    "stat_cell",
+    "csv_cell",
+    "read_json",
     "series_key",
     "station_of",
     "category_of_length",
@@ -410,3 +421,40 @@ class RoutingTable(_Rows):
         return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],
                                         people_flow=float(self.flow[i]), road_tag=TAG_ORDER[self.tag[i]],
                                         censored=bool(self.censored[i]))
+
+
+CSV_EOL = "\r\n"  # the line end of every artifact row: csv.writer's default
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write an artifact: UTF-8 text, ``csv.writer``'s quoting and CSV_EOL line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=CSV_EOL)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def stat_cell(value: float | None) -> str:
+    """A statistic as an artifact cell: Python's shortest float repr, or NA when undefined."""
+    return "NA" if value is None else repr(float(value))
+
+
+def csv_cell(value: str) -> str:
+    """A non-empty ``value`` as ``write_csv`` writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([value])
+    return buf.getvalue()
+
+
+def read_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON document at ``path``. A missing, unreadable or malformed file
+    raises ``error`` with a message naming ``what`` and the path."""
+    p = Path(path)
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"{what} not found: {p}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {p}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep to decode
+        raise error(f"invalid JSON in {what} {p}: {exc}") from exc

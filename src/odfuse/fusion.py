@@ -40,11 +40,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .core import read_json, stat_cell, write_csv
 from .errors import ConfigError, DataError, InternalError, is_number
 from .ingest import FEATURE_NAMES, TARGET_NAMES, FusionDataset
 
@@ -94,16 +95,6 @@ class GbtHyperparams:
             raise ConfigError(f"l2_leaf_regularization must be finite and non-negative, "
                               f"got {self.l2_leaf_regularization!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "min_samples_leaf": self.min_samples_leaf,
-            "l2_leaf_regularization": self.l2_leaf_regularization,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class RegressionTree:
@@ -152,6 +143,13 @@ class FusionModel:
     hyperparams: GbtHyperparams
     feature_names: tuple[str, ...]
     targets: dict[str, TargetModel] = field(default_factory=dict)
+
+    def target(self, name: str) -> TargetModel:
+        """The model of target ``name``; an unknown name is a ConfigError."""
+        tm = self.targets.get(name)
+        if tm is None:
+            raise ConfigError(f"unknown target {name!r}; known: {list(self.targets)}")
+        return tm
 
 
 class _TreeBuilder:
@@ -393,9 +391,7 @@ def _leaf_values(nodes: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
 
 def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str) -> np.ndarray:
     """Unclamped ensemble score for one target over a feature matrix."""
-    tm = model.targets.get(target)
-    if tm is None:
-        raise ConfigError(f"unknown target {target!r}; known: {list(model.targets)}")
+    tm = model.target(target)
     out = np.full(X.shape[0], tm.base_score, dtype=np.float64)
     if not tm.trees:
         return out
@@ -523,7 +519,7 @@ def save_model(model: FusionModel, path: str | Path) -> None:
         {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
-            "hyperparams": model.hyperparams.to_dict(),
+            "hyperparams": asdict(model.hyperparams),
             "feature_names": list(model.feature_names),
             "targets": None,
         },
@@ -562,11 +558,8 @@ def _check_tree(label: str, tree: RegressionTree, n_features: int) -> None:
 
 def load_model(path: str | Path) -> FusionModel:
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"model file not found: {p}")
+    doc = read_json(p, "model file", DataError)
     try:
-        with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
         return _model_from_doc(doc, p)
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ConfigError) as exc:
         raise DataError(f"malformed model file {p}: {exc!r}") from exc
@@ -608,27 +601,11 @@ def _model_from_doc(doc: dict, p: Path) -> FusionModel:
     return model
 
 
-def _fmt(value: float | None) -> str:
-    return "NA" if value is None else repr(value)
-
-
 def write_metrics_csv(path: str | Path, report: MetricsReport) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "rmse_train", "r2_train", "rmse_valid", "r2_valid"])
-        for row in report.rows:
-            writer.writerow(
-                [row.name, repr(row.rmse_train), _fmt(row.r2_train), repr(row.rmse_valid), _fmt(row.r2_valid)]
-            )
+    write_csv(path, ["target", "rmse_train", "r2_train", "rmse_valid", "r2_valid"],
+              ([row.name, *map(stat_cell, (row.rmse_train, row.r2_train, row.rmse_valid, row.r2_valid))]
+               for row in report.rows))
 
 
 def write_residuals_csv(path: str | Path, rows: list[tuple[float, float, float]]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y_total", "residual_model", "residual_baseline"])
-        for y, rm, rb in rows:
-            writer.writerow([repr(y), repr(rm), repr(rb)])
+    write_csv(path, ["y_total", "residual_model", "residual_baseline"], (map(stat_cell, row) for row in rows))

@@ -35,7 +35,9 @@ from .core import (
     _ranks,
     make_hour_key,
     series_key,
+    stat_cell,
     station_of,
+    write_csv,
 )
 from .errors import ConfigError, DataError, is_number
 from .network import NetworkConfig
@@ -233,12 +235,8 @@ def read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -
     return TollboothTable.from_rows(row_hours, row_series, values)
 
 
-def read_routing_csv(
-    path: str | Path,
-    network: NetworkConfig | None = None,
-    sentinel: str = CENSOR_SENTINEL,
-) -> RoutingTable:
-    """Parse an aggregated mobility file; sentinel flow values mark censoring."""
+def read_routing_csv(path: str | Path, network: NetworkConfig | None = None) -> RoutingTable:
+    """Parse an aggregated mobility file; CENSOR_SENTINEL flow values mark censoring."""
     p = Path(path)
     hours: dict[str, HourKey] = {}
     nodes: dict[str, NodeId] = {}
@@ -253,7 +251,7 @@ def read_routing_csv(
             kind = _node_kind(network, station_of(row[1]), NodeKind.INFERRED_DESTINATION)
             node = nodes[row[1]] = NodeId(name=row[1], kind=kind)
         row_nodes.append(node)
-        censored.append(row[2] == sentinel)
+        censored.append(row[2] == CENSOR_SENTINEL)
         flows.append(0 if censored[-1] else _parse_int_field(row[2], line, "people_flow"))
         tag = tags.get(row[3])
         if tag is None:
@@ -269,30 +267,20 @@ def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
     hours = [h.isoformat() for h in table.hours]
     series = [(node.name, direction.value) for node, direction in table.series_ids]
     counts = np.column_stack((table.counts, table.total)).astype(np.int64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOLLBOOTH_HEADER)
-        writer.writerows(
-            [hours[h], *series[s], *c] for h, s, c in zip(table.hour.tolist(), table.series.tolist(), counts.tolist())
-        )
+    write_csv(path, TOLLBOOTH_HEADER, (
+        [hours[h], *series[s], *c] for h, s, c in zip(table.hour.tolist(), table.series.tolist(), counts.tolist())
+    ))
 
 
-def write_routing_csv(
-    path: str | Path,
-    table: RoutingTable,
-    sentinel: str = CENSOR_SENTINEL,
-) -> None:
+def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
     hours = [h.isoformat() for h in table.hours]
     names = [node.name for node in table.nodes]
     tags = [t.value for t in TAG_ORDER]
     columns = (table.hour, table.node, table.flow.astype(np.int64), table.censored, table.tag)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUTING_HEADER)
-        writer.writerows(
-            [hours[h], names[n], sentinel if c else str(f), tags[t]]
-            for h, n, f, c, t in zip(*(col.tolist() for col in columns))
-        )
+    write_csv(path, ROUTING_HEADER, (
+        [hours[h], names[n], CENSOR_SENTINEL if c else str(f), tags[t]]
+        for h, n, f, c, t in zip(*(col.tolist() for col in columns))
+    ))
 
 
 def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -513,8 +501,5 @@ def difference_series(tollbooth: TollboothTable, routing: RoutingTable) -> dict[
 
 
 def write_difference_csv(path: str | Path, table: dict[tuple[str, int], float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "hour_of_day", "mean_diff"])
-        for (node, hour), diff in table.items():
-            writer.writerow([node, hour, repr(diff)])
+    write_csv(path, ["node", "hour_of_day", "mean_diff"],
+              ([node, hour, stat_cell(diff)] for (node, hour), diff in table.items()))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import Direction, NodeId, NodeKind, RoadTag, series_key
+from .core import Direction, NodeId, NodeKind, RoadTag, read_json, series_key
 from .errors import NUMBER, ConfigError, Default, Each, check, one_of
 
 __all__ = [
@@ -245,14 +245,7 @@ def network_from_dict(doc: dict) -> NetworkConfig:
 
 
 def load_network(path: str | Path) -> NetworkConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"network config not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
-    return network_from_dict(doc)
+    return network_from_dict(read_json(path, "network config", ConfigError))
 
 
 def trondheim_fixture() -> NetworkConfig:

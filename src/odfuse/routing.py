@@ -27,8 +27,6 @@ columnar OD matrix. The one-hour functions wrap the same kernels.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -37,8 +35,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType,
-                   _first_repeat, _ranks, map_vehicle_type)
+from .core import (CATEGORY_ORDER, CSV_EOL, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType,
+                   _first_repeat, _ranks, csv_cell, map_vehicle_type, write_csv)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
 from .ingest import feature_matrix
@@ -593,13 +591,6 @@ def conservation_violations(run: RoutingRun) -> list[str]:
     return problems
 
 
-def _csv_cell(value: str) -> str:
-    """A non-empty ``value`` as csv.writer writes it inside a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([value])
-    return buf.getvalue()
-
-
 def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
     keep = np.nonzero(matrix.count > 0)[0]
     node_rank = _ranks(matrix.nodes)
@@ -611,27 +602,26 @@ def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
         _ranks([s.value for s in _SCENARIOS])[matrix.scenario[keep]],
         _ranks([h.timestamp for h in matrix.hours])[matrix.hour[keep]],
     ))]
-    hours = [_csv_cell(h.isoformat()) for h in matrix.hours]
-    nodes = [_csv_cell(name) for name in matrix.nodes]
-    kinds = [_csv_cell(t.value) for t in _VEHICLE_TYPES]
-    scenarios = [_csv_cell(s.value) for s in _SCENARIOS]
+    # write_csv's dialect, row text joined a block at a time; the scenario,
+    # the last cell, carries the line end.
+    hours = [csv_cell(h.isoformat()) for h in matrix.hours]
+    nodes = [csv_cell(name) for name in matrix.nodes]
+    kinds = [csv_cell(t.value) for t in _VEHICLE_TYPES]
+    scenarios = [csv_cell(s.value) + CSV_EOL for s in _SCENARIOS]
     columns = (matrix.hour, matrix.origin, matrix.destination, matrix.vehicle_type, matrix.count,
                matrix.scenario)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"])
+        fh.write(",".join(map(csv_cell, ["timestamp", "origin", "destination", "vehicle_type", "count",
+                                         "scenario"])) + CSV_EOL)
         for block in np.array_split(order, len(order) // 8192 + 1):  # never the whole text at once
             fh.write("".join([
-                f"{hours[h]},{nodes[o]},{nodes[d]},{kinds[v]},{n},{scenarios[s]}\r\n"
+                f"{hours[h]},{nodes[o]},{nodes[d]},{kinds[v]},{n},{scenarios[s]}"
                 for h, o, d, v, n, s in zip(*(col[block].tolist() for col in columns))
             ]))
 
 
 def write_ledger_csv(path: str | Path, ledger: list[LedgerEvent]) -> None:
     iso = {ts: hour.isoformat() for ts, hour in {e.hour.timestamp: e.hour for e in ledger}.items()}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"])
-        writer.writerows(
-            [iso[e.hour.timestamp], e.entry_type, e.scenario, e.direction, e.key, e.amount, e.flag]
-            for e in ledger
-        )
+    write_csv(path, ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"], (
+        [iso[e.hour.timestamp], e.entry_type, e.scenario, e.direction, e.key, e.amount, e.flag] for e in ledger
+    ))

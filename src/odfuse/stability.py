@@ -9,14 +9,13 @@ error defined as sum((p - q)^2) / sum(p * q).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import RoutingTable
+from .core import RoutingTable, stat_cell, write_csv
 from .errors import DataError
 
 __all__ = [
@@ -124,11 +123,7 @@ class StabilityRow:
     nmse: float | None
 
 
-def compare_periods(
-    rows_a: RoutingTable,
-    rows_b: RoutingTable,
-    epsilon: float = 1e-9,
-) -> list[StabilityRow]:
+def compare_periods(rows_a: RoutingTable, rows_b: RoutingTable) -> list[StabilityRow]:
     """Compare diurnal and weekly profiles between two periods."""
     out = []
     for kind in (DIURNAL, WEEKLY):
@@ -138,7 +133,7 @@ def compare_periods(
             StabilityRow(
                 profile_kind=kind,
                 pearson=pearson(pa, pb),
-                sym_kl_nats=sym_kl(pa, pb, epsilon),
+                sym_kl_nats=sym_kl(pa, pb),
                 nmse=nmse(pa, pb),
             )
         )
@@ -146,15 +141,5 @@ def compare_periods(
 
 
 def write_stability_csv(path: str | Path, rows: list[StabilityRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["profile_kind", "pearson", "sym_kl_nats", "nmse"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.profile_kind,
-                    "NA" if row.pearson is None else repr(row.pearson),
-                    repr(row.sym_kl_nats),
-                    "NA" if row.nmse is None else repr(row.nmse),
-                ]
-            )
+    write_csv(path, ["profile_kind", "pearson", "sym_kl_nats", "nmse"],
+              ([row.profile_kind, *map(stat_cell, (row.pearson, row.sym_kl_nats, row.nmse))] for row in rows))

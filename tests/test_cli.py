@@ -510,6 +510,41 @@ class TestConfigHandling:
         assert main(["--config", str(cfg), "train"]) == 2
         assert f"{name}: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, command, code", [
+        ("config is a directory", "train", 1),
+        ("config nested too deep", "train", 1),
+        ("network is a directory", "synth", 1),
+        ("model is a directory", "eval", 2),
+        ("model is not UTF-8", "eval", 2),
+        ("out is an existing file", "synth", 1),
+        ("artifact is a directory", "synth", 1),
+    ])
+    def test_unreadable_or_unwritable_file_exits_naming_it(self, tmp_path, capsys, case, command, code):
+        cfg = write_config(tmp_path / "run.json")
+        argv = ["--config", str(cfg), command]
+        bad = {"config nested too deep": tmp_path / "deep.json", "out is an existing file": tmp_path / "file",
+               "artifact is a directory": tmp_path / "out" / "tollbooth.csv",
+               "model is a directory": tmp_path / "out" / "model.json",
+               "model is not UTF-8": tmp_path / "out" / "model.json"}.get(case, tmp_path / "dir")
+        bad.parent.mkdir(exist_ok=True)
+        if case.endswith("directory"):
+            bad.mkdir()
+        if case == "config is a directory":
+            argv[1] = str(bad)
+        elif case == "config nested too deep":
+            bad.write_text("[" * 100_000, encoding="utf-8")
+            argv[1] = str(bad)
+        elif case == "network is a directory":
+            write_config(cfg, network=str(bad))
+        elif case == "model is not UTF-8":
+            bad.write_bytes(b'{"format": "\xff"}')
+        elif case == "out is an existing file":
+            bad.write_text("", encoding="utf-8")
+            argv[:0] = ["--out", str(bad)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
 
 def bundled_network_doc() -> dict:
     from importlib import resources
