@@ -152,11 +152,10 @@ def config_hash(config: dict) -> str:
 
 
 def _out_dir(config: dict) -> Path:
+    """The output directory; a file in its place is a ConfigError."""
     out = Path(config["out_dir"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # such as a file in its place, or no permission
-        raise ConfigError(f"cannot create out_dir {out}: {exc.strerror}") from exc
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"out_dir {out} is not a directory")
     return out
 
 
@@ -173,31 +172,31 @@ def _built(key: str, build, **kwargs):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _model(config: dict):
-    path = Path(config["out_dir"]) / "model.json"
+def _model(out: Path):
+    path = out / "model.json"
     if not path.exists():
         raise DataError(f"missing model artifact: {path} (run `odfuse train` first)")
     return load_model(path)
 
 
-def _tables(config: dict, network: NetworkConfig, section: str = "data"):
-    """Tollbooth and routing tables from ``section``'s CSVs, else data.*'s, else synth's in out_dir."""
+def _tables(config: dict, out: Path, network: NetworkConfig, section: str = "data"):
+    """Tollbooth and routing tables from ``section``'s CSVs, else data.*'s, else synth's in ``out``."""
     def path(name: str):
         for opts in (config[section], config["data"]):
             if opts and opts[f"{name}_csv"]:
                 return opts[f"{name}_csv"]
-        return Path(config["out_dir"]) / f"{name}.csv"
+        return out / f"{name}.csv"
 
     return read_tollbooth_csv(path("tollbooth"), network), read_routing_csv(path("routing"), network)
 
 
-def _model_and_dataset(config: dict):
+def _model_and_dataset(config: dict, out: Path):
     network = _network(config)
-    model = _model(config)
-    return model, build_dataset(*_tables(config, network), config["valid_fraction"])
+    model = _model(out)
+    return model, build_dataset(*_tables(config, out, network), config["valid_fraction"])
 
 
-def cmd_synth(config: dict) -> int:
+def cmd_synth(config: dict, out: Path) -> int:
     synth = config["synthetic"]
     if not synth:
         raise ConfigError("synth requires synthetic parameters in the config")
@@ -205,7 +204,7 @@ def cmd_synth(config: dict) -> int:
     profile = _built("synthetic", BiasProfile, gains={RoadTag(k): v for k, v in synth["gains"].items()},
                      noise_scale=synth["noise_scale"], censor_threshold=synth["censor_threshold"],
                      seed=config["seed"])
-    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     tollbooth, routing = generate_synthetic(network, synth["days"], profile)
     write_tollbooth_csv(out / "tollbooth.csv", tollbooth)
     write_routing_csv(out / "routing.csv", routing)
@@ -214,19 +213,20 @@ def cmd_synth(config: dict) -> int:
     return 0
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: dict, out: Path) -> int:
     hp = _built("hyperparams", GbtHyperparams, **{"seed": config["seed"], **config["hyperparams"]})
-    dataset = build_dataset(*_tables(config, _network(config)), config["valid_fraction"])
-    model = train(dataset, hp)
-    out = _out_dir(config)
-    save_model(model, out / "model.json")
-    log.info("train: %d rows (split %d) -> %s", dataset.n_rows, dataset.split_index, out / "model.json")
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "model.json"
+    if path.is_dir():  # found before the fit, not after it
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    dataset = build_dataset(*_tables(config, out, _network(config)), config["valid_fraction"])
+    save_model(train(dataset, hp), path)
+    log.info("train: %d rows (split %d) -> %s", dataset.n_rows, dataset.split_index, path)
     return 0
 
 
-def cmd_eval(config: dict) -> int:
-    model, dataset = _model_and_dataset(config)
-    out = _out_dir(config)
+def cmd_eval(config: dict, out: Path) -> int:
+    model, dataset = _model_and_dataset(config, out)
     report = evaluate(model, dataset)
     write_metrics_csv(out / "metrics.csv", report)
     write_residuals_csv(out / "residuals.csv", residual_table(dataset, report.pred_valid))
@@ -246,15 +246,14 @@ def cmd_eval(config: dict) -> int:
     return 0
 
 
-def cmd_explain(config: dict) -> int:
+def cmd_explain(config: dict, out: Path) -> int:
     opts = config["explain"]
-    model, dataset = _model_and_dataset(config)
+    model, dataset = _model_and_dataset(config, out)
     X = dataset.X_valid
     if X.shape[0] > opts["max_rows"]:
         stride = X.shape[0] / opts["max_rows"]
         picks = sorted({int(i * stride) for i in range(opts["max_rows"])})
         X = X[picks]
-    out = _out_dir(config)
     phi, base = shap_matrix(model, opts["target"], X)
     write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
     write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
@@ -265,23 +264,23 @@ def cmd_explain(config: dict) -> int:
     return 0
 
 
-def cmd_stability(config: dict, routing_a: str | None, routing_b: str | None) -> int:
+def cmd_stability(config: dict, out: Path, routing_a: str | None, routing_b: str | None) -> int:
     path_a = routing_a or config["stability"]["routing_a"]
     path_b = routing_b or config["stability"]["routing_b"]
     if not path_a or not path_b:
         raise ConfigError("stability needs two routing CSVs (--routing-a/--routing-b or config.stability)")
+    out.mkdir(parents=True, exist_ok=True)
     rows_a = read_routing_csv(path_a)
     rows_b = read_routing_csv(path_b)
-    out = _out_dir(config)
     write_stability_csv(out / "stability.csv", compare_periods(rows_a, rows_b))
     log.info("stability: %s vs %s -> %s", path_a, path_b, out / "stability.csv")
     return 0
 
 
-def cmd_route(config: dict) -> int:
+def cmd_route(config: dict, out: Path) -> int:
     network = _network(config)
-    model = _model(config)
-    tollbooth, routing = _tables(config, network, "simulation")
+    model = _model(out)
+    tollbooth, routing = _tables(config, out, network, "simulation")
     sim = config["simulation"]
     hours = None
     if sim["start"] or sim["end"]:
@@ -293,7 +292,6 @@ def cmd_route(config: dict) -> int:
     problems = conservation_violations(run)
     if problems:
         raise InternalError("conservation violated: " + "; ".join(problems[:5]))
-    out = _out_dir(config)
     write_od_csv(out / "od_matrix.csv", run.matrix)
     write_ledger_csv(out / "ledger.csv", run.ledger)
     log.info("route: %d OD entries over %d decisions -> %s", len(run.matrix), len(run.decisions), out)
@@ -330,11 +328,13 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config = load_config(args.config, args.seed, args.out, getattr(args, "days", None))
     log.info("command %s, config hash %s", args.command, config_hash(config))
+    # Checked before any command reads input; synth, train and stability create it.
+    out = _out_dir(config)
     if args.command == "stability":
-        return cmd_stability(config, args.routing_a, args.routing_b)
+        return cmd_stability(config, out, args.routing_a, args.routing_b)
     commands = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
                 "explain": cmd_explain, "route": cmd_route}
-    return commands[args.command](config)
+    return commands[args.command](config, out)
 
 
 def main(argv: list[str] | None = None) -> int:

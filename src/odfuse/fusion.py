@@ -19,9 +19,14 @@ at value boundaries that leave ``min_samples_leaf`` rows on each side. The
 residual prefix sums still run sequentially in each feature's sorted order:
 they decide between mathematically tied candidates (complementary one-hot
 columns, ``day_of_week`` against ``is_weekend``), so the same data always
-gives the same tree. Prediction walks all of a target's trees at once over
-one node table, a block of rows at a time, and adds the leaf values tree by
-tree in model order, so scores equal a per-tree loop bit for bit.
+gives the same tree.
+
+A target is one node table: an array per node field, its trees end to end
+in model order, each tree's children numbered within the tree. Training
+appends to it; prediction walks all of its trees at once, a block of rows at
+a time, adding leaf values tree by tree in model order, so scores equal a
+per-tree loop bit for bit. ``model.json`` holds a slice per tree; loading
+builds each field and runs each check once per target.
 
 The seven targets share only their inputs, so ``train`` fits them in two
 processes: one worker, forked after the shared inputs are built, fits the
@@ -41,6 +46,8 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +103,16 @@ class GbtHyperparams:
                               f"got {self.l2_leaf_regularization!r}")
 
 
+# The node fields of a tree and their dtypes (intp: numpy gathers it without a
+# cast). ``feature`` is -1 at leaves, children are numbered within their tree,
+# and ``cover`` is the training-sample count per node (parent = left + right).
+NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp, "right": np.intp,
+               "value": np.float64, "cover": np.float64}
+
+
 @dataclass
 class RegressionTree:
-    """Flat-array binary tree. ``feature`` is -1 at leaves; ``cover`` is the
-    training-sample count per node (parent cover = left + right)."""
+    """One tree as flat node arrays (see ``NODE_FIELDS``)."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -107,10 +120,6 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
     cover: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         idx = np.zeros(X.shape[0], dtype=np.int32)
@@ -132,8 +141,24 @@ class RegressionTree:
 
 @dataclass
 class TargetModel:
+    """One target's ensemble as a node table: an array per node field, tree
+    ``i`` in rows ``offsets[i]:offsets[i + 1]``, the trees in model order."""
+
     base_score: float
-    trees: list[RegressionTree]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    cover: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def trees(self) -> list[RegressionTree]:
+        """Each tree as a view over its rows of the node table."""
+        bounds = self.offsets.tolist()
+        return [RegressionTree(*(getattr(self, key)[start:end] for key in NODE_FIELDS))
+                for start, end in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -153,16 +178,16 @@ class FusionModel:
 
 
 class _TreeBuilder:
-    """Grows one tree on the current residuals via exact greedy splits.
+    """Grows one target's trees via exact greedy splits, appending each tree
+    to the target's node table.
 
     A node holds, per feature, its rows in ascending order of that feature
     and their value codes, as one contiguous ``(2, F, n)`` integer array.
     """
 
-    def __init__(self, codes: np.ndarray, values: list[np.ndarray], g: np.ndarray, hp: GbtHyperparams):
+    def __init__(self, codes: np.ndarray, values: list[np.ndarray], hp: GbtHyperparams):
         self.codes = codes
         self.values = values
-        self.g = g
         self.lam = hp.l2_leaf_regularization
         self.msl = hp.min_samples_leaf
         self.max_depth = hp.max_depth
@@ -172,18 +197,15 @@ class _TreeBuilder:
         self.right: list[int] = []
         self.value: list[float] = []
         self.cover: list[float] = []
-        self.leaf_assignments: list[tuple[np.ndarray, float]] = []
+        self.offsets = [0]
 
-    def build(self, node: np.ndarray) -> RegressionTree:
+    def build(self, node: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, float]]:
+        """Append a tree grown from ``node`` on residuals ``g``; return its leaves' (rows, value)."""
+        self.g = g
+        self.leaf_assignments: list[tuple[np.ndarray, float]] = []
         self._grow(node, depth=0)
-        return RegressionTree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-            cover=np.asarray(self.cover, dtype=np.float64),
-        )
+        self.offsets.append(len(self.feature))
+        return self.leaf_assignments
 
     def _new_node(self) -> int:
         idx = len(self.feature)
@@ -249,8 +271,8 @@ class _TreeBuilder:
         self.threshold[idx] = float(thr)
         left_idx = self._grow(left, depth + 1)
         right_idx = self._grow(right, depth + 1)
-        self.left[idx] = left_idx
-        self.right[idx] = right_idx
+        self.left[idx] = left_idx - self.offsets[-1]
+        self.right[idx] = right_idx - self.offsets[-1]
         self.cover[idx] = self.cover[left_idx] + self.cover[right_idx]
         return idx
 
@@ -278,14 +300,12 @@ def _fit_targets(targets: list[int]) -> dict[int, TargetModel]:
         y = Y[:, t]
         base = float(y.mean())
         pred = np.full(y.shape[0], base, dtype=np.float64)
-        trees: list[RegressionTree] = []
+        builder = _TreeBuilder(codes, values, hp)
         for _ in range(hp.n_trees):
-            builder = _TreeBuilder(codes, values, y - pred, hp)
-            tree = builder.build(root)
-            for rows, val in builder.leaf_assignments:
+            for rows, val in builder.build(root, y - pred):
                 pred[rows] += hp.learning_rate * val
-            trees.append(tree)
-        fitted[t] = TargetModel(base_score=base, trees=trees)
+        columns = {key: np.asarray(getattr(builder, key), dtype) for key, dtype in NODE_FIELDS.items()}
+        fitted[t] = TargetModel(base_score=base, **columns, offsets=np.asarray(builder.offsets))
     return fitted
 
 
@@ -343,49 +363,37 @@ def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionMod
                     raise InternalError(f"training worker died: {exc}") from exc
     finally:
         _fit_inputs = None
-    model = FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES)
-    for t, name in enumerate(TARGET_NAMES):
-        model.targets[name] = fitted[t]
-    return model
+    targets = {name: fitted[t] for t, name in enumerate(TARGET_NAMES)}
+    return FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES, targets=targets)
 
 
 # Rows walked at once: bounds the (trees x rows) index arrays of a walk.
 _BLOCK_ROWS = 2048
 
 
-def _node_table(trees: list[RegressionTree]) -> tuple[np.ndarray, ...]:
-    """All trees' nodes in one table: root of each tree, split feature (-1 at
-    leaves), threshold, children as (right, left) pairs and leaf value.
-    Leaves are their own children, so a walk may overrun them."""
-    sizes = np.array([tree.n_nodes for tree in trees])
-    roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    offset = np.repeat(roots, sizes)
-    own = np.arange(offset.shape[0])
-    feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
-    leaf = feature < 0
-    children = np.empty((own.shape[0], 2), dtype=np.intp)
-    children[:, 0] = np.where(leaf, own, np.concatenate([tree.right for tree in trees]) + offset)
-    children[:, 1] = np.where(leaf, own, np.concatenate([tree.left for tree in trees]) + offset)
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    value = np.concatenate([tree.value for tree in trees])
-    return roots, feature, threshold, children.reshape(-1), value
+def _children(tm: TargetModel) -> np.ndarray:
+    """Every node's children as (right, left) pairs, flattened and numbered in
+    the whole table. Leaves are their own children, so a walk may overrun them."""
+    own = np.arange(tm.feature.shape[0])[:, None]
+    start = np.repeat(tm.offsets[:-1], np.diff(tm.offsets))[:, None]
+    pairs = np.column_stack([tm.right, tm.left]) + start
+    return np.where(tm.feature[:, None] == -1, own, pairs).reshape(-1)
 
 
-def _leaf_values(nodes: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
+def _leaf_values(tm: TargetModel, children: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``(trees, rows)`` leaf values: every tree walks every row at once, one
     level per step, until no row sits on an internal node."""
-    roots, feature, threshold, children, value = nodes
     n_rows, n_features = X.shape
     x = np.ascontiguousarray(X).reshape(-1)
     row_start = np.arange(0, n_rows * n_features, n_features)
-    at = np.repeat(roots[:, None], n_rows, axis=1)
+    at = np.repeat(tm.offsets[:-1, None], n_rows, axis=1)
     while True:
-        f = feature[at]
+        f = tm.feature[at]
         if f.max(initial=-1) < 0:
-            return value[at]
+            return tm.value[at]
         # At a leaf f is -1, which reads some other cell; both children are
         # the leaf itself, so the comparison does not matter there.
-        go_left = x[row_start + f] <= threshold[at]
+        go_left = x[row_start + f] <= tm.threshold[at]
         at = children[2 * at + go_left]
 
 
@@ -393,14 +401,12 @@ def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str) -> np.ndarr
     """Unclamped ensemble score for one target over a feature matrix."""
     tm = model.target(target)
     out = np.full(X.shape[0], tm.base_score, dtype=np.float64)
-    if not tm.trees:
-        return out
     lr = model.hyperparams.learning_rate
-    nodes = _node_table(tm.trees)
+    children = _children(tm)
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         block = out[start : start + _BLOCK_ROWS]
         # Added tree by tree in model order, as a per-tree loop would.
-        for leaf_value in _leaf_values(nodes, X[start : start + _BLOCK_ROWS]):
+        for leaf_value in _leaf_values(tm, children, X[start : start + _BLOCK_ROWS]):
             block += lr * leaf_value
     return out
 
@@ -448,6 +454,14 @@ def _r2(pred: np.ndarray, y: np.ndarray) -> float | None:
     return 1.0 - ss_res / ss_tot
 
 
+def _metric_row(name: str, dataset: FusionDataset, t: int, train: np.ndarray, valid: np.ndarray) -> MetricRow:
+    """RMSE and R^2 of column ``t`` of each partition's predictions against target column ``t``."""
+    y_train = dataset.Y_train[:, t]
+    y_valid = dataset.Y_valid[:, t]
+    return MetricRow(name, _rmse(train[:, t], y_train), _r2(train[:, t], y_train),
+                     _rmse(valid[:, t], y_valid), _r2(valid[:, t], y_valid))
+
+
 def evaluate(model: FusionModel, dataset: FusionDataset) -> MetricsReport:
     """Per-target RMSE and R^2 on both partitions, with the raw mobility
     flow as the baseline predictor of the total."""
@@ -455,25 +469,9 @@ def evaluate(model: FusionModel, dataset: FusionDataset) -> MetricsReport:
         raise DataError("validation partition is empty")
     pred_train = predict_matrix(model, dataset.X_train)
     pred_valid = predict_matrix(model, dataset.X_valid)
-    rows = [
-        MetricRow(
-            name=BASELINE_ROW_NAME,
-            rmse_train=_rmse(dataset.X_train[:, 0], dataset.Y_train[:, 0]),
-            r2_train=_r2(dataset.X_train[:, 0], dataset.Y_train[:, 0]),
-            rmse_valid=_rmse(dataset.X_valid[:, 0], dataset.Y_valid[:, 0]),
-            r2_valid=_r2(dataset.X_valid[:, 0], dataset.Y_valid[:, 0]),
-        )
-    ]
-    for t, name in enumerate(TARGET_NAMES):
-        rows.append(
-            MetricRow(
-                name=name,
-                rmse_train=_rmse(pred_train[:, t], dataset.Y_train[:, t]),
-                r2_train=_r2(pred_train[:, t], dataset.Y_train[:, t]),
-                rmse_valid=_rmse(pred_valid[:, t], dataset.Y_valid[:, t]),
-                r2_valid=_r2(pred_valid[:, t], dataset.Y_valid[:, t]),
-            )
-        )
+    # The baseline predicts the total, column 0, by the raw flow, feature 0.
+    rows = [_metric_row(BASELINE_ROW_NAME, dataset, 0, dataset.X_train, dataset.X_valid)]
+    rows += [_metric_row(name, dataset, t, pred_train, pred_valid) for t, name in enumerate(TARGET_NAMES)]
     return MetricsReport(rows=rows, pred_valid=pred_valid)
 
 
@@ -494,20 +492,9 @@ MODEL_VERSION = 1
 
 
 def _target_doc(tm: TargetModel) -> dict:
-    return {
-        "base_score": tm.base_score,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-                "cover": tree.cover.tolist(),
-            }
-            for tree in tm.trees
-        ],
-    }
+    """The target as a document with one object per tree, sliced from the table."""
+    trees = [{key: getattr(tree, key).tolist() for key in NODE_FIELDS} for tree in tm.trees]
+    return {"base_score": tm.base_score, "trees": trees}
 
 
 def save_model(model: FusionModel, path: str | Path) -> None:
@@ -533,27 +520,31 @@ def save_model(model: FusionModel, path: str | Path) -> None:
         fh.write("}" + tail)
 
 
-def _check_tree(label: str, tree: RegressionTree, n_features: int) -> None:
-    """Reject a tree that could misroute, loop or index out of range: every
-    split leads to higher-numbered children, covers are positive and add up,
-    and every number is finite."""
-    n = tree.feature.size  # not n_nodes: a 0-d array has no length
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.cover)
-    if n == 0 or {a.shape for a in arrays} != {(n,)}:
-        raise DataError(f"{label}: node arrays must be non-empty and of equal length")
-    if (tree.feature[(tree.left == -1) & (tree.right == -1)] != -1).any():
-        raise DataError(f"{label}: leaves must have feature -1")
-    internal = tree.feature != -1
-    parent = np.arange(n)[internal]
-    left, right = tree.left[internal], tree.right[internal]
-    if ((left <= parent) | (right <= parent) | (left >= n) | (right >= n)).any():
-        raise DataError(f"{label}: children must have higher indices than their parent")
-    if ((tree.feature[internal] < 0) | (tree.feature[internal] >= n_features)).any():
-        raise DataError(f"{label}: split features must lie in [0, {n_features})")
-    if not all(np.isfinite(a).all() for a in (tree.threshold, tree.value, tree.cover)):
-        raise DataError(f"{label}: thresholds, values and covers must be finite")
-    if (tree.cover <= 0).any() or (tree.cover[internal] != tree.cover[left] + tree.cover[right]).any():
-        raise DataError(f"{label}: covers must be positive and equal the sum of their children's")
+def _reject(label: str, offsets: np.ndarray, bad, problem: str) -> None:
+    """A DataError naming the tree of the first node flagged in ``bad``, if any."""
+    if np.any(bad):
+        tree = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+        raise DataError(f"{label} tree {tree}: {problem}")
+
+
+def _check_target(label: str, tm: TargetModel, n_features: int) -> None:
+    """Reject a target whose trees could misroute, loop or index out of range:
+    every split leads to higher-numbered children in its own tree, covers are
+    positive and add up, and every number is finite. Each check is one pass
+    over the whole table and names the first tree that fails it."""
+    reject = partial(_reject, label, tm.offsets)
+    internal = tm.feature != -1
+    children = _children(tm).reshape(-1, 2)
+    own = np.arange(tm.feature.shape[0])[:, None]
+    end = np.repeat(tm.offsets[1:], np.diff(tm.offsets))[:, None]
+    reject((tm.left == -1) & (tm.right == -1) & internal, "leaves must have feature -1")
+    reject(internal & ((children <= own) | (children >= end)).any(axis=1),
+           "children must have higher indices than their parent")
+    reject(internal & ((tm.feature < 0) | (tm.feature >= n_features)), f"split features must lie in [0, {n_features})")
+    reject(~(np.isfinite(tm.threshold) & np.isfinite(tm.value) & np.isfinite(tm.cover)),
+           "thresholds, values and covers must be finite")
+    reject((tm.cover <= 0) | (internal & (tm.cover != tm.cover[children].sum(axis=1))),
+           "covers must be positive and equal the sum of their children's")
 
 
 def load_model(path: str | Path) -> FusionModel:
@@ -574,31 +565,39 @@ def _model_from_doc(doc: dict, p: Path) -> FusionModel:
         raise DataError(f"{p}: feature names {doc['feature_names']} differ from {list(FEATURE_NAMES)}")
     if set(doc["targets"]) != set(TARGET_NAMES):
         raise DataError(f"{p}: targets {sorted(doc['targets'])} differ from {list(TARGET_NAMES)}")
-    model = FusionModel(hyperparams=GbtHyperparams(**doc["hyperparams"]), feature_names=FEATURE_NAMES)
+    hp = GbtHyperparams(**doc["hyperparams"])
     # save_model sorts keys; rebuild in TARGET_NAMES order, the column order of Y.
-    for name in TARGET_NAMES:
-        tdoc = doc["targets"][name]
-        base_score = float(tdoc["base_score"])
-        if not math.isfinite(base_score):
-            raise DataError(f"{p}: target {name} has a non-finite base score")
-        trees = []
-        for i, t in enumerate(tdoc["trees"]):
-            label = f"{p}: target {name} tree {i}"
-            # Whole-array checks, so a float or out-of-range index is rejected, not truncated.
-            ints = {key: np.asarray(t[key]) for key in ("feature", "left", "right")}
-            for key, values in ints.items():
-                if values.dtype.kind != "i" or (values.astype(np.int32) != values).any():
-                    raise DataError(f"{label}: {key} must hold int32 integers")
-            tree = RegressionTree(
-                **{key: values.astype(np.int32) for key, values in ints.items()},
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                value=np.asarray(t["value"], dtype=np.float64),
-                cover=np.asarray(t["cover"], dtype=np.float64),
-            )
-            _check_tree(label, tree, len(FEATURE_NAMES))
-            trees.append(tree)
-        model.targets[name] = TargetModel(base_score=base_score, trees=trees)
-    return model
+    targets = {name: _target_from_doc(f"{p}: target {name}", doc["targets"][name]) for name in TARGET_NAMES}
+    return FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES, targets=targets)
+
+
+def _target_from_doc(label: str, tdoc: dict) -> TargetModel:
+    """One target's node table from its document, built a field at a time and checked whole."""
+    base_score = float(tdoc["base_score"])
+    if not math.isfinite(base_score):
+        raise DataError(f"{label} has a non-finite base score")
+    sizes = [0]
+    for i, t in enumerate(tdoc["trees"]):
+        lengths = {len(t[key]) if isinstance(t[key], list) else 0 for key in NODE_FIELDS}
+        if len(lengths) != 1 or 0 in lengths:
+            raise DataError(f"{label} tree {i}: node arrays must be non-empty and of equal length")
+        sizes.extend(lengths)
+    offsets = np.cumsum(sizes)
+    columns = {}
+    for key, dtype in NODE_FIELDS.items():
+        column = list(chain.from_iterable(t[key] for t in tdoc["trees"]))
+        values = np.asarray(column, dtype=None if dtype is np.intp else dtype)
+        # Whole-array checks, so a float or out-of-range index is rejected, not truncated.
+        if dtype is np.intp and column and (values.dtype.kind != "i" or (values.astype(np.int32) != values).any()):
+            bad = [type(v) is not int or not -(2**31) <= v < 2**31 for v in column]
+            _reject(label, offsets, bad, f"{key} must hold int32 integers")
+        columns[key] = values.astype(dtype, copy=False)
+    # Nested lists load as arrays of more dimensions, and then every tree holds them.
+    if any(values.ndim != 1 for values in columns.values()):
+        raise DataError(f"{label} tree 0: node arrays must be non-empty and of equal length")
+    tm = TargetModel(base_score=base_score, **columns, offsets=offsets)
+    _check_target(label, tm, len(FEATURE_NAMES))
+    return tm
 
 
 def write_metrics_csv(path: str | Path, report: MetricsReport) -> None:

@@ -166,9 +166,6 @@ class NetworkConfig:
     def node_named(self, name: str) -> NetworkNode:
         return self._require(name, "lookup")
 
-    def stations(self) -> list[NetworkNode]:
-        return [n for n in self.nodes if n.node.kind is not NodeKind.INFERRED_DESTINATION]
-
     def destinations(self) -> list[NetworkNode]:
         return [n for n in self.nodes if n.node.kind is NodeKind.INFERRED_DESTINATION]
 

@@ -562,7 +562,10 @@ def _od_matrix(hours: tuple[HourKey, ...], decisions: list[FlowDecision], decisi
         pieces.append(np.stack((dec, j * len(CATEGORY_ORDER) + c, *ends, _CATEGORY_TYPE_CODES[c],
                                 counts[b, j, c])))
     columns = np.concatenate(pieces, axis=1)
-    dec, _, origin, destination, kind, count = columns[:, np.lexsort((columns[1], columns[0]))]
+    # Gathered a column at a time: a permuted copy of the whole (6, rows)
+    # block is one more transient of its size.
+    order = np.lexsort((columns[1], columns[0]))
+    dec, origin, destination, kind, count = (columns[i][order] for i in (0, 2, 3, 4, 5))
     scenario = np.array([_SCENARIOS.index(d.scenario) for d in decisions], dtype=np.int64)
     return ODMatrix(hours=hours, nodes=tuple(node_codes), decisions=tuple(decisions),
                     hour=decision_hour[dec], origin=origin, destination=destination,

@@ -34,7 +34,7 @@ from odfuse.core import (
     make_hour_key,
 )
 from odfuse.errors import ConfigError, DataError
-from odfuse.fusion import RegressionTree
+from odfuse.fusion import NODE_FIELDS, RegressionTree, TargetModel
 from odfuse.ingest import CENSOR_SENTINEL, ROUTING_HEADER, TOLLBOOTH_HEADER
 from odfuse.network import (
     BoundaryConfig,
@@ -55,6 +55,14 @@ def make_tree(feature, threshold, left, right, value, cover) -> RegressionTree:
         value=np.asarray(value, dtype=np.float64),
         cover=np.asarray(cover, dtype=np.float64),
     )
+
+
+def target_model(base_score: float, trees: list[RegressionTree]) -> TargetModel:
+    """The target model whose node table holds ``trees`` end to end."""
+    columns = {key: np.concatenate([np.zeros(0, dtype), *(getattr(tree, key) for tree in trees)])
+               for key, dtype in NODE_FIELDS.items()}
+    offsets = np.cumsum([0] + [tree.feature.shape[0] for tree in trees])
+    return TargetModel(base_score=base_score, **columns, offsets=offsets)
 
 
 def random_cover_tree(rng, n_features: int, max_depth: int, root_cover: int | None = None) -> RegressionTree:
@@ -632,7 +640,7 @@ class _ReferenceTreeBuilder:
 def reference_train(dataset, hp):
     """Boosting loop over the full-scan builder: the oracle that the trainer
     must reproduce array for array."""
-    from odfuse.fusion import FusionModel, TargetModel
+    from odfuse.fusion import FusionModel
     from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES
 
     X = dataset.X_train
@@ -649,7 +657,7 @@ def reference_train(dataset, hp):
             for rows, val in builder.leaf_assignments:
                 pred[rows] += hp.learning_rate * val
             trees.append(tree)
-        model.targets[name] = TargetModel(base_score=base, trees=trees)
+        model.targets[name] = target_model(base, trees)
     return model
 
 

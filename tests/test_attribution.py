@@ -12,7 +12,6 @@ from odfuse.errors import DataError
 from odfuse.fusion import (
     FusionModel,
     GbtHyperparams,
-    TargetModel,
     raw_score_matrix,
     train,
 )
@@ -31,6 +30,7 @@ from _helpers import (
     make_tree,
     random_cover_tree,
     reference_permutation_importance,
+    target_model,
     tree_expectation,
 )
 
@@ -94,7 +94,7 @@ class TestTreeShapSingle:
         for _ in range(20):
             tree = random_cover_tree(rng, n_features, max_depth)
             model = FusionModel(hyperparams=GbtHyperparams(learning_rate=1.0), feature_names=names)
-            model.targets["total"] = TargetModel(base_score=0.0, trees=[tree])
+            model.targets["total"] = target_model(0.0, [tree])
             X = rng.random((8, n_features))
             phi, base = shap_matrix(model, "total", X)
             assert phi.shape == (8, n_features)
@@ -178,7 +178,7 @@ class TestEnsembleShap:
     def test_constant_model_all_zero(self):
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
-            model.targets[name] = TargetModel(base_score=5.0, trees=[])
+            model.targets[name] = target_model(5.0, [])
         phi, base = shap_matrix(model, "total", np.zeros((1, len(FEATURE_NAMES))))
         assert np.all(phi == 0.0)
         assert base == 5.0
@@ -220,7 +220,7 @@ class TestGlobalImportance:
     def test_constant_model_zero_importance(self):
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
-            model.targets[name] = TargetModel(base_score=1.0, trees=[])
+            model.targets[name] = target_model(1.0, [])
         phi, _ = shap_matrix(model, "total", np.zeros((5, len(FEATURE_NAMES))))
         imp = global_importance(model.feature_names, phi)
         assert np.all(imp.mean_abs == 0.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from odfuse import cli
 from odfuse.attribution import permutation_importance
 from odfuse.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from odfuse.fusion import GbtHyperparams, train
@@ -173,6 +174,7 @@ CORRUPT_TREES = {
     "non-finite-value": "finite",
     "float-feature": "feature must hold int32 integers",
     "float-child": "left must hold int32 integers",
+    "child-past-its-tree": "higher indices",
 }
 
 
@@ -194,6 +196,8 @@ def corrupt_tree(tree: dict, case: str) -> None:
         tree["feature"][0] += 0.5
     elif case == "float-child":
         tree["left"][0] += 0.5
+    elif case == "child-past-its-tree":  # the next tree's root in the target's table
+        tree["left"][0] = len(tree["left"])
 
 
 class TestModelValidation:
@@ -517,6 +521,9 @@ class TestConfigHandling:
         ("model is a directory", "eval", 2),
         ("model is not UTF-8", "eval", 2),
         ("out is an existing file", "synth", 1),
+        ("out is an existing file", "eval", 1),
+        ("out is an existing file", "explain", 1),
+        ("out is an existing file", "route", 1),
         ("artifact is a directory", "synth", 1),
     ])
     def test_unreadable_or_unwritable_file_exits_naming_it(self, tmp_path, capsys, case, command, code):
@@ -544,6 +551,18 @@ class TestConfigHandling:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    def test_directory_at_the_model_path_stops_train_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "run.json")
+        assert main(["--config", str(cfg), "synth"]) == 0
+        (tmp_path / "out" / "model.json").mkdir()
+
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "train", no_fit)
+        assert main(["--config", str(cfg), "train"]) == 1
+        assert f"cannot write {tmp_path / 'out' / 'model.json'}: Is a directory" in capsys.readouterr().err
 
 
 def bundled_network_doc() -> dict:

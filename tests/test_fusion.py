@@ -13,7 +13,6 @@ from odfuse import fusion
 from odfuse.fusion import (
     FusionModel,
     GbtHyperparams,
-    TargetModel,
     evaluate,
     load_model,
     predict_matrix,
@@ -38,6 +37,7 @@ from _helpers import (
     random_cover_tree,
     reference_raw_scores,
     reference_train,
+    target_model,
 )
 
 
@@ -182,7 +182,7 @@ class TestTrain:
     def test_cover_consistency(self, synthetic_model):
         model, _ = synthetic_model
         tree = model.targets["total"].trees[0]
-        for i in range(tree.n_nodes):
+        for i in range(len(tree.feature)):
             if tree.feature[i] >= 0:
                 assert tree.cover[i] == tree.cover[tree.left[i]] + tree.cover[tree.right[i]]
 
@@ -214,7 +214,7 @@ class TestPredict:
     def test_negative_raw_scores_clamped(self):
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
-            model.targets[name] = TargetModel(base_score=-3.2, trees=[])
+            model.targets[name] = target_model(-3.2, [])
         # flow 10 at 08:00 on a Monday, on a trunk road
         pred = predict_matrix(model, np.array([[10.0, 8, 0, 0, 0, 1, 0]]))
         assert pred.shape == (1, len(TARGET_NAMES))
@@ -472,12 +472,12 @@ class TestTwoProcessFit:
         parent = os.getpid()
         build = fusion._TreeBuilder.build
 
-        def build_fails_in_worker(self, node):
+        def build_fails_in_worker(self, node, g):
             if os.getpid() != parent:
                 if fault == "exit":
                     os._exit(1)
                 raise DataError("raised in the worker")
-            return build(self, node)
+            return build(self, node, g)
 
         monkeypatch.setattr(fusion._TreeBuilder, "build", build_fails_in_worker)
         monkeypatch.setattr(fusion, "_PARALLEL_MIN_WORK", 0)
@@ -490,7 +490,7 @@ class TestTwoProcessFit:
 def _model_of(trees_per_target: list, base: float = 2.5, lr: float = 0.1) -> FusionModel:
     model = FusionModel(hyperparams=GbtHyperparams(learning_rate=lr), feature_names=FEATURE_NAMES)
     for name, trees in zip(TARGET_NAMES, trees_per_target):
-        model.targets[name] = TargetModel(base_score=base, trees=trees)
+        model.targets[name] = target_model(base, trees)
     return model
 
 
@@ -512,7 +512,7 @@ class TestPredictorParity:
         n_rows=st.sampled_from([0, 1, 2, 17]),
         lr=st.sampled_from([0.1, 0.3, 1.0]),
     )
-    def test_random_ensembles(self, seed, depths, n_rows, lr):
+    def test_random_ensembles(self, tmp_path_factory, seed, depths, n_rows, lr):
         rng = np.random.default_rng(seed)
         # Mixed depths, single leaves (depth 0) and zero-tree targets.
         trees = [random_cover_tree(rng, len(FEATURE_NAMES), d) for d in depths]
@@ -525,6 +525,15 @@ class TestPredictorParity:
         hits = rng.random(X.shape) < 0.3
         X[hits] = rng.choice(thresholds, size=int(hits.sum()))
         _assert_scores_match_per_tree_sum(model, X)
+        # The same ensemble through model.json.
+        saved = tmp_path_factory.mktemp("ensemble")
+        save_model(model, saved / "model.json")
+        loaded = load_model(saved / "model.json")
+        _assert_same_model(loaded, model)
+        save_model(loaded, saved / "again.json")
+        assert (saved / "again.json").read_bytes() == (saved / "model.json").read_bytes()
+        for name in TARGET_NAMES:
+            assert np.array_equal(raw_score_matrix(loaded, X, name), raw_score_matrix(model, X, name))
 
     def test_zero_tree_targets_give_the_base_score(self):
         model = _model_of([[]] * len(TARGET_NAMES), base=-3.25)

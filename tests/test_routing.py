@@ -55,6 +55,7 @@ from _helpers import (
     reference_od_rows,
     station,
     take_rows,
+    target_model,
 )
 
 HOUR = make_hour_key("2025-01-30T17:00")
@@ -461,12 +462,12 @@ class TestBuildOdMatrix:
             [[250, 0, 0, 0, 0, 0, 250]] * 2,
         )
         rt = destination_rows(net, hour, {"Brøttemsvegen": 60, "Heimsdalvegen": 40, "Industripark": 50})
-        from odfuse.fusion import FusionModel, TargetModel
+        from odfuse.fusion import FusionModel
         from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES
 
         model = FusionModel(hyperparams=GbtHyperparams(), feature_names=FEATURE_NAMES)
         for name in TARGET_NAMES:
-            model.targets[name] = TargetModel(base_score=10.0, trees=[])
+            model.targets[name] = target_model(10.0, [])
         run = build_od_matrix(net, model, tb, rt)
         assert run.matrix.entries
         assert all(e.scenario is Scenario.PASSTHROUGH_BYPASS for e in run.matrix.entries)
