@@ -2,7 +2,8 @@
 
 Time keys, nodes, vehicle categories, counts and the input tables are
 immutable value types, safe to share between threads. Every CSV artifact is
-written in one dialect, ``write_csv``'s, with statistics formatted by
+written in one dialect, by ``write_csv`` from rows or by the block writer
+``write_csv_columns`` from code columns, with statistics formatted by
 ``stat_cell``; every JSON document a user supplies is read by ``read_json``.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "RoutingTable",
     "make_hour_key",
     "write_csv",
+    "write_csv_columns",
     "stat_cell",
     "csv_cell",
     "read_json",
@@ -439,11 +441,27 @@ def stat_cell(value: float | None) -> str:
     return "NA" if value is None else repr(float(value))
 
 
+def write_csv_columns(path: str | Path, header: Sequence[str],
+                      columns: Sequence[tuple[Sequence[str] | None, np.ndarray]], rows: np.ndarray) -> None:
+    """Write the given ``rows`` of a column table, in that order, byte for byte
+    as ``write_csv`` writes the same cells. Each column is ``(texts, codes)``:
+    a row's cell is the non-empty ``texts[code]``, quoted once per text, or the
+    integer ``code`` itself where ``texts`` is None."""
+    cells = [None if texts is None else [csv_cell(text) for text in texts] for texts, _ in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_cell, header)) + CSV_EOL)
+        for start in range(0, len(rows), 8192):  # never the whole text at once
+            texts = [map(str if table is None else table.__getitem__, codes[rows[start:start + 8192]].tolist())
+                     for table, (_, codes) in zip(cells, columns)]
+            fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
+
+
 def csv_cell(value: str) -> str:
     """A non-empty ``value`` as ``write_csv`` writes it inside a row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([value])
-    return buf.getvalue()
+    # The line end takes part in the quoting: a value holding CR or LF is quoted.
+    csv.writer(buf, lineterminator=CSV_EOL).writerow([value])
+    return buf.getvalue()[: -len(CSV_EOL)]
 
 
 def read_json(path: str | Path, what: str, error: type[Exception]):

@@ -8,6 +8,12 @@ File formats (UTF-8, ISO-8601 hour timestamps):
   ``people_flow`` is a non-negative integer or the censor sentinel
   (default ``<T``).
 * difference table: ``node,hour_of_day,mean_diff``.
+
+The readers stream rows into code columns and parse each distinct
+timestamp, series, node or road-tag text once, naming the file and line of
+a bad one. Synthetic data keeps a fixed draw order, so that a seed keeps its
+data: series in network order, hour by hour, six scalar Poisson draws in
+band order, then one normal draw only if the hour counted a vehicle.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .core import (
     stat_cell,
     station_of,
     write_csv,
+    write_csv_columns,
 )
 from .errors import ConfigError, DataError, is_number
 from .network import NetworkConfig
@@ -162,6 +169,17 @@ def _parse_int_field(raw: str, line: int, field: str) -> int:
     return value
 
 
+def _counts(raw: list[str], line: int, fields: list[str]) -> list[int]:
+    """The counts in ``raw``; the first bad one raises ``_parse_int_field``'s DataError."""
+    try:
+        values = list(map(int, raw))
+        if min(values) >= 0 and max(values) <= _LARGEST_COUNT:
+            return values
+    except ValueError:
+        pass
+    return [_parse_int_field(text, line, field) for text, field in zip(raw, fields)]
+
+
 def _check_header(row: list[str] | None, expected: list[str], path: Path) -> None:
     if row is None:
         raise DataError(f"{path}: empty file, expected header {','.join(expected)}")
@@ -192,22 +210,37 @@ def _csv_rows(p: Path, header: list[str], label: str) -> Iterator[tuple[int, lis
         raise DataError(f"{p}: unreadable CSV: {exc}") from exc
 
 
-def _hour(p: Path, cache: dict[str, HourKey], text: str, line: int) -> HourKey:
-    """Parse a timestamp text into ``cache``; each distinct text is parsed once."""
-    try:
-        hour = cache[text] = make_hour_key(text)
-    except DataError as exc:
-        raise DataError(f"{p}: line {line}, field 'timestamp': {exc}") from exc
-    return hour
+class _Codes(dict):
+    """The int code of each distinct text of one column. Texts whose parsed
+    values are equal share a code; ``parsed`` maps each value to its code, in
+    order of first appearance. Readers try ``get`` first, and a miss or code 0
+    falls through to ``code``."""
+
+    def __init__(self, path: Path, parse, where: str = "") -> None:
+        super().__init__()
+        self.path, self.parse, self.where, self.parsed = path, parse, where, {}
+
+    def code(self, text, line: int) -> int:
+        """The code of ``text``, parsed once; a parse failure names the file and line."""
+        if text not in self:
+            try:
+                value = self.parse(text)
+            except DataError as exc:
+                raise DataError(f"{self.path}: line {line}{self.where}: {exc}") from exc
+            self[text] = self.parsed.setdefault(value, len(self.parsed))
+        return self[text]
 
 
-def _node_kind(network: NetworkConfig | None, name: str, default: NodeKind) -> NodeKind:
+def _node(network: NetworkConfig | None, name: str, station: str, default: NodeKind, what: str) -> NodeId:
+    """The node named ``name``, of its station's kind in ``network`` if listed there."""
+    if not name:
+        raise DataError(f"empty {what} name")
     if network is not None:
         try:
-            return network.node_named(name).node.kind
+            return NodeId(name=name, kind=network.node_named(station).node.kind)
         except ConfigError:
             pass
-    return default
+    return NodeId(name=name, kind=default)
 
 
 def read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -> TollboothTable:
@@ -218,69 +251,59 @@ def read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -
     sum by more than 1% come back with ``counts.total_mismatch`` set.
     """
     p = Path(path)
-    hours: dict[str, HourKey] = {}
-    series: dict[tuple[str, str], tuple[NodeId, Direction]] = {}
-    row_hours, row_series, values = [], [], []
+    hours = _Codes(p, make_hour_key, ", field 'timestamp'")
+    series = _Codes(p, lambda key: (_node(network, key[0], key[0], NodeKind.MAIN_TOLLBOOTH, "station"),
+                                    Direction.parse(key[1])))
+    hour, row_series, values = [], [], []
     fields = TOLLBOOTH_HEADER[3:]
     for line, row in _csv_rows(p, TOLLBOOTH_HEADER, "tollbooth"):
-        row_hours.append(hours.get(row[0]) or _hour(p, hours, row[0], line))
-        found = series.get((row[1], row[2]))
-        if found is None:
-            if not row[1]:
-                raise DataError(f"{p}: line {line}: empty station name")
-            kind = _node_kind(network, row[1], NodeKind.MAIN_TOLLBOOTH)
-            found = series[row[1], row[2]] = (NodeId(name=row[1], kind=kind), Direction.parse(row[2]))
-        row_series.append(found)
-        values.append([_parse_int_field(raw, line, field) for raw, field in zip(row[3:], fields)])
-    return TollboothTable.from_rows(row_hours, row_series, values)
+        hour.append(hours.get(row[0]) or hours.code(row[0], line))
+        row_series.append(series.get(key := (row[1], row[2])) or series.code(key, line))
+        values.append(_counts(row[3:], line, fields))
+    values = np.array(values, dtype=np.float64).reshape(len(hour), len(fields))
+    return TollboothTable(hours=tuple(hours.parsed), series_ids=tuple(series.parsed),
+                          hour=np.array(hour, dtype=np.int64), series=np.array(row_series, dtype=np.int64),
+                          counts=values[:, :-1], total=values[:, -1])
 
 
 def read_routing_csv(path: str | Path, network: NetworkConfig | None = None) -> RoutingTable:
     """Parse an aggregated mobility file; CENSOR_SENTINEL flow values mark censoring."""
     p = Path(path)
-    hours: dict[str, HourKey] = {}
-    nodes: dict[str, NodeId] = {}
-    tags: dict[str, RoadTag] = {}
-    row_hours, row_nodes, flows, row_tags, censored = [], [], [], [], []
+    hours = _Codes(p, make_hour_key, ", field 'timestamp'")
+    nodes = _Codes(p, lambda name: _node(network, name, station_of(name), NodeKind.INFERRED_DESTINATION, "node"))
+    tags = _Codes(p, RoadTag.parse)
+    hour, node, flows, tag = [], [], [], []
     for line, row in _csv_rows(p, ROUTING_HEADER, "routing"):
-        row_hours.append(hours.get(row[0]) or _hour(p, hours, row[0], line))
-        node = nodes.get(row[1])
-        if node is None:
-            if not row[1]:
-                raise DataError(f"{p}: line {line}: empty node name")
-            kind = _node_kind(network, station_of(row[1]), NodeKind.INFERRED_DESTINATION)
-            node = nodes[row[1]] = NodeId(name=row[1], kind=kind)
-        row_nodes.append(node)
-        censored.append(row[2] == CENSOR_SENTINEL)
-        flows.append(0 if censored[-1] else _parse_int_field(row[2], line, "people_flow"))
-        tag = tags.get(row[3])
-        if tag is None:
-            try:
-                tag = tags[row[3]] = RoadTag.parse(row[3])
-            except DataError as exc:
-                raise DataError(f"{p}: line {line}: {exc}") from exc
-        row_tags.append(tag)
-    return RoutingTable.from_rows(row_hours, row_nodes, flows, row_tags, censored)
+        hour.append(hours.get(row[0]) or hours.code(row[0], line))
+        node.append(nodes.get(row[1]) or nodes.code(row[1], line))
+        flows.append(-1 if row[2] == CENSOR_SENTINEL else _parse_int_field(row[2], line, "people_flow"))
+        tag.append(tags.get(row[3]) or tags.code(row[3], line))
+    flow = np.array(flows, dtype=np.float64)
+    censored = flow < 0  # the sentinel's -1
+    return RoutingTable(hours=tuple(hours.parsed), nodes=tuple(nodes.parsed), hour=np.array(hour, dtype=np.int64),
+                        node=np.array(node, dtype=np.int64), flow=np.where(censored, 0.0, flow), censored=censored,
+                        tag=np.array([TAG_ORDER.index(t) for t in tags.parsed], dtype=np.int64)[tag])
 
 
 def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
-    hours = [h.isoformat() for h in table.hours]
-    series = [(node.name, direction.value) for node, direction in table.series_ids]
     counts = np.column_stack((table.counts, table.total)).astype(np.int64)
-    write_csv(path, TOLLBOOTH_HEADER, (
-        [hours[h], *series[s], *c] for h, s, c in zip(table.hour.tolist(), table.series.tolist(), counts.tolist())
-    ))
+    write_csv_columns(path, TOLLBOOTH_HEADER, [
+        ([h.isoformat() for h in table.hours], table.hour),
+        ([node.name for node, _ in table.series_ids], table.series),
+        ([direction.value for _, direction in table.series_ids], table.series),
+        *((None, column) for column in counts.T),
+    ], np.arange(len(table)))
 
 
 def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
-    hours = [h.isoformat() for h in table.hours]
-    names = [node.name for node in table.nodes]
-    tags = [t.value for t in TAG_ORDER]
-    columns = (table.hour, table.node, table.flow.astype(np.int64), table.censored, table.tag)
-    write_csv(path, ROUTING_HEADER, (
-        [hours[h], names[n], CENSOR_SENTINEL if c else str(f), tags[t]]
-        for h, n, f, c, t in zip(*(col.tolist() for col in columns))
-    ))
+    # Flow cells as codes into their distinct texts, the sentinel among them.
+    flows, flow = np.unique(np.where(table.censored, -1, table.flow.astype(np.int64)), return_inverse=True)
+    write_csv_columns(path, ROUTING_HEADER, [
+        ([h.isoformat() for h in table.hours], table.hour),
+        ([node.name for node in table.nodes], table.node),
+        ([CENSOR_SENTINEL if f < 0 else str(f) for f in flows.tolist()], flow),
+        ([t.value for t in TAG_ORDER], table.tag),
+    ], np.arange(len(table)))
 
 
 def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -422,6 +445,7 @@ def generate_synthetic(
     if days < 1:
         raise ConfigError(f"days must be >= 1, got {days}")
     rng = np.random.default_rng(profile.seed)
+    poisson, normal = rng.poisson, rng.normal
     start = make_hour_key(_SYNTH_START).timestamp
     hours = tuple(make_hour_key(start + timedelta(hours=i)) for i in range(days * 24))
     shape = np.array([_diurnal_shape(hour.hour_of_day, hour.is_weekend) for hour in hours])
@@ -446,16 +470,15 @@ def generate_synthetic(
                 raise ConfigError(f"network.nodes.{node_index}.scale: bad value {node.scale!r}: "
                                   f"node {node.node.name!r} would draw beyond numpy's largest Poisson rate")
             rates = np.maximum((scale * shape)[:, None] * comp, 0.0)
-            counts = np.empty_like(rates)
-            noise = np.zeros(len(hours))
-            # Per hour a Poisson draw, then a normal draw if it counted a vehicle: this
-            # order keeps every seed's data unchanged.
-            for i, rate in enumerate(rates):
-                counts[i] = rng.poisson(rate)
-                total = counts[i].sum()
-                if total > 0:
-                    noise[i] = rng.normal(0.0, profile.noise_scale * gain * total)
-            flow = np.maximum(np.round(gain * counts.sum(axis=1) + noise), 0.0)
+            draws, noise = [], []
+            # The draw order of the module docstring, which keeps every seed's data.
+            for rate in rates.tolist():
+                hour_counts = [poisson(band_rate) for band_rate in rate]
+                total = sum(hour_counts)
+                noise.append(normal(0.0, profile.noise_scale * gain * total) if total > 0 else 0.0)
+                draws.append(hour_counts)
+            counts = np.array(draws, dtype=np.float64)
+            flow = np.maximum(np.round(gain * counts.sum(axis=1) + np.array(noise)), 0.0)
             if not (flow < 2.0**63).all():  # NaN fails too
                 raise ConfigError(f"node {node.node.name!r}: the gain for {node.road_tag.value}, noise_scale "
                                   "or the node's scale makes synthetic flows overflow int64")

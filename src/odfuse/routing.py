@@ -35,8 +35,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (CATEGORY_ORDER, CSV_EOL, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType,
-                   _first_repeat, _ranks, csv_cell, map_vehicle_type, write_csv)
+from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType,
+                   _first_repeat, _ranks, map_vehicle_type, write_csv, write_csv_columns)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
 from .ingest import feature_matrix
@@ -605,22 +605,11 @@ def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
         _ranks([s.value for s in _SCENARIOS])[matrix.scenario[keep]],
         _ranks([h.timestamp for h in matrix.hours])[matrix.hour[keep]],
     ))]
-    # write_csv's dialect, row text joined a block at a time; the scenario,
-    # the last cell, carries the line end.
-    hours = [csv_cell(h.isoformat()) for h in matrix.hours]
-    nodes = [csv_cell(name) for name in matrix.nodes]
-    kinds = [csv_cell(t.value) for t in _VEHICLE_TYPES]
-    scenarios = [csv_cell(s.value) + CSV_EOL for s in _SCENARIOS]
-    columns = (matrix.hour, matrix.origin, matrix.destination, matrix.vehicle_type, matrix.count,
-               matrix.scenario)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(csv_cell, ["timestamp", "origin", "destination", "vehicle_type", "count",
-                                         "scenario"])) + CSV_EOL)
-        for block in np.array_split(order, len(order) // 8192 + 1):  # never the whole text at once
-            fh.write("".join([
-                f"{hours[h]},{nodes[o]},{nodes[d]},{kinds[v]},{n},{scenarios[s]}"
-                for h, o, d, v, n, s in zip(*(col[block].tolist() for col in columns))
-            ]))
+    write_csv_columns(path, ["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"], [
+        ([h.isoformat() for h in matrix.hours], matrix.hour), (matrix.nodes, matrix.origin),
+        (matrix.nodes, matrix.destination), ([t.value for t in _VEHICLE_TYPES], matrix.vehicle_type),
+        (None, matrix.count), ([s.value for s in _SCENARIOS], matrix.scenario),
+    ], order)
 
 
 def write_ledger_csv(path: str | Path, ledger: list[LedgerEvent]) -> None:

@@ -7,13 +7,15 @@ values by subset enumeration, apportionment by integer-vector search and
 by the scalar largest-remainder loop, OD rows by the per-decision routing
 loop, permutation importance by tree-by-tree re-scoring, conservation by
 direct recomputation from raw counts, CSV parsing by the per-row
-readers that build observation objects, and model features by the
-encoding written out one report at a time."""
+readers that build observation objects, model features by the
+encoding written out one report at a time, and synthetic data by one
+array Poisson draw per (series, hour)."""
 
 from __future__ import annotations
 
 import csv
 import math
+from datetime import timedelta
 from itertools import combinations, product
 from pathlib import Path
 
@@ -32,10 +34,18 @@ from odfuse.core import (
     TollboothObservation,
     TollboothTable,
     make_hour_key,
+    series_key,
 )
 from odfuse.errors import ConfigError, DataError
 from odfuse.fusion import NODE_FIELDS, RegressionTree, TargetModel
-from odfuse.ingest import CENSOR_SENTINEL, ROUTING_HEADER, TOLLBOOTH_HEADER
+from odfuse.ingest import (
+    _SYNTH_START,
+    CENSOR_SENTINEL,
+    ROUTING_HEADER,
+    TOLLBOOTH_HEADER,
+    _diurnal_shape,
+    _node_composition,
+)
 from odfuse.network import (
     BoundaryConfig,
     BoundaryDirection,
@@ -703,7 +713,10 @@ def reference_read_tollbooth_csv(path: str | Path, network: NetworkConfig | None
             name = row[1]
             if not name:
                 raise DataError(f"{p}: line {line}: empty station name")
-            direction = Direction.parse(row[2])
+            try:
+                direction = Direction.parse(row[2])
+            except DataError as exc:
+                raise DataError(f"{p}: line {line}: {exc}") from exc
             counts = {
                 cat: float(_reference_int_field(row[3 + i], line, TOLLBOOTH_HEADER[3 + i]))
                 for i, cat in enumerate(CATEGORY_ORDER)
@@ -822,3 +835,48 @@ def reference_difference_series(tollbooth, routing) -> dict:
     for tb, rt in reference_join_rows(tollbooth, routing):
         sums.setdefault((tb.join_key(), tb.hour.hour_of_day), []).append(tb.counts.total - rt.people_flow)
     return {cell: sum(vals) / len(vals) for cell, vals in sorted(sums.items())}
+
+
+def reference_generate_synthetic(network: NetworkConfig, days: int, profile) -> tuple[TollboothTable, RoutingTable]:
+    """Synthetic tables drawn with one array Poisson draw of the six band
+    rates per (series, hour), then a normal draw for the noise if the hour
+    counted a vehicle: the oracle for the scalar draws of
+    ``odfuse.ingest.generate_synthetic``, which must consume the same stream."""
+    rng = np.random.default_rng(profile.seed)
+    start = make_hour_key(_SYNTH_START).timestamp
+    hours = tuple(make_hour_key(start + timedelta(hours=i)) for i in range(days * 24))
+    shape = np.array([_diurnal_shape(hour.hour_of_day, hour.is_weekend) for hour in hours])
+    series_ids, station_counts, nodes, tags, flows = [], [], [], [], []
+    for node_index, node in enumerate(network.nodes):
+        comp = _node_composition(node_index)
+        gain = profile.gains[node.road_tag]
+        series = [Direction(d) for d in node.directions] if node.directions else [Direction.UNDIRECTED]
+        for series_index, direction in enumerate(series):
+            rates = np.maximum((node.scale * (1.0 - 0.12 * series_index) * shape)[:, None] * comp, 0.0)
+            counts = np.empty_like(rates)
+            noise = np.zeros(len(hours))
+            for i, rate in enumerate(rates):
+                counts[i] = rng.poisson(rate)
+                total = counts[i].sum()
+                if total > 0:
+                    noise[i] = rng.normal(0.0, profile.noise_scale * gain * total)
+            if node.node.kind is not NodeKind.INFERRED_DESTINATION:
+                series_ids.append((node.node, direction))
+                station_counts.append(counts)
+            nodes.append(NodeId(name=series_key(node.node.name, direction), kind=node.node.kind))
+            tags.append(TAG_ORDER.index(node.road_tag))
+            flows.append(np.maximum(np.round(gain * counts.sum(axis=1) + noise), 0.0).astype(np.int64))
+    n_hours = len(hours)
+    counts = np.concatenate([np.zeros((0, len(CATEGORY_ORDER)))] + station_counts)
+    flow = np.concatenate([np.zeros(0, dtype=np.int64)] + flows)
+    censored = flow < profile.censor_threshold
+    tollbooth = TollboothTable(
+        hours=hours, series_ids=tuple(series_ids), hour=np.tile(np.arange(n_hours), len(series_ids)),
+        series=np.repeat(np.arange(len(series_ids)), n_hours), counts=counts, total=counts.sum(axis=1),
+    )
+    routing = RoutingTable(
+        hours=hours, nodes=tuple(nodes), hour=np.tile(np.arange(n_hours), len(nodes)),
+        node=np.repeat(np.arange(len(nodes)), n_hours), flow=np.where(censored, 0.0, flow),
+        tag=np.repeat(np.array(tags, dtype=np.int64), n_hours), censored=censored,
+    )
+    return tollbooth, routing

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from odfuse.core import (
     CATEGORY_ORDER,
+    TAG_ORDER,
     CountsByCategory,
     Direction,
     NodeId,
@@ -17,6 +18,8 @@ from odfuse.core import (
     TollboothObservation,
     TollboothTable,
     make_hour_key,
+    write_csv,
+    write_csv_columns,
 )
 from odfuse.errors import ConfigError, DataError, OdfuseError
 from odfuse.ingest import (
@@ -37,6 +40,7 @@ from _helpers import (
     destination,
     reference_dataset,
     reference_difference_series,
+    reference_generate_synthetic,
     reference_read_routing_csv,
     reference_read_tollbooth_csv,
     station,
@@ -101,6 +105,16 @@ class TestReadTollboothCsv:
     def test_missing_column_rejected(self, tmp_path):
         p = write_lines(tmp_path / "tb.csv", TOLLBOOTH_HEADER.rsplit(",", 1)[0])
         with pytest.raises(DataError, match="bad header"):
+            read_tollbooth_csv(p)
+
+    def test_unknown_direction_names_file_and_line(self, tmp_path):
+        p = write_lines(
+            tmp_path / "tb.csv",
+            TOLLBOOTH_HEADER,
+            "2023-11-06T08:00,E6-Klett,Inbound,1,0,0,0,0,0,1",
+            "2023-11-06T08:00,E6-Klett,Sideways,1,0,0,0,0,0,1",
+        )
+        with pytest.raises(DataError, match=r"tb\.csv: line 3: unknown direction 'Sideways'; allowed: Inbound"):
             read_tollbooth_csv(p)
 
     def test_bad_timestamp_names_line_and_field(self, tmp_path):
@@ -309,6 +323,85 @@ class TestGenerateSynthetic:
         assert len(tb2) == len(tb)
         assert [o.counts.total for o in tb2] == [o.counts.total for o in tb]
         assert [r.censored for r in rt2] == [r.censored for r in rt]
+
+
+def assert_tables_equal(table, expected):
+    """Every field of two tollbooth or routing tables equal: code tables by
+    ``==``, columns by ``np.array_equal``."""
+    assert type(table) is type(expected)
+    for name, value in vars(expected).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(table, name), value), name
+        else:
+            assert getattr(table, name) == value, name
+
+
+class TestSynthStream:
+    """generate_synthetic's scalar draws against one array draw per (series,
+    hour): the same random stream, so the same tables."""
+
+    @pytest.mark.parametrize("network, setting", [
+        (grid_network(n_stations=2, n_dest=2), {}),
+        (grid_network(n_stations=2, n_dest=2), {"noise_scale": 0.0}),
+        (grid_network(n_stations=2, n_dest=2), {"censor_threshold": 0.0}),
+        (grid_network(n_stations=2, n_dest=2), {"gains": {tag: 1e-3 for tag in RoadTag}}),
+        (NetworkConfig(name="split", nodes=(station("S", directions=("Inbound", "Outbound")), destination("D")),
+                       destination_groups={"all": ("D",)}, passthrough_pairs=(), scenario_subsets={}), {}),
+    ], ids=["default", "noise_scale-0", "censor_threshold-0", "gains-1e-3", "directional-station"])
+    def test_tables_match_array_draw_loop(self, network, setting):
+        profile = BiasProfile(**{"gains": {RoadTag.PRIMARY: 1.4, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 0.7},
+                                 "noise_scale": 0.1, "censor_threshold": 120, "seed": 5, **setting})
+        for table, expected in zip(generate_synthetic(network, 3, profile),
+                                   reference_generate_synthetic(network, 3, profile)):
+            assert_tables_equal(table, expected)
+
+
+# Names that csv.writer must quote, or that are not ASCII.
+_QUOTED_NAMES = ["Gate, 7", 'Say "hi"', "Trøndelag", "Line\nbreak", "plain"]
+
+
+class TestBlockWriters:
+    """The code-column writers against write_csv over the same rows."""
+
+    def tables(self, n_rows):
+        hours = [make_hour_key(f"2023-11-06T{h % 24:02d}:00") for h in range(n_rows)]
+        names = [_QUOTED_NAMES[i % len(_QUOTED_NAMES)] for i in range(n_rows)]
+        directions = [list(Direction)[i % 3] for i in range(n_rows)]
+        tollbooth = TollboothTable.from_rows(
+            hours, [(NodeId(name=n, kind=NodeKind.MAIN_TOLLBOOTH), d) for n, d in zip(names, directions)],
+            [[i, 0, 2, 0, 0, 10**15, i + 7] for i in range(n_rows)])
+        censored = [i % 3 == 0 for i in range(n_rows)]
+        routing = RoutingTable.from_rows(
+            hours, [NodeId(name=n, kind=NodeKind.INFERRED_DESTINATION) for n in names],
+            [0 if c else 17 * i for i, c in enumerate(censored)], [TAG_ORDER[i % 3] for i in range(n_rows)], censored)
+        return tollbooth, routing
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 12])
+    def test_bytes_equal_write_csv_and_read_back(self, tmp_path, n_rows):
+        tollbooth, routing = self.tables(n_rows)
+        write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
+        write_routing_csv(tmp_path / "rt.csv", routing)
+        write_csv(tmp_path / "tb_rows.csv", TOLLBOOTH_HEADER.split(","), (
+            [o.hour.isoformat(), o.node.name, o.direction.value,
+             *(int(o.counts.counts[c]) for c in CATEGORY_ORDER), int(o.counts.total)] for o in tollbooth))
+        write_csv(tmp_path / "rt_rows.csv", ["timestamp", "node", "people_flow", "road_tag"], (
+            [o.hour.isoformat(), o.node.name, "<T" if o.censored else int(o.people_flow), o.road_tag.value]
+            for o in routing))
+        assert (tmp_path / "tb.csv").read_bytes() == (tmp_path / "tb_rows.csv").read_bytes()
+        assert (tmp_path / "rt.csv").read_bytes() == (tmp_path / "rt_rows.csv").read_bytes()
+        assert_tables_equal(read_tollbooth_csv(tmp_path / "tb.csv"), tollbooth)
+        assert_tables_equal(read_routing_csv(tmp_path / "rt.csv"), routing)
+
+    @pytest.mark.parametrize("n_rows", [0, 5, 20000])
+    def test_code_columns_in_row_order(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        names, counts = rng.integers(len(_QUOTED_NAMES), size=n_rows), rng.integers(10**6, size=n_rows)
+        rows = rng.permutation(n_rows)
+        write_csv_columns(tmp_path / "columns.csv", ["name, quoted", "count", "same"],
+                          [(_QUOTED_NAMES, names), (None, counts), (_QUOTED_NAMES, names)], rows)
+        write_csv(tmp_path / "rows.csv", ["name, quoted", "count", "same"],
+                  ([_QUOTED_NAMES[names[r]], int(counts[r]), _QUOTED_NAMES[names[r]]] for r in rows))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestDifferenceSeries:
