@@ -443,11 +443,12 @@ def stat_cell(value: float | None) -> str:
 
 def write_csv_columns(path: str | Path, header: Sequence[str],
                       columns: Sequence[tuple[Sequence[str] | None, np.ndarray]], rows: np.ndarray) -> None:
-    """Write the given ``rows`` of a column table, in that order, byte for byte
-    as ``write_csv`` writes the same cells. Each column is ``(texts, codes)``:
-    a row's cell is the non-empty ``texts[code]``, quoted once per text, or the
-    integer ``code`` itself where ``texts`` is None."""
-    cells = [None if texts is None else [csv_cell(text) for text in texts] for texts, _ in columns]
+    """Write the given ``rows`` of a table of two or more columns, in that
+    order, byte for byte as ``write_csv`` writes the same cells. Each column
+    is ``(texts, codes)``: a row's cell is ``texts[code]``, quoted once per
+    text and empty for an empty text, or the integer ``code`` itself where
+    ``texts`` is None."""
+    cells = [None if texts is None else [csv_cell(text) if text else "" for text in texts] for texts, _ in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(csv_cell, header)) + CSV_EOL)
         for start in range(0, len(rows), 8192):  # never the whole text at once

@@ -49,6 +49,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -411,10 +412,10 @@ def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str) -> np.ndarr
     return out
 
 
-def predict_matrix(model: FusionModel, X: np.ndarray) -> np.ndarray:
-    """Clamped predictions for all targets; columns follow TARGET_NAMES."""
-    out = np.empty((X.shape[0], len(TARGET_NAMES)), dtype=np.float64)
-    for t, name in enumerate(TARGET_NAMES):
+def predict_matrix(model: FusionModel, X: np.ndarray, targets: Sequence[str] = TARGET_NAMES) -> np.ndarray:
+    """Clamped predictions, one column per name in ``targets``."""
+    out = np.empty((X.shape[0], len(targets)), dtype=np.float64)
+    for t, name in enumerate(targets):
         out[:, t] = raw_score_matrix(model, X, name)
     np.maximum(out, 0.0, out=out)
     return out

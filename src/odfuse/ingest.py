@@ -190,17 +190,18 @@ def _check_header(row: list[str] | None, expected: list[str], path: Path) -> Non
 
 
 def _csv_rows(p: Path, header: list[str], label: str) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows after ``header`` with their line numbers; every
-    read failure becomes a DataError naming the file."""
+    """The non-blank rows after ``header``, each with the number of the file
+    line it ends on; every read failure becomes a DataError naming the file."""
     if not p.exists():
         raise DataError(f"{label} file not found: {p}")
     try:
         with open(p, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             _check_header(next(reader, None), header, p)
-            for line, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                line = reader.line_num  # a quoted field may span lines
                 if len(row) != len(header):
                     raise DataError(f"{p}: line {line} has {len(row)} fields, expected {len(header)}")
                 yield line, row

@@ -20,13 +20,21 @@ renormalized over the scenario's eligible subset, integerized by largest
 remainder, then each destination's share is split across categories the
 same way. Every step is integer-exact, so vehicles are conserved.
 
-``build_od_matrix`` works on arrays: one prediction block, marginals once per
-hour, one row-batched apportionment per eligible-destination tuple and a
-columnar OD matrix. The one-hour functions wrap the same kernels.
+``build_od_matrix`` routes the whole run as arrays. One prediction block
+covers every hour. One decision kernel runs the three phases over the
+(hour x count key) grid of totals: every hour fills the same template of
+decision slots (internal, local in, local out, then bypass and net per
+booth pair), and a slot is kept where the phase rules keep it, so decisions
+and ledger events come out hour by hour in phase order. Decisions and the
+ledger are column tables; marginals are taken once per (hour, destination);
+decisions that share an eligible-destination tuple are apportioned in one
+batch into a columnar OD matrix. ``decide_flows`` and ``distribute`` are
+one-hour calls of the same kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -35,16 +43,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType,
-                   _first_repeat, _ranks, map_vehicle_type, write_csv, write_csv_columns)
+from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType, _first_repeat,
+                   _ranks, _Rows, map_vehicle_type, write_csv_columns)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
-from .ingest import feature_matrix
+from .ingest import TARGET_NAMES, feature_matrix
 from .network import NetworkConfig
 
 __all__ = [
-    "Scenario", "FlowDecision", "JointDistribution", "Marginals", "ODEntry", "ODMatrix",
-    "LedgerEvent", "RoutingRun", "largest_remainder", "joint_from_predictions", "marginals",
+    "Scenario", "FlowDecision", "DecisionTable", "JointDistribution", "Marginals", "ODEntry", "ODMatrix",
+    "LedgerEvent", "LedgerTable", "RoutingRun", "largest_remainder", "joint_from_predictions", "marginals",
     "decide_flows", "distribute", "build_od_matrix", "write_od_csv", "write_ledger_csv",
     "conservation_violations",
 ]
@@ -64,6 +72,7 @@ class Scenario(Enum):
 _SCENARIOS: tuple[Scenario, ...] = tuple(Scenario)
 _VEHICLE_TYPES: tuple[VehicleType, ...] = tuple(VehicleType)
 _CATEGORY_TYPE_CODES = np.array([_VEHICLE_TYPES.index(map_vehicle_type(c)) for c in CATEGORY_ORDER])
+_BYPASS = _SCENARIOS.index(Scenario.PASSTHROUGH_BYPASS)
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,41 @@ class FlowDecision:
             raise InternalError(f"negative decision volume {self.volume}")
         if self.scenario is Scenario.PASSTHROUGH_BYPASS and len(self.eligible_destinations) != 1:
             raise InternalError("bypass decisions have exactly one destination")
+
+
+@dataclass(frozen=True, eq=False)
+class DecisionTable(_Rows):
+    """Flow decisions as columns, one row per decision in run order.
+
+    ``hour`` indexes ``hours``; ``scenario`` indexes the members of
+    ``Scenario`` in definition order; ``direction`` and ``origin`` index
+    ``texts``; ``eligible`` indexes ``eligible_sets``, tuples of destination
+    names. Indexing and iteration build ``FlowDecision`` objects.
+    """
+
+    hours: tuple[HourKey, ...]
+    texts: tuple[str, ...]
+    eligible_sets: tuple[tuple[str, ...], ...]
+    hour: np.ndarray
+    scenario: np.ndarray
+    direction: np.ndarray
+    volume: np.ndarray
+    origin: np.ndarray
+    eligible: np.ndarray
+    reversed_roles: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.volume < 0).any():
+            raise InternalError(f"negative decision volume {int(self.volume[self.volume < 0][0])}")
+        widths = np.array([len(s) for s in self.eligible_sets], dtype=np.int64)[self.eligible]
+        if ((self.scenario == _BYPASS) & (widths != 1)).any():
+            raise InternalError("bypass decisions have exactly one destination")
+
+    def _item(self, i: int) -> FlowDecision:
+        return FlowDecision(self.hours[self.hour[i]], _SCENARIOS[self.scenario[i]], self.texts[self.direction[i]],
+                            int(self.volume[i]), self.texts[self.origin[i]], self.eligible_sets[self.eligible[i]],
+                            bool(self.reversed_roles[i]))
 
 
 @dataclass(frozen=True)
@@ -131,15 +175,14 @@ class ODEntry:
 class ODMatrix:
     """OD entries as integer columns, in decision order.
 
-    ``hour`` indexes ``hours``; ``origin`` and ``destination`` index
-    ``nodes``; ``vehicle_type`` and ``scenario`` index the members of
-    ``VehicleType`` and ``Scenario`` in definition order; ``decision``
-    indexes ``decisions``, the run's decisions.
+    ``hour`` indexes ``hours``, the decisions' hours; ``origin`` and
+    ``destination`` index ``nodes``; ``vehicle_type`` and ``scenario`` index
+    the members of ``VehicleType`` and ``Scenario`` in definition order;
+    ``decision`` indexes ``decisions``, the run's decision table.
     """
 
-    hours: tuple[HourKey, ...]
     nodes: tuple[str, ...]
-    decisions: tuple[FlowDecision, ...]
+    decisions: DecisionTable
     hour: np.ndarray
     origin: np.ndarray
     destination: np.ndarray
@@ -151,17 +194,21 @@ class ODMatrix:
     def __len__(self) -> int:
         return len(self.count)
 
+    @property
+    def hours(self) -> tuple[HourKey, ...]:
+        return self.decisions.hours
+
     def total(self) -> int:
         return int(self.count.sum())
 
     @property
     def entries(self) -> list[ODEntry]:
         """The rows as ``ODEntry`` objects, built anew on every access."""
-        columns = (self.hour, self.origin, self.destination, self.vehicle_type, self.count,
-                   self.scenario, self.decision)
+        directions = self.decisions.texts
+        columns = (self.hour, self.origin, self.destination, self.vehicle_type, self.count, self.scenario,
+                   self.decisions.direction[self.decision])
         return [
-            ODEntry(self.hours[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n,
-                    _SCENARIOS[s], self.decisions[k].direction)
+            ODEntry(self.hours[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n, _SCENARIOS[s], directions[k])
             for h, o, d, v, n, s, k in zip(*(c.tolist() for c in columns))
         ]
 
@@ -179,11 +226,42 @@ class LedgerEvent:
     flag: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class LedgerTable(_Rows):
+    """The conservation ledger as columns, one row per event in run order.
+
+    ``hour`` indexes ``hours``; ``entry_type``, ``scenario``, ``direction``,
+    ``key`` and ``flag`` index ``texts``. Indexing and iteration build
+    ``LedgerEvent`` objects.
+    """
+
+    hours: tuple[HourKey, ...]
+    texts: tuple[str, ...]
+    hour: np.ndarray
+    entry_type: np.ndarray
+    scenario: np.ndarray
+    direction: np.ndarray
+    key: np.ndarray
+    amount: np.ndarray
+    flag: np.ndarray
+
+    def _item(self, i: int) -> LedgerEvent:
+        t = self.texts
+        return LedgerEvent(self.hours[self.hour[i]], t[self.entry_type[i]], t[self.scenario[i]],
+                           t[self.direction[i]], t[self.key[i]], int(self.amount[i]), t[self.flag[i]])
+
+
 @dataclass
 class RoutingRun:
+    """The OD matrix and the ledger of one run; the matrix holds the
+    decision table, and both tables share one ``hours`` tuple."""
+
     matrix: ODMatrix
-    decisions: list[FlowDecision]
-    ledger: list[LedgerEvent]
+    ledger: LedgerTable
+
+    @property
+    def decisions(self) -> DecisionTable:
+        return self.matrix.decisions
 
 
 def _sequential_sum(a: np.ndarray) -> np.ndarray:
@@ -191,6 +269,19 @@ def _sequential_sum(a: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
     return np.cumsum(a, axis=-1)[..., -1]
+
+
+def _composite_key(radices: Sequence[int], columns: Iterable[np.ndarray]) -> np.ndarray:
+    """One int64 per row that orders as the columns do, the first most
+    significant; column i holds values in ``[0, radices[i])``."""
+    if math.prod(radices) > np.iinfo(np.int64).max:
+        raise InternalError(f"composite key radices {list(radices)} overflow int64")
+    columns = iter(columns)
+    key = np.array(next(columns), dtype=np.int64)
+    for radix, column in zip(radices[1:], columns):
+        key *= radix
+        key += column
+    return key
 
 
 def _apportion(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -286,13 +377,6 @@ def joint_from_predictions(
     )
 
 
-def _check_hour_rows(hour: HourKey, names: list[str]) -> None:
-    if not names:
-        raise DataError(f"no destination routing rows for hour {hour.isoformat()}")
-    if len(set(names)) != len(names):
-        raise DataError(f"duplicate destination rows for hour {hour.isoformat()}")
-
-
 def _joint_arrays(joint: JointDistribution) -> tuple[list[str], np.ndarray, np.ndarray]:
     names = joint.destinations()
     mass = np.array([[joint.mass.get((d, c), 0.0) for c in CATEGORY_ORDER] for d in names])
@@ -311,26 +395,107 @@ def marginals(joint: JointDistribution) -> Marginals:
     )
 
 
-class _CountLedger:
-    """Tracks per-key residual counts across phases within one hour."""
+def _consume(left: dict[str, np.ndarray], key: str, amount: np.ndarray) -> None:
+    """Deduct ``amount`` from the per-hour residual of one count key."""
+    left[key] = left[key] - amount
+    if (left[key] < 0).any():
+        raise InternalError(f"negative residual for count key {key!r}: {int(left[key][left[key] < 0][0])}")
 
-    def __init__(self, counts: Mapping[str, int]):
-        self.left = dict(counts)
 
-    def remaining(self, key: str) -> int:
-        return self.left[key]
+def _kept(slots: list[tuple], n_hours: int, n_fields: int) -> list[np.ndarray]:
+    """The kept rows of a per-hour slot template, hour by hour and in slot
+    order within an hour. Each slot is ``(keep, *fields)``, a scalar or a
+    per-hour array each; returns the row hours, then one column per field."""
+    grid = np.zeros((1 + n_fields, n_hours, len(slots)), dtype=np.int64)
+    for s, fields in enumerate(slots):
+        for f, value in enumerate(fields):
+            grid[f, :, s] = value
+    keep = grid[0] != 0
+    return [np.nonzero(keep)[0], *grid[1:, keep]]
 
-    def consume(self, key: str, amount: int) -> None:
-        self.left[key] -= amount
-        if self.left[key] < 0:
-            raise InternalError(f"negative residual for count key {key!r}: {self.left[key]}")
+
+def _decide(network: NetworkConfig, hours: tuple[HourKey, ...], counts: Mapping[str, np.ndarray],
+            fallback: np.ndarray) -> tuple[DecisionTable, LedgerTable]:
+    """The three routing phases over every hour at once.
+
+    ``counts`` maps each count key the network references to its per-hour
+    integer totals; ``fallback`` flags the hours whose joint fell back to
+    uniform. Each decision slot of the hour template also has its ledger
+    event; a consume event precedes the internal decision, a fallback
+    event opens and a balance event closes every hour.
+    """
+    n = len(hours)
+    left = {key: np.asarray(counts[key], dtype=np.int64) for key in network.referenced_count_keys()}
+    texts: dict[str, int] = {"": 0}
+    sets: dict[tuple[str, ...], int] = {}
+    text = lambda value: texts.setdefault(value, len(texts))  # noqa: E731
+    eligible = lambda names: sets.setdefault(tuple(names), len(sets))  # noqa: E731
+    subset = lambda scenario: eligible(network.group_members(network.scenario_subsets[scenario]))  # noqa: E731
+    decisions: list[tuple] = []  # keep, scenario, direction, volume, origin, eligible, reversed
+    events: list[tuple] = [(fallback, text("consume"), 0, 0, text("joint"), 0, text("uniform_fallback"))]
+
+    def record(keep, scenario: Scenario, direction, volume, origin, destinations, reversed_roles=False) -> None:
+        volume = np.where(keep, volume, 0)
+        decisions.append((keep, _SCENARIOS.index(scenario), direction, volume, origin, destinations, reversed_roles))
+        events.append((keep, text("decision"), text(scenario.value), direction, origin, volume, 0))
+
+    # Phase 1: internal circulation across the boundary booth.
+    boundary, ramps = network.boundary, network.ramps
+    if boundary is not None:
+        assert ramps is not None  # enforced by config validation
+        imbalance = left[boundary.inbound_key] - left[boundary.outbound_key]
+        positive, volume = imbalance > 0, np.abs(imbalance)
+        ramp = lambda side: ramps.onramp if side.consumes == "onramp" else ramps.offramp  # noqa: E731
+        applied = np.zeros(n, dtype=np.int64)
+        for side, hit in ((boundary.positive, positive), (boundary.negative, imbalance < 0)):
+            take = np.where(hit, np.minimum(volume, left[ramp(side)]), 0)
+            _consume(left, ramp(side), take)
+            applied += take
+        by_side = lambda code: np.where(positive, code(boundary.positive), code(boundary.negative))  # noqa: E731
+        label = by_side(lambda side: text(side.label))
+        events.append((imbalance != 0, text("consume"), text(Scenario.INTERNAL.value), label,
+                       by_side(lambda side: text(ramp(side))), applied,
+                       np.where(applied < volume, text("capped"), 0)))
+        record(imbalance != 0, Scenario.INTERNAL, label, volume, text(boundary.node),
+               by_side(lambda side: eligible(network.group_members(side.groups))))
+
+    # Phase 2: remaining ramp traffic enters or leaves the area.
+    if ramps is not None:
+        for scenario, key, direction in ((Scenario.LOCAL_INFLOW, ramps.onramp, "onramp:in"),
+                                         (Scenario.LOCAL_OUTFLOW, ramps.offramp, "offramp:out")):
+            volume = left[key]
+            _consume(left, key, volume)
+            record(volume > 0, scenario, text(direction), volume, text(key), subset(scenario.value),
+                   scenario is Scenario.LOCAL_OUTFLOW)
+
+    # Phase 3: paired booths, shared minimum bypasses, difference is net.
+    # Both decisions are always kept, at volume zero when balanced, so the
+    # ledger carries each pair's full disposition for every hour.
+    for pair in network.passthrough_pairs:
+        up, down = left[pair.upstream], left[pair.downstream]
+        record(1, Scenario.PASSTHROUGH_BYPASS, text(f"{pair.axis}:bypass"), np.minimum(up, down),
+               text(pair.upstream), eligible((pair.downstream,)))
+        inflow = up >= down
+        record(1, Scenario.PASSTHROUGH_NET,
+               np.where(inflow, text(f"{pair.axis}:inflow"), text(f"{pair.axis}:outflow")), np.abs(up - down),
+               np.where(inflow, text(pair.upstream), text(pair.downstream)), subset("PassthroughNet"), ~inflow)
+
+    events.append((1, text("balance"), 0, 0, text("total"), sum(d[3] for d in decisions), 0))
+    hour, scenario, direction, volume, origin, sets_of, reverse = _kept(decisions, n, 6)
+    table = tuple(texts)
+    return (
+        DecisionTable(hours=hours, texts=table, eligible_sets=tuple(sets), hour=hour, scenario=scenario,
+                      direction=direction, volume=volume, origin=origin, eligible=sets_of,
+                      reversed_roles=reverse.astype(bool)),
+        LedgerTable(hours, table, *_kept(events, n, 6)),
+    )
 
 
 def decide_flows(
     network: NetworkConfig,
     counts: Mapping[str, int | float],
     hour: HourKey,
-) -> tuple[list[FlowDecision], list[LedgerEvent]]:
+) -> tuple[DecisionTable, LedgerTable]:
     """Run the three routing phases on one hour of tollbooth totals.
 
     ``counts`` maps count keys (station names, direction-qualified where
@@ -345,81 +510,27 @@ def decide_flows(
         v = counts[key]
         if v < 0 or int(v) != v:
             raise DataError(f"count for {key!r} must be a non-negative integer, got {v!r}")
-
-    ledger = _CountLedger({k: int(counts[k]) for k in referenced})
-    decisions: list[FlowDecision] = []
-    events: list[LedgerEvent] = []
-
-    def event(entry_type: str, scenario: str, direction: str, key: str, amount: int, flag: str = "") -> None:
-        events.append(LedgerEvent(hour, entry_type, scenario, direction, key, amount, flag))
-
-    def record(scenario: Scenario, direction: str, volume: int, origin: str, eligible: Sequence[str],
-               reversed_roles: bool = False) -> None:
-        decisions.append(
-            FlowDecision(hour, scenario, direction, volume, origin, tuple(eligible), reversed_roles)
-        )
-        event("decision", scenario.value, direction, origin, volume)
-
-    def subset(scenario: str) -> list[str]:
-        return network.group_members(network.scenario_subsets[scenario])
-
-    # Phase 1: internal circulation across the boundary booth.
-    boundary = network.boundary
-    if boundary is not None:
-        imbalance = ledger.remaining(boundary.inbound_key) - ledger.remaining(boundary.outbound_key)
-        if imbalance != 0:
-            side = boundary.positive if imbalance > 0 else boundary.negative
-            volume = abs(imbalance)
-            assert network.ramps is not None  # enforced by config validation
-            ramp_key = network.ramps.onramp if side.consumes == "onramp" else network.ramps.offramp
-            applied = min(volume, ledger.remaining(ramp_key))
-            ledger.consume(ramp_key, applied)
-            flag = "capped" if applied < volume else ""
-            event("consume", Scenario.INTERNAL.value, side.label, ramp_key, applied, flag)
-            record(Scenario.INTERNAL, side.label, volume, boundary.node, network.group_members(side.groups))
-
-    # Phase 2: remaining ramp traffic enters or leaves the area.
-    if network.ramps is not None:
-        inflow = ledger.remaining(network.ramps.onramp)
-        if inflow > 0:
-            ledger.consume(network.ramps.onramp, inflow)
-            record(Scenario.LOCAL_INFLOW, "onramp:in", inflow, network.ramps.onramp, subset("LocalInflow"))
-        outflow = ledger.remaining(network.ramps.offramp)
-        if outflow > 0:
-            ledger.consume(network.ramps.offramp, outflow)
-            record(Scenario.LOCAL_OUTFLOW, "offramp:out", outflow, network.ramps.offramp,
-                   subset("LocalOutflow"), reversed_roles=True)
-
-    # Phase 3: paired booths, shared minimum bypasses, difference is net.
-    # Both decisions are always recorded, at volume zero when balanced, so
-    # the ledger carries each pair's full disposition for every hour.
-    for pair in network.passthrough_pairs:
-        up = ledger.remaining(pair.upstream)
-        down = ledger.remaining(pair.downstream)
-        record(Scenario.PASSTHROUGH_BYPASS, f"{pair.axis}:bypass", min(up, down), pair.upstream,
-               (pair.downstream,))
-        net = up - down
-        if net >= 0:
-            record(Scenario.PASSTHROUGH_NET, f"{pair.axis}:inflow", net, pair.upstream,
-                   subset("PassthroughNet"))
-        else:
-            record(Scenario.PASSTHROUGH_NET, f"{pair.axis}:outflow", -net, pair.downstream,
-                   subset("PassthroughNet"), reversed_roles=True)
-
-    event("balance", "", "", "total", sum(d.volume for d in decisions))
-    return decisions, events
+    return _decide(network, (hour,), {k: np.array([int(counts[k])]) for k in referenced}, np.zeros(1, dtype=bool))
 
 
-def _check_eligible(decision: FlowDecision, present: list[str]) -> None:
-    """A decision that splits volume needs every eligible destination present."""
-    if decision.volume == 0 or decision.scenario is Scenario.PASSTHROUGH_BYPASS:
-        return
-    unknown = [d for d in decision.eligible_destinations if d not in present]
-    if unknown:
-        raise DataError(
-            f"eligible destinations {unknown} absent from the joint distribution "
-            f"at {decision.hour.isoformat()}"
-        )
+def _absent(decisions: DecisionTable, names: Sequence[str], present: np.ndarray) -> np.ndarray:
+    """Per decision, whether it splits volume over an eligible destination
+    its hour lacks; ``present`` is ``(hours, names)``."""
+    index = {name: i for i, name in enumerate(names)}
+    lacking = np.zeros((len(decisions.eligible_sets), len(present)), dtype=bool)
+    for e, members in enumerate(decisions.eligible_sets):
+        known = [index[m] for m in members if m in index]
+        lacking[e] = len(known) < len(members) or ~present[:, known].all(axis=1)
+    splits = (decisions.volume > 0) & (decisions.scenario != _BYPASS)
+    return splits & lacking[decisions.eligible, decisions.hour]
+
+
+def _absent_error(decisions: DecisionTable, i: int, names: Sequence[str], present: np.ndarray) -> DataError:
+    """The error of decision ``i``, which ``_absent`` flags."""
+    h, index = decisions.hour[i], {name: j for j, name in enumerate(names)}
+    unknown = [d for d in decisions.eligible_sets[decisions.eligible[i]] if d not in index or not present[h, index[d]]]
+    return DataError(f"eligible destinations {unknown} absent from the joint distribution "
+                     f"at {decisions.hours[h].isoformat()}")
 
 
 def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry]:
@@ -431,10 +542,14 @@ def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry
     across categories per destination; both splits use largest remainder.
     """
     names, weight, per_destination = _joint_arrays(joint)
-    _check_eligible(decision, names)
-    one_hour = np.zeros(1, dtype=np.int64)
-    return _od_matrix((decision.hour,), [decision], one_hour, weight[None], per_destination[None],
-                      names).entries
+    # hour, scenario, direction, volume, origin, eligible, reversed_roles
+    row = (0, _SCENARIOS.index(decision.scenario), 0, decision.volume, 1, 0, decision.reversed_roles)
+    table = DecisionTable((decision.hour,), (decision.direction, decision.origin), (decision.eligible_destinations,),
+                          *(np.array([value]) for value in row))
+    present = np.ones((1, len(names)), dtype=bool)
+    if _absent(table, names, present)[0]:
+        raise _absent_error(table, 0, names, present)
+    return _od_matrix(table, weight[None], per_destination[None], names).entries
 
 
 def build_od_matrix(
@@ -446,10 +561,13 @@ def build_od_matrix(
 ) -> RoutingRun:
     """Assemble the OD matrix over a range of hours.
 
-    For each hour: infer the joint distribution from the destination
-    routing reports, decide scenario volumes from the tollbooth totals,
-    distribute, and append to the conservation ledger. ``hours`` defaults
-    to every hour present in the tollbooth data.
+    Infers each hour's joint distribution from the destination routing
+    reports, decides scenario volumes from the tollbooth totals, builds the
+    conservation ledger and distributes. ``hours`` defaults to every hour
+    present in the tollbooth data. Of the hours that fail a check, the
+    earliest is reported, with the first failing check of: no tollbooth
+    counts; destination rows missing or repeated; count keys missing; an
+    eligible destination without rows.
     """
     # Hour x count-key grid of integer totals, -1 where a series has no row.
     series_keys = tollbooth.series_keys()
@@ -460,14 +578,15 @@ def build_od_matrix(
     if repeat is not None:
         raise DataError(f"duplicate tollbooth series {keys[row_key[repeat]]!r} "
                         f"at {tollbooth.hours[tollbooth.hour[repeat]].isoformat()}")
-    totals = np.full((len(tollbooth.hours), len(keys)), -1, dtype=np.int64)
+    totals = np.full((len(tollbooth.hours) + 1, len(keys) + 1), -1, dtype=np.int64)  # last row, column: absent
     totals[tollbooth.hour, row_key] = tollbooth.total.astype(np.int64)
     tollbooth_hour = {h.timestamp: i for i, h in enumerate(tollbooth.hours)}
 
-    hour_keys = sorted(tollbooth.hours if hours is None else hours, key=lambda h: h.timestamp)
+    hour_keys = tuple(sorted(tollbooth.hours if hours is None else hours, key=lambda h: h.timestamp))
     for earlier, later in zip(hour_keys, hour_keys[1:]):
         if earlier.timestamp == later.timestamp:
             raise DataError(f"hour {later.isoformat()} is listed twice in the hours to route")
+    n_hours = len(hour_keys)
 
     # Destination rows stable-sorted by hour: file order within an hour.
     dest_names = network.destination_names()
@@ -482,129 +601,136 @@ def build_od_matrix(
     flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [by_hour[a:b] for a, b in zip(lo, hi)])
     bounds = np.concatenate(([0], np.cumsum(hi - lo)))
     row_dest = node_dest[flat]
+    row_hour = np.repeat(np.arange(n_hours), np.diff(bounds))
+    rows_per_dest = np.bincount(row_hour * len(dest_names) + row_dest, minlength=n_hours * len(dest_names))
+    present = rows_per_dest.reshape(n_hours, len(dest_names)) > 0
 
-    # One prediction block for every hour.
-    preds = predict_matrix(model, feature_matrix(routing, flat))[:, 1:]  # category columns only
+    # Each referenced key's per-hour total, -1 where it has none.
+    tb_hour = np.array([tollbooth_hour.get(hk.timestamp, -1) for hk in hour_keys], dtype=np.int64)
+    referenced = network.referenced_count_keys()
+    counts = {k: totals[tb_hour, key_codes.get(k, -1)] for k in referenced}
+    no_counts = tb_hour < 0
+    bad_rows = (bounds[1:] == bounds[:-1]) | (rows_per_dest > 1).reshape(n_hours, -1).any(axis=1)
+    missing = np.zeros(n_hours, dtype=bool)
+    for total in counts.values():
+        missing |= total < 0
+
+    # One prediction block for every hour; each hour's mass total is its
+    # own table block's sum.
+    preds = predict_matrix(model, feature_matrix(routing, flat), TARGET_NAMES[1:])
     table = _clamped_table(preds, routing.censored[flat])
-    mass = np.empty_like(table)
+    hour_total = np.array([float(table[a:b].sum()) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    fallback = hour_total <= 0.0
+    row_fallback = fallback[row_hour][:, None]
+    mass = np.where(row_fallback, 1.0 / (np.diff(bounds) * table.shape[1])[row_hour][:, None],
+                    table / np.where(row_fallback, 1.0, hour_total[row_hour, None]))
 
-    decisions: list[FlowDecision] = []
-    decision_hour: list[int] = []
-    ledger: list[LedgerEvent] = []
-    for h, hk in enumerate(hour_keys):
-        t = tollbooth_hour.get(hk.timestamp)
-        if t is None:
-            raise DataError(f"no tollbooth counts for hour {hk.isoformat()}")
-        start, stop = bounds[h], bounds[h + 1]
-        dests = row_dest[start:stop].tolist()
-        _check_hour_rows(hk, dests)
-        mass[start:stop], fallback = _hour_mass(table[start:stop])
-        if fallback:
-            ledger.append(LedgerEvent(hk, "consume", "", "", "joint", 0, "uniform_fallback"))
-        counts = {key: total for key, total in zip(keys, totals[t].tolist()) if total >= 0}
-        hour_decisions, events = decide_flows(network, counts, hk)
-        ledger.extend(events)
-        if len(dests) < len(dest_names):
-            names = [dest_names[d] for d in dests]
-            for d in hour_decisions:
-                _check_eligible(d, names)
-        decisions.extend(hour_decisions)
-        decision_hour.extend([h] * len(hour_decisions))
+    decisions, ledger = _decide(network, hour_keys, {k: np.maximum(v, 0) for k, v in counts.items()}, fallback)
+    absent = _absent(decisions, dest_names, present)
+    checks = np.stack([no_counts, bad_rows, missing, np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
+    failing = checks.any(axis=0)
+    if failing.any():
+        h = int(np.argmax(failing))
+        check, when = int(np.argmax(checks[:, h])), hour_keys[h].isoformat()
+        if check == 0:
+            raise DataError(f"no tollbooth counts for hour {when}")
+        if check == 1:
+            what = "no destination routing rows" if bounds[h] == bounds[h + 1] else "duplicate destination rows"
+            raise DataError(f"{what} for hour {when}")
+        if check == 2:
+            raise DataError(f"missing tollbooth counts for {[k for k in referenced if counts[k][h] < 0]} at {when}")
+        raise _absent_error(decisions, int(np.nonzero(absent & (decisions.hour == h))[0][0]), dest_names, present)
 
     # Marginals once per (hour, destination), scattered on a grid.
     weight, per_destination = _marginals(mass)
-    row_hour = np.repeat(np.arange(len(hour_keys)), np.diff(bounds))
-    weight_grid = np.zeros((len(hour_keys), len(dest_names)))
+    weight_grid = np.zeros((n_hours, len(dest_names)))
     weight_grid[row_hour, row_dest] = weight
     category_grid = np.zeros(weight_grid.shape + (len(CATEGORY_ORDER),))
     category_grid[row_hour, row_dest] = per_destination
-    matrix = _od_matrix(tuple(hour_keys), decisions, np.array(decision_hour, dtype=np.int64),
-                        weight_grid, category_grid, dest_names)
-    return RoutingRun(matrix=matrix, decisions=decisions, ledger=ledger)
+    return RoutingRun(matrix=_od_matrix(decisions, weight_grid, category_grid, dest_names), ledger=ledger)
 
 
-def _od_matrix(hours: tuple[HourKey, ...], decisions: list[FlowDecision], decision_hour: np.ndarray,
-               weight_grid: np.ndarray, category_grid: np.ndarray, dest_names: list[str]) -> ODMatrix:
+def _od_matrix(decisions: DecisionTable, weight_grid: np.ndarray, category_grid: np.ndarray,
+               dest_names: list[str]) -> ODMatrix:
     """Distribute every decision over its hour's row of the marginal grids.
 
     ``weight_grid`` is ``(hours, destinations)``, ``category_grid`` adds the
     category axis. Decisions that share an eligible-destination tuple are
     apportioned in one batch; bypass decisions keep their whole volume.
     """
-    node_codes: dict[str, int] = {}
-    code = lambda name: node_codes.setdefault(name, len(node_codes))  # noqa: E731
-    dest_index = {name: i for i, name in enumerate(dest_names)}
-    volume = np.array([d.volume for d in decisions], dtype=np.int64)
-    origin = np.array([code(d.origin) for d in decisions], dtype=np.int64)
-    reverse = np.array([d.reversed_roles for d in decisions], dtype=bool)
-    groups: dict[tuple[str, ...] | None, list[int]] = {}
-    for i, d in enumerate(decisions):
-        if d.volume:
-            bypass = d.scenario is Scenario.PASSTHROUGH_BYPASS
-            groups.setdefault(None if bypass else d.eligible_destinations, []).append(i)
+    n_cat = len(CATEGORY_ORDER)
+    texts, sets = decisions.texts, decisions.eligible_sets
+    names = [texts[c] for c in np.unique(decisions.origin).tolist()] + [name for members in sets for name in members]
+    nodes = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    origin = np.array([nodes.get(text, -1) for text in texts], dtype=np.int64)[decisions.origin]
+    volume, hour = decisions.volume, decisions.hour
+    width = max([len(members) for members in sets], default=1) * n_cat
+    moving = volume > 0
+    bypass = decisions.scenario == _BYPASS
 
-    # Rows: decision, position within it, origin, destination, type, count.
-    pieces = [np.zeros((6, 0), dtype=np.int64)]
-    for eligible, members in groups.items():
-        idx = np.array(members, dtype=np.int64)
-        if eligible is None:
-            dest = np.array([code(decisions[i].eligible_destinations[0]) for i in members])
-            kind = np.full(len(idx), _VEHICLE_TYPES.index(VehicleType.ALL))
-            pieces.append(np.stack((idx, np.zeros_like(idx), origin[idx], dest, kind, volume[idx])))
-            continue
-        rows, cols = decision_hour[idx][:, None], [dest_index[name] for name in eligible]
+    # Rows: sort key (decision, position within it), origin, destination, type, count.
+    def piece(dec, position, ends, kind, count):
+        key = _composite_key((len(decisions), width), (dec, position))
+        return np.stack([np.broadcast_to(column, key.shape) for column in (key, *ends, kind, count)])
+
+    pieces = [np.zeros((5, 0), dtype=np.int64)]
+    idx = np.nonzero(moving & bypass)[0]
+    if len(idx):
+        target = np.array([nodes[members[0]] for members in sets], dtype=np.int64)[decisions.eligible[idx]]
+        pieces.append(piece(idx, 0, (origin[idx], target), _VEHICLE_TYPES.index(VehicleType.ALL), volume[idx]))
+    splitting = moving & ~bypass
+    for e in np.unique(decisions.eligible[splitting]).tolist():
+        idx = np.nonzero(splitting & (decisions.eligible == e))[0]
+        rows, cols = hour[idx][:, None], [dest_names.index(name) for name in sets[e]]
         counts = _split(volume[idx], weight_grid[rows, cols], category_grid[rows, cols])
         b, j, c = np.nonzero(counts)
         dec = idx[b]
-        dest = np.array([code(name) for name in eligible], dtype=np.int64)[j]
-        rev = reverse[dec]
+        dest = np.array([nodes[name] for name in sets[e]], dtype=np.int64)[j]
+        rev = decisions.reversed_roles[dec]
         ends = (np.where(rev, dest, origin[dec]), np.where(rev, origin[dec], dest))
-        pieces.append(np.stack((dec, j * len(CATEGORY_ORDER) + c, *ends, _CATEGORY_TYPE_CODES[c],
-                                counts[b, j, c])))
+        pieces.append(piece(dec, j * n_cat + c, ends, _CATEGORY_TYPE_CODES[c], counts[b, j, c]))
     columns = np.concatenate(pieces, axis=1)
-    # Gathered a column at a time: a permuted copy of the whole (6, rows)
+    del pieces
+    # Gathered a column at a time: a permuted copy of the whole (5, rows)
     # block is one more transient of its size.
-    order = np.lexsort((columns[1], columns[0]))
-    dec, origin, destination, kind, count = (columns[i][order] for i in (0, 2, 3, 4, 5))
-    scenario = np.array([_SCENARIOS.index(d.scenario) for d in decisions], dtype=np.int64)
-    return ODMatrix(hours=hours, nodes=tuple(node_codes), decisions=tuple(decisions),
-                    hour=decision_hour[dec], origin=origin, destination=destination,
-                    vehicle_type=kind, scenario=scenario[dec], count=count, decision=dec)
+    order = np.argsort(columns[0], kind="stable")
+    dec = columns[0][order] // width
+    origin, destination, kind, count = (columns[i][order] for i in (1, 2, 3, 4))
+    return ODMatrix(nodes=tuple(nodes), decisions=decisions, hour=hour[dec], origin=origin, destination=destination,
+                    vehicle_type=kind, scenario=decisions.scenario[dec], count=count, decision=dec)
 
 
 def conservation_violations(run: RoutingRun) -> list[str]:
     """Check that no vehicle was created or destroyed anywhere in the run."""
-    problems: list[str] = []
-    volumes = np.array([d.volume for d in run.decisions], dtype=np.int64)
-    allocated = np.bincount(run.matrix.decision, weights=run.matrix.count, minlength=len(volumes))
+    decisions, ledger = run.decisions, run.ledger
+    allocated = np.bincount(run.matrix.decision, weights=run.matrix.count, minlength=len(decisions))
     allocated = allocated.astype(np.int64)
-    for i in np.nonzero(allocated != volumes)[0]:
-        decision = run.decisions[i]
-        problems.append(
-            f"{decision.hour.isoformat()} {decision.scenario.value} {decision.direction}: "
-            f"decided {decision.volume}, allocated {allocated[i]}"
-        )
-    balances = {e.hour.timestamp: e.amount for e in run.ledger if e.entry_type == "balance"}
-    decided: dict[object, int] = {}
-    for d in run.decisions:
-        decided[d.hour.timestamp] = decided.get(d.hour.timestamp, 0) + d.volume
-    for ts, balance in balances.items():
-        if decided.get(ts, 0) != balance:
-            problems.append(f"balance mismatch at {ts}: ledger {balance}, decisions {decided.get(ts, 0)}")
+    problems = [
+        f"{d.hour.isoformat()} {d.scenario.value} {d.direction}: decided {d.volume}, allocated {allocated[i]}"
+        for i, d in ((i, decisions[i]) for i in np.nonzero(allocated != decisions.volume)[0])
+    ]
+    decided = np.zeros(len(decisions.hours), dtype=np.int64)
+    np.add.at(decided, decisions.hour, decisions.volume)
+    for i in np.nonzero(ledger.entry_type == ledger.texts.index("balance"))[0]:
+        h, amount = ledger.hour[i], int(ledger.amount[i])
+        if decided[h] != amount:
+            problems.append(f"balance mismatch at {ledger.hours[h].timestamp}: ledger {amount}, "
+                            f"decisions {int(decided[h])}")
     return problems
 
 
 def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
     keep = np.nonzero(matrix.count > 0)[0]
     node_rank = _ranks(matrix.nodes)
-    # lexsort is stable: rows with equal keys stay in decision order.
-    order = keep[np.lexsort((
-        _ranks([t.value for t in _VEHICLE_TYPES])[matrix.vehicle_type[keep]],
-        node_rank[matrix.destination[keep]],
-        node_rank[matrix.origin[keep]],
-        _ranks([s.value for s in _SCENARIOS])[matrix.scenario[keep]],
-        _ranks([h.timestamp for h in matrix.hours])[matrix.hour[keep]],
-    ))]
+    ranked = (
+        (_ranks([h.timestamp for h in matrix.hours]), matrix.hour),
+        (_ranks([s.value for s in _SCENARIOS]), matrix.scenario),
+        (node_rank, matrix.origin), (node_rank, matrix.destination),
+        (_ranks([t.value for t in _VEHICLE_TYPES]), matrix.vehicle_type),
+    )
+    key = _composite_key([len(rank) for rank, _ in ranked], (rank[column[keep]] for rank, column in ranked))
+    # A stable sort: rows with equal keys stay in decision order.
+    order = keep[np.argsort(key, kind="stable")]
     write_csv_columns(path, ["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"], [
         ([h.isoformat() for h in matrix.hours], matrix.hour), (matrix.nodes, matrix.origin),
         (matrix.nodes, matrix.destination), ([t.value for t in _VEHICLE_TYPES], matrix.vehicle_type),
@@ -612,8 +738,9 @@ def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
     ], order)
 
 
-def write_ledger_csv(path: str | Path, ledger: list[LedgerEvent]) -> None:
-    iso = {ts: hour.isoformat() for ts, hour in {e.hour.timestamp: e.hour for e in ledger}.items()}
-    write_csv(path, ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"], (
-        [iso[e.hour.timestamp], e.entry_type, e.scenario, e.direction, e.key, e.amount, e.flag] for e in ledger
-    ))
+def write_ledger_csv(path: str | Path, ledger: LedgerTable) -> None:
+    texts = ledger.texts
+    write_csv_columns(path, ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"], [
+        ([h.isoformat() for h in ledger.hours], ledger.hour), (texts, ledger.entry_type), (texts, ledger.scenario),
+        (texts, ledger.direction), (texts, ledger.key), (None, ledger.amount), (texts, ledger.flag),
+    ], np.arange(len(ledger)))

@@ -4,12 +4,12 @@ The oracles here deliberately avoid the production code paths: split
 search by full enumeration, tree growth by scanning every (row, feature)
 position, raw scores by one ``predict_batch`` call per tree, Shapley
 values by subset enumeration, apportionment by integer-vector search and
-by the scalar largest-remainder loop, OD rows by the per-decision routing
-loop, permutation importance by tree-by-tree re-scoring, conservation by
-direct recomputation from raw counts, CSV parsing by the per-row
-readers that build observation objects, model features by the
-encoding written out one report at a time, and synthetic data by one
-array Poisson draw per (series, hour)."""
+by the scalar largest-remainder loop, routing decisions, ledger and OD
+rows by the per-hour, per-decision routing loop, permutation importance
+by tree-by-tree re-scoring, conservation by direct recomputation from raw
+counts, CSV parsing by the per-row readers that build observation
+objects, model features by the encoding written out one report at a
+time, and synthetic data by one array Poisson draw per (series, hour)."""
 
 from __future__ import annotations
 
@@ -478,18 +478,83 @@ def _reference_distribute(decision, mass: dict) -> list[tuple]:
     return rows
 
 
-def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tuple]:
-    """OD rows of the per-decision routing loop, in decision order.
+def reference_decide_flows(network: NetworkConfig, counts: dict, hour) -> tuple[list, list]:
+    """The three routing phases on one hour, one decision and one ledger
+    event at a time, with a dict of per-key residuals: the oracle for the
+    whole-run decision kernel in ``odfuse.routing``."""
+    from odfuse.errors import InternalError
+    from odfuse.routing import FlowDecision, LedgerEvent, Scenario
+
+    referenced = network.referenced_count_keys()
+    missing = [k for k in referenced if k not in counts]
+    if missing:
+        raise DataError(f"missing tollbooth counts for {missing} at {hour.isoformat()}")
+    left = {k: int(counts[k]) for k in referenced}
+    decisions: list = []
+    events: list = []
+
+    def consume(key: str, amount: int) -> None:
+        left[key] -= amount
+        if left[key] < 0:
+            raise InternalError(f"negative residual for count key {key!r}: {left[key]}")
+
+    def event(entry_type, scenario, direction, key, amount, flag="") -> None:
+        events.append(LedgerEvent(hour, entry_type, scenario, direction, key, amount, flag))
+
+    def record(scenario, direction, volume, origin, eligible, reversed_roles=False) -> None:
+        decisions.append(FlowDecision(hour, scenario, direction, volume, origin, tuple(eligible), reversed_roles))
+        event("decision", scenario.value, direction, origin, volume)
+
+    def subset(scenario: str) -> list:
+        return network.group_members(network.scenario_subsets[scenario])
+
+    boundary, ramps = network.boundary, network.ramps
+    if boundary is not None:
+        imbalance = left[boundary.inbound_key] - left[boundary.outbound_key]
+        if imbalance != 0:
+            side = boundary.positive if imbalance > 0 else boundary.negative
+            volume = abs(imbalance)
+            ramp_key = ramps.onramp if side.consumes == "onramp" else ramps.offramp
+            applied = min(volume, left[ramp_key])
+            consume(ramp_key, applied)
+            flag = "capped" if applied < volume else ""
+            event("consume", Scenario.INTERNAL.value, side.label, ramp_key, applied, flag)
+            record(Scenario.INTERNAL, side.label, volume, boundary.node, network.group_members(side.groups))
+    if ramps is not None:
+        inflow = left[ramps.onramp]
+        if inflow > 0:
+            consume(ramps.onramp, inflow)
+            record(Scenario.LOCAL_INFLOW, "onramp:in", inflow, ramps.onramp, subset("LocalInflow"))
+        outflow = left[ramps.offramp]
+        if outflow > 0:
+            consume(ramps.offramp, outflow)
+            record(Scenario.LOCAL_OUTFLOW, "offramp:out", outflow, ramps.offramp, subset("LocalOutflow"), True)
+    for pair in network.passthrough_pairs:
+        up, down = left[pair.upstream], left[pair.downstream]
+        record(Scenario.PASSTHROUGH_BYPASS, f"{pair.axis}:bypass", min(up, down), pair.upstream, (pair.downstream,))
+        if up >= down:
+            record(Scenario.PASSTHROUGH_NET, f"{pair.axis}:inflow", up - down, pair.upstream, subset("PassthroughNet"))
+        else:
+            record(Scenario.PASSTHROUGH_NET, f"{pair.axis}:outflow", down - up, pair.downstream,
+                   subset("PassthroughNet"), True)
+    event("balance", "", "", "total", sum(d.volume for d in decisions))
+    return decisions, events
+
+
+def reference_route(network, model, tollbooth, routing, hours=None) -> tuple[list, list, list]:
+    """The per-hour, per-decision routing loop: its decisions, its ledger
+    events and its OD rows, each in run order.
 
     Each hour's joint is a dict normalised by the hour's table sum (rows in
-    file order, censored rows zeroed, uniform when nothing remains); each
-    decision rebuilds the marginals and splits with the scalar largest
-    remainder. Rows are (timestamp, origin, destination, vehicle_type,
+    file order, censored rows zeroed, uniform and ledgered when nothing
+    remains); the hour's decisions come from ``reference_decide_flows``;
+    each decision rebuilds the marginals and splits with the scalar largest
+    remainder. OD rows are (timestamp, origin, destination, vehicle_type,
     count, scenario, direction).
     """
     from odfuse.core import CATEGORY_ORDER
     from odfuse.fusion import predict_matrix
-    from odfuse.routing import decide_flows
+    from odfuse.routing import LedgerEvent
 
     counts_by_hour: dict = {}
     for obs in tollbooth:
@@ -501,7 +566,7 @@ def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tu
             dest_rows.setdefault(obs.hour.timestamp, []).append(obs)
     if hours is None:
         hours = {obs.hour.timestamp: obs.hour for obs in tollbooth}.values()
-    out = []
+    decisions, ledger, rows_out = [], [], []
     for hour in sorted(hours, key=lambda h: h.timestamp):
         rows = dest_rows[hour.timestamp]
         names = [r.node.name for r in rows]
@@ -511,14 +576,18 @@ def reference_od_rows(network, model, tollbooth, routing, hours=None) -> list[tu
             if r.censored:
                 table[i, :] = 0.0
         total = float(table.sum())
+        if total <= 0.0:
+            ledger.append(LedgerEvent(hour, "consume", "", "", "joint", 0, "uniform_fallback"))
         mass = {}
         for i, dest in enumerate(names):
             for j, cat in enumerate(CATEGORY_ORDER):
                 mass[(dest, cat)] = float(table[i, j]) / total if total > 0.0 else 1.0 / table.size
-        decisions, _ = decide_flows(network, counts_by_hour[hour.timestamp], hour)
-        for decision in decisions:
-            out.extend(_reference_distribute(decision, mass))
-    return out
+        hour_decisions, events = reference_decide_flows(network, counts_by_hour[hour.timestamp], hour)
+        decisions += hour_decisions
+        ledger += events
+        for decision in hour_decisions:
+            rows_out.extend(_reference_distribute(decision, mass))
+    return decisions, ledger, rows_out
 
 
 def reference_permutation_importance(model, target: str, dataset, repeats: int, seed: int) -> dict:
@@ -701,9 +770,10 @@ def reference_read_tollbooth_csv(path: str | Path, network: NetworkConfig | None
         reader = csv.reader(fh)
         header = next(reader, None)
         _reference_check_header(header, TOLLBOOTH_HEADER, p)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(TOLLBOOTH_HEADER):
                 raise DataError(f"{p}: line {line} has {len(row)} fields, expected {len(TOLLBOOTH_HEADER)}")
             try:
@@ -753,9 +823,10 @@ def reference_read_routing_csv(
         reader = csv.reader(fh)
         header = next(reader, None)
         _reference_check_header(header, ROUTING_HEADER, p)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(ROUTING_HEADER):
                 raise DataError(f"{p}: line {line} has {len(row)} fields, expected {len(ROUTING_HEADER)}")
             try:

@@ -407,6 +407,23 @@ class TestConfigHandling:
         assert f"{out / 'tollbooth.csv'}: line 2: unknown direction 'Sideways'" in err
         assert "Traceback" not in err
 
+    def test_line_after_a_multi_line_field_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tollbooth.csv").write_text(
+            "timestamp,station,direction,c_under5_6,c_5_6_7_6,c_7_6_12_5,c_12_5_16_0,c_16_0_24_0,c_over24_0,total\n"
+            '2023-11-06T08:00,"Two\nlines",Inbound,1,0,0,0,0,0,1\n'
+            "2023-11-06T08:00,A,Sideways,1,0,0,0,0,0,1\n",
+            encoding="utf-8",
+        )
+        (out / "routing.csv").write_text(
+            "timestamp,node,people_flow,road_tag\n2023-11-06T08:00,A,10,Primary\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json")
+        assert main(["--config", str(cfg), "train"]) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'tollbooth.csv'}: line 4: unknown direction 'Sideways'" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_1(self, tmp_path):
         assert main(["--nonsense"]) == 1
 

@@ -117,6 +117,18 @@ class TestReadTollboothCsv:
         with pytest.raises(DataError, match=r"tb\.csv: line 3: unknown direction 'Sideways'; allowed: Inbound"):
             read_tollbooth_csv(p)
 
+    def test_line_numbers_count_the_lines_of_a_multi_line_field(self, tmp_path):
+        p = write_lines(
+            tmp_path / "tb.csv",
+            TOLLBOOTH_HEADER,
+            '2023-11-06T08:00,"Two\nlines",Inbound,1,0,0,0,0,0,1',
+            "2023-11-06T08:00,E6-Klett,Sideways,1,0,0,0,0,0,1",
+        )
+        with pytest.raises(DataError, match=r"tb\.csv: line 4: unknown direction 'Sideways'"):
+            read_tollbooth_csv(p)
+        with pytest.raises(DataError, match=r"tb\.csv: line 4: unknown direction 'Sideways'"):
+            reference_read_tollbooth_csv(p)
+
     def test_bad_timestamp_names_line_and_field(self, tmp_path):
         p = write_lines(
             tmp_path / "tb.csv",
@@ -402,6 +414,12 @@ class TestBlockWriters:
         write_csv(tmp_path / "rows.csv", ["name, quoted", "count", "same"],
                   ([_QUOTED_NAMES[names[r]], int(counts[r]), _QUOTED_NAMES[names[r]]] for r in rows))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_empty_text_is_an_empty_cell(self, tmp_path):
+        texts, codes = ["", "x", ""], np.array([0, 1, 2, 0])
+        write_csv_columns(tmp_path / "columns.csv", ["a", "b"], [(texts, codes), (None, codes)], np.arange(4))
+        write_csv(tmp_path / "rows.csv", ["a", "b"], ([texts[c], c] for c in codes.tolist()))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n,0\r\nx,1\r\n,2\r\n,0\r\n"
 
 
 class TestDifferenceSeries:

@@ -18,7 +18,8 @@ from odfuse.core import (
     VehicleType,
     make_hour_key,
 )
-from odfuse.errors import DataError
+from odfuse.core import write_csv
+from odfuse.errors import DataError, InternalError
 from odfuse.fusion import GbtHyperparams, predict_matrix, train
 from odfuse.ingest import BiasProfile, build_dataset, generate_synthetic
 from odfuse.network import (
@@ -34,6 +35,8 @@ from odfuse.routing import (
     JointDistribution,
     Scenario,
     _apportion,
+    _composite_key,
+    _consume,
     build_od_matrix,
     conservation_violations,
     decide_flows,
@@ -41,6 +44,7 @@ from odfuse.routing import (
     joint_from_predictions,
     largest_remainder,
     marginals,
+    write_ledger_csv,
     write_od_csv,
 )
 
@@ -51,8 +55,9 @@ from _helpers import (
     pair_only_network,
     ramp_network,
     reference_features,
+    reference_decide_flows,
     reference_largest_remainder,
-    reference_od_rows,
+    reference_route,
     station,
     take_rows,
     target_model,
@@ -616,13 +621,32 @@ def write_reference_od_csv(path, rows) -> None:
         writer.writerows(r[:6] for r in ordered)
 
 
+def by_hour(items) -> dict:
+    """Decisions or ledger events grouped by hour, in run order."""
+    out: dict = {}
+    for item in items:
+        out.setdefault(item.hour.timestamp, []).append(item)
+    return out
+
+
+def check_against_reference(run, net, model, tb, rt, hours=None) -> list[tuple]:
+    """The run's decisions and ledger equal the per-hour loop's, hour by
+    hour and in order; returns the loop's OD rows."""
+    decisions, ledger, rows = reference_route(net, model, tb, rt, hours)
+    assert by_hour(run.decisions) == by_hour(decisions)
+    assert by_hour(run.ledger) == by_hour(ledger)
+    assert list(run.decisions) == decisions
+    assert list(run.ledger) == ledger
+    return rows
+
+
 class TestOdParity:
     """The batched build against the per-decision reference loop: the same
-    rows in the same order, and the same OD CSV bytes."""
+    decisions, ledger and rows in the same order, and the same OD CSV bytes."""
 
     def check(self, tmp_path, net, model, tb, rt, hours=None):
         run = build_od_matrix(net, model, tb, rt, hours)
-        expected = reference_od_rows(net, model, tb, rt, hours)
+        expected = check_against_reference(run, net, model, tb, rt, hours)
         assert od_rows(run) == expected
         assert len(run.matrix) == len(expected)
         write_od_csv(tmp_path / "od.csv", run.matrix)
@@ -668,6 +692,199 @@ class TestOdParity:
         assert {e.hour.timestamp for e in run.matrix.entries} <= {hk.timestamp for hk in hours}
 
 
+def tables_from_counts(net, hourly_counts: list[dict], seed: int = 3):
+    """One hour per dict of count-key totals, from 2024-05-06T00:00, with an
+    uncensored random report per destination."""
+    rng = np.random.default_rng(seed)
+    start = make_hour_key("2024-05-06T00:00").timestamp
+    tb, rt = [], []  # rows as from_rows arguments
+    for h, counts in enumerate(hourly_counts):
+        hour = make_hour_key(start + timedelta(hours=h))
+        for key, n in counts.items():
+            name, _, direction = key.partition("|")
+            series = (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH), Direction(direction or "Undirected"))
+            tb.append((hour, series, [n, 0, 0, 0, 0, 0, n]))
+        for node in net.destinations():
+            rt.append((hour, node.node, int(rng.integers(0, 3000)), node.road_tag, False))
+    return TollboothTable.from_rows(*zip(*tb)), RoutingTable.from_rows(*zip(*rt))
+
+
+def mixed_counts(inbound, outbound, onramp, offramp, up, down) -> dict:
+    return {"Boundary|Inbound": inbound, "Boundary|Outbound": outbound, "Onramp": onramp, "Offramp": offramp,
+            "Up": up, "Down": down}
+
+
+def bare_network() -> NetworkConfig:
+    """No boundary, no ramps and no booth pairs: every hour only balances."""
+    return NetworkConfig(name="bare", nodes=(station("A"), destination("D1"), destination("D2")),
+                         destination_groups={"all": ("D1", "D2")}, passthrough_pairs=(), scenario_subsets={})
+
+
+def shared_ramp_network() -> NetworkConfig:
+    """The mixed network with one booth as both ramps and the pair's
+    upstream, so each phase reads what the one before left."""
+    net = mixed_network()
+    return dataclasses.replace(net, ramps=RampConfig(onramp="Up", offramp="Up"), _by_name={})
+
+
+KERNEL_CASES = {
+    "capped internal, both sides": (mixed_network, [
+        mixed_counts(200, 50, 40, 10, 5, 9),  # eastbound 150 capped at the onramp's 40
+        mixed_counts(30, 90, 70, 25, 8, 3),  # westbound 60 capped at the offramp's 25
+        mixed_counts(80, 80, 12, 7, 4, 4),  # balanced boundary: no internal decision
+    ]),
+    "zero-volume hours": (mixed_network, [
+        mixed_counts(0, 0, 0, 0, 0, 0),
+        mixed_counts(5, 2, 9, 1, 3, 7),
+        mixed_counts(0, 0, 0, 0, 0, 0),
+    ]),
+    "no boundary, ramps or pairs": (bare_network, [{"A": 5}, {"A": 0}]),
+    "one booth read by every phase": (shared_ramp_network, [
+        mixed_counts(90, 20, 0, 0, 50, 30),
+        mixed_counts(20, 90, 0, 0, 100, 30),
+    ]),
+}
+
+
+class TestDecisionKernel:
+    """The whole-run kernel against the per-hour loop on hand-picked counts."""
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_matches_per_hour_loop(self, case, trained_small, tmp_path):
+        _, model, _, _ = trained_small
+        make_net, hourly_counts = KERNEL_CASES[case]
+        net = make_net()
+        tb, rt = tables_from_counts(net, hourly_counts)
+        run = build_od_matrix(net, model, tb, rt)
+        assert od_rows(run) == check_against_reference(run, net, model, tb, rt)
+        assert conservation_violations(run) == []
+        for hour, counts in zip(sorted(tb.hours, key=lambda h: h.timestamp), hourly_counts):
+            decisions, events = decide_flows(net, counts, hour)
+            assert (list(decisions), list(events)) == reference_decide_flows(net, counts, hour)
+
+    def test_capped_rows_and_zero_hours_are_ledgered(self, trained_small):
+        _, model, _, _ = trained_small
+        net = mixed_network()
+        tb, rt = tables_from_counts(net, KERNEL_CASES["capped internal, both sides"][1])
+        ledger = build_od_matrix(net, model, tb, rt).ledger
+        capped = [(e.direction, e.key, e.amount) for e in ledger if e.flag == "capped"]
+        assert capped == [("eastbound", "Onramp", 40), ("westbound", "Offramp", 25)]
+        tb, rt = tables_from_counts(net, KERNEL_CASES["zero-volume hours"][1])
+        zero_hour = by_hour(build_od_matrix(net, model, tb, rt).decisions)[tb.hours[0].timestamp]
+        assert [(d.scenario, d.volume) for d in zero_hour] == [
+            (Scenario.PASSTHROUGH_BYPASS, 0), (Scenario.PASSTHROUGH_NET, 0)]
+
+    def test_bare_network_only_balances(self, trained_small):
+        _, model, _, _ = trained_small
+        net = bare_network()
+        tb, rt = tables_from_counts(net, KERNEL_CASES["no boundary, ramps or pairs"][1])
+        run = build_od_matrix(net, model, tb, rt)
+        assert len(run.decisions) == 0 and len(run.matrix) == 0
+        assert [(e.entry_type, e.amount) for e in run.ledger] == [("balance", 0), ("balance", 0)]
+
+    def test_ledger_csv_bytes_match_rows_writer(self, trained_small, tmp_path):
+        _, model, _, _ = trained_small
+        net = mixed_network()
+        tb, rt = mixed_tables(net, censored_hour=3)
+        capped_tb, capped_rt = tables_from_counts(net, KERNEL_CASES["capped internal, both sides"][1])
+        for name, (tollbooth, routing) in {"censored": (tb, rt), "capped": (capped_tb, capped_rt)}.items():
+            run = build_od_matrix(net, model, tollbooth, routing)
+            _, ledger, _ = reference_route(net, model, tollbooth, routing)
+            write_ledger_csv(tmp_path / f"{name}.csv", run.ledger)
+            write_csv(tmp_path / f"{name}_rows.csv", ["timestamp", "entry_type", "scenario", "direction", "key",
+                                                      "amount", "flag"],
+                      ([e.hour.isoformat(), e.entry_type, e.scenario, e.direction, e.key, e.amount, e.flag]
+                       for e in ledger))
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_rows.csv").read_bytes()
+            flags = {e.flag for e in ledger} | {e.entry_type for e in ledger}
+            assert {"balance", "consume"} <= flags
+        assert {"uniform_fallback"} <= {e.flag for e in reference_route(net, model, tb, rt)[1]}
+        assert {"capped"} <= {e.flag for e in reference_route(net, model, capped_tb, capped_rt)[1]}
+
+
+def without_rows(table, drop) -> object:
+    """The table without the rows whose observation ``drop`` accepts."""
+    return take_rows(table, [i for i, obs in enumerate(table) if not drop(obs)])
+
+
+class TestHourChecks:
+    """Of the hours that fail a check the earliest is reported, with the
+    first failing check of that hour."""
+
+    def test_earlier_hour_wins_over_earlier_check(self, criterion7):
+        net, model, tb, rt = criterion7
+        hours = sorted(tb.hours, key=lambda h: h.timestamp)
+        key = net.referenced_count_keys()[0]
+        keep = net.destination_names()[0]
+        tb = without_rows(tb, lambda o: o.hour == hours[5] and o.join_key() == key)
+        rt = without_rows(rt, lambda o: o.hour == hours[3] and o.node.name in net.destination_names()
+                          and o.node.name != keep)
+        counts = {o.join_key(): int(o.counts.total) for o in tb if o.hour == hours[3]}
+        decisions, _ = reference_decide_flows(net, counts, hours[3])
+        first = next(d for d in decisions if d.volume and d.scenario is not Scenario.PASSTHROUGH_BYPASS)
+        unknown = [d for d in first.eligible_destinations if d != keep]
+        message = f"eligible destinations {unknown} absent from the joint distribution at {hours[3].isoformat()}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            build_od_matrix(net, model, tb, rt)
+
+    def test_missing_key_before_absent_destination_in_one_hour(self, criterion7):
+        net, model, tb, rt = criterion7
+        hours = sorted(tb.hours, key=lambda h: h.timestamp)
+        key = net.referenced_count_keys()[0]
+        keep = net.destination_names()[0]
+        tb = without_rows(tb, lambda o: o.hour == hours[3] and o.join_key() == key)
+        rt = without_rows(rt, lambda o: o.hour == hours[3] and o.node.name in net.destination_names()
+                          and o.node.name != keep)
+        message = f"missing tollbooth counts for {[key]} at {hours[3].isoformat()}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            build_od_matrix(net, model, tb, rt)
+
+    @pytest.mark.parametrize("late_hour", [7, 2])
+    def test_no_counts_and_missing_rows(self, criterion7, late_hour):
+        net, model, tb, rt = criterion7
+        hours = sorted(tb.hours, key=lambda h: h.timestamp)
+        dests = set(net.destination_names())
+        tb = without_rows(tb, lambda o: o.hour == hours[late_hour])
+        rt = without_rows(rt, lambda o: o.hour == hours[2] and o.node.name in dests)
+        expected = "no tollbooth counts" if late_hour == 2 else "no destination routing rows"
+        with pytest.raises(DataError, match=re.escape(f"{expected} for hour {hours[2].isoformat()}")):
+            build_od_matrix(net, model, tb, rt, hours)
+
+    def test_duplicate_rows_before_later_missing_key(self, criterion7):
+        net, model, tb, rt = criterion7
+        hours = sorted(tb.hours, key=lambda h: h.timestamp)
+        key = net.referenced_count_keys()[-1]
+        tb = without_rows(tb, lambda o: o.hour == hours[6] and o.join_key() == key)
+        row = next(i for i, o in enumerate(rt) if o.hour == hours[4] and o.node.name in net.destination_names())
+        rt = take_rows(rt, list(range(len(rt))) + [row])
+        with pytest.raises(DataError, match=re.escape(f"duplicate destination rows for hour {hours[4].isoformat()}")):
+            build_od_matrix(net, model, tb, rt)
+
+
+class TestInvariants:
+    def test_negative_residual(self):
+        left = {"Onramp": np.array([3, 5])}
+        with pytest.raises(InternalError, match="negative residual for count key 'Onramp': -1"):
+            _consume(left, "Onramp", np.array([1, 6]))
+
+    def test_negative_volume(self):
+        decisions, _ = decide_flows(pair_only_network(), {"E6-Klett": 500, "Storlersbakken-Trondheim": 400}, HOUR)
+        with pytest.raises(InternalError, match="negative decision volume -3"):
+            dataclasses.replace(decisions, volume=np.array([400, -3]))
+
+    def test_bypass_with_two_destinations(self):
+        decisions, _ = decide_flows(pair_only_network(), {"E6-Klett": 500, "Storlersbakken-Trondheim": 400}, HOUR)
+        assert [d.scenario for d in decisions] == [Scenario.PASSTHROUGH_BYPASS, Scenario.PASSTHROUGH_NET]
+        with pytest.raises(InternalError, match="exactly one destination"):
+            dataclasses.replace(decisions, eligible=decisions.eligible[::-1].copy())
+
+    def test_composite_key_overflow(self):
+        column = np.zeros(3, dtype=np.int64)
+        assert _composite_key([2**31, 2**31], [column, column + 1]).tolist() == [1, 1, 1]
+        with pytest.raises(InternalError, match="overflow int64"):
+            _composite_key([2**32, 2**31], [column, column])
+
+
 class TestConservationViolations:
     def test_changed_od_count_is_reported(self, criterion7):
         run = build_od_matrix(*criterion7)
@@ -682,7 +899,9 @@ class TestConservationViolations:
         run = build_od_matrix(*criterion7)
         i = next(i for i, e in enumerate(run.ledger) if e.entry_type == "balance")
         event = run.ledger[i]
-        run.ledger[i] = dataclasses.replace(event, amount=event.amount + 1)
+        amount = run.ledger.amount.copy()  # the table's columns are read-only
+        amount[i] += 1
+        run.ledger = dataclasses.replace(run.ledger, amount=amount)
         assert conservation_violations(run) == [
             f"balance mismatch at {event.hour.timestamp}: ledger {event.amount + 1}, "
             f"decisions {event.amount}"
