@@ -327,12 +327,20 @@ def _clamped_table(category_counts: np.ndarray, censored: Sequence[bool]) -> np.
     return table
 
 
-def _hour_mass(table: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One hour's joint mass, normalised in row order; uniform (flagged) if empty."""
-    total = float(table.sum())
-    if total <= 0.0:
-        return np.full(table.shape, 1.0 / table.size), True
-    return table / total, False
+def _mass(table: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint mass of each hour's rows ``table[bounds[i]:bounds[i + 1]]``.
+
+    Each hour is normalised by its own block's sum; an hour without mass is
+    uniform over its rows and flagged. An hour without rows is flagged too.
+    """
+    total = np.array([float(table[a:b].sum()) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    fallback = total <= 0.0
+    rows = np.diff(bounds)
+    row_hour = np.repeat(np.arange(len(rows)), rows)
+    uniform = fallback[row_hour]
+    mass = table / np.where(uniform, 1.0, total[row_hour])[:, None]
+    mass[uniform] = 1.0 / (rows[row_hour[uniform]] * table.shape[1])[:, None]
+    return mass, fallback
 
 
 def _marginals(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,10 +378,11 @@ def joint_from_predictions(
     night hour where every report was suppressed) the joint falls back to
     uniform and is flagged.
     """
-    mass, fallback = _hour_mass(_clamped_table(category_counts, censored))
+    table = _clamped_table(category_counts, censored)
+    mass, fallback = _mass(table, np.array([0, len(table)]))
     keys = product(destination_names, CATEGORY_ORDER)
     return JointDistribution(
-        hour=hour, mass=dict(zip(keys, mass.ravel().tolist())), fallback_uniform=fallback
+        hour=hour, mass=dict(zip(keys, mass.ravel().tolist())), fallback_uniform=bool(fallback[0])
     )
 
 
@@ -615,15 +624,9 @@ def build_od_matrix(
     for total in counts.values():
         missing |= total < 0
 
-    # One prediction block for every hour; each hour's mass total is its
-    # own table block's sum.
+    # One prediction block for every hour.
     preds = predict_matrix(model, feature_matrix(routing, flat), TARGET_NAMES[1:])
-    table = _clamped_table(preds, routing.censored[flat])
-    hour_total = np.array([float(table[a:b].sum()) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
-    fallback = hour_total <= 0.0
-    row_fallback = fallback[row_hour][:, None]
-    mass = np.where(row_fallback, 1.0 / (np.diff(bounds) * table.shape[1])[row_hour][:, None],
-                    table / np.where(row_fallback, 1.0, hour_total[row_hour, None]))
+    mass, fallback = _mass(_clamped_table(preds, routing.censored[flat]), bounds)
 
     decisions, ledger = _decide(network, hour_keys, {k: np.maximum(v, 0) for k, v in counts.items()}, fallback)
     absent = _absent(decisions, dest_names, present)

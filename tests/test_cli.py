@@ -326,8 +326,10 @@ class TestRoute:
             writer.writerow(["timestamp", "node", "people_flow", "road_tag"])
             writer.writerows([*row, "Secondary"] for row in rows)
         capsys.readouterr()
-        assert main(["--config", str(cfg_path), "route"]) == 2
-        assert f"odfuse: data error: {message}\n" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg_path), "route"]) == 2
+        assert capsys.readouterr().err == f"odfuse: data error: {message}\n"
 
     @pytest.mark.parametrize("key", ["start", "end"])
     @pytest.mark.parametrize("value", ["garbage", "2025-01-30T17:30", 17])

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import re
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -847,7 +848,10 @@ class TestHourChecks:
         tb = without_rows(tb, lambda o: o.hour == hours[late_hour])
         rt = without_rows(rt, lambda o: o.hour == hours[2] and o.node.name in dests)
         expected = "no tollbooth counts" if late_hour == 2 else "no destination routing rows"
-        with pytest.raises(DataError, match=re.escape(f"{expected} for hour {hours[2].isoformat()}")):
+        # An hour without rows must fail on its check, not on mass arithmetic first.
+        with warnings.catch_warnings(), \
+                pytest.raises(DataError, match=re.escape(f"{expected} for hour {hours[2].isoformat()}")):
+            warnings.simplefilter("error")
             build_od_matrix(net, model, tb, rt, hours)
 
     def test_duplicate_rows_before_later_missing_key(self, criterion7):
