@@ -457,8 +457,16 @@ def write_csv_columns(path: str | Path, header: Sequence[str],
             fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
 
 
+# The characters for which the artifact dialect quotes a value: the
+# delimiter, the quote and the line end's CR and LF. Python 3.10's writer
+# refuses NUL, so NUL takes the writer too.
+_WRITER_CHARS = frozenset(',"\r\n\0')
+
+
 def csv_cell(value: str) -> str:
     """A non-empty ``value`` as ``write_csv`` writes it inside a row."""
+    if value and _WRITER_CHARS.isdisjoint(value):
+        return value
     buf = io.StringIO()
     # The line end takes part in the quoting: a value holding CR or LF is quoted.
     csv.writer(buf, lineterminator=CSV_EOL).writerow([value])

@@ -9,17 +9,27 @@ File formats (UTF-8, ISO-8601 hour timestamps):
   (default ``<T``).
 * difference table: ``node,hour_of_day,mean_diff``.
 
-The readers stream rows into code columns and parse each distinct
-timestamp, series, node or road-tag text once, naming the file and line of
-a bad one. Synthetic data keeps a fixed draw order, so that a seed keeps its
-data: series in network order, hour by hour, six scalar Poisson draws in
-band order, then one normal draw only if the hour counted a vehicle.
+Each reader first tries one vectorised byte scan of the whole file. It
+reads canonical files, as ``synth`` writes them: the header byte for byte,
+LF or CRLF line ends, no quote, NUL or lone CR, every record with all its
+fields non-empty, and counts of 1 to 18 ASCII digits (or the sentinel). Any
+other file goes to the per-row ``csv.reader`` path: quoted names such as
+``"E6-Klett"``, counts that ``int()`` reads with a sign, space or underscore,
+and every file with a bad value. That path alone raises errors, naming the
+file and line. Both paths parse each distinct timestamp, series, node or
+road-tag text once through the same code tables, so they give equal tables
+and messages.
+
+Synthetic data keeps a fixed draw order, so that a seed keeps its data:
+series in network order, hour by hour, six scalar Poisson draws in band
+order, then one normal draw only if the hour counted a vehicle.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import timedelta
@@ -214,8 +224,9 @@ def _csv_rows(p: Path, header: list[str], label: str) -> Iterator[tuple[int, lis
 class _Codes(dict):
     """The int code of each distinct text of one column. Texts whose parsed
     values are equal share a code; ``parsed`` maps each value to its code, in
-    order of first appearance. Readers try ``get`` first, and a miss or code 0
-    falls through to ``code``."""
+    order of first appearance. The per-row readers try ``get`` first, and a
+    miss or code 0 falls through to ``code``; the byte scan calls ``code``
+    once per distinct text."""
 
     def __init__(self, path: Path, parse, where: str = "") -> None:
         super().__init__()
@@ -244,6 +255,155 @@ def _node(network: NetworkConfig | None, name: str, station: str, default: NodeK
     return NodeId(name=name, kind=default)
 
 
+class _Irregular(Exception):
+    """A file the byte scan leaves to the per-row reader."""
+
+
+_DIGITS = 18  # the most ASCII digits a scanned count has: every such count fits int64
+_SLACK = 256  # buffer bytes after a scanned file, enough for the windows of fields up to this wide
+
+
+def _scan(p: Path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of a canonical CSV file, with room after them for a window
+    of its widest field, and the edges of each record's fields: field ``j``
+    of every record spans ``edges[j] + 1`` to ``edges[j + 1]``.
+
+    Canonical means: ``header`` byte for byte as the first line; LF or CRLF
+    line ends, the last optional; no quote, NUL or other CR; and every record
+    ``len(header)`` non-empty fields. Anything else raises ``_Irregular``.
+    """
+    with open(p, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # Room for a final line end and the window of a field starting near
+        # the end; windows mask the unset bytes, which are never read as text.
+        buf = np.empty(size + 1 + _SLACK, dtype=np.uint8)
+        if fh.readinto(buf[:size + 1]) != size:
+            raise _Irregular  # the file changed size while read
+    head = np.frombuffer(",".join(header).encode(), dtype=np.uint8)
+    if size < len(head) or (buf[:len(head)] != head).any() or buf[size - 1] == ord("\r"):
+        raise _Irregular
+    if buf[size - 1] != ord("\n"):
+        buf[size] = ord("\n")  # the last record's line end
+        size += 1
+    text = buf[:size]
+    if (text == ord('"')).any() or (text == 0).any():
+        raise _Irregular
+    # Every line is len(header) - 1 commas, then a line feed.
+    lf = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    if len(commas) != len(lf) * (len(header) - 1):
+        raise _Irregular
+    commas = commas.reshape(len(lf), len(header) - 1)
+    if (commas[1:, 0] < lf[:-1]).any() or (commas[:, -1] > lf).any():
+        raise _Irregular
+    edges = np.empty((len(header) + 1, len(lf)), dtype=np.int64)
+    edges[0, 0] = -1
+    edges[0, 1:] = lf[:-1]
+    edges[1:-1] = commas.T
+    crlf = text[lf - 1] == ord("\r")  # each line feed is past the header, so lf - 1 is in the file
+    edges[-1] = lf - crlf
+    if np.count_nonzero(text == ord("\r")) != np.count_nonzero(crlf) or edges[-1, 0] != len(head):
+        raise _Irregular  # a CR outside a CRLF, or more after the header on its line
+    edges = edges[:, 1:]
+    widest = 0
+    for j in range(len(header)):
+        length = edges[j + 1] - edges[j] - 1
+        if length.min(initial=1) == 0:
+            raise _Irregular
+        widest = max(widest, int(length.max(initial=0)))
+    if widest > csv.field_size_limit():  # a field the per-row reader refuses
+        raise _Irregular
+    if widest > _SLACK:
+        buf = np.concatenate((buf, np.empty(widest - _SLACK, dtype=np.uint8)))
+    return buf, edges
+
+
+def _gather(data: np.ndarray, offsets: np.ndarray, width: int, stride: int = 1) -> np.ndarray:
+    """The ``width`` bytes at ``offset * stride`` of 1-D uint8 ``data`` for
+    each offset: a uint8 block of shape ``offsets.shape + (width,)``, taken as
+    one item per offset."""
+    items = np.ndarray(((len(data) - width) // stride + 1,), dtype=f"S{width}", buffer=data, strides=(stride,))
+    return items[offsets.reshape(-1)].view(np.uint8).reshape(*offsets.shape, width)
+
+
+def _prefixes(width: int) -> np.ndarray:
+    """Row ``n`` keeps the first ``n`` of ``width`` bytes: ones there, zeros after."""
+    return (np.arange(width) < np.arange(width + 1)[:, None]).astype(np.uint8).reshape(-1)
+
+
+def _texts(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct texts of one column in order of first appearance, the file
+    line each first appears on, and each record's index into them."""
+    length = end - start
+    width = int(length.max(initial=1))
+    if len(start) * width > len(buf):  # the blocks below stay no larger than the buffer
+        raise _Irregular
+    block = _gather(buf, start, width)
+    block *= _gather(_prefixes(width), length, width, width)
+    distinct, first, inverse = np.unique(block.view(f"S{width}").reshape(-1), return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    # Records are one line each after the header line.
+    return [distinct[i].decode("utf-8") for i in order.tolist()], first[order] + 2, rank[inverse.reshape(-1)]
+
+
+def _coded(codes: _Codes, keys: list, lines: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The code of each record's text: ``keys[index]`` through ``codes``."""
+    return np.array([codes.code(key, line) for key, line in zip(keys, lines.tolist())], dtype=np.int64)[index]
+
+
+def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field read as a decimal integer, and whether it is 1 to _DIGITS
+    ASCII digits; the value is meaningless where it is not."""
+    length = end - start
+    width = min(int(length.max(initial=1)), _DIGITS)
+    # Right-aligned windows, which start in the file: every field ends past
+    # the header, which is wider. Bytes before the field become zero digits:
+    # reversed, row ``width - n`` of the prefix table keeps the last n bytes.
+    suffixes = _prefixes(width)[::-1].copy()
+    block = (_gather(buf, end - width, width) - np.uint8(ord("0"))) * \
+        _gather(suffixes, width - np.minimum(length, width), width, width)
+    ok = length <= _DIGITS
+    value = np.zeros(length.shape, dtype=np.int64)
+    for digit in np.moveaxis(block, -1, 0):
+        ok &= digit <= 9
+        value = value * 10 + digit
+    return value, ok
+
+
+def _tollbooth_codes(p: Path, network: NetworkConfig | None) -> tuple[_Codes, _Codes]:
+    return (_Codes(p, make_hour_key, ", field 'timestamp'"),
+            _Codes(p, lambda key: (_node(network, key[0], key[0], NodeKind.MAIN_TOLLBOOTH, "station"),
+                                   Direction.parse(key[1]))))
+
+
+def _tollbooth_table(hours: _Codes, series: _Codes, hour, row_series, values) -> TollboothTable:
+    values = np.asarray(values, dtype=np.float64).reshape(len(hour), len(TOLLBOOTH_HEADER) - 3)
+    return TollboothTable(hours=tuple(hours.parsed), series_ids=tuple(series.parsed),
+                          hour=np.asarray(hour, dtype=np.int64), series=np.asarray(row_series, dtype=np.int64),
+                          counts=values[:, :-1], total=values[:, -1])
+
+
+def _scan_tollbooth_csv(p: Path, network: NetworkConfig | None) -> TollboothTable | None:
+    """The table of a canonical tollbooth file by one byte scan, or None
+    where the file is not canonical or a text fails to parse."""
+    try:
+        buf, edges = _scan(p, TOLLBOOTH_HEADER)
+        hours, series = _tollbooth_codes(p, network)
+        hour = _coded(hours, *_texts(buf, edges[0] + 1, edges[1]))
+        # Station and direction as one text: neither holds a comma.
+        pairs, lines, index = _texts(buf, edges[1] + 1, edges[3])
+        row_series = _coded(series, [tuple(pair.split(",")) for pair in pairs], lines, index)
+        values, ok = _digits(buf, edges[3:-1] + 1, edges[4:])
+        if not ok.all():
+            raise _Irregular
+        return _tollbooth_table(hours, series, hour, row_series, values.T.astype(np.float64, order="C"))
+    except (_Irregular, DataError, UnicodeDecodeError, OSError):
+        return None
+
+
 def read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -> TollboothTable:
     """Parse an hourly ground-truth counts file.
 
@@ -252,38 +412,79 @@ def read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -
     sum by more than 1% come back with ``counts.total_mismatch`` set.
     """
     p = Path(path)
-    hours = _Codes(p, make_hour_key, ", field 'timestamp'")
-    series = _Codes(p, lambda key: (_node(network, key[0], key[0], NodeKind.MAIN_TOLLBOOTH, "station"),
-                                    Direction.parse(key[1])))
+    table = _scan_tollbooth_csv(p, network)
+    return _read_tollbooth_rows(p, network) if table is None else table
+
+
+def _read_tollbooth_rows(p: Path, network: NetworkConfig | None) -> TollboothTable:
+    """The table of any tollbooth file, read row by row; a bad row raises a
+    DataError naming the file and line."""
+    hours, series = _tollbooth_codes(p, network)
     hour, row_series, values = [], [], []
     fields = TOLLBOOTH_HEADER[3:]
     for line, row in _csv_rows(p, TOLLBOOTH_HEADER, "tollbooth"):
         hour.append(hours.get(row[0]) or hours.code(row[0], line))
         row_series.append(series.get(key := (row[1], row[2])) or series.code(key, line))
         values.append(_counts(row[3:], line, fields))
-    values = np.array(values, dtype=np.float64).reshape(len(hour), len(fields))
-    return TollboothTable(hours=tuple(hours.parsed), series_ids=tuple(series.parsed),
-                          hour=np.array(hour, dtype=np.int64), series=np.array(row_series, dtype=np.int64),
-                          counts=values[:, :-1], total=values[:, -1])
+    return _tollbooth_table(hours, series, hour, row_series, values)
+
+
+def _routing_codes(p: Path, network: NetworkConfig | None) -> tuple[_Codes, _Codes, _Codes]:
+    return (_Codes(p, make_hour_key, ", field 'timestamp'"),
+            _Codes(p, lambda name: _node(network, name, station_of(name), NodeKind.INFERRED_DESTINATION, "node")),
+            _Codes(p, RoadTag.parse))
+
+
+def _routing_table(hours: _Codes, nodes: _Codes, tags: _Codes, hour, node, flow, tag) -> RoutingTable:
+    """The table of the given columns; ``flow`` is -1 where censored."""
+    flow = np.asarray(flow, dtype=np.float64)
+    censored = flow < 0
+    tag_codes = np.array([TAG_ORDER.index(t) for t in tags.parsed], dtype=np.int64)
+    return RoutingTable(hours=tuple(hours.parsed), nodes=tuple(nodes.parsed), hour=np.asarray(hour, dtype=np.int64),
+                        node=np.asarray(node, dtype=np.int64), flow=np.where(censored, 0.0, flow), censored=censored,
+                        tag=tag_codes[np.asarray(tag, dtype=np.int64)])
+
+
+_SENTINEL = np.frombuffer(CENSOR_SENTINEL.encode(), dtype=np.uint8)
+
+
+def _scan_routing_csv(p: Path, network: NetworkConfig | None) -> RoutingTable | None:
+    """The table of a canonical routing file by one byte scan, or None where
+    the file is not canonical or a text fails to parse."""
+    try:
+        buf, edges = _scan(p, ROUTING_HEADER)
+        hours, nodes, tags = _routing_codes(p, network)
+        hour = _coded(hours, *_texts(buf, edges[0] + 1, edges[1]))
+        node = _coded(nodes, *_texts(buf, edges[1] + 1, edges[2]))
+        tag = _coded(tags, *_texts(buf, edges[3] + 1, edges[4]))
+        flow, ok = _digits(buf, edges[2] + 1, edges[3])
+        censored = (edges[3] - edges[2] == len(_SENTINEL) + 1) & \
+            (_gather(buf, edges[2] + 1, len(_SENTINEL)) == _SENTINEL).all(axis=1)
+        if not (ok | censored).all():
+            raise _Irregular
+        return _routing_table(hours, nodes, tags, hour, node, np.where(censored, -1, flow), tag)
+    except (_Irregular, DataError, UnicodeDecodeError, OSError):
+        return None
 
 
 def read_routing_csv(path: str | Path, network: NetworkConfig | None = None) -> RoutingTable:
     """Parse an aggregated mobility file; CENSOR_SENTINEL flow values mark censoring."""
     p = Path(path)
-    hours = _Codes(p, make_hour_key, ", field 'timestamp'")
-    nodes = _Codes(p, lambda name: _node(network, name, station_of(name), NodeKind.INFERRED_DESTINATION, "node"))
-    tags = _Codes(p, RoadTag.parse)
+    table = _scan_routing_csv(p, network)
+    return _read_routing_rows(p, network) if table is None else table
+
+
+def _read_routing_rows(p: Path, network: NetworkConfig | None) -> RoutingTable:
+    """The table of any routing file, read row by row; a bad row raises a
+    DataError naming the file and line."""
+    hours, nodes, tags = _routing_codes(p, network)
     hour, node, flows, tag = [], [], [], []
     for line, row in _csv_rows(p, ROUTING_HEADER, "routing"):
         hour.append(hours.get(row[0]) or hours.code(row[0], line))
         node.append(nodes.get(row[1]) or nodes.code(row[1], line))
         flows.append(-1 if row[2] == CENSOR_SENTINEL else _parse_int_field(row[2], line, "people_flow"))
         tag.append(tags.get(row[3]) or tags.code(row[3], line))
-    flow = np.array(flows, dtype=np.float64)
-    censored = flow < 0  # the sentinel's -1
-    return RoutingTable(hours=tuple(hours.parsed), nodes=tuple(nodes.parsed), hour=np.array(hour, dtype=np.int64),
-                        node=np.array(node, dtype=np.int64), flow=np.where(censored, 0.0, flow), censored=censored,
-                        tag=np.array([TAG_ORDER.index(t) for t in tags.parsed], dtype=np.int64)[tag])
+    return _routing_table(hours, nodes, tags, hour, node, flows, tag)
 
 
 def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:

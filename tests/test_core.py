@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import datetime
 
 import pytest
@@ -14,6 +16,7 @@ from odfuse.core import (
     VehicleCategory,
     VehicleType,
     category_of_length,
+    csv_cell,
     make_hour_key,
     map_vehicle_type,
 )
@@ -157,3 +160,24 @@ class TestObservations:
             counts=CountsByCategory.with_reported_total({}, 0),
         )
         assert obs.join_key() == "B|Inbound"
+
+
+def _writer_cell(value: str):
+    """What csv.writer writes for a one-cell row in the artifact dialect, line end
+    removed, or the type of the error it raises."""
+    buf = io.StringIO()
+    try:
+        csv.writer(buf, lineterminator="\r\n").writerow([value])
+    except csv.Error as exc:
+        return type(exc)
+    return buf.getvalue()[:-2]
+
+
+class TestCsvCell:
+    @given(st.text() | st.text(alphabet=' ,"\r\n\x00\tøß\u2028a'))
+    def test_matches_csv_writer(self, value):
+        try:
+            cell = csv_cell(value)
+        except csv.Error as exc:
+            cell = type(exc)
+        assert cell == _writer_cell(value)

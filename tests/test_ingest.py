@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -21,8 +22,13 @@ from odfuse.core import (
     write_csv,
     write_csv_columns,
 )
+from odfuse.cli import main
 from odfuse.errors import ConfigError, DataError, OdfuseError
 from odfuse.ingest import (
+    _read_routing_rows,
+    _read_tollbooth_rows,
+    _scan_routing_csv,
+    _scan_tollbooth_csv,
     BiasProfile,
     FEATURE_NAMES,
     TARGET_NAMES,
@@ -339,10 +345,11 @@ class TestGenerateSynthetic:
 
 def assert_tables_equal(table, expected):
     """Every field of two tollbooth or routing tables equal: code tables by
-    ``==``, columns by ``np.array_equal``."""
+    ``==``, columns by ``np.array_equal`` and dtype."""
     assert type(table) is type(expected)
     for name, value in vars(expected).items():
         if isinstance(value, np.ndarray):
+            assert getattr(table, name).dtype == value.dtype, name
             assert np.array_equal(getattr(table, name), value), name
         else:
             assert getattr(table, name) == value, name
@@ -515,19 +522,25 @@ class TestJoinParity:
 
 
 # Text pools for generated CSV files: one hour in two text forms, names that
-# need quoting or carry a direction, counts that int() reads with spaces or
-# underscores, and per column the malformed values a corrupted row gets.
+# carry a direction, counts near 2**53 (where float64 rounds) and of 17 or 18
+# digits, and per column the malformed values a corrupted row gets. Half the
+# files are canonical, so that the byte scan reads them when they are valid;
+# the rest can also draw a name that needs quoting, counts that int() reads
+# but the scan leaves to the per-row reader, and blank lines.
 _TIMESTAMPS = ["2023-11-06T08:00", "2023-11-06 08:00", "2023-11-06T09:00", "2023-11-11T23:00"]
-_STATIONS = ["E6-Klett", "ØstreRosten", 'Gate, "7"']
+_STATIONS = ["E6-Klett", "ØstreRosten"]
 _DIRECTIONS = ["Inbound", "Outbound", "Undirected"]
-_NODES = ["Brøttemsvegen", "ØstreRosten|Inbound", 'Gate, "7"', "E6-Klett"]
+_NODES = ["Brøttemsvegen", "ØstreRosten|Inbound", "E6-Klett"]
 _TAGS = ["Primary", "Trunk", "Secondary"]
-_COUNTS = st.one_of(st.integers(0, 10**7).map(str), st.sampled_from([" 7", "1_000", "0"]))
+_QUOTED_NAME = 'Gate, "7"'
+_CANONICAL_COUNTS = st.one_of(st.integers(0, 10**7), st.integers(2**53 - 2, 2**53 + 2),
+                              st.integers(10**16, 10**18 - 1)).map(str) | st.sampled_from(["0", "007"])
+_LENIENT_COUNTS = st.sampled_from([" 7", "1_000", "+5", "٣", str(10**18), str(2**63 + 1)])
 _BAD_TIMESTAMPS = ["2023-11-06T08:30", "nonsense", ""]
 _BAD_COUNTS = ["-1", "", "x", "1.5"]
 
 
-def _csv_text(header, rows, blank_after, crlf):
+def _csv_text(header, rows, blank_after, crlf, final_line_end):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n" if crlf else "\n")
     writer.writerow(header)
@@ -535,7 +548,8 @@ def _csv_text(header, rows, blank_after, crlf):
         writer.writerow(row)
         if i in blank_after:
             buf.write("\r\n" if crlf else "\n")
-    return buf.getvalue()
+    text = buf.getvalue()
+    return text if final_line_end else text[:-2 if crlf else -1]
 
 
 def _corrupted(draw, rows, bad_values):
@@ -554,26 +568,32 @@ def _corrupted(draw, rows, bad_values):
     return rows
 
 
-def _file_text(draw, header, columns, bad_values):
+def _file_text(draw, header, columns, bad_values, canonical):
     rows = [[draw(column) for column in columns] for _ in range(draw(st.integers(0, 12)))]
     rows = _corrupted(draw, rows, bad_values)
-    return _csv_text(header, rows, draw(st.sets(st.integers(0, 12), max_size=3)), draw(st.booleans()))
+    blank_after = set() if canonical else draw(st.sets(st.integers(0, 12), max_size=3))
+    return _csv_text(header, rows, blank_after, draw(st.booleans()), draw(st.booleans()))
 
 
 @st.composite
 def tollbooth_files(draw):
-    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_STATIONS), st.sampled_from(_DIRECTIONS)]
-    columns += [_COUNTS] * 7
+    canonical = draw(st.booleans())
+    counts = _CANONICAL_COUNTS if canonical else _CANONICAL_COUNTS | _LENIENT_COUNTS
+    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_STATIONS + ([] if canonical else [_QUOTED_NAME])),
+               st.sampled_from(_DIRECTIONS)]
+    columns += [counts] * 7
     bad = [_BAD_TIMESTAMPS, [""], ["Sideways", "inbound"]] + [_BAD_COUNTS] * 7
-    return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad)
+    return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad, canonical)
 
 
 @st.composite
 def routing_files(draw):
-    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_NODES), st.just("<T") | _COUNTS,
-               st.sampled_from(_TAGS)]
+    canonical = draw(st.booleans())
+    counts = _CANONICAL_COUNTS if canonical else _CANONICAL_COUNTS | _LENIENT_COUNTS
+    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_NODES + ([] if canonical else [_QUOTED_NAME])),
+               st.just("<T") | counts, st.sampled_from(_TAGS)]
     bad = [_BAD_TIMESTAMPS, [""], _BAD_COUNTS + ["<t"], ["Motorway", ""]]
-    return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad)
+    return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad, canonical)
 
 
 def _outcome(read, path, network):
@@ -639,3 +659,135 @@ class TestReaderParity:
         path.write_bytes(b"\xff\xfe not text\n")
         with pytest.raises(DataError, match="input.csv: not UTF-8"):
             read(path)
+
+
+_READERS = {"tollbooth": (_scan_tollbooth_csv, _read_tollbooth_rows, read_tollbooth_csv),
+            "routing": (_scan_routing_csv, _read_routing_rows, read_routing_csv)}
+
+
+@pytest.fixture(scope="module")
+def synth_output(tmp_path_factory):
+    """The synth stage's output directory for 30 and 56 days, by day count."""
+    def run(days):
+        base = tmp_path_factory.mktemp(f"synth{days}")
+        config = base / "config.json"
+        config.write_text(json.dumps({"seed": 7, "out_dir": str(base), "synthetic": {"days": days}}), encoding="utf-8")
+        assert main(["--config", str(config), "synth"]) == 0
+        return base
+    return {days: run(days) for days in (30, 56)}
+
+
+def _table_or_error(read, path, network=None):
+    try:
+        return read(path, network)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestByteScan:
+    """The byte scan against the per-row reader: canonical files take the
+    scan and give the same tables; every other file declines it and reads
+    exactly as the per-row reader reads it."""
+
+    @pytest.mark.parametrize("days", [30, 56])
+    @pytest.mark.parametrize("with_network", [False, True], ids=["no-network", "network"])
+    @pytest.mark.parametrize("which", ["tollbooth", "routing"])
+    def test_synth_output_takes_the_scan(self, synth_output, days, with_network, which):
+        scan, read_rows, _ = _READERS[which]
+        path = synth_output[days] / f"{which}.csv"
+        network = trondheim_fixture() if with_network else None
+        table = scan(path, network)
+        assert table is not None
+        assert_tables_equal(table, read_rows(path, network))
+
+    @pytest.mark.parametrize("form", ["lf", "no-final-line-end", "header-only", "header-only-no-line-end"])
+    @pytest.mark.parametrize("which", ["tollbooth", "routing"])
+    def test_line_end_forms_take_the_scan(self, synth_output, tmp_path, form, which):
+        scan, read_rows, _ = _READERS[which]
+        text = (synth_output[30] / f"{which}.csv").read_bytes()
+        header = text[:text.index(b"\r\n")]
+        text = {"lf": text.replace(b"\r\n", b"\n"), "no-final-line-end": text[:-2],
+                "header-only": header + b"\r\n", "header-only-no-line-end": header}[form]
+        path = tmp_path / f"{which}.csv"
+        path.write_bytes(text)
+        table = scan(path, None)
+        assert table is not None
+        assert_tables_equal(table, read_rows(path, None))
+        assert len(table) == (0 if form.startswith("header-only") else 720 * (9 if which == "tollbooth" else 17))
+
+    _ROWS = {
+        "tollbooth": [TOLLBOOTH_HEADER, "2023-11-06T08:00,E6-Klett,Inbound,412,23,31,12,18,4,500",
+                      "2023-11-06T09:00,ØstreRosten,Outbound,1,0,0,0,0,0,1"],
+        "routing": ["timestamp,node,people_flow,road_tag", "2023-11-06T08:00,E6-Klett,637,Primary",
+                    "2023-11-06T09:00,ØstreRosten,<T,Secondary"],
+    }
+
+    def test_base_files_take_the_scan(self, tmp_path):
+        for which, (scan, read_rows, _) in _READERS.items():
+            path = tmp_path / f"{which}.csv"
+            path.write_text("\r\n".join(self._ROWS[which]) + "\r\n", encoding="utf-8", newline="")
+            assert_tables_equal(scan(path, None), read_rows(path, None))
+
+    # Each case replaces the first occurrence of a text in a base file that
+    # the scan reads.
+    @pytest.mark.parametrize(("which", "old", "new"), [
+        ("tollbooth", "E6-Klett", '"E6-Klett"'),
+        ("routing", "E6-Klett", '"E6, Klett"'),
+        ("routing", "E6-Klett", "E6\0Klett"),
+        ("tollbooth", "500\r\n", "500\r"),
+        ("routing", "E6-Klett", "E6-\rKlett"),
+        ("routing", "timestamp", "﻿timestamp"),
+        ("routing", "Primary\r\n", "Primary\r\n\r\n"),
+        ("tollbooth", ",23,", ", 7,"),
+        ("tollbooth", ",23,", ",+5,"),
+        ("tollbooth", ",23,", ",1_000,"),
+        ("tollbooth", ",23,", ",٣,"),
+        ("routing", ",637,", f",{10**18},"),
+        ("tollbooth", ",23,", ",,"),
+        ("routing", "2023-11-06T09:00", "2023-11-06T09:30"),
+        ("routing", "Secondary", "Motorway"),
+        ("tollbooth", "Outbound", "Sideways"),
+        ("routing", ",ØstreRosten,", ",,"),
+        ("tollbooth", ",4,500\r\n", ",4\r\n"),
+        ("routing", "Primary\r\n", "Primary,9\r\n"),
+    ], ids=["quoted-name", "quoted-comma", "nul", "lone-cr", "lone-cr-in-name", "bom", "blank-line", "space-count", "plus-count",
+            "underscore-count", "arabic-indic-count", "19-digit-count", "empty-count", "bad-timestamp",
+            "bad-tag", "bad-direction", "empty-name", "field-too-few", "field-too-many"])
+    def test_irregular_file_declines_and_reads_as_per_row(self, tmp_path, which, old, new):
+        scan, read_rows, read = _READERS[which]
+        text = "\r\n".join(self._ROWS[which]) + "\r\n"
+        assert old in text
+        path = tmp_path / f"{which}.csv"
+        path.write_text(text.replace(old, new, 1), encoding="utf-8", newline="")
+        assert scan(path, None) is None
+        expected, outcome = _table_or_error(read_rows, path), _table_or_error(read, path)
+        if isinstance(expected, str):
+            assert outcome == expected
+        else:
+            assert_tables_equal(outcome, expected)
+
+    @pytest.mark.parametrize("width", [255, 256, 257, 5000])
+    def test_wide_last_name_takes_the_scan(self, tmp_path, width):
+        path = tmp_path / "routing.csv"
+        rows = self._ROWS["routing"]
+        path.write_text("\r\n".join(rows[:-1] + [rows[-1].replace("ØstreRosten", "N" * width)]) + "\r\n",
+                        encoding="utf-8", newline="")
+        table = _scan_routing_csv(path, None)
+        assert table is not None and table.nodes[-1].name == "N" * width
+        assert_tables_equal(table, _read_routing_rows(path, None))
+
+    def test_field_beyond_the_csv_field_limit_declines(self, tmp_path):
+        path = tmp_path / "routing.csv"
+        path.write_text("\r\n".join(self._ROWS["routing"]).replace("ØstreRosten", "N" * 101) + "\r\n",
+                        encoding="utf-8", newline="")
+        limit = csv.field_size_limit(100)
+        try:
+            assert _scan_routing_csv(path, None) is None
+            with pytest.raises(DataError, match="field larger than field limit"):
+                read_routing_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_missing_file_declines(self, tmp_path):
+        assert _scan_tollbooth_csv(tmp_path / "absent.csv", None) is None
+        assert _scan_routing_csv(tmp_path, None) is None  # a directory
