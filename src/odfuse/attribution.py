@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import stat_cell, write_csv
 from .errors import ConfigError, DataError
-from .fusion import FusionModel, RegressionTree, raw_score_matrix
+from .fusion import FusionModel, RegressionTree, raw_score_matrix, score_tables
 from .ingest import TARGET_NAMES, FusionDataset
 
 __all__ = [
@@ -176,8 +176,10 @@ def permutation_importance(
     if ss_tot == 0.0:
         raise DataError("validation target has zero variance")
 
+    tables = score_tables(model, target)
+
     def r2_of(Xs: np.ndarray) -> float:
-        pred = raw_score_matrix(model, Xs, target)
+        pred = raw_score_matrix(model, Xs, target, tables)
         return 1.0 - float(np.sum((np.maximum(pred, 0.0) - y) ** 2)) / ss_tot
 
     base_r2 = r2_of(X)

@@ -23,10 +23,21 @@ gives the same tree.
 
 A target is one node table: an array per node field, its trees end to end
 in model order, each tree's children numbered within the tree. Training
-appends to it; prediction walks all of its trees at once, a block of rows at
-a time, adding leaf values tree by tree in model order, so scores equal a
-per-tree loop bit for bit. ``model.json`` holds a slice per tree; loading
-builds each field and runs each check once per target.
+appends to it; ``model.json`` holds a slice per tree; loading builds each
+field and runs each check once per target.
+
+Prediction follows QuickScorer (Lucchese et al., SIGIR 2015).
+``score_tables`` numbers each tree's leaves left to right from the node
+table, in any layout whose children follow their parent, gives each split a
+mask that clears the leaves of its left subtree, and keeps per split feature
+a prefix-AND table over that feature's distinct thresholds. A block of rows
+then takes one ``searchsorted`` per feature, the AND of the gathered table
+rows, and in each tree the lowest set bit, which is the leaf the row reaches;
+a tree of more than 64 leaves takes several uint64 words. Leaf values are
+added tree by tree in model order, so scores equal a per-tree
+``RegressionTree.predict_batch`` loop bit for bit. Tables live as long as the
+call that built them: ``permutation_importance`` builds its target's once
+for all of its re-scorings, and nothing keeps them after.
 
 The seven targets share only their inputs, so ``train`` fits them in two
 processes: one worker, forked after the shared inputs are built, fits the
@@ -64,6 +75,8 @@ __all__ = [
     "MetricRow",
     "MetricsReport",
     "train",
+    "ScoreTables",
+    "score_tables",
     "predict_matrix",
     "raw_score_matrix",
     "evaluate",
@@ -123,6 +136,8 @@ class RegressionTree:
     cover: np.ndarray
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """This tree's leaf values for the rows of ``X``, by walking it a level
+        at a time: the single-tree reference that scoring must equal."""
         idx = np.zeros(X.shape[0], dtype=np.int32)
         while True:
             feats = self.feature[idx]
@@ -368,47 +383,161 @@ def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionMod
     return FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES, targets=targets)
 
 
-# Rows walked at once: bounds the (trees x rows) index arrays of a walk.
-_BLOCK_ROWS = 2048
+# Rows scored at once: at most _BLOCK_ROWS, and at most as many as keep a
+# block's bitvectors within _BLOCK_WORDS words (512 KB), which stay in a
+# core's cache. More trees take fewer rows a block; fewer trees take more,
+# which spreads numpy's per-call cost over more rows.
+_BLOCK_ROWS = 4096
+_BLOCK_WORDS = 2**16
+
+# Leaves per bitvector word, and the word with every leaf still possible.
+_WORD_BITS = 64
+_ALL_LEAVES = np.uint64(2**64 - 1)
+# A de Bruijn sequence B(2, 6): for a word with only bit i set, the top six
+# bits of word * _DE_BRUIJN are a distinct slot _DE_BRUIJN_SLOT[i] (Leiserson,
+# Prokop and Randall, 1998), so a leaf's value sits in its bit's slot.
+_DE_BRUIJN = np.uint64(0x03F79D71B4CB0A89)
+_DE_BRUIJN_SLOT = (((np.uint64(1) << np.arange(64, dtype=np.uint64)) * _DE_BRUIJN) >> np.uint64(58)).astype(np.intp)
 
 
-def _children(tm: TargetModel) -> np.ndarray:
-    """Every node's children as (right, left) pairs, flattened and numbered in
-    the whole table. Leaves are their own children, so a walk may overrun them."""
-    own = np.arange(tm.feature.shape[0])[:, None]
-    start = np.repeat(tm.offsets[:-1], np.diff(tm.offsets))[:, None]
-    pairs = np.column_stack([tm.right, tm.left]) + start
-    return np.where(tm.feature[:, None] == -1, own, pairs).reshape(-1)
+@dataclass(frozen=True)
+class ScoreTables:
+    """One target's QuickScorer tables (Lucchese et al., SIGIR 2015).
+
+    Each tree's leaves are numbered left to right in ``words`` uint64 words
+    per tree, ``words * 64`` leaf slots. A row starts with every leaf
+    possible; each split it fails (``x > threshold``) clears the leaves of
+    that split's left subtree, and its exit leaf is the lowest bit left. Per
+    split feature, ``splits`` holds the feature's distinct thresholds in
+    ascending order and a prefix-AND table: row ``i`` clears the left
+    subtrees of every split on the ``i`` smallest thresholds, so a row
+    whose value exceeds exactly those thresholds takes row
+    ``searchsorted(thresholds, x, side="left")``, and a NaN, which fails
+    every split, takes the last row. ``leaf_values`` holds
+    ``learning_rate * value`` of tree ``t``'s leaf ``i`` in slot
+    ``t * words * 64 + i // 64 * 64 + _DE_BRUIJN_SLOT[i % 64]``."""
+
+    base_score: float
+    n_trees: int
+    words: int
+    splits: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    leaf_values: np.ndarray
 
 
-def _leaf_values(tm: TargetModel, children: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``(trees, rows)`` leaf values: every tree walks every row at once, one
-    level per step, until no row sits on an internal node."""
-    n_rows, n_features = X.shape
-    x = np.ascontiguousarray(X).reshape(-1)
-    row_start = np.arange(0, n_rows * n_features, n_features)
-    at = np.repeat(tm.offsets[:-1, None], n_rows, axis=1)
-    while True:
-        f = tm.feature[at]
-        if f.max(initial=-1) < 0:
-            return tm.value[at]
-        # At a leaf f is -1, which reads some other cell; both children are
-        # the leaf itself, so the comparison does not matter there.
-        go_left = x[row_start + f] <= tm.threshold[at]
-        at = children[2 * at + go_left]
-
-
-def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str) -> np.ndarray:
-    """Unclamped ensemble score for one target over a feature matrix."""
+def score_tables(model: FusionModel, target: str) -> ScoreTables:
+    """The target's tables. Leaves are numbered from the node table itself,
+    so every layout whose children follow their parent scores alike."""
     tm = model.target(target)
-    out = np.full(X.shape[0], tm.base_score, dtype=np.float64)
-    lr = model.hyperparams.learning_rate
-    children = _children(tm)
-    for start in range(0, X.shape[0], _BLOCK_ROWS):
-        block = out[start : start + _BLOCK_ROWS]
-        # Added tree by tree in model order, as a per-tree loop would.
-        for leaf_value in _leaf_values(tm, children, X[start : start + _BLOCK_ROWS]):
-            block += lr * leaf_value
+    n_nodes, n_trees = tm.feature.shape[0], tm.offsets.shape[0] - 1
+    tree = np.repeat(np.arange(n_trees), np.diff(tm.offsets))
+    start = tm.offsets[:-1][tree]
+    left, right = tm.left + start, tm.right + start
+    is_split = tm.feature >= 0
+    # The nodes reached from the roots and their splits, a level at a time.
+    reached, levels = [tm.offsets[:-1]], []
+    while reached[-1].shape[0]:
+        levels.append(reached[-1][is_split[reached[-1]]])
+        reached.append(np.concatenate([left[levels[-1]], right[levels[-1]]]))
+    reached = np.concatenate(reached)
+    # Leaves under each node, from the deepest splits up; then the number of
+    # each node's leftmost leaf, from the roots down.
+    n_leaves = np.ones(n_nodes, dtype=np.intp)
+    for level in reversed(levels):
+        n_leaves[level] = n_leaves[left[level]] + n_leaves[right[level]]
+    first = np.zeros(n_nodes, dtype=np.intp)
+    for level in levels:
+        first[left[level]] = first[level]
+        first[right[level]] = first[level] + n_leaves[left[level]]
+    words = -(-int(n_leaves[tm.offsets[:-1]].max(initial=1)) // _WORD_BITS)
+    slots = words * _WORD_BITS
+
+    leaves = reached[~is_split[reached]]
+    word, bit = np.divmod(first[leaves], _WORD_BITS)
+    leaf_values = np.zeros(n_trees * slots, dtype=np.float64)
+    leaf_values[tree[leaves] * slots + word * _WORD_BITS + _DE_BRUIJN_SLOT[bit]] = (
+        model.hyperparams.learning_rate * tm.value[leaves])
+
+    # Split i clears leaves [lo, hi), the leaves of its left subtree: one
+    # mask per word that range touches.
+    splits = reached[is_split[reached]]
+    lo = first[splits]
+    hi = lo + n_leaves[left[splits]]
+    span = (hi - 1) // _WORD_BITS - lo // _WORD_BITS + 1
+    i = np.repeat(np.arange(splits.shape[0]), span)
+    word = lo[i] // _WORD_BITS + np.arange(i.shape[0]) - np.repeat(np.cumsum(span) - span, span)
+    low = np.clip(lo[i] - word * _WORD_BITS, 0, _WORD_BITS).astype(np.uint64)
+    width = np.clip(hi[i] - word * _WORD_BITS, 0, _WORD_BITS).astype(np.uint64) - low
+    mask = ~((_ALL_LEAVES >> (np.uint64(_WORD_BITS) - width)) << low)
+    column = tree[splits[i]] * words + word
+
+    # Every feature's table in one array, in (feature, threshold) order: a row
+    # of all leaves, then one row per distinct threshold, each row the AND of
+    # the one before and its threshold's masks.
+    feature, threshold = tm.feature[splits[i]], tm.threshold[splits[i]]
+    order = np.lexsort((threshold, feature))
+    feature, threshold, column, mask = feature[order], threshold[order], column[order], mask[order]
+    new_feature = np.diff(feature, prepend=-1) != 0
+    new_threshold = new_feature | (np.diff(threshold, prepend=np.nan) != 0)
+    row = np.cumsum(new_threshold.astype(np.intp) + new_feature) - 1
+    table = np.full((row[-1] + 1 if row.shape[0] else 0, n_trees * words), _ALL_LEAVES)
+    np.bitwise_and.at(table, (row, column), mask)
+    row_threshold = np.empty(table.shape[0])
+    row_threshold[row] = threshold
+    begins = (row[new_feature] - 1).tolist()
+    tables = []
+    for f, begin, end in zip(feature[new_feature].tolist(), begins, begins[1:] + [table.shape[0]]):
+        rows = table[begin:end]
+        np.bitwise_and.accumulate(rows, axis=0, out=rows)
+        tables.append((f, row_threshold[begin + 1 : end], rows))
+    return ScoreTables(tm.base_score, n_trees, words, tuple(tables), leaf_values)
+
+
+def _score_block(tables: ScoreTables, X: np.ndarray, bits: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+    """Raw scores of the rows of ``X``: the AND of one table row per split
+    feature, each tree's lowest set bit, and its leaf values added to the
+    base score tree by tree in model order. ``bits`` and ``gathered`` are
+    ``(rows, trees * words)`` work arrays; the leaf values end up in ``bits``."""
+    n_rows, n_trees, words = X.shape[0], tables.n_trees, tables.words
+    columns = X.T.copy()
+    bits.fill(_ALL_LEAVES)
+    for f, thresholds, table in tables.splits:
+        np.take(table, np.searchsorted(thresholds, columns[f], side="left"), axis=0, out=gathered, mode="clip")
+        bits &= gathered
+    # Each word's lowest set bit as its de Bruijn slot, then each tree's
+    # lowest non-empty word, as an index into ``leaf_values``.
+    slot = np.negative(bits, out=gathered)
+    slot &= bits
+    slot *= _DE_BRUIJN
+    slot >>= np.uint64(_WORD_BITS - 6)
+    slot = slot.view(np.intp).reshape(n_rows, n_trees, words)
+    tree_start = np.arange(0, n_trees * words * _WORD_BITS, words * _WORD_BITS)
+    leaf = slot[:, :, -1]
+    leaf += tree_start + (words - 1) * _WORD_BITS
+    for w in reversed(range(words - 1)):
+        np.copyto(leaf, slot[:, :, w] + (tree_start + w * _WORD_BITS), where=bits[:, w::words] != 0)
+    values = bits.reshape(-1)[: n_trees * n_rows].view(np.float64).reshape(n_trees, n_rows)
+    np.take(tables.leaf_values, leaf.T, out=values, mode="clip")
+    out = np.full(n_rows, tables.base_score)
+    for value in values:
+        out += value
+    return out
+
+
+def raw_score_matrix(model: FusionModel, X: np.ndarray, target: str,
+                     tables: ScoreTables | None = None) -> np.ndarray:
+    """Unclamped ensemble score for one target over a feature matrix, from
+    ``tables`` when given (``score_tables(model, target)``), else from tables
+    built for this call."""
+    if tables is None:
+        tables = score_tables(model, target)
+    row_words = tables.n_trees * tables.words
+    n_rows = max(1, min(_BLOCK_ROWS, _BLOCK_WORDS // max(row_words, 1)))
+    out = np.empty(X.shape[0], dtype=np.float64)
+    bits = np.empty((min(X.shape[0], n_rows), row_words), dtype=np.uint64)
+    gathered = np.empty_like(bits)
+    for start in range(0, X.shape[0], n_rows):
+        block = X[start : start + n_rows]
+        out[start : start + n_rows] = _score_block(tables, block, bits[: block.shape[0]], gathered[: block.shape[0]])
     return out
 
 
@@ -468,8 +597,10 @@ def evaluate(model: FusionModel, dataset: FusionDataset) -> MetricsReport:
     flow as the baseline predictor of the total."""
     if dataset.split_index >= dataset.n_rows:
         raise DataError("validation partition is empty")
-    pred_train = predict_matrix(model, dataset.X_train)
-    pred_valid = predict_matrix(model, dataset.X_valid)
+    # A row's score does not depend on the rows scored with it, so one pass
+    # over both partitions gives each partition's scores.
+    pred = predict_matrix(model, dataset.X)
+    pred_train, pred_valid = pred[: dataset.split_index], pred[dataset.split_index :]
     # The baseline predicts the total, column 0, by the raw flow, feature 0.
     rows = [_metric_row(BASELINE_ROW_NAME, dataset, 0, dataset.X_train, dataset.X_valid)]
     rows += [_metric_row(name, dataset, t, pred_train, pred_valid) for t, name in enumerate(TARGET_NAMES)]
@@ -530,13 +661,17 @@ def _reject(label: str, offsets: np.ndarray, bad, problem: str) -> None:
 
 def _check_target(label: str, tm: TargetModel, n_features: int) -> None:
     """Reject a target whose trees could misroute, loop or index out of range:
-    every split leads to higher-numbered children in its own tree, covers are
-    positive and add up, and every number is finite. Each check is one pass
-    over the whole table and names the first tree that fails it."""
+    every split leads to higher-numbered children in its own tree, no node is
+    the child of two splits, covers are positive and add up, and every number
+    is finite. Each check is one pass over the whole table and names the
+    first tree that fails it."""
     reject = partial(_reject, label, tm.offsets)
     internal = tm.feature != -1
-    children = _children(tm).reshape(-1, 2)
+    # Each node's (left, right) children numbered in the whole table; a leaf
+    # is its own child, so leaves index nothing out of range.
     own = np.arange(tm.feature.shape[0])[:, None]
+    start = np.repeat(tm.offsets[:-1], np.diff(tm.offsets))[:, None]
+    children = np.where(internal[:, None], np.column_stack([tm.left, tm.right]) + start, own)
     end = np.repeat(tm.offsets[1:], np.diff(tm.offsets))[:, None]
     reject((tm.left == -1) & (tm.right == -1) & internal, "leaves must have feature -1")
     reject(internal & ((children <= own) | (children >= end)).any(axis=1),
@@ -546,6 +681,9 @@ def _check_target(label: str, tm: TargetModel, n_features: int) -> None:
            "thresholds, values and covers must be finite")
     reject((tm.cover <= 0) | (internal & (tm.cover != tm.cover[children].sum(axis=1))),
            "covers must be positive and equal the sum of their children's")
+    # The scorer numbers every leaf once, so a node may not sit under two splits.
+    reject(np.bincount(children[internal].reshape(-1), minlength=own.shape[0]) > 1,
+           "no node may be the child of two splits")
 
 
 def load_model(path: str | Path) -> FusionModel:

@@ -592,7 +592,7 @@ def reference_route(network, model, tollbooth, routing, hours=None) -> tuple[lis
 
 def reference_permutation_importance(model, target: str, dataset, repeats: int, seed: int) -> dict:
     """Permutation importance that re-scores every shuffle tree by tree with
-    ``RegressionTree.predict_batch``: the oracle for the whole-target walk."""
+    ``RegressionTree.predict_batch``: the oracle for the whole-target scorer."""
     from odfuse.ingest import TARGET_NAMES
 
     X = dataset.X_valid

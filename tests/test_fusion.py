@@ -1,7 +1,9 @@
 import concurrent.futures
+import gc
 import json
 import multiprocessing
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from odfuse.core import RoadTag
 from odfuse.errors import ConfigError, DataError, InternalError
 from odfuse import fusion
+from odfuse.attribution import permutation_importance
 from odfuse.fusion import (
     FusionModel,
     GbtHyperparams,
@@ -559,3 +562,93 @@ class TestPredictorParity:
         model, ds = synthetic_model
         X = np.asfortranarray(ds.X_valid)
         _assert_scores_match_per_tree_sum(model, X)
+
+
+def full_tree(rng, depth: int):
+    """A full tree of ``depth`` (2 ** depth leaves) with random splits, in
+    breadth-first order: node i has children 2i + 1 and 2i + 2. Thresholds
+    include 0.0 and -0.0; covers add up."""
+    n_nodes, n_splits = 2 ** (depth + 1) - 1, 2**depth - 1
+    feature = np.full(n_nodes, -1)
+    feature[:n_splits] = rng.integers(0, len(FEATURE_NAMES), n_splits)
+    threshold = np.zeros(n_nodes)
+    threshold[:n_splits] = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0], n_splits) + (
+        rng.random(n_splits) < 0.5) * rng.normal(size=n_splits)
+    value = np.where(feature == -1, rng.normal(size=n_nodes), 0.0)
+    cover = np.zeros(n_nodes)
+    cover[n_splits:] = rng.integers(1, 5, n_nodes - n_splits)
+    for i in reversed(range(n_splits)):
+        cover[i] = cover[2 * i + 1] + cover[2 * i + 2]
+    children = np.where(feature >= 0, 2 * np.arange(n_nodes) + 1, -1)
+    return make_tree(feature, threshold, children, np.where(feature >= 0, children + 1, -1), value, cover)
+
+
+def relaid(tree, layout: str):
+    """``tree`` with its nodes renumbered in ``layout``: "pre-order" (the
+    trainer's, left subtree first), "breadth-first", or "right-first"
+    (pre-order with the right subtree first). Every layout passes
+    ``load_model``'s checks."""
+    kids = {i: (int(tree.left[i]), int(tree.right[i])) for i in range(tree.feature.shape[0]) if tree.feature[i] >= 0}
+    if layout == "breadth-first":
+        order = [0]
+        for i in order:
+            order.extend(kids.get(i, ()))
+    else:
+        def visit(i):
+            if i not in kids:
+                return [i]
+            first, second = kids[i][::-1] if layout == "right-first" else kids[i]
+            return [i, *visit(first), *visit(second)]
+        order = visit(0)
+    number = {node: k for k, node in enumerate(order)}
+    left = [number[kids[i][0]] if i in kids else -1 for i in order]
+    right = [number[kids[i][1]] if i in kids else -1 for i in order]
+    return make_tree(tree.feature[order], tree.threshold[order], left, right, tree.value[order], tree.cover[order])
+
+
+class TestWideAndReorderedTrees:
+    """Scores equal the per-tree ``predict_batch`` sum for trees of more than
+    64 leaves and for node layouts other than the trainer's pre-order, both
+    in memory and after ``model.json``."""
+
+    @pytest.mark.parametrize("layout", ["pre-order", "breadth-first", "right-first"])
+    @pytest.mark.parametrize("depth", [7, 8])
+    def test_full_trees(self, tmp_path, depth, layout):
+        rng = np.random.default_rng(depth * 10 + len(layout))
+        per_target = [
+            [relaid(tree, layout) for tree in (full_tree(rng, depth), random_cover_tree(rng, len(FEATURE_NAMES), 5),
+                                               full_tree(rng, 2), make_tree([-1], [0.0], [-1], [-1], [0.75], [3.0]))]
+            for _ in TARGET_NAMES
+        ]
+        model = _model_of(per_target, base=-1.5, lr=0.3)
+        assert max(int((tree.feature == -1).sum()) for tree in model.targets["total"].trees) == 2**depth
+        thresholds = np.concatenate([tree.threshold for trees in per_target for tree in trees])
+        X = rng.normal(size=(700, len(FEATURE_NAMES)))
+        hits = rng.random(X.shape) < 0.4
+        X[hits] = rng.choice(thresholds, size=int(hits.sum()))
+        # NaN goes right at every split, as ``x <= threshold`` is false; -0.0
+        # equals a 0.0 threshold and goes left.
+        special = rng.random(X.shape) < 0.15
+        X[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], size=int(special.sum()))
+        _assert_scores_match_per_tree_sum(model, X)
+        save_model(model, tmp_path / "model.json")
+        _assert_scores_match_per_tree_sum(load_model(tmp_path / "model.json"), X)
+
+    def test_node_under_two_splits_is_rejected(self, tmp_path):
+        # Both children of the root are node 1: the covers add up, yet no
+        # numbering of leaves can give that leaf one place.
+        shared = make_tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [1, -1, -1], [0.0, 1.0, 2.0], [8.0, 4.0, 4.0])
+        save_model(_model_of([[shared]] * len(TARGET_NAMES)), tmp_path / "model.json")
+        with pytest.raises(DataError, match="tree 0: no node may be the child of two splits"):
+            load_model(tmp_path / "model.json")
+
+    def test_scoring_keeps_no_reference_to_the_model(self, synthetic_model):
+        _, ds = synthetic_model
+        model = train(ds, GbtHyperparams(n_trees=3, max_depth=3))
+        target = weakref.ref(model.targets["total"])
+        raw_score_matrix(model, ds.X, "total")
+        predict_matrix(model, ds.X)
+        permutation_importance(model, "total", ds, repeats=2)
+        del model
+        gc.collect()
+        assert target() is None
