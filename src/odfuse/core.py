@@ -442,19 +442,22 @@ def stat_cell(value: float | None) -> str:
 
 
 def write_csv_columns(path: str | Path, header: Sequence[str],
-                      columns: Sequence[tuple[Sequence[str] | None, np.ndarray]], rows: np.ndarray) -> None:
+                      columns: Sequence[tuple[Sequence[str] | None, np.ndarray]],
+                      rows: np.ndarray | Iterable[np.ndarray]) -> None:
     """Write the given ``rows`` of a table of two or more columns, in that
-    order, byte for byte as ``write_csv`` writes the same cells. Each column
-    is ``(texts, codes)``: a row's cell is ``texts[code]``, quoted once per
-    text and empty for an empty text, or the integer ``code`` itself where
-    ``texts`` is None."""
+    order, byte for byte as ``write_csv`` writes the same cells. ``rows`` is
+    one array of row indices or an iterable of them, written one after
+    another. Each column is ``(texts, codes)``: a row's cell is
+    ``texts[code]``, quoted once per text and empty for an empty text, or the
+    integer ``code`` itself where ``texts`` is None."""
     cells = [None if texts is None else [csv_cell(text) if text else "" for text in texts] for texts, _ in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(csv_cell, header)) + CSV_EOL)
-        for start in range(0, len(rows), 8192):  # never the whole text at once
-            texts = [map(str if table is None else table.__getitem__, codes[rows[start:start + 8192]].tolist())
-                     for table, (_, codes) in zip(cells, columns)]
-            fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
+        for block in [rows] if isinstance(rows, np.ndarray) else rows:
+            for start in range(0, len(block), 8192):  # never the whole text at once
+                texts = [map(str if table is None else table.__getitem__, codes[block[start:start + 8192]].tolist())
+                         for table, (_, codes) in zip(cells, columns)]
+                fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
 
 
 # The characters for which the artifact dialect quotes a value: the

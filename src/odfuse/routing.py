@@ -21,15 +21,24 @@ remainder, then each destination's share is split across categories the
 same way. Every step is integer-exact, so vehicles are conserved.
 
 ``build_od_matrix`` routes the whole run as arrays. One prediction block
-covers every hour. One decision kernel runs the three phases over the
-(hour x count key) grid of totals: every hour fills the same template of
-decision slots (internal, local in, local out, then bypass and net per
-booth pair), and a slot is kept where the phase rules keep it, so decisions
-and ledger events come out hour by hour in phase order. Decisions and the
-ledger are column tables; marginals are taken once per (hour, destination);
-decisions that share an eligible-destination tuple are apportioned in one
-batch into a columnar OD matrix. ``decide_flows`` and ``distribute`` are
-one-hour calls of the same kernels.
+scores each distinct destination feature row once, for every hour. One
+decision kernel runs the three phases over the (hour x count key) grid of
+totals: every hour fills the same template of decision slots (internal,
+local in, local out, then bypass and net per booth pair), and a slot is
+kept where the phase rules keep it, so decisions and ledger events come
+out hour by hour in phase order. Decisions and the ledger are column
+tables; marginals are taken once per (hour, destination).
+
+The OD matrix is assembled in blocks of ``_OD_BLOCK`` consecutive
+decisions, so its transients stay the size of one block whatever the
+length of the run. Within a block, decisions that share an
+eligible-destination tuple are apportioned in one batch, and the block's
+rows are put in (decision, position) order; each decision's rows have
+distinct positions and the blocks follow one another, so appending the
+blocks gives the run's decision order. The blocks' columns, narrowed to
+the types of ``_OD_COLUMNS``, are concatenated once at the end.
+``write_od_csv`` sorts and writes a block of whole hours at a time.
+``decide_flows`` and ``distribute`` are one-hour calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -73,6 +82,15 @@ _SCENARIOS: tuple[Scenario, ...] = tuple(Scenario)
 _VEHICLE_TYPES: tuple[VehicleType, ...] = tuple(VehicleType)
 _CATEGORY_TYPE_CODES = np.array([_VEHICLE_TYPES.index(map_vehicle_type(c)) for c in CATEGORY_ORDER])
 _BYPASS = _SCENARIOS.index(Scenario.PASSTHROUGH_BYPASS)
+
+# Decisions apportioned and ordered together by ``_od_matrix``.
+_OD_BLOCK = 1024
+# OD rows sorted and written together by ``write_od_csv``, rounded to whole hours.
+_WRITE_BLOCK = 65536
+# The ODMatrix columns and their types. Node codes are int16: ``_od_matrix``
+# rejects a run of more nodes.
+_OD_COLUMNS = {"count": np.int64, "decision": np.int32, "hour": np.int32, "origin": np.int16,
+               "destination": np.int16, "vehicle_type": np.int8, "scenario": np.int8}
 
 
 @dataclass(frozen=True)
@@ -175,10 +193,11 @@ class ODEntry:
 class ODMatrix:
     """OD entries as integer columns, in decision order.
 
-    ``hour`` indexes ``hours``, the decisions' hours; ``origin`` and
-    ``destination`` index ``nodes``; ``vehicle_type`` and ``scenario`` index
-    the members of ``VehicleType`` and ``Scenario`` in definition order;
-    ``decision`` indexes ``decisions``, the run's decision table.
+    ``hour`` (int32) indexes ``hours``, the decisions' hours; ``origin`` and
+    ``destination`` (int16) index ``nodes``; ``vehicle_type`` and
+    ``scenario`` (int8) index the members of ``VehicleType`` and
+    ``Scenario`` in definition order; ``decision`` (int32) indexes
+    ``decisions``, the run's decision table; ``count`` is int64.
     """
 
     nodes: tuple[str, ...]
@@ -352,6 +371,19 @@ def _marginals(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     per_destination = np.full(mass.shape, 1.0 / mass.shape[1])
     np.divide(mass, weight, out=per_destination, where=weight > 0.0)
     return weight[:, 0], per_destination
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``X`` and, per row of ``X``, the index of its
+    equal among them. Rows merge where every cell compares equal, so
+    ``-0.0`` merges with ``0.0`` and a NaN row stays apart."""
+    order = np.lexsort(X.T)
+    ordered = X[order]
+    change = np.ones(len(X), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=change[1:])
+    back = np.empty(len(X), dtype=np.intp)
+    back[order] = np.cumsum(change) - 1
+    return ordered[change], back
 
 
 def _split(volumes: np.ndarray, shares: np.ndarray, per_destination: np.ndarray) -> np.ndarray:
@@ -624,9 +656,10 @@ def build_od_matrix(
     for total in counts.values():
         missing |= total < 0
 
-    # One prediction block for every hour.
-    preds = predict_matrix(model, feature_matrix(routing, flat), TARGET_NAMES[1:])
-    mass, fallback = _mass(_clamped_table(preds, routing.censored[flat]), bounds)
+    # One prediction block for every hour; only the marginal grids outlive it.
+    weight_grid, category_grid, fallback = _marginal_grids(
+        _clamped_table(_predictions(model, routing, flat), routing.censored[flat]), bounds, row_hour, row_dest,
+        len(dest_names))
 
     decisions, ledger = _decide(network, hour_keys, {k: np.maximum(v, 0) for k, v in counts.items()}, fallback)
     absent = _absent(decisions, dest_names, present)
@@ -644,13 +677,30 @@ def build_od_matrix(
             raise DataError(f"missing tollbooth counts for {[k for k in referenced if counts[k][h] < 0]} at {when}")
         raise _absent_error(decisions, int(np.nonzero(absent & (decisions.hour == h))[0][0]), dest_names, present)
 
-    # Marginals once per (hour, destination), scattered on a grid.
-    weight, per_destination = _marginals(mass)
-    weight_grid = np.zeros((n_hours, len(dest_names)))
-    weight_grid[row_hour, row_dest] = weight
-    category_grid = np.zeros(weight_grid.shape + (len(CATEGORY_ORDER),))
-    category_grid[row_hour, row_dest] = per_destination
     return RoutingRun(matrix=_od_matrix(decisions, weight_grid, category_grid, dest_names), ledger=ledger)
+
+
+def _predictions(model: FusionModel, routing: RoutingTable, rows: np.ndarray) -> np.ndarray:
+    """Predicted category counts of the given routing rows. A row's score
+    depends on the row alone, and rows repeat across hours, so each distinct
+    feature row is scored once."""
+    distinct, back = _distinct_rows(feature_matrix(routing, rows))
+    return predict_matrix(model, distinct, TARGET_NAMES[1:])[back]
+
+
+def _marginal_grids(table: np.ndarray, bounds: np.ndarray, row_hour: np.ndarray, row_dest: np.ndarray,
+                    n_dests: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginals once per (hour, destination), scattered on an (hours,
+    destinations) grid and a grid with a category axis, and the hours whose
+    joint fell back to uniform. Row i of ``table`` is at hour ``row_hour[i]``
+    and destination ``row_dest[i]``; ``bounds`` delimits the hours' rows."""
+    mass, fallback = _mass(table, bounds)
+    weight, per_destination = _marginals(mass)
+    weight_grid = np.zeros((len(bounds) - 1, n_dests))
+    weight_grid[row_hour, row_dest] = weight
+    category_grid = np.zeros(weight_grid.shape + (table.shape[1],))
+    category_grid[row_hour, row_dest] = per_destination
+    return weight_grid, category_grid, fallback
 
 
 def _od_matrix(decisions: DecisionTable, weight_grid: np.ndarray, category_grid: np.ndarray,
@@ -659,55 +709,64 @@ def _od_matrix(decisions: DecisionTable, weight_grid: np.ndarray, category_grid:
 
     ``weight_grid`` is ``(hours, destinations)``, ``category_grid`` adds the
     category axis. Decisions that share an eligible-destination tuple are
-    apportioned in one batch; bypass decisions keep their whole volume.
+    apportioned in one batch per block of ``_OD_BLOCK`` decisions; bypass
+    decisions keep their whole volume.
     """
     n_cat = len(CATEGORY_ORDER)
     texts, sets = decisions.texts, decisions.eligible_sets
     names = [texts[c] for c in np.unique(decisions.origin).tolist()] + [name for members in sets for name in members]
     nodes = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    if len(nodes) > np.iinfo(_OD_COLUMNS["origin"]).max + 1:
+        raise InternalError(f"{len(nodes)} OD nodes overflow the int16 node codes")
     origin = np.array([nodes.get(text, -1) for text in texts], dtype=np.int64)[decisions.origin]
-    volume, hour = decisions.volume, decisions.hour
+    set_nodes = [np.array([nodes[name] for name in members], dtype=np.int64) for members in sets]
+    target = np.array([members[0] if len(members) else -1 for members in set_nodes], dtype=np.int64)
+    volume, hour, eligible = decisions.volume, decisions.hour, decisions.eligible
     width = max([len(members) for members in sets], default=1) * n_cat
     moving = volume > 0
     bypass = decisions.scenario == _BYPASS
-
-    # Rows: sort key (decision, position within it), origin, destination, type, count.
-    def piece(dec, position, ends, kind, count):
-        key = _composite_key((len(decisions), width), (dec, position))
-        return np.stack([np.broadcast_to(column, key.shape) for column in (key, *ends, kind, count)])
-
-    pieces = [np.zeros((5, 0), dtype=np.int64)]
-    idx = np.nonzero(moving & bypass)[0]
-    if len(idx):
-        target = np.array([nodes[members[0]] for members in sets], dtype=np.int64)[decisions.eligible[idx]]
-        pieces.append(piece(idx, 0, (origin[idx], target), _VEHICLE_TYPES.index(VehicleType.ALL), volume[idx]))
     splitting = moving & ~bypass
-    for e in np.unique(decisions.eligible[splitting]).tolist():
-        idx = np.nonzero(splitting & (decisions.eligible == e))[0]
-        rows, cols = hour[idx][:, None], [dest_names.index(name) for name in sets[e]]
-        counts = _split(volume[idx], weight_grid[rows, cols], category_grid[rows, cols])
-        b, j, c = np.nonzero(counts)
-        dec = idx[b]
-        dest = np.array([nodes[name] for name in sets[e]], dtype=np.int64)[j]
-        rev = decisions.reversed_roles[dec]
-        ends = (np.where(rev, dest, origin[dec]), np.where(rev, origin[dec], dest))
-        pieces.append(piece(dec, j * n_cat + c, ends, _CATEGORY_TYPE_CODES[c], counts[b, j, c]))
-    columns = np.concatenate(pieces, axis=1)
-    del pieces
-    # Gathered a column at a time: a permuted copy of the whole (5, rows)
-    # block is one more transient of its size.
-    order = np.argsort(columns[0], kind="stable")
-    dec = columns[0][order] // width
-    origin, destination, kind, count = (columns[i][order] for i in (1, 2, 3, 4))
-    return ODMatrix(nodes=tuple(nodes), decisions=decisions, hour=hour[dec], origin=origin, destination=destination,
-                    vehicle_type=kind, scenario=decisions.scenario[dec], count=count, decision=dec)
+
+    # Rows: block sort key (decision in block, position within it), origin, destination, type, count.
+    def piece(dec, position, ends, kind, count):
+        key = _composite_key((_OD_BLOCK, width), (dec, position))
+        return [np.broadcast_to(column, key.shape) for column in (key, *ends, kind, count)]
+
+    blocks = {name: [np.zeros(0, dtype=dtype)] for name, dtype in _OD_COLUMNS.items()}
+    for start in range(0, len(decisions), _OD_BLOCK):
+        window = slice(start, start + _OD_BLOCK)
+        idx = start + np.nonzero(moving[window] & bypass[window])[0]
+        pieces = [piece(idx - start, 0, (origin[idx], target[eligible[idx]]),
+                        _VEHICLE_TYPES.index(VehicleType.ALL), volume[idx])]
+        in_window = splitting[window]
+        for e in np.unique(eligible[window][in_window]).tolist():
+            idx = start + np.nonzero(in_window & (eligible[window] == e))[0]
+            rows, cols = hour[idx][:, None], [dest_names.index(name) for name in sets[e]]
+            counts = _split(volume[idx], weight_grid[rows, cols], category_grid[rows, cols])
+            b, j, c = np.nonzero(counts)
+            dec = idx[b]
+            dest = set_nodes[e][j]
+            rev = decisions.reversed_roles[dec]
+            ends = (np.where(rev, dest, origin[dec]), np.where(rev, origin[dec], dest))
+            pieces.append(piece(dec - start, j * n_cat + c, ends, _CATEGORY_TYPE_CODES[c], counts[b, j, c]))
+        key, *columns = (np.concatenate(column) for column in zip(*pieces))
+        order = np.argsort(key)  # the keys are distinct, so any sort gives the one order
+        dec = start + key[order] // width
+        values = (dec, hour[dec], decisions.scenario[dec], *(column[order] for column in columns))
+        for name, value in zip(("decision", "hour", "scenario", "origin", "destination", "vehicle_type", "count"),
+                               values):
+            blocks[name].append(value.astype(_OD_COLUMNS[name], copy=False))
+    # Each column's blocks are dropped once it is joined, so the peak is the
+    # blocks plus one joined column.
+    columns = {name: np.concatenate(blocks.pop(name)) for name in _OD_COLUMNS}
+    return ODMatrix(nodes=tuple(nodes), decisions=decisions, **columns)
 
 
 def conservation_violations(run: RoutingRun) -> list[str]:
     """Check that no vehicle was created or destroyed anywhere in the run."""
     decisions, ledger = run.decisions, run.ledger
-    allocated = np.bincount(run.matrix.decision, weights=run.matrix.count, minlength=len(decisions))
-    allocated = allocated.astype(np.int64)
+    allocated = np.zeros(len(decisions), dtype=np.int64)
+    np.add.at(allocated, run.matrix.decision, run.matrix.count)
     problems = [
         f"{d.hour.isoformat()} {d.scenario.value} {d.direction}: decided {d.volume}, allocated {allocated[i]}"
         for i, d in ((i, decisions[i]) for i in np.nonzero(allocated != decisions.volume)[0])
@@ -723,22 +782,39 @@ def conservation_violations(run: RoutingRun) -> list[str]:
 
 
 def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
-    keep = np.nonzero(matrix.count > 0)[0]
+    """Write the entries of positive count, sorted by (timestamp, scenario,
+    origin, destination, vehicle type), equal keys in decision order.
+
+    The rows must be hour-major with ``hours`` in timestamp order, as
+    ``build_od_matrix`` and ``distribute`` make them, so blocks of whole
+    hours are sorted and written one after another.
+    """
+    stamps = [h.timestamp for h in matrix.hours]
+    if stamps != sorted(stamps) or (matrix.hour[1:] < matrix.hour[:-1]).any():
+        raise InternalError("OD rows are not hour-major in timestamp order")
     node_rank = _ranks(matrix.nodes)
     ranked = (
-        (_ranks([h.timestamp for h in matrix.hours]), matrix.hour),
+        (_ranks(stamps), matrix.hour),
         (_ranks([s.value for s in _SCENARIOS]), matrix.scenario),
         (node_rank, matrix.origin), (node_rank, matrix.destination),
         (_ranks([t.value for t in _VEHICLE_TYPES]), matrix.vehicle_type),
     )
-    key = _composite_key([len(rank) for rank, _ in ranked], (rank[column[keep]] for rank, column in ranked))
-    # A stable sort: rows with equal keys stay in decision order.
-    order = keep[np.argsort(key, kind="stable")]
+    # Each block starts at the first row of an hour, about _WRITE_BLOCK rows apart.
+    starts = np.searchsorted(matrix.hour, matrix.hour[::_WRITE_BLOCK]).tolist()
+    bounds = sorted(set(starts)) + [len(matrix)]
+
+    def blocks():
+        for a, b in zip(bounds, bounds[1:]):
+            keep = a + np.nonzero(matrix.count[a:b] > 0)[0]
+            key = _composite_key([len(rank) for rank, _ in ranked], (rank[column[keep]] for rank, column in ranked))
+            # A stable sort: rows with equal keys stay in decision order.
+            yield keep[np.argsort(key, kind="stable")]
+
     write_csv_columns(path, ["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"], [
         ([h.isoformat() for h in matrix.hours], matrix.hour), (matrix.nodes, matrix.origin),
         (matrix.nodes, matrix.destination), ([t.value for t in _VEHICLE_TYPES], matrix.vehicle_type),
         (None, matrix.count), ([s.value for s in _SCENARIOS], matrix.scenario),
-    ], order)
+    ], blocks())
 
 
 def write_ledger_csv(path: str | Path, ledger: LedgerTable) -> None:

@@ -652,3 +652,59 @@ class TestWideAndReorderedTrees:
         del model
         gc.collect()
         assert target() is None
+
+
+def near_full_tree(rng, depth: int, prune: float):
+    """A tree of ``depth`` in pre-order: every node above the last split
+    level splits, and each node of that level stays a leaf with probability
+    ``prune``, so the tree has more than 2 ** (depth - 1) leaves unless all
+    of them do. Thresholds include 0.0 and -0.0; covers add up."""
+    fields = feature, threshold, left, right, value, cover = [], [], [], [], [], []
+
+    def grow(level: int) -> int:
+        idx = len(feature)
+        for column, blank in zip(fields, (-1, 0.0, -1, -1, 0.0, 0.0)):
+            column.append(blank)
+        if level == depth or (level == depth - 1 and rng.random() < prune):
+            value[idx], cover[idx] = float(rng.normal()), float(rng.integers(1, 5))
+            return idx
+        feature[idx] = int(rng.integers(len(FEATURE_NAMES)))
+        threshold[idx] = float(rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5]) + (rng.random() < 0.5) * rng.normal())
+        left[idx] = grow(level + 1)
+        right[idx] = grow(level + 1)
+        cover[idx] = cover[left[idx]] + cover[right[idx]]
+        return idx
+
+    grow(0)
+    return make_tree(*fields)
+
+
+@st.composite
+def wide_ensembles(draw):
+    """A model of one or two near-full trees of depth 7 to 9 per target, all
+    in one drawn node layout, and rows to score."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth, prune = draw(st.integers(7, 9)), draw(st.sampled_from([0.0, 0.1, 0.3]))
+    layout = draw(st.sampled_from(["pre-order", "breadth-first", "right-first"]))
+    per_target = [[relaid(near_full_tree(rng, depth, prune), layout) for _ in range(draw(st.integers(1, 2)))]
+                  for _ in TARGET_NAMES]
+    model = _model_of(per_target, float(rng.normal()), draw(st.sampled_from([0.1, 0.3, 1.0])))
+    thresholds = np.concatenate([tree.threshold for trees in per_target for tree in trees])
+    X = rng.normal(size=(draw(st.sampled_from([1, 17, 60])), len(FEATURE_NAMES)))
+    hits = rng.random(X.shape) < 0.4
+    X[hits] = rng.choice(thresholds, size=int(hits.sum()))
+    special = rng.random(X.shape) < 0.1
+    X[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], size=int(special.sum()))
+    return model, X
+
+
+class TestWideTreesDrawn:
+    """Drawn full and near-full trees of more than 64 leaves, in every node
+    layout, score as the per-tree ``predict_batch`` sum."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(ensemble=wide_ensembles())
+    def test_scores_equal_the_per_tree_sum(self, ensemble):
+        model, X = ensemble
+        assert min(int((tree.feature == -1).sum()) for tm in model.targets.values() for tree in tm.trees) > 64
+        _assert_scores_match_per_tree_sum(model, X)

@@ -20,9 +20,10 @@ from odfuse.core import (
     make_hour_key,
 )
 from odfuse.core import write_csv
+from odfuse import routing
 from odfuse.errors import DataError, InternalError
-from odfuse.fusion import GbtHyperparams, predict_matrix, train
-from odfuse.ingest import BiasProfile, build_dataset, generate_synthetic
+from odfuse.fusion import FusionModel, GbtHyperparams, predict_matrix, train
+from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES, BiasProfile, build_dataset, feature_matrix, generate_synthetic
 from odfuse.network import (
     BoundaryConfig,
     BoundaryDirection,
@@ -38,6 +39,7 @@ from odfuse.routing import (
     _apportion,
     _composite_key,
     _consume,
+    _distinct_rows,
     build_od_matrix,
     conservation_violations,
     decide_flows,
@@ -52,6 +54,7 @@ from odfuse.routing import (
 from _helpers import (
     destination,
     expected_hour_total,
+    make_tree,
     minimax_apportionment,
     pair_only_network,
     ramp_network,
@@ -910,3 +913,101 @@ class TestConservationViolations:
             f"balance mismatch at {event.hour.timestamp}: ledger {event.amount + 1}, "
             f"decisions {event.amount}"
         ]
+
+
+# The narrow ODMatrix column types: a fallback to int64 shows here.
+OD_TYPES = {"hour": np.int32, "origin": np.int16, "destination": np.int16, "vehicle_type": np.int8,
+            "scenario": np.int8, "count": np.int64, "decision": np.int32}
+
+
+class TestOdBlocks:
+    """The OD matrix and both CSVs do not depend on how many decisions are
+    assembled, or how many OD rows are sorted and written, together."""
+
+    @pytest.mark.parametrize("case", ["trained_small", "criterion7", "no decisions"])
+    def test_every_block_size_gives_the_same_run(self, request, case, tmp_path, monkeypatch):
+        if case == "no decisions":
+            _, model, _, _ = request.getfixturevalue("trained_small")
+            net = bare_network()
+            tb, rt = tables_from_counts(net, KERNEL_CASES["no boundary, ramps or pairs"][1])
+        else:
+            net, model, tb, rt = request.getfixturevalue(case)
+
+        def route(tag):
+            run = build_od_matrix(net, model, tb, rt)
+            write_od_csv(tmp_path / f"od_{tag}.csv", run.matrix)
+            write_ledger_csv(tmp_path / f"ledger_{tag}.csv", run.ledger)
+            return run
+
+        default = route("default")
+        assert (len(default.decisions) == 0) == (case == "no decisions")
+        assert {name: getattr(default.matrix, name).dtype for name in OD_TYPES} == {
+            name: np.dtype(t) for name, t in OD_TYPES.items()}
+        for block in (1, 2, 5):
+            monkeypatch.setattr(routing, "_OD_BLOCK", block)
+            monkeypatch.setattr(routing, "_WRITE_BLOCK", block)
+            run = route(block)
+            for name in OD_TYPES:
+                got, want = getattr(run.matrix, name), getattr(default.matrix, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (block, name)
+            for artifact in ("od", "ledger"):
+                assert (tmp_path / f"{artifact}_{block}.csv").read_bytes() == (
+                    tmp_path / f"{artifact}_default.csv").read_bytes(), (block, artifact)
+
+    def test_od_rows_out_of_hour_order_are_not_written(self, criterion7, tmp_path):
+        matrix = build_od_matrix(*criterion7).matrix
+        with pytest.raises(InternalError, match="not hour-major"):
+            write_od_csv(tmp_path / "od.csv", dataclasses.replace(matrix, hour=matrix.hour[::-1].copy()))
+
+
+def zero_threshold_model() -> FusionModel:
+    """Every target splits the first feature at 0.0 and then at -0.0."""
+    model = FusionModel(hyperparams=GbtHyperparams(learning_rate=0.5), feature_names=FEATURE_NAMES)
+    tree = make_tree([0, 0, -1, -1, -1], [0.0, -0.0, 0.0, 0.0, 0.0], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1],
+                     [0.0, 0.0, 1.0, 2.0, 4.0], [6.0, 4.0, 2.0, 2.0, 2.0])
+    for name in TARGET_NAMES:
+        model.targets[name] = target_model(1.0, [tree])
+    return model
+
+
+def signed_zero_rows(X):
+    """The first row four times, its first feature 0.0, -0.0, 0.0, -0.0."""
+    rows = np.repeat(X[:1], 4, axis=0)
+    rows[:, 0] = [0.0, -0.0, 0.0, -0.0]
+    return rows
+
+
+# Feature rows built from a routing table's features X, and how many are distinct.
+DISTINCT_CASES = {
+    "repeated rows": (lambda X: X[[0, 1, 0, 2, 1, 0]], 3),
+    "-0.0 against 0.0": (signed_zero_rows, 1),
+    "single row": (lambda X: X[:1], 1),
+    "all rows identical": (lambda X: np.repeat(X[1:2], 5, axis=0), 1),
+    "zero rows": (lambda X: X[:0], 0),
+}
+
+
+class TestDistinctRowScoring:
+    """Scoring each distinct feature row once and gathering the scores back
+    equals scoring every row."""
+
+    @pytest.mark.parametrize("model_name", ["trained", "zero thresholds"])
+    @pytest.mark.parametrize("case", list(DISTINCT_CASES))
+    def test_equals_scoring_every_row(self, trained_small, case, model_name):
+        _, trained, _, rt = trained_small
+        model = trained if model_name == "trained" else zero_threshold_model()
+        features = feature_matrix(rt, np.arange(3))
+        assert len(np.unique(features, axis=0)) == 3
+        make_rows, n_distinct = DISTINCT_CASES[case]
+        X = make_rows(features)
+        distinct, back = _distinct_rows(X)
+        assert len(distinct) == n_distinct and back.shape == (len(X),)
+        assert np.array_equal(distinct[back], X)
+        every_row = predict_matrix(model, X, TARGET_NAMES[1:])
+        assert np.array_equal(predict_matrix(model, distinct, TARGET_NAMES[1:])[back], every_row)
+
+    def test_signed_zeros_score_alike(self, trained_small):
+        _, _, _, rt = trained_small
+        scores = predict_matrix(zero_threshold_model(), signed_zero_rows(feature_matrix(rt, np.arange(1))))
+        assert np.array_equal(scores, np.repeat(scores[:1], 4, axis=0))
+        assert scores[0, 0] == 1.0 + 0.5 * 1.0
