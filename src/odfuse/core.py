@@ -2,9 +2,12 @@
 
 Time keys, nodes, vehicle categories, counts and the input tables are
 immutable value types, safe to share between threads. Every CSV artifact is
-written in one dialect, by ``write_csv`` from rows or by the block writer
+written in one dialect, by ``write_csv`` from rows or by the byte-block writer
 ``write_csv_columns`` from code columns, with statistics formatted by
-``stat_cell``; every JSON document a user supplies is read by ``read_json``.
+``stat_cell``. The block writer assembles fixed-width byte fields padded
+with a byte that UTF-8 never holds, drops the padding and writes each block
+of rows at once; its bytes are those of ``write_csv``. Every JSON document a
+user supplies is read by ``read_json``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InternalError
 
 __all__ = [
     "HourKey",
@@ -194,7 +197,8 @@ class HourKey:
     is_weekend: bool
 
     def isoformat(self) -> str:
-        return self.timestamp.strftime("%Y-%m-%dT%H:%M")
+        """The hour as ``YYYY-MM-DDTHH:MM``, which ``make_hour_key`` reads back."""
+        return self.timestamp.isoformat(timespec="minutes")
 
 
 def make_hour_key(timestamp: datetime | str) -> HourKey:
@@ -441,6 +445,13 @@ def stat_cell(value: float | None) -> str:
     return "NA" if value is None else repr(float(value))
 
 
+# The byte that pads the fields of write_csv_columns: UTF-8 never holds it.
+_PAD = 0xFF
+# write_csv_columns assembles blocks of at most about this many bytes of
+# fields, so a long text makes a block fewer rows rather than more bytes.
+_BLOCK_BYTES = 2**18
+
+
 def write_csv_columns(path: str | Path, header: Sequence[str],
                       columns: Sequence[tuple[Sequence[str] | None, np.ndarray]],
                       rows: np.ndarray | Iterable[np.ndarray]) -> None:
@@ -449,15 +460,73 @@ def write_csv_columns(path: str | Path, header: Sequence[str],
     one array of row indices or an iterable of them, written one after
     another. Each column is ``(texts, codes)``: a row's cell is
     ``texts[code]``, quoted once per text and empty for an empty text, or the
-    integer ``code`` itself where ``texts`` is None."""
-    cells = [None if texts is None else [csv_cell(text) if text else "" for text in texts] for texts, _ in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(csv_cell, header)) + CSV_EOL)
+    integer ``code`` itself where ``texts`` is None.
+
+    Each cell is a fixed-width byte field that ends in its delimiter and is
+    padded with _PAD: a text column's field is as wide as the longest text
+    its codes use, an integer column's holds a sign byte and the digits of
+    its largest magnitude. A block of rows is one record array of these
+    fields, at most about _BLOCK_BYTES; the padding is dropped and the rest
+    written at once. Every text is encoded before the file is opened, so a
+    text the dialect cannot write raises before the file exists."""
+    if len(columns) < 2:
+        raise InternalError(f"write_csv_columns needs two or more columns, got {len(columns)}")
+    fields = []  # per column: its table of text fields, or None for integers; its codes; its delimiter
+    for i, (texts, codes) in enumerate(columns):
+        end = (CSV_EOL if i == len(columns) - 1 else ",").encode()
+        fields.append((None if texts is None else _text_fields(texts, codes, end), codes, end))
+    record = np.dtype([(f"f{i}", f"V{_integer_width(codes) + len(end)}" if table is None else table.dtype)
+                       for i, (table, codes, end) in enumerate(fields)])
+    block_rows = max(1, _BLOCK_BYTES // record.itemsize)
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(csv_cell, header)) + CSV_EOL).encode())
         for block in [rows] if isinstance(rows, np.ndarray) else rows:
-            for start in range(0, len(block), 8192):  # never the whole text at once
-                texts = [map(str if table is None else table.__getitem__, codes[block[start:start + 8192]].tolist())
-                         for table, (_, codes) in zip(cells, columns)]
-                fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
+            for start in range(0, len(block), block_rows):
+                index = block[start:start + block_rows]
+                buf = np.empty(len(index), record)
+                for name, (table, codes, end) in zip(record.names, fields):
+                    buf[name] = table[codes[index]] if table is not None else \
+                        _integer_fields(codes[index], record[name].itemsize, end)
+                buf = buf.view(np.uint8)
+                fh.write(buf[buf != _PAD])
+
+
+def _text_fields(texts: Sequence[str], codes: np.ndarray, end: bytes) -> np.ndarray:
+    """One field per text, as wide as the widest cell that ``codes`` uses:
+    the text's UTF-8 cell, ``end`` and padding; the texts that ``codes``
+    leaves out are all padding, though every text is encoded."""
+    cells = [(csv_cell(text) if text else "").encode() for text in texts]
+    used = np.zeros(len(cells), dtype=bool)
+    for part in np.array_split(codes, len(codes) * 8 // _BLOCK_BYTES + 1):  # indexing widens a part to intp
+        used[part] = True
+    used = used.tolist()
+    width = max((len(cell) for cell, u in zip(cells, used) if u), default=0) + len(end)
+    return np.frombuffer(b"".join((cell + end if u else b"").ljust(width, b"\xff") for cell, u in zip(cells, used)),
+                         dtype=f"V{width}")
+
+
+def _integer_width(values: np.ndarray) -> int:
+    """A sign byte and the digits of the largest magnitude among ``values``."""
+    magnitude = max(abs(int(values.min())), abs(int(values.max()))) if len(values) else 0
+    return 1 + len(str(magnitude))
+
+
+def _integer_fields(values: np.ndarray, width: int, end: bytes) -> np.ndarray:
+    """One field of ``width`` bytes per integer: a sign byte, the decimal
+    digits right-aligned with padding on their left, and ``end``."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)  # a negative value wraps; its magnitude is 0 minus that
+    magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)
+    fields = np.empty((len(values), width), np.uint8)
+    fields[:, 0] = np.where(negative, ord("-"), _PAD)
+    units = width - len(end) - 1
+    fields[:, units + 1:] = np.frombuffer(end, np.uint8)
+    for column in range(units, 0, -1):
+        digit = magnitude % 10 + ord("0")
+        # Leading zeros are padding; the units digit is written even for 0.
+        fields[:, column] = digit if column == units else np.where(magnitude == 0, _PAD, digit)
+        magnitude //= 10
+    return fields.view(f"V{width}")[:, 0]
 
 
 # The characters for which the artifact dialect quotes a value: the

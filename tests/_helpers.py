@@ -23,6 +23,7 @@ import numpy as np
 
 from odfuse.core import (
     CATEGORY_ORDER,
+    CSV_EOL,
     CountsByCategory,
     Direction,
     NodeId,
@@ -33,6 +34,7 @@ from odfuse.core import (
     RoutingTable,
     TollboothObservation,
     TollboothTable,
+    csv_cell,
     make_hour_key,
     series_key,
 )
@@ -738,6 +740,20 @@ def reference_train(dataset, hp):
             trees.append(tree)
         model.targets[name] = target_model(base, trees)
     return model
+
+
+def reference_write_csv_columns(path: str | Path, header, columns, rows) -> None:
+    """The row writer of code columns: each row's cell texts joined with
+    commas, 8,192 rows at a time. The oracle for the byte-block writer
+    ``odfuse.core.write_csv_columns``, with the same arguments."""
+    cells = [None if texts is None else [csv_cell(text) if text else "" for text in texts] for texts, _ in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_cell, header)) + CSV_EOL)
+        for block in [rows] if isinstance(rows, np.ndarray) else rows:
+            for start in range(0, len(block), 8192):
+                texts = [map(str if table is None else table.__getitem__, codes[block[start:start + 8192]].tolist())
+                         for table, (_, codes) in zip(cells, columns)]
+                fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
 
 
 def _reference_int_field(raw: str, line: int, field: str) -> int:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from odfuse import core
 from odfuse.core import (
     CATEGORY_ORDER,
     TAG_ORDER,
@@ -23,7 +27,7 @@ from odfuse.core import (
     write_csv_columns,
 )
 from odfuse.cli import main
-from odfuse.errors import ConfigError, DataError, OdfuseError
+from odfuse.errors import ConfigError, DataError, InternalError, OdfuseError
 from odfuse.ingest import (
     _read_routing_rows,
     _read_tollbooth_rows,
@@ -49,6 +53,7 @@ from _helpers import (
     reference_generate_synthetic,
     reference_read_routing_csv,
     reference_read_tollbooth_csv,
+    reference_write_csv_columns,
     station,
     take_rows,
 )
@@ -427,6 +432,64 @@ class TestBlockWriters:
         write_csv_columns(tmp_path / "columns.csv", ["a", "b"], [(texts, codes), (None, codes)], np.arange(4))
         write_csv(tmp_path / "rows.csv", ["a", "b"], ([texts[c], c] for c in codes.tolist()))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n,0\r\nx,1\r\n,2\r\n,0\r\n"
+
+    def test_fewer_than_two_columns_is_an_internal_error(self, tmp_path):
+        texts, codes = ["", "x"], np.array([0, 1])
+        for columns in ([], [(texts, codes)]):
+            with pytest.raises(InternalError, match="two or more columns"):
+                write_csv_columns(tmp_path / "one.csv", ["a"] * len(columns), columns, np.arange(2))
+        assert not (tmp_path / "one.csv").exists()
+
+    @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+    def test_four_digit_years_survive_a_write_and_read(self, tmp_path, year):
+        hours = [make_hour_key(datetime(year, 3, 1, h)) for h in (5, 6)]
+        tollbooth = TollboothTable.from_rows(hours, [(NodeId(name="A", kind=NodeKind.MAIN_TOLLBOOTH),
+                                                      Direction.UNDIRECTED)] * 2, [[1] * 7, [2] * 7])
+        routing = RoutingTable.from_rows(hours, [NodeId(name="A", kind=NodeKind.INFERRED_DESTINATION)] * 2, [10, 0],
+                                         [RoadTag.PRIMARY] * 2, [False, True])
+        write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
+        write_routing_csv(tmp_path / "rt.csv", routing)
+        assert (tmp_path / "tb.csv").read_bytes().split(b"\r\n")[1].startswith(f"{year:04d}-03-01T05:00,".encode())
+        assert_tables_equal(read_tollbooth_csv(tmp_path / "tb.csv"), tollbooth)
+        assert_tables_equal(read_routing_csv(tmp_path / "rt.csv"), routing)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), n_rows=st.integers(0, 24), block_bytes=st.sampled_from([1, 40, 2**18]))
+    def test_bytes_equal_the_row_writer(self, tmp_path_factory, data, n_rows, block_bytes):
+        """Byte blocks of any width against the row writer: quoted, empty,
+        non-ASCII and very wide texts, shared text tables, every integer
+        dtype up to its extremes, and rows given as one array or as blocks
+        that may be empty."""
+        text = st.text(max_size=6) | st.text(alphabet=' ,"\r\n\x00\tøß\u2028a', max_size=6)
+        wide = st.integers(0, 3000).map(lambda k: "w" * k + ', "wide"')
+        shared = data.draw(st.lists(text | wide, min_size=1, max_size=8))
+        columns = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            if data.draw(st.booleans()):
+                texts = shared if data.draw(st.booleans()) else data.draw(st.lists(text | wide, min_size=1, max_size=8))
+                dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]))
+                columns.append((texts, data.draw(hnp.arrays(dtype, n_rows, elements=st.integers(0, len(texts) - 1)))))
+            else:
+                dtype = data.draw(hnp.integer_dtypes(endianness="=") | hnp.unsigned_integer_dtypes(endianness="="))
+                info = np.iinfo(dtype)
+                values = st.sampled_from([info.min, info.max, 0, -1 if info.min else 1]) | st.integers(info.min, info.max)
+                columns.append((None, data.draw(hnp.arrays(dtype, n_rows, elements=values))))
+        order = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=30) if n_rows else st.just([])),
+                         dtype=np.int64)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
+        rows = order if data.draw(st.booleans()) else [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+        header = [f"c{i}" if i else "first, quoted" for i in range(len(columns))]
+        out = tmp_path_factory.mktemp("columns")
+        try:
+            reference_write_csv_columns(out / "rows.csv", header, columns, rows)
+        except csv.Error:  # a text the dialect cannot write: NUL before Python 3.11
+            with pytest.raises(csv.Error):
+                write_csv_columns(out / "columns.csv", header, columns, rows)
+            assert not (out / "columns.csv").exists()
+            return
+        with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+            write_csv_columns(out / "columns.csv", header, columns, rows)
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 class TestDifferenceSeries:
