@@ -2,8 +2,9 @@
 
 Subcommands: ``synth``, ``train``, ``eval``, ``explain``, ``stability``,
 ``route``. One JSON run configuration drives everything; flags override
-the seed, output directory and synthetic days. ``load_config`` checks every
-key once, so commands read plain values. Every command logs a hash of its
+the seed, output directory and synthetic days. ``CONFIG_RULES`` states each
+config key's rule and default, and ``load_config`` checks every key once
+against it, so commands read plain values. Every command logs a hash of its
 effective configuration and overwrites its artifacts idempotently.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
@@ -13,7 +14,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import logging
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import RoadTag, make_hour_key, read_json
 from .errors import ConfigError, DataError, InternalError, OdfuseError
-from .errors import NUMBER, OBJECT, PATH, TEXT, check, integer, is_number, one_of
+from .errors import NUMBER, OBJECT, PATH, TEXT, Default, check, integer, is_number, one_of
 from .fusion import (
     GbtHyperparams,
     evaluate,
@@ -59,25 +59,6 @@ from .stability import compare_periods, write_stability_csv
 
 log = logging.getLogger("odfuse")
 
-DEFAULT_CONFIG: dict = {
-    "seed": 42,
-    "out_dir": "out",
-    "valid_fraction": 0.2,
-    "network": None,
-    "data": None,
-    "synthetic": {
-        "days": 30,
-        "gains": {"Primary": 1.4, "Trunk": 1.0, "Secondary": 0.7},
-        "noise_scale": 0.1,
-        "censor_threshold": 120,
-    },
-    "hyperparams": {},
-    "simulation": {"tollbooth_csv": None, "routing_csv": None, "start": None, "end": None},
-    "explain": {"target": "total", "max_rows": 256, "repeats": 5},
-    "stability": {"routing_a": None, "routing_b": None},
-}
-
-
 def _is_hour(value) -> bool:
     try:
         make_hour_key(value)
@@ -87,59 +68,51 @@ def _is_hour(value) -> bool:
 
 
 _HOUR = (lambda v: v is None or _is_hour(v), "an ISO hour such as 2025-01-30T17:00, or null", None)
-_GAINS = {tag.value: (is_number, "finite and numeric", f"gain for {tag.value}") for tag in RoadTag}
+_GAINS = {tag: Default((is_number, "finite and numeric", f"gain for {tag}"), gain)
+          for tag, gain in (("Primary", 1.4), ("Trunk", 1.0), ("Secondary", 0.7))}
+_SOURCE = {"tollbooth_csv": PATH, "routing_csv": PATH}
+_SYNTHETIC = {"days": Default(integer(1), 30), "gains": Default(_GAINS, {}), "noise_scale": Default(NUMBER, 0.1),
+              "censor_threshold": Default(NUMBER, 120)}
+_EXPLAIN = {"target": Default(one_of(TARGET_NAMES), "total"), "max_rows": Default(integer(1), 256),
+            "repeats": Default(integer(1), 5)}
 
-# What load_config accepts for each key of DEFAULT_CONFIG (see errors.check for
-# the rule forms); GbtHyperparams checks the keys of hyperparams.
+# Every key load_config accepts, with its rule and its default (see
+# errors.check for the rule forms); GbtHyperparams checks the keys of
+# hyperparams. The rules of data and synthetic let a null through, which
+# switches that source off.
 CONFIG_RULES: dict = {
-    "seed": integer(0),
-    "out_dir": TEXT,
-    "valid_fraction": NUMBER,
-    "network": PATH,
-    "data": {"tollbooth_csv": PATH, "routing_csv": PATH},
-    "synthetic": {"days": integer(1), "gains": _GAINS, "noise_scale": NUMBER, "censor_threshold": NUMBER},
-    "hyperparams": OBJECT,
-    "simulation": {"tollbooth_csv": PATH, "routing_csv": PATH, "start": _HOUR, "end": _HOUR},
-    "explain": {"target": one_of(TARGET_NAMES), "max_rows": integer(1), "repeats": integer(1)},
-    "stability": {"routing_a": PATH, "routing_b": PATH},
+    "seed": Default(integer(0), 42),
+    "out_dir": Default(TEXT, "out"),
+    "valid_fraction": Default(NUMBER, 0.2),
+    "network": Default(PATH, None),
+    "data": Default(_SOURCE, None),
+    "synthetic": Default(Default(_SYNTHETIC, None), {}),
+    "hyperparams": Default(OBJECT, {}),
+    "simulation": Default({**_SOURCE, "start": _HOUR, "end": _HOUR}, {}),
+    "explain": Default(_EXPLAIN, {}),
+    "stability": Default({"routing_a": PATH, "routing_b": PATH}, {}),
 }
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+# A null one of these sections means its defaults: load_config drops it.
+_NULL_MEANS_DEFAULTS = ("hyperparams", "simulation", "explain", "stability")
 
 
 def load_config(path: str | None, seed: int | None, out_dir: str | None, days: int | None = None) -> dict:
-    """DEFAULT_CONFIG, then the file at ``path``, then the flags; each key checked against CONFIG_RULES."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        user = read_json(path, "config file", ConfigError)
-        if not isinstance(user, dict):
-            raise ConfigError(f"config root must be an object, got {type(user).__name__}")
-        unknown = set(user) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = _merge(config, user)
+    """The file at ``path`` (or no keys), then the flags, checked once against
+    CONFIG_RULES, which fills in every missing key's default."""
+    config = {} if path is None else read_json(path, "config file", ConfigError)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config root must be an object, got {type(config).__name__}")
+    unknown = set(config) - set(CONFIG_RULES)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config = {key: value for key, value in config.items() if value is not None or key not in _NULL_MEANS_DEFAULTS}
     if seed is not None:
         config["seed"] = seed
     if out_dir is not None:
         config["out_dir"] = out_dir
-    if days is not None and isinstance(config["synthetic"], dict):
+    if days is not None and isinstance(config.setdefault("synthetic", {}), dict):
         config["synthetic"]["days"] = days
-    # A null data or synthetic section switches that source off; any other
-    # null section means its defaults.
-    for key, rule in CONFIG_RULES.items():
-        if config[key] is None and key in ("data", "synthetic"):
-            continue
-        if config[key] is None and isinstance(DEFAULT_CONFIG[key], dict):
-            config[key] = copy.deepcopy(DEFAULT_CONFIG[key])
-        check(key, config[key], rule)
+    check("", config, CONFIG_RULES)
     data = config["data"]
     if data and config["synthetic"] and (data["tollbooth_csv"] or data["routing_csv"]):
         raise ConfigError("exactly one of data paths or synthetic parameters may be active")
@@ -148,7 +121,8 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None, days: i
 
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    # hyperparams are checked only by train, so a lone surrogate may still be there.
+    return hashlib.sha256(canon.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
 def _out_dir(config: dict) -> Path:

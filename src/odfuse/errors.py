@@ -2,9 +2,12 @@
 
 The CLI maps the exceptions onto its exit-code contract, so raising the right
 class matters more than the message wording. ``check`` is the one judge of the
-run config (``CONFIG_RULES``) and of the network document (``NETWORK_RULES``).
+run config (``CONFIG_RULES``) and of the network document (``NETWORK_RULES``),
+and each table states every key's rule and, with ``Default``, the value a
+missing key takes.
 """
 
+import copy
 import sys
 from typing import NamedTuple
 
@@ -33,7 +36,9 @@ class Each(NamedTuple):
 
 
 class Default(NamedTuple):
-    """An optional key: it takes ``value`` when missing, and ``value`` itself always passes."""
+    """An optional key: when missing it takes a copy of ``value``, which must meet ``rule``,
+    except that a ``value`` of None lets a null through. An object ``value`` is checked
+    like any other, so its own missing keys take their defaults too."""
 
     rule: object
     value: object
@@ -52,22 +57,29 @@ def is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
+def is_text(value) -> bool:
+    """A str that UTF-8 can encode: JSON also decodes a lone surrogate such as "\\ud800",
+    which no file or file name can hold, and which the round trip below replaces."""
+    return isinstance(value, str) and value.encode("utf-8", "replace").decode("utf-8") == value
+
+
 # A rule is (test, expected, name), and a message names the key itself when
 # name is None; or a dict of rules, an object with exactly those keys, where
 # a missing key is null unless its rule is a Default; or an Each or a Default.
 OBJECT = (lambda v: isinstance(v, dict), "an object", None)
 LIST = (lambda v: isinstance(v, list), "a list", None)
 NUMBER = (is_number, "finite and numeric", None)
-TEXT = (lambda v: isinstance(v, str) and "\0" not in v, "a string", None)  # a path: the OS rejects NUL
+STRING = (is_text, "a string", None)
+TEXT = (lambda v: is_text(v) and "\0" not in v, "a string", None)  # a path: the OS rejects NUL
 PATH = (lambda v: v is None or TEXT[0](v), "a string or null", None)
 
 
 def check(path: str, value, rule) -> None:
     """Raise a ConfigError naming ``path`` unless ``value`` meets ``rule``; fills in missing keys."""
     if isinstance(rule, Default):
-        if value == rule.value:
-            return
-        rule = rule.rule
+        if value is not None or rule.value is not None:
+            check(path, value, rule.rule)
+        return
     if isinstance(rule, Each):
         test, expected, name = OBJECT if rule.keyed else LIST
     else:
@@ -82,4 +94,6 @@ def check(path: str, value, rule) -> None:
         if unknown:
             raise ConfigError(f"{path}: unknown keys {unknown}")
         for key, sub in rule.items():
-            check(f"{path}.{key}", value.setdefault(key, sub.value if isinstance(sub, Default) else None), sub)
+            # A copy, so that filling in a default, or a flag set on it, never reaches the rule.
+            default = copy.deepcopy(sub.value) if isinstance(sub, Default) else None
+            check(f"{path}.{key}" if path else key, value.setdefault(key, default), sub)

@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import Direction, NodeId, NodeKind, RoadTag, read_json, series_key
-from .errors import NUMBER, ConfigError, Default, Each, check, one_of
+from .errors import NUMBER, STRING, ConfigError, Default, Each, check, is_text, one_of
 
 __all__ = [
     "NetworkNode",
@@ -192,26 +192,25 @@ class NetworkConfig:
         return keys
 
 
-_STRING = (lambda v: isinstance(v, str), "a string", None)
-_NAMES = Each(_STRING)
+_NAMES = Each(STRING)
 _NODE = {
-    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string", None),  # as NodeId requires
+    "name": (lambda v: is_text(v) and v != "", "a non-empty string", None),  # as NodeId requires
     "kind": one_of(tuple(kind.value for kind in NodeKind)),
     "road_tag": one_of(tuple(tag.value for tag in RoadTag)),
     "scale": Default(NUMBER, 100.0),
-    "directions": Default(Each(one_of(tuple(d.value for d in Direction))), ()),
+    "directions": Default(Each(one_of(tuple(d.value for d in Direction))), []),
 }
-_BOUNDARY_DIRECTION = {"label": _STRING, "consumes": one_of(("onramp", "offramp")), "groups": _NAMES}
+_BOUNDARY_DIRECTION = {"label": STRING, "consumes": one_of(("onramp", "offramp")), "groups": _NAMES}
 
 # What network_from_dict accepts (see errors.check for the rule forms).
 NETWORK_RULES: dict = {
-    "name": Default(_STRING, "unnamed"),
+    "name": Default(STRING, "unnamed"),
     "nodes": Each(_NODE),
     "destination_groups": Each(_NAMES, keyed=True),
-    "boundary": Default({"node": _STRING, "inbound_key": _STRING, "outbound_key": _STRING,
+    "boundary": Default({"node": STRING, "inbound_key": STRING, "outbound_key": STRING,
                          "positive": _BOUNDARY_DIRECTION, "negative": _BOUNDARY_DIRECTION}, None),
-    "ramps": Default({"onramp": _STRING, "offramp": _STRING}, None),
-    "passthrough_pairs": Default(Each({"upstream": _STRING, "downstream": _STRING, "axis": _STRING}), ()),
+    "ramps": Default({"onramp": STRING, "offramp": STRING}, None),
+    "passthrough_pairs": Default(Each({"upstream": STRING, "downstream": STRING, "axis": STRING}), []),
     "scenario_subsets": Default(Each(_NAMES, keyed=True), {}),
 }
 

@@ -217,9 +217,6 @@ class ODMatrix:
     def hours(self) -> tuple[HourKey, ...]:
         return self.decisions.hours
 
-    def total(self) -> int:
-        return int(self.count.sum())
-
     @property
     def entries(self) -> list[ODEntry]:
         """The rows as ``ODEntry`` objects, built anew on every access."""
@@ -619,6 +616,17 @@ def build_od_matrix(
     if repeat is not None:
         raise DataError(f"duplicate tollbooth series {keys[row_key[repeat]]!r} "
                         f"at {tollbooth.hours[tollbooth.hour[repeat]].isoformat()}")
+    # _apportion splits a total T over k weights by float64 quotas T * w. The
+    # renormalised weights and the quotas carry a relative rounding error of
+    # about (k + 1) * 2**-53, under half a vehicle while T <= 2**53 / (2 * (k + 2)),
+    # so the floors sum to between T - k and T, as largest remainder needs. k is
+    # at most the destinations or the categories; the cast below needs T < 2**63.
+    limit = 2**53 // (2 * (max(len(network.destination_names()), len(CATEGORY_ORDER)) + 2))
+    huge = np.flatnonzero(~(tollbooth.total <= limit))
+    if len(huge):
+        i = huge[0]
+        raise DataError(f"tollbooth count for {keys[row_key[i]]!r} at {tollbooth.hours[tollbooth.hour[i]].isoformat()} "
+                        f"exceeds {limit}, the largest count this network can route exactly")
     totals = np.full((len(tollbooth.hours) + 1, len(keys) + 1), -1, dtype=np.int64)  # last row, column: absent
     totals[tollbooth.hour, row_key] = tollbooth.total.astype(np.int64)
     tollbooth_hour = {h.timestamp: i for i, h in enumerate(tollbooth.hours)}

@@ -1,10 +1,12 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odfuse import cli
 from odfuse.attribution import permutation_importance
-from odfuse.cli import DEFAULT_CONFIG, config_hash, load_config, main
+from odfuse.cli import config_hash, load_config, main
 from odfuse.fusion import GbtHyperparams, train
 from odfuse.ingest import FEATURE_NAMES, build_dataset, read_routing_csv, read_tollbooth_csv
 from odfuse.network import trondheim_fixture
@@ -344,6 +346,22 @@ class TestRoute:
         assert main(["--config", str(cfg_path), "route"]) == 1
         assert f"odfuse: error: simulation.{key}: bad value {value!r}" in capsys.readouterr().err
 
+    # 18 digits take the byte scan; 20 digits the per-row reader.
+    @pytest.mark.parametrize("count", ["999999999999999999", "10000000000000000000"])
+    def test_count_too_large_to_apportion_exit_2(self, tmp_path, capsys, count):
+        config = write_worked_example_fixture(tmp_path / "fixture")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        path = Path(config["simulation"]["tollbooth_csv"])
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [row.rpartition(",")[0] + "," + count if ",E6-Klett," in row else row for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "route"]) == 2
+        err = capsys.readouterr().err
+        assert f"odfuse: data error: tollbooth count for 'E6-Klett' at {WORKED_EXAMPLE_HOUR} exceeds" in err
+
     def test_route_before_train_fails(self, tmp_path):
         config = write_worked_example_fixture(tmp_path / "fixture")
         cfg_path = tmp_path / "run.json"
@@ -430,10 +448,61 @@ class TestConfigHandling:
         assert main(["--nonsense"]) == 1
 
     def test_flag_overrides_do_not_leak_into_defaults(self):
-        load_config(None, 5, "elsewhere")
+        first = load_config(None, None, None)
+        flagged = load_config(None, 5, "elsewhere", 3)
+        assert (flagged["seed"], flagged["out_dir"], flagged["synthetic"]["days"]) == (5, "elsewhere", 3)
+        # Nor do changes a caller makes to a loaded config.
+        first["synthetic"]["gains"]["Trunk"] = flagged["explain"]["max_rows"] = 1
         config = load_config(None, None, None)
-        assert (config["seed"], config["out_dir"]) == (42, "out")
-        assert (DEFAULT_CONFIG["seed"], DEFAULT_CONFIG["out_dir"]) == (42, "out")
+        assert (config["seed"], config["out_dir"], config["synthetic"]["days"]) == (42, "out", 30)
+        assert (config["synthetic"]["gains"]["Trunk"], config["explain"]["max_rows"]) == (1.0, 256)
+        assert config_hash(config) == "30acda7fb9736ee2"
+
+    @pytest.mark.parametrize("key", ["seed", "out_dir"])
+    def test_null_scalar_exits_1_naming_the_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "run.json", **{key: None})
+        assert main(["--config", str(cfg), "synth"]) == 1
+        assert f"odfuse: error: {key}: bad value None: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_partial_gains_keep_the_other_defaults(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"synthetic": {"gains": {"Primary": 2.0}}}), encoding="utf-8")
+        synthetic = load_config(str(cfg), None, None)["synthetic"]
+        assert synthetic["gains"] == {"Primary": 2.0, "Trunk": 1.0, "Secondary": 0.7}
+        assert {k: synthetic[k] for k in ("days", "noise_scale", "censor_threshold")} == {
+            "days": 30, "noise_scale": 0.1, "censor_threshold": 120}
+
+    @pytest.mark.parametrize("section", ["data", "synthetic"])
+    def test_null_source_switches_it_off(self, tmp_path, section):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: None}), encoding="utf-8")
+        assert load_config(str(cfg), None, None)[section] is None
+        assert load_config(str(cfg), None, None, 3)[section] is None  # --days sets no synthetic section
+
+    @pytest.mark.parametrize("field", ["out_dir", "network", "data"])
+    def test_lone_surrogate_in_a_config_path_exits_1(self, tmp_path, capsys, field):
+        value = "o\ud800"
+        doc = {"data": {"tollbooth_csv": value, "routing_csv": None}, "synthetic": None} if field == "data" \
+            else {field: value}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")  # JSON escapes the surrogate
+        assert main(["--config", str(cfg), "synth"]) == 1
+        err = capsys.readouterr().err
+        key = "data.tollbooth_csv" if field == "data" else field
+        assert f"odfuse: error: {key}: bad value 'o\\ud800'" in err
+        assert "Traceback" not in err
+
+    def test_readme_defaults_block_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("(all keys optional; these are the defaults):", 1)[1]
+        documented = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+        hyperparams = documented.pop("hyperparams")
+        assert documented == {k: v for k, v in load_config(None, None, None).items() if k != "hyperparams"}
+        assert load_config(None, None, None)["hyperparams"] == {}
+        fields = dataclasses.asdict(GbtHyperparams())
+        del fields["seed"]  # the run's seed
+        assert hyperparams == fields
 
     @pytest.mark.parametrize(
         "explain",
@@ -527,7 +596,7 @@ class TestConfigHandling:
     def test_null_section_means_its_defaults(self, tmp_path, section):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({section: None}), encoding="utf-8")
-        assert load_config(str(cfg), None, None) == DEFAULT_CONFIG
+        assert load_config(str(cfg), None, None) == load_config(None, None, None)
 
     def test_logged_hash_covers_the_days_flag(self, tmp_path, caplog):
         cfg = write_config(tmp_path / "run.json")  # synthetic.days is 2
@@ -656,6 +725,23 @@ class TestNetworkValidation:
         doc["name"] = name
         assert self.route_exit_code(tmp_path, doc) == 1
         assert f"network.name: bad value {name!r}: name must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    def test_boundary_without_a_direction_names_it(self, tmp_path, capsys, side):
+        doc = bundled_network_doc()
+        del doc["boundary"][side]
+        assert self.route_exit_code(tmp_path, doc, "synth") == 1
+        assert f"odfuse: error: network.boundary.{side}: bad value None: {side} must be an object" \
+            in capsys.readouterr().err
+
+    def test_node_name_with_a_lone_surrogate_exits_1(self, tmp_path, capsys):
+        # Renamed everywhere, so only the name itself can be at fault.
+        doc = json.loads(json.dumps(bundled_network_doc()).replace("E6-Klett", "E6-Klett\\ud800"))
+        assert doc["nodes"][0]["name"] == "E6-Klett\ud800"
+        assert self.route_exit_code(tmp_path, doc, "synth") == 1
+        err = capsys.readouterr().err
+        assert "network.nodes.0.name: bad value 'E6-Klett\\ud800': name must be a non-empty string" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_repeated_direction_exit_1(self, tmp_path, capsys):
         doc = bundled_network_doc()

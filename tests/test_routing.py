@@ -868,6 +868,54 @@ class TestHourChecks:
             build_od_matrix(net, model, tb, rt)
 
 
+def count_bound(net) -> int:
+    """The largest tollbooth count routing apportions exactly in float64:
+    2**53 / (2 * (k + 2)) for splits over at most k weights."""
+    return 2**53 // (2 * (max(len(net.destination_names()), len(CATEGORY_ORDER)) + 2))
+
+
+class TestCountBound:
+    """Counts above the bound are data errors, not apportionment drift."""
+
+    def bound_counts(self, net, top: int) -> dict:
+        counts = dict.fromkeys(net.referenced_count_keys(), 0)
+        # Internal and passthrough-net volumes at or near the bound, and a local outflow.
+        counts.update({"ØstreRosten|Inbound": top, "Onramp-Isdamvegen": top - 5, "E6-Klett": top,
+                       "E6-Trondheim": top - 7, "Isdamvegen-Offramp": top // 3})
+        return counts
+
+    def test_count_at_the_bound_routes_exactly(self, trained_small):
+        net, model, _, _ = trained_small
+        counts = self.bound_counts(net, count_bound(net))
+        tb, rt = tables_from_counts(net, [counts])
+        run = build_od_matrix(net, model, tb, rt)
+        assert conservation_violations(run) == []
+        assert int(run.decisions.volume.sum()) == expected_hour_total(net, counts)
+        assert run.decisions.volume.max() == count_bound(net)
+
+    def test_count_above_the_bound_is_a_data_error(self, trained_small):
+        net, model, _, _ = trained_small
+        counts = self.bound_counts(net, count_bound(net))
+        counts["E6-Trondheim"] = count_bound(net) + 1
+        tb, rt = tables_from_counts(net, [counts])
+        message = f"tollbooth count for 'E6-Trondheim' at 2024-05-06T00:00 exceeds {count_bound(net)}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            build_od_matrix(net, model, tb, rt)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 8, 17, 40])
+    def test_splits_at_the_bound_sum_exactly(self, k):
+        rng = np.random.default_rng(k)
+        top = 2**53 // (2 * (max(k, len(CATEGORY_ORDER)) + 2))
+        for _ in range(20):
+            shares = rng.random((50, k)) ** rng.uniform(0.1, 30)
+            shares[rng.random((50, k)) < 0.2] = 0.0
+            mass = rng.random((50 * k, len(CATEGORY_ORDER))) ** rng.uniform(0.1, 30)
+            per_destination = (mass / routing._sequential_sum(mass)[:, None]).reshape(50, k, -1)
+            volumes = top - rng.integers(0, 3, 50)
+            counts = routing._split(volumes, shares, per_destination)
+            assert (counts.sum(axis=(1, 2)) == volumes).all()
+
+
 class TestInvariants:
     def test_negative_residual(self):
         left = {"Onramp": np.array([3, 5])}
