@@ -21,6 +21,17 @@ they decide between mathematically tied candidates (complementary one-hot
 columns, ``day_of_week`` against ``is_weekend``), so the same data always
 gives the same tree.
 
+A node does per split only the work that depends on its tree's residuals.
+Each fit builds two tables once: ``m + l2`` for every row count ``m``, from
+which each candidate takes its two sides' gain denominators (bit for bit the
+per-node sums, because row counts are exact in float64), and the root's
+candidates, which every tree of every target shares. The two
+children of a split one level above ``max_depth``, or of a split whose sides
+both hold fewer than ``2 * min_samples_leaf`` rows, are sure to be leaves:
+they get only the feature-0 rows that a leaf value reads, not every
+feature's partition. A tree's leaf values reach the predictions in one
+scatter.
+
 A target is one node table: an array per node field, its trees end to end
 in model order, each tree's children numbered within the tree. Training
 appends to it; ``model.json`` holds a slice per tree; loading builds each
@@ -198,15 +209,19 @@ class _TreeBuilder:
     to the target's node table.
 
     A node holds, per feature, its rows in ascending order of that feature
-    and their value codes, as one contiguous ``(2, F, n)`` integer array.
+    and their value codes, as one contiguous ``(2, F, n)`` integer array. A
+    child sure to become a leaf holds only its feature-0 rows.
     """
 
-    def __init__(self, codes: np.ndarray, values: list[np.ndarray], hp: GbtHyperparams):
+    def __init__(self, codes: np.ndarray, values: list[np.ndarray], hp: GbtHyperparams,
+                 den: np.ndarray, root_candidates: tuple | None):
         self.codes = codes
         self.values = values
         self.lam = hp.l2_leaf_regularization
         self.msl = hp.min_samples_leaf
         self.max_depth = hp.max_depth
+        self.den = den
+        self.root_candidates = root_candidates
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -215,13 +230,16 @@ class _TreeBuilder:
         self.cover: list[float] = []
         self.offsets = [0]
 
-    def build(self, node: np.ndarray, g: np.ndarray) -> list[tuple[np.ndarray, float]]:
-        """Append a tree grown from ``node`` on residuals ``g``; return its leaves' (rows, value)."""
+    def build(self, node: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append a tree grown from the root ``node`` on residuals ``g``;
+        return its leaves' rows end to end and each of those rows' leaf value."""
         self.g = g
-        self.leaf_assignments: list[tuple[np.ndarray, float]] = []
-        self._grow(node, depth=0)
+        self.leaf_rows: list[np.ndarray] = []
+        self.leaf_values: list[float] = []
+        self._grow(node, 0, self.root_candidates)
         self.offsets.append(len(self.feature))
-        return self.leaf_assignments
+        sizes = [rows.shape[0] for rows in self.leaf_rows]
+        return np.concatenate(self.leaf_rows), np.repeat(self.leaf_values, sizes)
 
     def _new_node(self) -> int:
         idx = len(self.feature)
@@ -233,76 +251,88 @@ class _TreeBuilder:
         self.cover.append(0.0)
         return idx
 
-    def _make_leaf(self, idx: int, rows: np.ndarray) -> None:
+    def _make_leaf(self, idx: int, rows: np.ndarray) -> int:
         n = rows.shape[0]
-        val = float(self.g[rows].sum() / (n + self.lam))
+        val = float(self.g.take(rows).sum() / (n + self.lam))
         self.value[idx] = val
         self.cover[idx] = float(n)
-        self.leaf_assignments.append((rows, val))
+        self.leaf_rows.append(rows)
+        self.leaf_values.append(val)
+        return idx
 
-    def _grow(self, node: np.ndarray, depth: int) -> int:
+    def _grow(self, node: np.ndarray, depth: int, candidates: tuple | None = None) -> int:
         idx = self._new_node()
-        rows, codes = node
+        rows, codes = node[0], node[1]
         n = rows.shape[1]
         if depth >= self.max_depth or n < 2 * self.msl:
-            self._make_leaf(idx, rows[0])
-            return idx
-
-        # Candidates: value boundaries leaving at least msl rows on each
-        # side, in feature-major order so that argmax breaks ties to the
-        # lowest feature, then the lowest threshold.
-        msl = self.msl
-        boundary = codes[:, msl : n - msl + 1] != codes[:, msl - 1 : n - msl]
-        feat, pos = np.divmod(np.flatnonzero(boundary), n - 2 * msl + 1)
+            return self._make_leaf(idx, rows[0])
+        at, feat, step, den_left, den_right = candidates or _candidates(codes, self.msl, self.den)
         if feat.shape[0] == 0:
-            self._make_leaf(idx, rows[0])
-            return idx
-        pos += msl - 1
+            return self._make_leaf(idx, rows[0])
         # Sequential prefix sums in each feature's sorted order: they decide
         # mathematically tied candidates, so their order must not change.
-        csum = np.cumsum(self.g[rows], axis=1)
-        G = csum[:, -1][feat]
-        GL = csum.reshape(-1)[feat * n + pos]
+        csum = self.g.take(rows).cumsum(axis=1)
+        G = csum[:, -1].take(feat)
+        GL = csum.reshape(-1)[self.msl - 1 :].take(at)
         GR = G - GL
-        nL = pos + 1.0
-        nR = n - nL
-        gain = GL * GL / (nL + self.lam) + GR * GR / (nR + self.lam) - G * G / (n + self.lam)
-        best = int(np.argmax(gain))
-        if not np.isfinite(gain[best]) or gain[best] <= 0.0:
-            self._make_leaf(idx, rows[0])
-            return idx
+        gain = GL * GL / den_left + GR * GR / den_right - G * G / (n + self.lam)
+        best = gain.argmax()
+        if not 0.0 < gain.item(best) < math.inf:
+            return self._make_leaf(idx, rows[0])
 
-        f, p = int(feat[best]), int(pos[best])
+        f, p = feat.item(best), step.item(best) + self.msl - 1
         cut = codes[f, p]
         thr = (self.values[f][cut] + self.values[f][codes[f, p + 1]]) / 2.0
-        # Compressing the flat (2, F * n) array keeps every feature's sorted
-        # order on each side.
-        goes_left = (self.codes[f][rows] <= cut).reshape(-1)
-        flat = node.reshape(2, -1)
-        n_left = p + 1
-        left = flat.compress(goes_left, axis=1).reshape(2, -1, n_left)
-        right = flat.compress(~goes_left, axis=1).reshape(2, -1, n - n_left)
-
         self.feature[idx] = f
         self.threshold[idx] = float(thr)
-        left_idx = self._grow(left, depth + 1)
-        right_idx = self._grow(right, depth + 1)
+        n_left = p + 1
+        if depth + 1 == self.max_depth or max(n_left, n - n_left) < 2 * self.msl:
+            # Both children become leaves, which read only the feature-0 rows.
+            goes_left = self.codes[f].take(rows[0]) <= cut
+            left_idx = self._make_leaf(self._new_node(), rows[0].compress(goes_left))
+            right_idx = self._make_leaf(self._new_node(), rows[0].compress(~goes_left))
+        else:
+            # Compressing the flat (2, F * n) array keeps every feature's
+            # sorted order on each side.
+            goes_left = (self.codes[f].take(rows) <= cut).reshape(-1)
+            flat = node.reshape(2, -1)
+            left_idx = self._grow(flat.compress(goes_left, axis=1).reshape(2, -1, n_left), depth + 1)
+            right_idx = self._grow(flat.compress(~goes_left, axis=1).reshape(2, -1, n - n_left), depth + 1)
         self.left[idx] = left_idx - self.offsets[-1]
         self.right[idx] = right_idx - self.offsets[-1]
         self.cover[idx] = self.cover[left_idx] + self.cover[right_idx]
         return idx
 
 
+def _candidates(codes: np.ndarray, msl: int, den: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The split candidates of a node with value codes ``codes`` (F, n):
+    value boundaries leaving at least ``msl`` rows on each side, in
+    feature-major order so that argmax breaks ties to the lowest feature,
+    then the lowest threshold. A candidate's last left row sits at position
+    ``pos = step + msl - 1`` of its feature's rows. Per candidate: ``feat * n
+    + step``, which indexes the node's flattened prefix sums from ``msl -
+    1`` on, its feature, its step, and its left and right gain
+    denominators, ``den[pos + 1]`` and ``den[n - 1 - pos]``."""
+    n = codes.shape[1]
+    boundary = codes[:, msl : n - msl + 1] != codes[:, msl - 1 : n - msl]
+    cand = boundary.reshape(-1).nonzero()[0]
+    feat, step = np.divmod(cand, n - 2 * msl + 1)
+    at = feat * n
+    at += step
+    return at, feat, step, den[msl:].take(step), den[n - msl :: -1].take(step)
+
+
 # A fit of fewer (training rows x trees) than this stays in one process.
-# Measured on 2 cores (Python 3.11, numpy 2.4): starting the forked worker,
-# handing it the odd targets and merging its models costs about 6 ms (up
-# to 10 ms). The cheapest fit per unit, depth 1, costs about 1.35 us per
-# row x tree over all seven targets, so at this size the worker takes over
-# 3 of 7 targets worth about 12 ms.
-_PARALLEL_MIN_WORK = 20_000
+# Measured on a shared 2-core host (Python 3.11, numpy 2.4) with alternating
+# one- and two-process fits at depth 1, the cheapest fit per unit: it costs
+# about 2.0 us per row x tree over all seven targets, and two processes
+# first beat one at about 30,000. At this size the worker takes over 3 of 7
+# targets worth about 34 ms, and the two-process fit is about 9% faster.
+_PARALLEL_MIN_WORK = 40_000
 
 # The shared inputs of the fit in progress: the root node, value codes,
-# distinct values per feature, training targets and hyperparameters. Set by
+# distinct values per feature, training targets, hyperparameters and the
+# per-fit tables (gain denominators and root candidates). Set by
 # ``train`` so that a forked worker inherits them rather than receiving
 # them pickled, as a spawned one would. One fit at a time per process.
 _fit_inputs: tuple | None = None
@@ -310,16 +340,16 @@ _fit_inputs: tuple | None = None
 
 def _fit_targets(targets: list[int]) -> dict[int, TargetModel]:
     """Boost the targets with these column indices of ``Y_train``."""
-    root, codes, values, Y, hp = _fit_inputs
+    root, codes, values, Y, hp, den, root_candidates = _fit_inputs
     fitted = {}
     for t in targets:
         y = Y[:, t]
         base = float(y.mean())
         pred = np.full(y.shape[0], base, dtype=np.float64)
-        builder = _TreeBuilder(codes, values, hp)
+        builder = _TreeBuilder(codes, values, hp, den, root_candidates)
         for _ in range(hp.n_trees):
-            for rows, val in builder.build(root, y - pred):
-                pred[rows] += hp.learning_rate * val
+            rows, leaf_values = builder.build(root, y - pred)
+            pred[rows] += hp.learning_rate * leaf_values
         columns = {key: np.asarray(getattr(builder, key), dtype) for key, dtype in NODE_FIELDS.items()}
         fitted[t] = TargetModel(base_score=base, **columns, offsets=np.asarray(builder.offsets))
     return fitted
@@ -360,8 +390,13 @@ def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionMod
         distinct, codes[f] = np.unique(X[:, f], return_inverse=True)
         values.append(distinct)
     root = np.stack([order, np.take_along_axis(codes, order, axis=1)])
+    # Per-fit tables: m + l2 for m rows, the candidates' gain denominators,
+    # and the root's candidates, the same for every tree of every target.
+    n, msl = X.shape[0], hp.min_samples_leaf
+    den = np.arange(n + 1, dtype=np.float64) + hp.l2_leaf_regularization
+    root_candidates = _candidates(root[1], msl, den) if n >= 2 * msl else None
     targets = list(range(len(TARGET_NAMES)))
-    _fit_inputs = (root, codes, values, dataset.Y_train, hp)
+    _fit_inputs = (root, codes, values, dataset.Y_train, hp, den, root_candidates)
     try:
         context = _fork_context(X.shape[0] * hp.n_trees)
         if context is None:

@@ -317,9 +317,13 @@ def _apportion(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     extras = totals - result.sum(axis=1)
     drift = (extras < 0) | (extras > weights.shape[1])
     if drift.any():
-        raise InternalError(
-            f"apportionment drift: {int(extras[drift][0])} extras for {weights.shape[1]} weights"
-        )
+        row = int(np.argmax(drift))
+        # Weights within MASS_TOLERANCE of 1 but not equal to it scale every
+        # quota, and a large enough total turns that into whole units.
+        if sums[row] != 1.0:
+            raise DataError(f"cannot apportion total {int(totals[row])} by weights summing to "
+                            f"{float(sums[row])!r}: the quotas drift by {int(extras[row])} units")
+        raise InternalError(f"apportionment drift: {int(extras[row])} extras for {weights.shape[1]} weights")
     # lexsort is stable, so equal (remainder, weight) keys keep index order.
     order = np.lexsort((-weights, -(quotas - floors)), axis=-1)
     rank = np.argsort(order, axis=-1)

@@ -395,8 +395,11 @@ class TestTrainerParity:
         msl=st.integers(1, 6),
         n_extra=st.one_of(st.integers(-1, 2), st.integers(3, 60)),
         kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=len(FEATURE_NAMES), max_size=len(FEATURE_NAMES)),
-        depth=st.integers(1, 6),
-        lam=st.sampled_from([0.0, 1.0]),
+        depth=st.integers(1, 7),
+        # Non-integer l2 values make (pos + 1.0) + l2 round, which the
+        # trainer's denominator table must reproduce; an integer l2 beyond
+        # 2**53 rounds n + l2 differently in float64 and in Python ints.
+        lam=st.sampled_from([0.0, 1e-3, 0.3, 1.0, 2.5, 2**53 + 1]),
         n_trees=st.integers(1, 3),
         learning_rate=st.sampled_from([0.1, 1.0]),
     )
@@ -406,6 +409,26 @@ class TestTrainerParity:
         hp = GbtHyperparams(n_trees=n_trees, max_depth=depth, learning_rate=learning_rate,
                             min_samples_leaf=msl, l2_leaf_regularization=lam)
         _assert_same_model(train(ds, hp), reference_train(ds, hp))
+
+    @pytest.mark.parametrize("msl", [1, 3, 6])
+    def test_root_below_twice_min_samples_leaf_is_one_leaf(self, msl):
+        ds = _parity_dataset(11, 2 * msl - 1, ["continuous"] * len(FEATURE_NAMES))
+        hp = GbtHyperparams(n_trees=2, max_depth=3, min_samples_leaf=msl, l2_leaf_regularization=0.3)
+        model = train(ds, hp)
+        _assert_same_model(model, reference_train(ds, hp))
+        assert all(len(tree.feature) == 1 for tm in model.targets.values() for tree in tm.trees)
+
+    def test_consecutive_fits_share_no_tables(self):
+        # Two datasets of different sizes and value sets fitted in turn, then
+        # the first again: each fit builds its own root candidates and
+        # denominator table.
+        first = _parity_dataset(21, 90, list(_COLUMN_KINDS * 2)[: len(FEATURE_NAMES)])
+        second = _parity_dataset(22, 37, ["repeated"] * len(FEATURE_NAMES))
+        hp = GbtHyperparams(n_trees=3, max_depth=4, min_samples_leaf=2, l2_leaf_regularization=0.3)
+        models = [train(ds, hp) for ds in (first, second, first)]
+        _assert_same_model(models[0], reference_train(first, hp))
+        _assert_same_model(models[1], reference_train(second, hp))
+        _assert_same_model(models[2], models[0])
 
     def test_matches_reference_on_synthetic_counts(self):
         # One-hot road tags and day_of_week against is_weekend tie in gain.

@@ -116,6 +116,18 @@ class TestLargestRemainder:
     def test_zero_total(self):
         assert largest_remainder(0, [0.3, 0.7]) == [0, 0]
 
+    def test_drift_from_inexact_weights_is_a_data_error(self):
+        # The weights pass the 1e-9 sum tolerance, but the total scales
+        # their 1e-10 excess into a whole unit too many.
+        with pytest.raises(DataError, match=r"total 10000000000 by weights summing to 1\.0000000001"):
+            largest_remainder(10**10, [0.5, 0.5 + 1e-10])
+
+    def test_drift_from_exact_weights_stays_internal(self):
+        # 0.1 + 0.2 + 0.7 is exactly 1.0 in float64; only a total beyond
+        # float64's integers can drift.
+        with pytest.raises(InternalError, match="apportionment drift"):
+            largest_remainder(2**62, [0.1, 0.2, 0.7])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=0, max_value=100000),
