@@ -4,9 +4,10 @@ Time keys, nodes, vehicle categories, counts and the input tables are
 immutable value types, safe to share between threads. Every CSV artifact is
 written in one dialect, by ``write_csv`` from rows or by the byte-block writer
 ``write_csv_columns`` from code columns, with statistics formatted by
-``stat_cell``. The block writer assembles fixed-width byte fields padded
-with a byte that UTF-8 never holds, drops the padding and writes each block
-of rows at once; its bytes are those of ``write_csv``. Every JSON document a
+``stat_cell``. The block writer takes a whole table, already in the file's
+row order: it assembles fixed-width byte fields padded with a byte that
+UTF-8 never holds, drops the padding and writes each block of consecutive
+rows at once; its bytes are those of ``write_csv``. Every JSON document a
 user supplies is read by ``read_json``.
 """
 
@@ -453,24 +454,26 @@ _BLOCK_BYTES = 2**18
 
 
 def write_csv_columns(path: str | Path, header: Sequence[str],
-                      columns: Sequence[tuple[Sequence[str] | None, np.ndarray]],
-                      rows: np.ndarray | Iterable[np.ndarray]) -> None:
-    """Write the given ``rows`` of a table of two or more columns, in that
-    order, byte for byte as ``write_csv`` writes the same cells. ``rows`` is
-    one array of row indices or an iterable of them, written one after
-    another. Each column is ``(texts, codes)``: a row's cell is
-    ``texts[code]``, quoted once per text and empty for an empty text, or the
-    integer ``code`` itself where ``texts`` is None.
+                      columns: Sequence[tuple[Sequence[str] | None, np.ndarray]]) -> None:
+    """Write a table of two or more columns, row by row in table order, byte
+    for byte as ``write_csv`` writes the same cells. Each column is
+    ``(texts, codes)``, one code per row: a row's cell is ``texts[code]``,
+    quoted once per text and empty for an empty text, or the integer
+    ``code`` itself where ``texts`` is None.
 
     Each cell is a fixed-width byte field that ends in its delimiter and is
     padded with _PAD: a text column's field is as wide as the longest text
     its codes use, an integer column's holds a sign byte and the digits of
-    its largest magnitude. A block of rows is one record array of these
-    fields, at most about _BLOCK_BYTES; the padding is dropped and the rest
-    written at once. Every text is encoded before the file is opened, so a
-    text the dialect cannot write raises before the file exists."""
+    its largest magnitude. A block of consecutive rows is one record array
+    of these fields, at most about _BLOCK_BYTES; the padding is dropped and
+    the rest written at once. The columns are checked and every text is
+    encoded before the file is opened, so a text the dialect cannot write
+    raises before the file exists."""
     if len(columns) < 2:
         raise InternalError(f"write_csv_columns needs two or more columns, got {len(columns)}")
+    n_rows = len(columns[0][1])
+    if any(len(codes) != n_rows for _, codes in columns):
+        raise InternalError(f"write_csv_columns needs columns of one length, got {[len(c) for _, c in columns]}")
     fields = []  # per column: its table of text fields, or None for integers; its codes; its delimiter
     for i, (texts, codes) in enumerate(columns):
         end = (CSV_EOL if i == len(columns) - 1 else ",").encode()
@@ -480,15 +483,14 @@ def write_csv_columns(path: str | Path, header: Sequence[str],
     block_rows = max(1, _BLOCK_BYTES // record.itemsize)
     with open(path, "wb") as fh:
         fh.write((",".join(map(csv_cell, header)) + CSV_EOL).encode())
-        for block in [rows] if isinstance(rows, np.ndarray) else rows:
-            for start in range(0, len(block), block_rows):
-                index = block[start:start + block_rows]
-                buf = np.empty(len(index), record)
-                for name, (table, codes, end) in zip(record.names, fields):
-                    buf[name] = table[codes[index]] if table is not None else \
-                        _integer_fields(codes[index], record[name].itemsize, end)
-                buf = buf.view(np.uint8)
-                fh.write(buf[buf != _PAD])
+        for start in range(0, n_rows, block_rows):
+            stop = min(start + block_rows, n_rows)
+            buf = np.empty(stop - start, record)
+            for name, (table, codes, end) in zip(record.names, fields):
+                buf[name] = table[codes[start:stop]] if table is not None else \
+                    _integer_fields(codes[start:stop], record[name].itemsize, end)
+            buf = buf.view(np.uint8)
+            fh.write(buf[buf != _PAD])
 
 
 def _text_fields(texts: Sequence[str], codes: np.ndarray, end: bytes) -> np.ndarray:

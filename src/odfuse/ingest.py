@@ -494,7 +494,7 @@ def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
         ([node.name for node, _ in table.series_ids], table.series),
         ([direction.value for _, direction in table.series_ids], table.series),
         *((None, column) for column in counts.T),
-    ], np.arange(len(table)))
+    ])
 
 
 def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
@@ -505,7 +505,7 @@ def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
         ([node.name for node in table.nodes], table.node),
         ([CENSOR_SENTINEL if f < 0 else str(f) for f in flows.tolist()], flow),
         ([t.value for t in TAG_ORDER], table.tag),
-    ], np.arange(len(table)))
+    ])
 
 
 def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:

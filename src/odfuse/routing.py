@@ -29,15 +29,15 @@ kept where the phase rules keep it, so decisions and ledger events come
 out hour by hour in phase order. Decisions and the ledger are column
 tables; marginals are taken once per (hour, destination).
 
-The OD matrix is assembled in blocks of ``_OD_BLOCK`` consecutive
-decisions, so its transients stay the size of one block whatever the
-length of the run. Within a block, decisions that share an
+The OD matrix is assembled in blocks of whole hours, each about
+``_OD_BLOCK`` decisions, so its transients stay the size of one block
+whatever the length of the run. Within a block, decisions that share an
 eligible-destination tuple are apportioned in one batch, and the block's
-rows are put in (decision, position) order; each decision's rows have
-distinct positions and the blocks follow one another, so appending the
-blocks gives the run's decision order. The blocks' columns, narrowed to
-the types of ``_OD_COLUMNS``, are concatenated once at the end.
-``write_od_csv`` sorts and writes a block of whole hours at a time.
+rows are sorted once into the order of ``od_matrix.csv``; the blocks follow
+one another, so appending them gives the file's order, and
+``write_od_csv`` writes the rows as they are. The blocks' columns, narrowed
+to the types of ``_OD_COLUMNS``, are concatenated once at the end; a row's
+hour and scenario are read through its decision.
 ``decide_flows`` and ``distribute`` are one-hour calls of the same kernels.
 """
 
@@ -83,14 +83,16 @@ _VEHICLE_TYPES: tuple[VehicleType, ...] = tuple(VehicleType)
 _CATEGORY_TYPE_CODES = np.array([_VEHICLE_TYPES.index(map_vehicle_type(c)) for c in CATEGORY_ORDER])
 _BYPASS = _SCENARIOS.index(Scenario.PASSTHROUGH_BYPASS)
 
-# Decisions apportioned and ordered together by ``_od_matrix``.
+# The ranks of the scenario and vehicle type codes in od_matrix.csv's order, that of their texts.
+_SCENARIO_RANK = _ranks([s.value for s in _SCENARIOS])
+_TYPE_RANK = _ranks([t.value for t in _VEHICLE_TYPES])
+
+# Decisions apportioned and sorted together by ``_od_matrix``, rounded to whole hours.
 _OD_BLOCK = 1024
-# OD rows sorted and written together by ``write_od_csv``, rounded to whole hours.
-_WRITE_BLOCK = 65536
 # The ODMatrix columns and their types. Node codes are int16: ``_od_matrix``
 # rejects a run of more nodes.
-_OD_COLUMNS = {"count": np.int64, "decision": np.int32, "hour": np.int32, "origin": np.int16,
-               "destination": np.int16, "vehicle_type": np.int8, "scenario": np.int8}
+_OD_COLUMNS = {"count": np.int64, "decision": np.int32, "origin": np.int16, "destination": np.int16,
+               "vehicle_type": np.int8}
 
 
 @dataclass(frozen=True)
@@ -191,22 +193,22 @@ class ODEntry:
 
 @dataclass(frozen=True, eq=False)
 class ODMatrix:
-    """OD entries as integer columns, in decision order.
+    """OD entries as integer columns, in the order of ``od_matrix.csv``: by
+    timestamp, scenario, origin, destination and vehicle type, equal keys
+    in decision order. Every count is positive.
 
-    ``hour`` (int32) indexes ``hours``, the decisions' hours; ``origin`` and
-    ``destination`` (int16) index ``nodes``; ``vehicle_type`` and
-    ``scenario`` (int8) index the members of ``VehicleType`` and
-    ``Scenario`` in definition order; ``decision`` (int32) indexes
-    ``decisions``, the run's decision table; ``count`` is int64.
+    ``decision`` (int32) indexes ``decisions``, the run's decision table,
+    whose columns give each row's hour and scenario; ``origin`` and
+    ``destination`` (int16) index ``nodes``, the node names in sorted
+    order; ``vehicle_type`` (int8) indexes the members of ``VehicleType``
+    in definition order; ``count`` is int64.
     """
 
     nodes: tuple[str, ...]
     decisions: DecisionTable
-    hour: np.ndarray
     origin: np.ndarray
     destination: np.ndarray
     vehicle_type: np.ndarray
-    scenario: np.ndarray
     count: np.ndarray
     decision: np.ndarray
 
@@ -220,11 +222,12 @@ class ODMatrix:
     @property
     def entries(self) -> list[ODEntry]:
         """The rows as ``ODEntry`` objects, built anew on every access."""
-        directions = self.decisions.texts
-        columns = (self.hour, self.origin, self.destination, self.vehicle_type, self.count, self.scenario,
-                   self.decisions.direction[self.decision])
+        decisions = self.decisions
+        columns = (decisions.hour[self.decision], self.origin, self.destination, self.vehicle_type, self.count,
+                   decisions.scenario[self.decision], decisions.direction[self.decision])
         return [
-            ODEntry(self.hours[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n, _SCENARIOS[s], directions[k])
+            ODEntry(self.hours[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n, _SCENARIOS[s],
+                    decisions.texts[k])
             for h, o, d, v, n, s, k in zip(*(c.tolist() for c in columns))
         ]
 
@@ -720,36 +723,41 @@ def _od_matrix(decisions: DecisionTable, weight_grid: np.ndarray, category_grid:
     """Distribute every decision over its hour's row of the marginal grids.
 
     ``weight_grid`` is ``(hours, destinations)``, ``category_grid`` adds the
-    category axis. Decisions that share an eligible-destination tuple are
-    apportioned in one batch per block of ``_OD_BLOCK`` decisions; bypass
-    decisions keep their whole volume.
+    category axis. The decisions must be hour-major with ``hours`` in
+    timestamp order. They are taken in blocks of whole hours, each about
+    ``_OD_BLOCK`` decisions: decisions that share an eligible-destination
+    tuple are apportioned in one batch, bypass decisions keep their whole
+    volume, and the block's rows of positive count are sorted once into the
+    order of ``ODMatrix``.
     """
-    n_cat = len(CATEGORY_ORDER)
+    stamps, hour = [h.timestamp for h in decisions.hours], decisions.hour
+    if stamps != sorted(stamps) or (hour[1:] < hour[:-1]).any():
+        raise InternalError("decisions are not hour-major in timestamp order")
     texts, sets = decisions.texts, decisions.eligible_sets
     names = [texts[c] for c in np.unique(decisions.origin).tolist()] + [name for members in sets for name in members]
-    nodes = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    # Codes in name order, so that they sort as the names do.
+    nodes = {name: i for i, name in enumerate(sorted(set(names)))}
     if len(nodes) > np.iinfo(_OD_COLUMNS["origin"]).max + 1:
         raise InternalError(f"{len(nodes)} OD nodes overflow the int16 node codes")
     origin = np.array([nodes.get(text, -1) for text in texts], dtype=np.int64)[decisions.origin]
     set_nodes = [np.array([nodes[name] for name in members], dtype=np.int64) for members in sets]
     target = np.array([members[0] if len(members) else -1 for members in set_nodes], dtype=np.int64)
-    volume, hour, eligible = decisions.volume, decisions.hour, decisions.eligible
-    width = max([len(members) for members in sets], default=1) * n_cat
+    volume, eligible, scenario_rank = decisions.volume, decisions.eligible, _SCENARIO_RANK[decisions.scenario]
     moving = volume > 0
     bypass = decisions.scenario == _BYPASS
     splitting = moving & ~bypass
 
-    # Rows: block sort key (decision in block, position within it), origin, destination, type, count.
-    def piece(dec, position, ends, kind, count):
-        key = _composite_key((_OD_BLOCK, width), (dec, position))
-        return [np.broadcast_to(column, key.shape) for column in (key, *ends, kind, count)]
+    # Rows: decision, origin, destination, type, count.
+    def piece(dec, ends, kind, count):
+        return [np.broadcast_to(column, dec.shape) for column in (dec, *ends, kind, count)]
 
     blocks = {name: [np.zeros(0, dtype=dtype)] for name, dtype in _OD_COLUMNS.items()}
-    for start in range(0, len(decisions), _OD_BLOCK):
-        window = slice(start, start + _OD_BLOCK)
+    # Each block starts at the first decision of an hour, about _OD_BLOCK decisions apart.
+    starts = np.unique(np.searchsorted(hour, hour[::_OD_BLOCK])).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(decisions)]):
+        window = slice(start, stop)
         idx = start + np.nonzero(moving[window] & bypass[window])[0]
-        pieces = [piece(idx - start, 0, (origin[idx], target[eligible[idx]]),
-                        _VEHICLE_TYPES.index(VehicleType.ALL), volume[idx])]
+        pieces = [piece(idx, (origin[idx], target[eligible[idx]]), _VEHICLE_TYPES.index(VehicleType.ALL), volume[idx])]
         in_window = splitting[window]
         for e in np.unique(eligible[window][in_window]).tolist():
             idx = start + np.nonzero(in_window & (eligible[window] == e))[0]
@@ -759,15 +767,17 @@ def _od_matrix(decisions: DecisionTable, weight_grid: np.ndarray, category_grid:
             dec = idx[b]
             dest = set_nodes[e][j]
             rev = decisions.reversed_roles[dec]
-            ends = (np.where(rev, dest, origin[dec]), np.where(rev, origin[dec], dest))
-            pieces.append(piece(dec - start, j * n_cat + c, ends, _CATEGORY_TYPE_CODES[c], counts[b, j, c]))
-        key, *columns = (np.concatenate(column) for column in zip(*pieces))
+            pieces.append(piece(dec, (np.where(rev, dest, origin[dec]), np.where(rev, origin[dec], dest)),
+                                _CATEGORY_TYPE_CODES[c], counts[b, j, c]))
+        columns = [np.concatenate(column) for column in zip(*pieces)]
+        dec, src, dst, kind, _ = columns
+        first = int(hour[start])
+        radices = (int(hour[stop - 1]) - first + 1, len(_SCENARIOS), len(nodes), len(nodes), len(_VEHICLE_TYPES),
+                   stop - start)
+        key = _composite_key(radices, (hour[dec] - first, scenario_rank[dec], src, dst, _TYPE_RANK[kind], dec - start))
         order = np.argsort(key)  # the keys are distinct, so any sort gives the one order
-        dec = start + key[order] // width
-        values = (dec, hour[dec], decisions.scenario[dec], *(column[order] for column in columns))
-        for name, value in zip(("decision", "hour", "scenario", "origin", "destination", "vehicle_type", "count"),
-                               values):
-            blocks[name].append(value.astype(_OD_COLUMNS[name], copy=False))
+        for name, column in zip(("decision", "origin", "destination", "vehicle_type", "count"), columns):
+            blocks[name].append(column[order].astype(_OD_COLUMNS[name], copy=False))
     # Each column's blocks are dropped once it is joined, so the peak is the
     # blocks plus one joined column.
     columns = {name: np.concatenate(blocks.pop(name)) for name in _OD_COLUMNS}
@@ -794,39 +804,18 @@ def conservation_violations(run: RoutingRun) -> list[str]:
 
 
 def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
-    """Write the entries of positive count, sorted by (timestamp, scenario,
-    origin, destination, vehicle type), equal keys in decision order.
-
-    The rows must be hour-major with ``hours`` in timestamp order, as
-    ``build_od_matrix`` and ``distribute`` make them, so blocks of whole
-    hours are sorted and written one after another.
-    """
-    stamps = [h.timestamp for h in matrix.hours]
-    if stamps != sorted(stamps) or (matrix.hour[1:] < matrix.hour[:-1]).any():
-        raise InternalError("OD rows are not hour-major in timestamp order")
-    node_rank = _ranks(matrix.nodes)
-    ranked = (
-        (_ranks(stamps), matrix.hour),
-        (_ranks([s.value for s in _SCENARIOS]), matrix.scenario),
-        (node_rank, matrix.origin), (node_rank, matrix.destination),
-        (_ranks([t.value for t in _VEHICLE_TYPES]), matrix.vehicle_type),
-    )
-    # Each block starts at the first row of an hour, about _WRITE_BLOCK rows apart.
-    starts = np.searchsorted(matrix.hour, matrix.hour[::_WRITE_BLOCK]).tolist()
-    bounds = sorted(set(starts)) + [len(matrix)]
-
-    def blocks():
-        for a, b in zip(bounds, bounds[1:]):
-            keep = a + np.nonzero(matrix.count[a:b] > 0)[0]
-            key = _composite_key([len(rank) for rank, _ in ranked], (rank[column[keep]] for rank, column in ranked))
-            # A stable sort: rows with equal keys stay in decision order.
-            yield keep[np.argsort(key, kind="stable")]
-
+    """Write the rows as they are: ``ODMatrix`` holds them in the file's
+    order, every count positive."""
+    if len(matrix) and matrix.count.min() <= 0:
+        raise InternalError(f"OD row of non-positive count {int(matrix.count.min())}")
+    decisions = matrix.decisions
+    # The decision columns are narrowed before the gather, which makes one value per OD row.
     write_csv_columns(path, ["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"], [
-        ([h.isoformat() for h in matrix.hours], matrix.hour), (matrix.nodes, matrix.origin),
-        (matrix.nodes, matrix.destination), ([t.value for t in _VEHICLE_TYPES], matrix.vehicle_type),
-        (None, matrix.count), ([s.value for s in _SCENARIOS], matrix.scenario),
-    ], blocks())
+        ([h.isoformat() for h in matrix.hours], decisions.hour.astype(np.int32)[matrix.decision]),
+        (matrix.nodes, matrix.origin), (matrix.nodes, matrix.destination),
+        ([t.value for t in _VEHICLE_TYPES], matrix.vehicle_type), (None, matrix.count),
+        ([s.value for s in _SCENARIOS], decisions.scenario.astype(np.int8)[matrix.decision]),
+    ])
 
 
 def write_ledger_csv(path: str | Path, ledger: LedgerTable) -> None:
@@ -834,4 +823,4 @@ def write_ledger_csv(path: str | Path, ledger: LedgerTable) -> None:
     write_csv_columns(path, ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"], [
         ([h.isoformat() for h in ledger.hours], ledger.hour), (texts, ledger.entry_type), (texts, ledger.scenario),
         (texts, ledger.direction), (texts, ledger.key), (None, ledger.amount), (texts, ledger.flag),
-    ], np.arange(len(ledger)))
+    ])

@@ -422,14 +422,14 @@ class TestBlockWriters:
         names, counts = rng.integers(len(_QUOTED_NAMES), size=n_rows), rng.integers(10**6, size=n_rows)
         rows = rng.permutation(n_rows)
         write_csv_columns(tmp_path / "columns.csv", ["name, quoted", "count", "same"],
-                          [(_QUOTED_NAMES, names), (None, counts), (_QUOTED_NAMES, names)], rows)
+                          [(_QUOTED_NAMES, names[rows]), (None, counts[rows]), (_QUOTED_NAMES, names[rows])])
         write_csv(tmp_path / "rows.csv", ["name, quoted", "count", "same"],
                   ([_QUOTED_NAMES[names[r]], int(counts[r]), _QUOTED_NAMES[names[r]]] for r in rows))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_empty_text_is_an_empty_cell(self, tmp_path):
         texts, codes = ["", "x", ""], np.array([0, 1, 2, 0])
-        write_csv_columns(tmp_path / "columns.csv", ["a", "b"], [(texts, codes), (None, codes)], np.arange(4))
+        write_csv_columns(tmp_path / "columns.csv", ["a", "b"], [(texts, codes), (None, codes)])
         write_csv(tmp_path / "rows.csv", ["a", "b"], ([texts[c], c] for c in codes.tolist()))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n,0\r\nx,1\r\n,2\r\n,0\r\n"
 
@@ -437,8 +437,15 @@ class TestBlockWriters:
         texts, codes = ["", "x"], np.array([0, 1])
         for columns in ([], [(texts, codes)]):
             with pytest.raises(InternalError, match="two or more columns"):
-                write_csv_columns(tmp_path / "one.csv", ["a"] * len(columns), columns, np.arange(2))
+                write_csv_columns(tmp_path / "one.csv", ["a"] * len(columns), columns)
         assert not (tmp_path / "one.csv").exists()
+
+    def test_columns_of_different_lengths_are_an_internal_error(self, tmp_path):
+        texts, codes = ["", "x"], np.array([0, 1])
+        for columns in ([(texts, codes), (None, codes[:1])], [(None, codes), (texts, codes), (None, codes[:0])]):
+            with pytest.raises(InternalError, match="columns of one length"):
+                write_csv_columns(tmp_path / "ragged.csv", ["a"] * len(columns), columns)
+        assert not (tmp_path / "ragged.csv").exists()
 
     @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
     def test_four_digit_years_survive_a_write_and_read(self, tmp_path, year):
@@ -457,9 +464,8 @@ class TestBlockWriters:
     @given(data=st.data(), n_rows=st.integers(0, 24), block_bytes=st.sampled_from([1, 40, 2**18]))
     def test_bytes_equal_the_row_writer(self, tmp_path_factory, data, n_rows, block_bytes):
         """Byte blocks of any width against the row writer: quoted, empty,
-        non-ASCII and very wide texts, shared text tables, every integer
-        dtype up to its extremes, and rows given as one array or as blocks
-        that may be empty."""
+        non-ASCII and very wide texts, shared text tables, and every integer
+        dtype up to its extremes."""
         text = st.text(max_size=6) | st.text(alphabet=' ,"\r\n\x00\tøß\u2028a', max_size=6)
         wide = st.integers(0, 3000).map(lambda k: "w" * k + ', "wide"')
         shared = data.draw(st.lists(text | wide, min_size=1, max_size=8))
@@ -474,21 +480,17 @@ class TestBlockWriters:
                 info = np.iinfo(dtype)
                 values = st.sampled_from([info.min, info.max, 0, -1 if info.min else 1]) | st.integers(info.min, info.max)
                 columns.append((None, data.draw(hnp.arrays(dtype, n_rows, elements=values))))
-        order = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=30) if n_rows else st.just([])),
-                         dtype=np.int64)
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
-        rows = order if data.draw(st.booleans()) else [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
         header = [f"c{i}" if i else "first, quoted" for i in range(len(columns))]
         out = tmp_path_factory.mktemp("columns")
         try:
-            reference_write_csv_columns(out / "rows.csv", header, columns, rows)
+            reference_write_csv_columns(out / "rows.csv", header, columns)
         except csv.Error:  # a text the dialect cannot write: NUL before Python 3.11
             with pytest.raises(csv.Error):
-                write_csv_columns(out / "columns.csv", header, columns, rows)
+                write_csv_columns(out / "columns.csv", header, columns)
             assert not (out / "columns.csv").exists()
             return
         with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
-            write_csv_columns(out / "columns.csv", header, columns, rows)
+            write_csv_columns(out / "columns.csv", header, columns)
         assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 

@@ -627,14 +627,23 @@ def od_rows(run) -> list[tuple]:
     ]
 
 
+def csv_key(row: tuple) -> tuple:
+    """The key of an OD row in the CSV: (timestamp, scenario, origin,
+    destination, vehicle type)."""
+    return row[0], row[5], row[1], row[2], row[3]
+
+
+def file_order(rows) -> list[tuple]:
+    """OD rows in the CSV's order: sorted by ``csv_key``, stably."""
+    return sorted(rows, key=csv_key)
+
+
 def write_reference_od_csv(path, rows) -> None:
-    """The OD CSV as written from one entry object per row: sorted by
-    (timestamp, scenario, origin, destination, vehicle type), stably."""
-    ordered = sorted(rows, key=lambda r: (r[0], r[5], r[1], r[2], r[3]))
+    """The OD CSV as written from one entry object per row, in ``file_order``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"])
-        writer.writerows(r[:6] for r in ordered)
+        writer.writerows(r[:6] for r in file_order(rows))
 
 
 def by_hour(items) -> dict:
@@ -658,12 +667,13 @@ def check_against_reference(run, net, model, tb, rt, hours=None) -> list[tuple]:
 
 class TestOdParity:
     """The batched build against the per-decision reference loop: the same
-    decisions, ledger and rows in the same order, and the same OD CSV bytes."""
+    decisions and ledger in the same order, the reference's rows in the
+    CSV's order, and the same OD CSV bytes."""
 
     def check(self, tmp_path, net, model, tb, rt, hours=None):
         run = build_od_matrix(net, model, tb, rt, hours)
         expected = check_against_reference(run, net, model, tb, rt, hours)
-        assert od_rows(run) == expected
+        assert od_rows(run) == file_order(expected)
         assert len(run.matrix) == len(expected)
         write_od_csv(tmp_path / "od.csv", run.matrix)
         write_reference_od_csv(tmp_path / "reference.csv", expected)
@@ -707,6 +717,19 @@ class TestOdParity:
         run = self.check(tmp_path, net, model, tb, rt, hours)
         assert {e.hour.timestamp for e in run.matrix.entries} <= {hk.timestamp for hk in hours}
 
+    def test_equal_csv_keys_keep_decision_order(self, trained_small, tmp_path):
+        _, model, _, _ = trained_small
+        net = shared_downstream_network()
+        tb, rt = tables_from_counts(net, [{"UpA": 10, "UpB": 20, "Down": 50}] * 2)
+        run = self.check(tmp_path, net, model, tb, rt)
+        rows = od_rows(run)
+        ties = [i for i in range(1, len(rows)) if csv_key(rows[i]) == csv_key(rows[i - 1])]
+        # Both net outflows leave through Down from every destination, for
+        # every category: each such row ties with the other pair's.
+        assert len(ties) > 6
+        assert all(run.matrix.decision[i - 1] < run.matrix.decision[i] for i in ties)
+        assert {(rows[i - 1][6], rows[i][6]) for i in ties} == {("a:outflow", "b:outflow")}
+
 
 def tables_from_counts(net, hourly_counts: list[dict], seed: int = 3):
     """One hour per dict of count-key totals, from 2024-05-06T00:00, with an
@@ -734,6 +757,19 @@ def bare_network() -> NetworkConfig:
     """No boundary, no ramps and no booth pairs: every hour only balances."""
     return NetworkConfig(name="bare", nodes=(station("A"), destination("D1"), destination("D2")),
                          destination_groups={"all": ("D1", "D2")}, passthrough_pairs=(), scenario_subsets={})
+
+
+def shared_downstream_network() -> NetworkConfig:
+    """Two booth pairs with one downstream booth: their net outflows both
+    leave the area through ``Down``."""
+    return NetworkConfig(
+        name="shared-downstream",
+        nodes=(station("UpA"), station("UpB"), station("Down"), destination("D1"), destination("D2")),
+        destination_groups={"all": ("D1", "D2")},
+        passthrough_pairs=(PassthroughPair(upstream="UpA", downstream="Down", axis="a"),
+                           PassthroughPair(upstream="UpB", downstream="Down", axis="b")),
+        scenario_subsets={"PassthroughNet": ("all",)},
+    )
 
 
 def shared_ramp_network() -> NetworkConfig:
@@ -772,7 +808,7 @@ class TestDecisionKernel:
         net = make_net()
         tb, rt = tables_from_counts(net, hourly_counts)
         run = build_od_matrix(net, model, tb, rt)
-        assert od_rows(run) == check_against_reference(run, net, model, tb, rt)
+        assert od_rows(run) == file_order(check_against_reference(run, net, model, tb, rt))
         assert conservation_violations(run) == []
         for hour, counts in zip(sorted(tb.hours, key=lambda h: h.timestamp), hourly_counts):
             decisions, events = decide_flows(net, counts, hour)
@@ -976,13 +1012,13 @@ class TestConservationViolations:
 
 
 # The narrow ODMatrix column types: a fallback to int64 shows here.
-OD_TYPES = {"hour": np.int32, "origin": np.int16, "destination": np.int16, "vehicle_type": np.int8,
-            "scenario": np.int8, "count": np.int64, "decision": np.int32}
+OD_TYPES = {"origin": np.int16, "destination": np.int16, "vehicle_type": np.int8, "count": np.int64,
+            "decision": np.int32}
 
 
 class TestOdBlocks:
     """The OD matrix and both CSVs do not depend on how many decisions are
-    assembled, or how many OD rows are sorted and written, together."""
+    assembled and sorted together."""
 
     @pytest.mark.parametrize("case", ["trained_small", "criterion7", "no decisions"])
     def test_every_block_size_gives_the_same_run(self, request, case, tmp_path, monkeypatch):
@@ -1005,7 +1041,6 @@ class TestOdBlocks:
             name: np.dtype(t) for name, t in OD_TYPES.items()}
         for block in (1, 2, 5):
             monkeypatch.setattr(routing, "_OD_BLOCK", block)
-            monkeypatch.setattr(routing, "_WRITE_BLOCK", block)
             run = route(block)
             for name in OD_TYPES:
                 got, want = getattr(run.matrix, name), getattr(default.matrix, name)
@@ -1014,10 +1049,21 @@ class TestOdBlocks:
                 assert (tmp_path / f"{artifact}_{block}.csv").read_bytes() == (
                     tmp_path / f"{artifact}_default.csv").read_bytes(), (block, artifact)
 
-    def test_od_rows_out_of_hour_order_are_not_written(self, criterion7, tmp_path):
+    def test_decisions_out_of_hour_order_are_not_assembled(self, criterion7):
+        decisions = build_od_matrix(*criterion7).decisions
+        for shuffled in (dataclasses.replace(decisions, hour=decisions.hour[::-1].copy()),
+                         dataclasses.replace(decisions, hours=decisions.hours[::-1])):
+            with pytest.raises(InternalError, match="not hour-major in timestamp order"):
+                routing._od_matrix(shuffled, np.zeros((0, 0)), np.zeros((0, 0, 6)), [])
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_counts_are_not_written(self, criterion7, tmp_path, count):
         matrix = build_od_matrix(*criterion7).matrix
-        with pytest.raises(InternalError, match="not hour-major"):
-            write_od_csv(tmp_path / "od.csv", dataclasses.replace(matrix, hour=matrix.hour[::-1].copy()))
+        counts = matrix.count.copy()
+        counts[len(counts) // 2] = count
+        with pytest.raises(InternalError, match="non-positive count"):
+            write_od_csv(tmp_path / "od.csv", dataclasses.replace(matrix, count=counts))
+        assert not (tmp_path / "od.csv").exists()
 
 
 def zero_threshold_model() -> FusionModel:
