@@ -7,7 +7,6 @@ from .core import (
     CountsByCategory,
     Direction,
     HourKey,
-    NodeId,
     NodeKind,
     RoadTag,
     RoutingReportObservation,
@@ -25,7 +24,6 @@ __all__ = [
     "CountsByCategory",
     "Direction",
     "HourKey",
-    "NodeId",
     "NodeKind",
     "RoadTag",
     "RoutingReportObservation",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import stat_cell, write_csv
 from .errors import ConfigError, DataError
-from .fusion import FusionModel, RegressionTree, raw_score_matrix, score_tables
+from .fusion import FusionModel, RegressionTree, _r2, raw_score_matrix, score_tables
 from .ingest import TARGET_NAMES, FusionDataset
 
 __all__ = [
@@ -172,17 +172,14 @@ def permutation_importance(
     model.target(target)
     X = dataset.X_valid
     y = dataset.Y_valid[:, TARGET_NAMES.index(target)]
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DataError("validation target has zero variance")
-
     tables = score_tables(model, target)
 
-    def r2_of(Xs: np.ndarray) -> float:
-        pred = raw_score_matrix(model, Xs, target, tables)
-        return 1.0 - float(np.sum((np.maximum(pred, 0.0) - y) ** 2)) / ss_tot
+    def r2_of(Xs: np.ndarray) -> float | None:
+        return _r2(np.maximum(raw_score_matrix(model, Xs, target, tables), 0.0), y)
 
     base_r2 = r2_of(X)
+    if base_r2 is None:
+        raise DataError("validation target has zero variance")
     rng = np.random.default_rng(seed)
     drops: dict[str, float] = {}
     for j, name in enumerate(model.feature_names):

@@ -27,6 +27,7 @@ from .fusion import (
     GbtHyperparams,
     evaluate,
     load_model,
+    rescaled_baseline_r2,
     residual_table,
     save_model,
     train,
@@ -153,7 +154,7 @@ def _model(out: Path):
     return load_model(path)
 
 
-def _tables(config: dict, out: Path, network: NetworkConfig, section: str = "data"):
+def _tables(config: dict, out: Path, section: str = "data"):
     """Tollbooth and routing tables from ``section``'s CSVs, else data.*'s, else synth's in ``out``."""
     def path(name: str):
         for opts in (config[section], config["data"]):
@@ -161,13 +162,12 @@ def _tables(config: dict, out: Path, network: NetworkConfig, section: str = "dat
                 return opts[f"{name}_csv"]
         return out / f"{name}.csv"
 
-    return read_tollbooth_csv(path("tollbooth"), network), read_routing_csv(path("routing"), network)
+    return read_tollbooth_csv(path("tollbooth")), read_routing_csv(path("routing"))
 
 
 def _model_and_dataset(config: dict, out: Path):
-    network = _network(config)
     model = _model(out)
-    return model, build_dataset(*_tables(config, out, network), config["valid_fraction"])
+    return model, build_dataset(*_tables(config, out), config["valid_fraction"])
 
 
 def cmd_synth(config: dict, out: Path) -> int:
@@ -193,7 +193,7 @@ def cmd_train(config: dict, out: Path) -> int:
     path = out / "model.json"
     if path.is_dir():  # found before the fit, not after it
         raise ConfigError(f"cannot write {path}: Is a directory")
-    dataset = build_dataset(*_tables(config, out, _network(config)), config["valid_fraction"])
+    dataset = build_dataset(*_tables(config, out), config["valid_fraction"])
     save_model(train(dataset, hp), path)
     log.info("train: %d rows (split %d) -> %s", dataset.n_rows, dataset.split_index, path)
     return 0
@@ -204,17 +204,8 @@ def cmd_eval(config: dict, out: Path) -> int:
     report = evaluate(model, dataset)
     write_metrics_csv(out / "metrics.csv", report)
     write_residuals_csv(out / "residuals.csv", residual_table(dataset, report.pred_valid))
-    # Diagnostic only: the headline baseline row uses the raw flow; this
-    # logs how much a linear rescaling fitted on the training split would
-    # close the gap.
-    import numpy as np
-
-    pf, y = dataset.X_train[:, 0], dataset.Y_train[:, 0]
-    coef, intercept = np.polyfit(pf, y, 1) if pf.std() > 0 else (0.0, float(y.mean()))
-    pv, yv = dataset.X_valid[:, 0], dataset.Y_valid[:, 0]
-    ss_tot = float(((yv - yv.mean()) ** 2).sum())
-    if ss_tot > 0:
-        r2 = 1.0 - float(((coef * pv + intercept - yv) ** 2).sum()) / ss_tot
+    r2 = rescaled_baseline_r2(dataset)  # diagnostic only, for the log
+    if r2 is not None:
         log.info("eval: linearly rescaled flow baseline valid r2 %.4f", r2)
     log.info("eval: metrics.csv and residuals.csv -> %s", out)
     return 0
@@ -254,7 +245,7 @@ def cmd_stability(config: dict, out: Path, routing_a: str | None, routing_b: str
 def cmd_route(config: dict, out: Path) -> int:
     network = _network(config)
     model = _model(out)
-    tollbooth, routing = _tables(config, out, network, "simulation")
+    tollbooth, routing = _tables(config, out, "simulation")
     sim = config["simulation"]
     hours = None
     if sim["start"] or sim["end"]:

@@ -1,14 +1,16 @@
 """Shared domain vocabulary and the program's file formats.
 
-Time keys, nodes, vehicle categories, counts and the input tables are
-immutable value types, safe to share between threads. Every CSV artifact is
-written in one dialect, by ``write_csv`` from rows or by the byte-block writer
-``write_csv_columns`` from code columns, with statistics formatted by
-``stat_cell``. The block writer takes a whole table, already in the file's
-row order: it assembles fixed-width byte fields padded with a byte that
-UTF-8 never holds, drops the padding and writes each block of consecutive
-rows at once; its bytes are those of ``write_csv``. Every JSON document a
-user supplies is read by ``read_json``.
+Time keys, vehicle categories, counts and the input tables are immutable
+value types, safe to share between threads. A node is its name: the input
+tables and their observations hold names, and only the network's own nodes
+carry a ``NodeKind``. Every CSV artifact is written in one dialect, by
+``write_csv`` from rows or by the byte-block writer ``write_csv_columns``
+from code columns, with statistics formatted by ``stat_cell``. The block
+writer takes a whole table, already in the file's row order: it assembles
+fixed-width byte fields padded with a byte that UTF-8 never holds, drops
+the padding and writes each block of consecutive rows at once; its bytes
+are those of ``write_csv``. Every JSON document a user supplies is read by
+``read_json``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "VehicleCategory",
     "VehicleType",
     "NodeKind",
-    "NodeId",
     "CountsByCategory",
     "Direction",
     "TollboothObservation",
@@ -46,7 +47,6 @@ __all__ = [
     "csv_cell",
     "read_json",
     "series_key",
-    "station_of",
     "category_of_length",
     "map_vehicle_type",
     "CATEGORY_ORDER",
@@ -144,18 +144,6 @@ class NodeKind(Enum):
     INFERRED_DESTINATION = "inferred_destination"
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """A named network node; names are unique within a network configuration."""
-
-    name: str
-    kind: NodeKind
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise DataError("node name cannot be empty")
-
-
 class Direction(Enum):
     INBOUND = "Inbound"
     OUTBOUND = "Outbound"
@@ -178,11 +166,6 @@ def series_key(station: str, direction: Direction) -> str:
     if direction is Direction.UNDIRECTED:
         return station
     return f"{station}|{direction.value}"
-
-
-def station_of(key: str) -> str:
-    """The station name inside a count key made by ``series_key``."""
-    return key.split("|", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -266,7 +249,7 @@ class CountsByCategory:
 class TollboothObservation:
     """One hourly ground-truth record at a tollbooth station."""
 
-    node: NodeId
+    node: str
     direction: Direction
     hour: HourKey
     counts: CountsByCategory
@@ -276,7 +259,7 @@ class TollboothObservation:
 
         Direction-qualified series are distinct nodes for joining purposes.
         """
-        return series_key(self.node.name, self.direction)
+        return series_key(self.node, self.direction)
 
 
 @dataclass(frozen=True)
@@ -287,7 +270,7 @@ class RoutingReportObservation:
     the reported flow is then zero.
     """
 
-    node: NodeId
+    node: str
     hour: HourKey
     people_flow: float
     road_tag: RoadTag
@@ -363,18 +346,20 @@ class TollboothTable(_Rows):
     """
 
     hours: tuple[HourKey, ...]
-    series_ids: tuple[tuple[NodeId, Direction], ...]
+    series_ids: tuple[tuple[str, Direction], ...]
     hour: np.ndarray
     series: np.ndarray
     counts: np.ndarray
     total: np.ndarray
 
     @classmethod
-    def from_rows(cls, hours: list[HourKey], series: list[tuple[NodeId, Direction]], values) -> "TollboothTable":
-        """A table from each row's hour and series and its six counts followed
-        by the total; a negative or non-finite value is a DataError."""
+    def from_rows(cls, hours: list[HourKey], series: list[tuple[str, Direction]], values) -> "TollboothTable":
+        """A table from each row's hour, (station name, direction) series and
+        six counts followed by the total; a negative or non-finite value, or
+        an empty station name, is a DataError."""
         values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
         _reject(~((values >= 0) & (values < np.inf)).all(axis=1), "counts and total must be finite and non-negative")
+        _reject(np.array([not name for name, _ in series], dtype=bool), "station name cannot be empty")
         hour_table, hour = _codes([h.timestamp for h in hours], hours)
         series_ids, series_codes = _codes(series, series)
         return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
@@ -382,12 +367,12 @@ class TollboothTable(_Rows):
 
     def series_keys(self) -> list[str]:
         """The count key of each series, as ``TollboothObservation.join_key``."""
-        return [series_key(node.name, direction) for node, direction in self.series_ids]
+        return [series_key(name, direction) for name, direction in self.series_ids]
 
     def _item(self, i: int) -> TollboothObservation:
-        node, direction = self.series_ids[self.series[i]]
+        name, direction = self.series_ids[self.series[i]]
         counts = dict(zip(CATEGORY_ORDER, self.counts[i].tolist()))
-        return TollboothObservation(node=node, direction=direction, hour=self.hours[self.hour[i]],
+        return TollboothObservation(node=name, direction=direction, hour=self.hours[self.hour[i]],
                                     counts=CountsByCategory.with_reported_total(counts, float(self.total[i])))
 
 
@@ -402,7 +387,7 @@ class RoutingTable(_Rows):
     """
 
     hours: tuple[HourKey, ...]
-    nodes: tuple[NodeId, ...]
+    nodes: tuple[str, ...]
     hour: np.ndarray
     node: np.ndarray
     flow: np.ndarray
@@ -410,14 +395,15 @@ class RoutingTable(_Rows):
     censored: np.ndarray
 
     @classmethod
-    def from_rows(cls, hours: list[HourKey], nodes: list[NodeId], flow: list, tags: list[RoadTag],
+    def from_rows(cls, hours: list[HourKey], nodes: list[str], flow: list, tags: list[RoadTag],
                   censored: list[bool]) -> "RoutingTable":
-        """A table from each row's hour, node, flow, road tag and censor flag;
-        a negative or non-finite flow, or a censored row with a non-zero
-        flow, is a DataError."""
+        """A table from each row's hour, node name, flow, road tag and censor
+        flag; a negative or non-finite flow, a censored row with a non-zero
+        flow, or an empty node name, is a DataError."""
         flow, censored = np.array(flow, dtype=np.float64), np.array(censored, dtype=bool)
         _reject(~((flow >= 0) & (flow < np.inf)), "people_flow must be finite and non-negative")
         _reject(censored & (flow != 0), "censored rows must carry people_flow = 0")
+        _reject(np.array([not name for name in nodes], dtype=bool), "node name cannot be empty")
         hour_table, hour = _codes([h.timestamp for h in hours], hours)
         node_table, node = _codes(nodes, nodes)
         tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}

@@ -642,6 +642,15 @@ def evaluate(model: FusionModel, dataset: FusionDataset) -> MetricsReport:
     return MetricsReport(rows=rows, pred_valid=pred_valid)
 
 
+def rescaled_baseline_r2(dataset: FusionDataset) -> float | None:
+    """Validation R^2 of the raw flow rescaled by a line fitted on the
+    training split: how much of the baseline row's gap a linear rescaling
+    would close. None where the validation total has zero variance."""
+    pf, y = dataset.X_train[:, 0], dataset.Y_train[:, 0]
+    coef, intercept = np.polyfit(pf, y, 1) if pf.std() > 0 else (0.0, float(y.mean()))
+    return _r2(coef * dataset.X_valid[:, 0] + intercept, dataset.Y_valid[:, 0])
+
+
 def residual_table(dataset: FusionDataset, pred_valid: np.ndarray) -> list[tuple[float, float, float]]:
     """Validation rows as (true total, model residual, baseline residual),
     ordered by true total, from the validation predictions ``evaluate``

@@ -18,7 +18,8 @@ other file goes to the per-row ``csv.reader`` path: quoted names such as
 and every file with a bad value. That path alone raises errors, naming the
 file and line. Both paths parse each distinct timestamp, series, node or
 road-tag text once through the same code tables, so they give equal tables
-and messages.
+and messages. A reader needs only the file: the tables name their stations
+and nodes, and a node's kind is the network's alone.
 
 Synthetic data keeps a fixed draw order, so that a seed keeps its data:
 series in network order, hour by hour, six scalar Poisson draws in band
@@ -32,7 +33,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .core import (
     TAG_ORDER,
     Direction,
     HourKey,
-    NodeId,
     NodeKind,
     RoadTag,
     RoutingTable,
@@ -52,7 +52,6 @@ from .core import (
     make_hour_key,
     series_key,
     stat_cell,
-    station_of,
     write_csv,
     write_csv_columns,
 )
@@ -243,16 +242,11 @@ class _Codes(dict):
         return self[text]
 
 
-def _node(network: NetworkConfig | None, name: str, station: str, default: NodeKind, what: str) -> NodeId:
-    """The node named ``name``, of its station's kind in ``network`` if listed there."""
+def _node(name: str, what: str) -> str:
+    """``name``, which must not be empty."""
     if not name:
         raise DataError(f"empty {what} name")
-    if network is not None:
-        try:
-            return NodeId(name=name, kind=network.node_named(station).node.kind)
-        except ConfigError:
-            pass
-    return NodeId(name=name, kind=default)
+    return name
 
 
 class _Irregular(Exception):
@@ -373,10 +367,9 @@ def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
     return value, ok
 
 
-def _tollbooth_codes(p: Path, network: NetworkConfig | None) -> tuple[_Codes, _Codes]:
+def _tollbooth_codes(p: Path) -> tuple[_Codes, _Codes]:
     return (_Codes(p, make_hour_key, ", field 'timestamp'"),
-            _Codes(p, lambda key: (_node(network, key[0], key[0], NodeKind.MAIN_TOLLBOOTH, "station"),
-                                   Direction.parse(key[1]))))
+            _Codes(p, lambda key: (_node(key[0], "station"), Direction.parse(key[1]))))
 
 
 def _tollbooth_table(hours: _Codes, series: _Codes, hour, row_series, values) -> TollboothTable:
@@ -386,12 +379,12 @@ def _tollbooth_table(hours: _Codes, series: _Codes, hour, row_series, values) ->
                           counts=values[:, :-1], total=values[:, -1])
 
 
-def _scan_tollbooth_csv(p: Path, network: NetworkConfig | None) -> TollboothTable | None:
+def _scan_tollbooth_csv(p: Path) -> TollboothTable | None:
     """The table of a canonical tollbooth file by one byte scan, or None
     where the file is not canonical or a text fails to parse."""
     try:
         buf, edges = _scan(p, TOLLBOOTH_HEADER)
-        hours, series = _tollbooth_codes(p, network)
+        hours, series = _tollbooth_codes(p)
         hour = _coded(hours, *_texts(buf, edges[0] + 1, edges[1]))
         # Station and direction as one text: neither holds a comma.
         pairs, lines, index = _texts(buf, edges[1] + 1, edges[3])
@@ -404,22 +397,21 @@ def _scan_tollbooth_csv(p: Path, network: NetworkConfig | None) -> TollboothTabl
         return None
 
 
-def read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -> TollboothTable:
+def read_tollbooth_csv(path: str | Path) -> TollboothTable:
     """Parse an hourly ground-truth counts file.
 
-    Node kinds resolve from ``network`` when given, otherwise default to
-    main tollbooths. Rows whose reported total disagrees with the category
-    sum by more than 1% come back with ``counts.total_mismatch`` set.
+    Rows whose reported total disagrees with the category sum by more than
+    1% come back with ``counts.total_mismatch`` set.
     """
     p = Path(path)
-    table = _scan_tollbooth_csv(p, network)
-    return _read_tollbooth_rows(p, network) if table is None else table
+    table = _scan_tollbooth_csv(p)
+    return _read_tollbooth_rows(p) if table is None else table
 
 
-def _read_tollbooth_rows(p: Path, network: NetworkConfig | None) -> TollboothTable:
+def _read_tollbooth_rows(p: Path) -> TollboothTable:
     """The table of any tollbooth file, read row by row; a bad row raises a
     DataError naming the file and line."""
-    hours, series = _tollbooth_codes(p, network)
+    hours, series = _tollbooth_codes(p)
     hour, row_series, values = [], [], []
     fields = TOLLBOOTH_HEADER[3:]
     for line, row in _csv_rows(p, TOLLBOOTH_HEADER, "tollbooth"):
@@ -429,9 +421,8 @@ def _read_tollbooth_rows(p: Path, network: NetworkConfig | None) -> TollboothTab
     return _tollbooth_table(hours, series, hour, row_series, values)
 
 
-def _routing_codes(p: Path, network: NetworkConfig | None) -> tuple[_Codes, _Codes, _Codes]:
-    return (_Codes(p, make_hour_key, ", field 'timestamp'"),
-            _Codes(p, lambda name: _node(network, name, station_of(name), NodeKind.INFERRED_DESTINATION, "node")),
+def _routing_codes(p: Path) -> tuple[_Codes, _Codes, _Codes]:
+    return (_Codes(p, make_hour_key, ", field 'timestamp'"), _Codes(p, lambda name: _node(name, "node")),
             _Codes(p, RoadTag.parse))
 
 
@@ -448,12 +439,12 @@ def _routing_table(hours: _Codes, nodes: _Codes, tags: _Codes, hour, node, flow,
 _SENTINEL = np.frombuffer(CENSOR_SENTINEL.encode(), dtype=np.uint8)
 
 
-def _scan_routing_csv(p: Path, network: NetworkConfig | None) -> RoutingTable | None:
+def _scan_routing_csv(p: Path) -> RoutingTable | None:
     """The table of a canonical routing file by one byte scan, or None where
     the file is not canonical or a text fails to parse."""
     try:
         buf, edges = _scan(p, ROUTING_HEADER)
-        hours, nodes, tags = _routing_codes(p, network)
+        hours, nodes, tags = _routing_codes(p)
         hour = _coded(hours, *_texts(buf, edges[0] + 1, edges[1]))
         node = _coded(nodes, *_texts(buf, edges[1] + 1, edges[2]))
         tag = _coded(tags, *_texts(buf, edges[3] + 1, edges[4]))
@@ -467,17 +458,17 @@ def _scan_routing_csv(p: Path, network: NetworkConfig | None) -> RoutingTable | 
         return None
 
 
-def read_routing_csv(path: str | Path, network: NetworkConfig | None = None) -> RoutingTable:
+def read_routing_csv(path: str | Path) -> RoutingTable:
     """Parse an aggregated mobility file; CENSOR_SENTINEL flow values mark censoring."""
     p = Path(path)
-    table = _scan_routing_csv(p, network)
-    return _read_routing_rows(p, network) if table is None else table
+    table = _scan_routing_csv(p)
+    return _read_routing_rows(p) if table is None else table
 
 
-def _read_routing_rows(p: Path, network: NetworkConfig | None) -> RoutingTable:
+def _read_routing_rows(p: Path) -> RoutingTable:
     """The table of any routing file, read row by row; a bad row raises a
     DataError naming the file and line."""
-    hours, nodes, tags = _routing_codes(p, network)
+    hours, nodes, tags = _routing_codes(p)
     hour, node, flows, tag = [], [], [], []
     for line, row in _csv_rows(p, ROUTING_HEADER, "routing"):
         hour.append(hours.get(row[0]) or hours.code(row[0], line))
@@ -491,7 +482,7 @@ def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
     counts = np.column_stack((table.counts, table.total)).astype(np.int64)
     write_csv_columns(path, TOLLBOOTH_HEADER, [
         ([h.isoformat() for h in table.hours], table.hour),
-        ([node.name for node, _ in table.series_ids], table.series),
+        ([name for name, _ in table.series_ids], table.series),
         ([direction.value for _, direction in table.series_ids], table.series),
         *((None, column) for column in counts.T),
     ])
@@ -502,7 +493,7 @@ def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
     flows, flow = np.unique(np.where(table.censored, -1, table.flow.astype(np.int64)), return_inverse=True)
     write_csv_columns(path, ROUTING_HEADER, [
         ([h.isoformat() for h in table.hours], table.hour),
-        ([node.name for node in table.nodes], table.node),
+        (table.nodes, table.node),
         ([CENSOR_SENTINEL if f < 0 else str(f) for f in flows.tolist()], flow),
         ([t.value for t in TAG_ORDER], table.tag),
     ])
@@ -516,11 +507,11 @@ def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray,
     node keys those codes index.
     """
     names: dict[str, int] = {}
-    rt_name = np.array([names.setdefault(n.name, len(names)) for n in routing.nodes], dtype=np.int64)[routing.node]
+    rt_name = np.array([names.setdefault(n, len(names)) for n in routing.nodes], dtype=np.int64)[routing.node]
     repeat = _first_repeat(rt_name * len(routing.hours) + routing.hour)
     if repeat is not None:
         raise DataError(
-            f"duplicate routing row for node {routing.nodes[routing.node[repeat]].name!r} "
+            f"duplicate routing row for node {routing.nodes[routing.node[repeat]]!r} "
             f"at {routing.hours[routing.hour[repeat]].isoformat()}"
         )
     # Routing row of each (node name, hour); the extra last row and column
@@ -612,6 +603,8 @@ class BiasProfile:
 _BASE_COMPOSITION = np.array([0.78, 0.075, 0.065, 0.03, 0.035, 0.015])
 
 _SYNTH_START = "2023-11-06T00:00"  # a Monday
+# The most days whose hours a datetime holds: the last starts at 23:00 on datetime.max's day.
+_MAX_DAYS = (datetime.max - datetime.fromisoformat(_SYNTH_START)).days + 1
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's largest rate
 
 
@@ -646,20 +639,23 @@ def generate_synthetic(
     """
     if days < 1:
         raise ConfigError(f"days must be >= 1, got {days}")
+    if days > _MAX_DAYS:
+        raise ConfigError(f"days must be at most {_MAX_DAYS}, so that every hour falls before the year 10000, "
+                          f"got {days}")
     rng = np.random.default_rng(profile.seed)
     poisson, normal = rng.poisson, rng.normal
     start = make_hour_key(_SYNTH_START).timestamp
     hours = tuple(make_hour_key(start + timedelta(hours=i)) for i in range(days * 24))
     shape = np.array([_diurnal_shape(hour.hour_of_day, hour.is_weekend) for hour in hours])
 
-    series_ids: list[tuple[NodeId, Direction]] = []
+    series_ids: list[tuple[str, Direction]] = []
     station_counts: list[np.ndarray] = []
-    nodes: list[NodeId] = []
+    nodes: list[str] = []
     tags: list[int] = []
     flows: list[np.ndarray] = []
     for node_index, node in enumerate(network.nodes):
         comp = _node_composition(node_index)
-        is_station = node.node.kind is not NodeKind.INFERRED_DESTINATION
+        is_station = node.kind is not NodeKind.INFERRED_DESTINATION
         series: list[Direction] = (
             [Direction(d) for d in node.directions] if node.directions else [Direction.UNDIRECTED]
         )
@@ -670,7 +666,7 @@ def generate_synthetic(
             # In Python floats a huge scale overflows to inf without a numpy warning.
             if scale * float(shape.max()) * float(comp.max()) > _POISSON_LAM_MAX:
                 raise ConfigError(f"network.nodes.{node_index}.scale: bad value {node.scale!r}: "
-                                  f"node {node.node.name!r} would draw beyond numpy's largest Poisson rate")
+                                  f"node {node.name!r} would draw beyond numpy's largest Poisson rate")
             rates = np.maximum((scale * shape)[:, None] * comp, 0.0)
             draws, noise = [], []
             # The draw order of the module docstring, which keeps every seed's data.
@@ -682,12 +678,12 @@ def generate_synthetic(
             counts = np.array(draws, dtype=np.float64)
             flow = np.maximum(np.round(gain * counts.sum(axis=1) + np.array(noise)), 0.0)
             if not (flow < 2.0**63).all():  # NaN fails too
-                raise ConfigError(f"node {node.node.name!r}: the gain for {node.road_tag.value}, noise_scale "
+                raise ConfigError(f"node {node.name!r}: the gain for {node.road_tag.value}, noise_scale "
                                   "or the node's scale makes synthetic flows overflow int64")
             if is_station:
-                series_ids.append((node.node, direction))
+                series_ids.append((node.name, direction))
                 station_counts.append(counts)
-            nodes.append(NodeId(name=series_key(node.node.name, direction), kind=node.node.kind))
+            nodes.append(series_key(node.name, direction))
             tags.append(TAG_ORDER.index(node.road_tag))
             flows.append(flow.astype(np.int64))
 

@@ -7,6 +7,10 @@ reach, how the boundary booth splits the area) lives in one JSON document.
 defaults. ``NetworkConfig`` then checks the cross-references. What the
 schema does not say:
 
+* A node's ``kind`` lives only here: ``NetworkConfig`` checks the routing
+  phases against it, and the synthetic generator writes tollbooth series
+  for stations alone. The CSV files and the input tables name their nodes
+  and carry no kind.
 * A node's ``scale`` is the synthetic generator's mean peak-hour volume.
   Each of a station's ``directions`` is a series of its own, with count
   key ``<name>|<direction>``.
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core import Direction, NodeId, NodeKind, RoadTag, read_json, series_key
+from .core import Direction, NodeKind, RoadTag, read_json, series_key
 from .errors import NUMBER, STRING, ConfigError, Default, Each, check, is_text, one_of
 
 __all__ = [
@@ -44,7 +48,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkNode:
-    node: NodeId
+    name: str
+    kind: NodeKind
     road_tag: RoadTag
     scale: float
     directions: tuple[str, ...] = ()
@@ -91,24 +96,24 @@ class NetworkConfig:
     _by_name: dict[str, NetworkNode] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [n.node.name for n in self.nodes]
+        names = [n.name for n in self.nodes]
+        if not all(names):
+            raise ConfigError("node name cannot be empty")
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ConfigError(f"duplicate node names: {dupes}")
-        object.__setattr__(self, "_by_name", {n.node.name: n for n in self.nodes})
+        object.__setattr__(self, "_by_name", {n.name: n for n in self.nodes})
         self._validate()
 
     def _validate(self) -> None:
         for pair in self.passthrough_pairs:
             for name in (pair.upstream, pair.downstream):
                 node = self._require(name, f"passthrough pair {pair.axis!r}")
-                if node.node.kind is not NodeKind.MAIN_TOLLBOOTH:
+                if node.kind is not NodeKind.MAIN_TOLLBOOTH:
                     raise ConfigError(
                         f"passthrough pair member {name!r} must be a main tollbooth"
                     )
-        dest_names = {
-            n.node.name for n in self.nodes if n.node.kind is NodeKind.INFERRED_DESTINATION
-        }
+        dest_names = {n.name for n in self.nodes if n.kind is NodeKind.INFERRED_DESTINATION}
         grouped: set[str] = set()
         for label, members in self.destination_groups.items():
             for m in members:
@@ -135,7 +140,7 @@ class NetworkConfig:
             if self.ramps is None:
                 raise ConfigError("boundary phase requires ramps")
         # Every node writes one series per direction, destinations included.
-        series = [(n.node.kind, series_key(n.node.name, Direction(d))) for n in self.nodes
+        series = [(n.kind, series_key(n.name, Direction(d))) for n in self.nodes
                   for d in n.directions or (Direction.UNDIRECTED.value,)]
         keys = [key for _, key in series]
         repeated = sorted({key for key in keys if keys.count(key) > 1})
@@ -163,14 +168,11 @@ class NetworkConfig:
             raise ConfigError(f"{context} references unknown node {name!r}")
         return node
 
-    def node_named(self, name: str) -> NetworkNode:
-        return self._require(name, "lookup")
-
     def destinations(self) -> list[NetworkNode]:
-        return [n for n in self.nodes if n.node.kind is NodeKind.INFERRED_DESTINATION]
+        return [n for n in self.nodes if n.kind is NodeKind.INFERRED_DESTINATION]
 
     def destination_names(self) -> list[str]:
-        return [n.node.name for n in self.destinations()]
+        return [n.name for n in self.destinations()]
 
     def group_members(self, labels: tuple[str, ...] | list[str]) -> list[str]:
         """Union of the groups' members, in config order, without duplicates."""
@@ -194,7 +196,7 @@ class NetworkConfig:
 
 _NAMES = Each(STRING)
 _NODE = {
-    "name": (lambda v: is_text(v) and v != "", "a non-empty string", None),  # as NodeId requires
+    "name": (lambda v: is_text(v) and v != "", "a non-empty string", None),  # as NetworkConfig requires
     "kind": one_of(tuple(kind.value for kind in NodeKind)),
     "road_tag": one_of(tuple(tag.value for tag in RoadTag)),
     "scale": Default(NUMBER, 100.0),
@@ -225,7 +227,7 @@ def network_from_dict(doc: dict) -> NetworkConfig:
                  for side in ("positive", "negative")}
         boundary = BoundaryConfig(**{**boundary, **sides})
     nodes = tuple(
-        NetworkNode(node=NodeId(name=n["name"], kind=NodeKind(n["kind"])), road_tag=RoadTag(n["road_tag"]),
+        NetworkNode(name=n["name"], kind=NodeKind(n["kind"]), road_tag=RoadTag(n["road_tag"]),
                     scale=float(n["scale"]), directions=tuple(n["directions"]))
         for n in doc["nodes"]
     )

@@ -647,7 +647,7 @@ def build_od_matrix(
     # Destination rows stable-sorted by hour: file order within an hour.
     dest_names = network.destination_names()
     dest_index = {name: i for i, name in enumerate(dest_names)}
-    node_dest = np.array([dest_index.get(n.name, -1) for n in routing.nodes], dtype=np.int64)[routing.node]
+    node_dest = np.array([dest_index.get(n, -1) for n in routing.nodes], dtype=np.int64)[routing.node]
     routing_hour = {h.timestamp: i for i, h in enumerate(routing.hours)}
     by_hour = np.nonzero(node_dest >= 0)[0]
     by_hour = by_hour[np.argsort(routing.hour[by_hour], kind="stable")]

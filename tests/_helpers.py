@@ -7,14 +7,16 @@ values by subset enumeration, apportionment by integer-vector search and
 by the scalar largest-remainder loop, routing decisions, ledger and OD
 rows by the per-hour, per-decision routing loop, permutation importance
 by tree-by-tree re-scoring, conservation by direct recomputation from raw
-counts, CSV parsing by the per-row readers that build observation
-objects, model features by the encoding written out one report at a
-time, and synthetic data by one array Poisson draw per (series, hour)."""
+counts, in memory and from the routing files read back with ``csv``, CSV
+parsing by the per-row readers that build observation objects, model
+features by the encoding written out one report at a time, and synthetic
+data by one array Poisson draw per (series, hour)."""
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from datetime import timedelta
 from itertools import combinations, product
 from pathlib import Path
@@ -26,7 +28,6 @@ from odfuse.core import (
     CSV_EOL,
     CountsByCategory,
     Direction,
-    NodeId,
     NodeKind,
     RoadTag,
     TAG_ORDER,
@@ -38,7 +39,7 @@ from odfuse.core import (
     make_hour_key,
     series_key,
 )
-from odfuse.errors import ConfigError, DataError
+from odfuse.errors import DataError
 from odfuse.fusion import NODE_FIELDS, RegressionTree, TargetModel
 from odfuse.ingest import (
     _SYNTH_START,
@@ -218,7 +219,8 @@ def take_rows(table, rows):
 
 def station(name: str, tag: RoadTag = RoadTag.PRIMARY, scale: float = 100.0, directions=()) -> NetworkNode:
     return NetworkNode(
-        node=NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH),
+        name=name,
+        kind=NodeKind.MAIN_TOLLBOOTH,
         road_tag=tag,
         scale=scale,
         directions=tuple(directions),
@@ -227,7 +229,8 @@ def station(name: str, tag: RoadTag = RoadTag.PRIMARY, scale: float = 100.0, dir
 
 def destination(name: str, tag: RoadTag = RoadTag.SECONDARY, scale: float = 100.0) -> NetworkNode:
     return NetworkNode(
-        node=NodeId(name=name, kind=NodeKind.INFERRED_DESTINATION),
+        name=name,
+        kind=NodeKind.INFERRED_DESTINATION,
         road_tag=tag,
         scale=scale,
     )
@@ -409,6 +412,83 @@ def expected_hour_total(network: NetworkConfig, counts: dict[str, int]) -> int:
     return total
 
 
+_OD_HEADER = ["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"]
+_LEDGER_HEADER = ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"]
+
+
+def _csv_body(path: Path, header: list[str]) -> list[list[str]]:
+    """The rows after ``header`` of the CSV at ``path``, each as wide as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[:1] == [header], f"{path.name}: header {rows[:1]}, expected {header}"
+    widths = {len(row) for row in rows[1:]} - {len(header)}
+    assert not widths, f"{path.name}: rows of {sorted(widths)} fields, expected {len(header)}"
+    return rows[1:]
+
+
+def _integer(text: str, what: str, least: int) -> int:
+    """``text`` as a decimal integer of at least ``least``, written without a sign or leading zero."""
+    assert re.fullmatch(r"0|[1-9][0-9]*", text) and int(text) >= least, f"{what} {text!r} is not an integer >= {least}"
+    return int(text)
+
+
+def check_routing_files(out_dir, network: NetworkConfig, tollbooth_csv=None) -> None:
+    """Integer conservation read back from the files of a route: the
+    ``od_matrix.csv`` and ``ledger.csv`` in ``out_dir``, against the
+    tollbooth file the route read (``out_dir``'s ``tollbooth.csv`` unless
+    given). Only ``csv`` reads them. Checks the headers; that every OD count
+    is a positive integer and every ledger amount a non-negative one; that
+    the OD rows are non-decreasing in (timestamp, scenario, origin,
+    destination, vehicle_type), compared as texts; that per (hour, scenario)
+    the OD counts sum to the ledger's decisions; that each hour's balance
+    equals its decisions; and that each hour's OD total is
+    ``expected_hour_total`` of that hour's tollbooth totals."""
+    out_dir = Path(out_dir)
+    od = _csv_body(out_dir / "od_matrix.csv", _OD_HEADER)
+    ledger = _csv_body(out_dir / "ledger.csv", _LEDGER_HEADER)
+    tollbooth = _csv_body(Path(tollbooth_csv or out_dir / "tollbooth.csv"), TOLLBOOTH_HEADER)
+
+    keys = [(hour, scenario, origin, dest, vtype) for hour, origin, dest, vtype, _, scenario in od]
+    unsorted = [i for i in range(1, len(keys)) if keys[i] < keys[i - 1]]
+    assert not unsorted, f"od_matrix.csv: line {unsorted[0] + 2} sorts before the line above it"
+    routed: dict = {}  # OD count per (hour, scenario)
+    for hour, *_, count, scenario in od:
+        routed[hour, scenario] = routed.get((hour, scenario), 0) + _integer(count, "OD count", 1)
+
+    decided: dict = {}  # ledger decision amount per (hour, scenario)
+    balance: dict = {}
+    for hour, entry_type, scenario, _, _, amount, _ in ledger:
+        amount = _integer(amount, "ledger amount", 0)
+        if entry_type == "decision":
+            decided[hour, scenario] = decided.get((hour, scenario), 0) + amount
+        elif entry_type == "balance":
+            assert hour not in balance, f"ledger.csv: two balance rows at {hour}"
+            balance[hour] = amount
+    # A decision of no vehicles makes no OD row.
+    assert routed == {key: amount for key, amount in decided.items() if amount}, \
+        "OD counts and ledger decisions differ for some (hour, scenario)"
+
+    totals: dict = {}  # tollbooth total per hour and count key
+    for hour, station, direction, *_, total in tollbooth:
+        totals.setdefault(hour, {})[series_key(station, Direction(direction))] = int(total)
+    hours = {hour for hour, _ in decided}
+    assert hours <= set(balance), f"hours without a balance row: {sorted(hours - set(balance))}"
+    hour_decided, hour_routed = _per_hour(decided), _per_hour(routed)
+    for hour, amount in balance.items():
+        assert amount == hour_decided.get(hour, 0), f"{hour}: balance {amount}, decisions {hour_decided.get(hour)}"
+        expected = expected_hour_total(network, totals[hour])
+        assert hour_routed.get(hour, 0) == expected, \
+            f"{hour}: OD total {hour_routed.get(hour)}, tollbooth counts route {expected}"
+
+
+def _per_hour(amounts: dict) -> dict:
+    """Amounts keyed by (hour, scenario), summed per hour."""
+    out: dict = {}
+    for (hour, _), amount in amounts.items():
+        out[hour] = out.get(hour, 0) + amount
+    return out
+
+
 def reference_largest_remainder(total: int, weights: list[float]) -> list[int]:
     """Scalar largest remainder, one split at a time: the oracle for the
     row-batched kernel in ``odfuse.routing``.
@@ -564,14 +644,14 @@ def reference_route(network, model, tollbooth, routing, hours=None) -> tuple[lis
     dest_names = set(network.destination_names())
     dest_rows: dict = {}
     for obs in routing:
-        if obs.node.name in dest_names:
+        if obs.node in dest_names:
             dest_rows.setdefault(obs.hour.timestamp, []).append(obs)
     if hours is None:
         hours = {obs.hour.timestamp: obs.hour for obs in tollbooth}.values()
     decisions, ledger, rows_out = [], [], []
     for hour in sorted(hours, key=lambda h: h.timestamp):
         rows = dest_rows[hour.timestamp]
-        names = [r.node.name for r in rows]
+        names = [r.node for r in rows]
         preds = predict_matrix(model, np.array([reference_features(r) for r in rows]))
         table = np.maximum(preds[:, 1:], 0.0)
         for i, r in enumerate(rows):
@@ -774,7 +854,7 @@ def _reference_check_header(row: list[str] | None, expected: list[str], path: Pa
         )
 
 
-def reference_read_tollbooth_csv(path: str | Path, network: NetworkConfig | None = None) -> list[TollboothObservation]:
+def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]:
     """The per-row tollbooth reader: one set of observation objects per row.
     The oracle for the column reader ``odfuse.ingest.read_tollbooth_csv``."""
     p = Path(path)
@@ -807,15 +887,9 @@ def reference_read_tollbooth_csv(path: str | Path, network: NetworkConfig | None
                 for i, cat in enumerate(CATEGORY_ORDER)
             }
             total = _reference_int_field(row[9], line, "total")
-            kind = NodeKind.MAIN_TOLLBOOTH
-            if network is not None:
-                try:
-                    kind = network.node_named(name).node.kind
-                except ConfigError:
-                    pass
             out.append(
                 TollboothObservation(
-                    node=NodeId(name=name, kind=kind),
+                    node=name,
                     direction=direction,
                     hour=hour,
                     counts=CountsByCategory.with_reported_total(counts, float(total)),
@@ -824,11 +898,7 @@ def reference_read_tollbooth_csv(path: str | Path, network: NetworkConfig | None
     return out
 
 
-def reference_read_routing_csv(
-    path: str | Path,
-    network: NetworkConfig | None = None,
-    sentinel: str = CENSOR_SENTINEL,
-) -> list[RoutingReportObservation]:
+def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL) -> list[RoutingReportObservation]:
     """The per-row routing reader: the oracle for ``odfuse.ingest.read_routing_csv``."""
     p = Path(path)
     if not p.exists():
@@ -857,16 +927,9 @@ def reference_read_routing_csv(
                 tag = RoadTag.parse(row[3])
             except DataError as exc:
                 raise DataError(f"{p}: line {line}: {exc}") from exc
-            kind = NodeKind.INFERRED_DESTINATION
-            if network is not None:
-                base = name.split("|", 1)[0]
-                try:
-                    kind = network.node_named(base).node.kind
-                except ConfigError:
-                    pass
             out.append(
                 RoutingReportObservation(
-                    node=NodeId(name=name, kind=kind),
+                    node=name,
                     hour=hour,
                     people_flow=float(flow),
                     road_tag=tag,
@@ -882,9 +945,9 @@ def reference_join_rows(tollbooth, routing) -> list[tuple]:
     (timestamp, node key): the oracle for the column join in ``odfuse.ingest``."""
     index: dict = {}
     for obs in routing:
-        key = (obs.node.name, obs.hour.timestamp)
+        key = (obs.node, obs.hour.timestamp)
         if key in index:
-            raise DataError(f"duplicate routing row for node {obs.node.name!r} at {obs.hour.isoformat()}")
+            raise DataError(f"duplicate routing row for node {obs.node!r} at {obs.hour.isoformat()}")
         index[key] = obs
     pairs = []
     for tb in tollbooth:
@@ -946,10 +1009,10 @@ def reference_generate_synthetic(network: NetworkConfig, days: int, profile) -> 
                 total = counts[i].sum()
                 if total > 0:
                     noise[i] = rng.normal(0.0, profile.noise_scale * gain * total)
-            if node.node.kind is not NodeKind.INFERRED_DESTINATION:
-                series_ids.append((node.node, direction))
+            if node.kind is not NodeKind.INFERRED_DESTINATION:
+                series_ids.append((node.name, direction))
                 station_counts.append(counts)
-            nodes.append(NodeId(name=series_key(node.node.name, direction), kind=node.node.kind))
+            nodes.append(series_key(node.name, direction))
             tags.append(TAG_ORDER.index(node.road_tag))
             flows.append(np.maximum(np.round(gain * counts.sum(axis=1) + noise), 0.0).astype(np.int64))
     n_hours = len(hours)

@@ -15,11 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from odfuse import cli
 from odfuse.attribution import permutation_importance
 from odfuse.cli import config_hash, load_config, main
+from odfuse.errors import ConfigError
 from odfuse.fusion import GbtHyperparams, train
 from odfuse.ingest import FEATURE_NAMES, build_dataset, read_routing_csv, read_tollbooth_csv
-from odfuse.network import trondheim_fixture
+from odfuse.network import NetworkConfig, load_network
 
-from _helpers import WORKED_EXAMPLE_HOUR, write_worked_example_fixture
+from _helpers import WORKED_EXAMPLE_HOUR, check_routing_files, destination, station, write_worked_example_fixture
 
 
 def write_config(path, **overrides):
@@ -58,6 +59,12 @@ class TestSynth:
     def test_zero_days_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         assert main(["--config", str(cfg), "synth", "--days", "0"]) == 1
+
+    def test_days_past_the_last_datetime_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json")
+        assert main(["--config", str(cfg), "synth", "--days", "2913231"]) == 1
+        err = capsys.readouterr().err
+        assert "odfuse: error: days must be at most 2913230" in err and "Traceback" not in err
 
     def test_huge_gain_exits_1_without_a_warning(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", synthetic={"days": 1, "gains": {"Primary": 1e300}})
@@ -146,10 +153,7 @@ class TestExplainArtifacts:
         top = max(drops, key=drops.get)
         assert top == "people_flow" and drops[top] > 0
         # The same importances from a model that never went through disk.
-        net = trondheim_fixture()
-        ds = build_dataset(
-            read_tollbooth_csv(out / "tollbooth.csv", net), read_routing_csv(out / "routing.csv", net), 0.2
-        )
+        ds = build_dataset(read_tollbooth_csv(out / "tollbooth.csv"), read_routing_csv(out / "routing.csv"), 0.2)
         model = train(ds, GbtHyperparams(n_trees=10, max_depth=4, seed=7))
         expected = permutation_importance(model, "total", ds, repeats=2, seed=7)
         assert drops == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -295,6 +299,8 @@ class TestRoute:
         assert total == 500
         ledger = read_csv(tmp_path / "fixture" / "out" / "ledger.csv")
         assert ledger[0] == ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"]
+        check_routing_files(tmp_path / "fixture" / "out", load_network(config["network"]),
+                            config["simulation"]["tollbooth_csv"])
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -691,6 +697,11 @@ class TestNetworkValidation:
         doc["scenario_subsets"]["PassthroughNet"] = ["g"]
         assert self.route_exit_code(tmp_path, doc) == 1
         assert "empty destination group 'g'" in capsys.readouterr().err
+
+    def test_hand_built_node_without_a_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="node name cannot be empty"):
+            NetworkConfig(name="blank", nodes=(station(""), destination("D")), destination_groups={"all": ("D",)},
+                          passthrough_pairs=(), scenario_subsets={})
 
     def test_empty_scenario_subset_exit_1(self, tmp_path, capsys):
         doc = bundled_network_doc()

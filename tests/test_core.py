@@ -9,8 +9,6 @@ from odfuse.core import (
     CATEGORY_ORDER,
     CountsByCategory,
     Direction,
-    NodeId,
-    NodeKind,
     RoadTag,
     RoutingReportObservation,
     VehicleCategory,
@@ -145,10 +143,9 @@ class TestVehicleTypeMapping:
 
 class TestObservations:
     def test_censored_requires_zero_flow(self):
-        node = NodeId(name="X", kind=NodeKind.INFERRED_DESTINATION)
         with pytest.raises(DataError):
             RoutingReportObservation(
-                node=node,
+                node="X",
                 hour=make_hour_key("2023-11-06T08:00"),
                 people_flow=5.0,
                 road_tag=RoadTag.SECONDARY,
@@ -159,7 +156,7 @@ class TestObservations:
         from odfuse.core import TollboothObservation
 
         obs = TollboothObservation(
-            node=NodeId(name="B", kind=NodeKind.MAIN_TOLLBOOTH),
+            node="B",
             direction=Direction.INBOUND,
             hour=make_hour_key("2023-11-06T08:00"),
             counts=CountsByCategory.with_reported_total({}, 0),

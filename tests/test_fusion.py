@@ -20,6 +20,7 @@ from odfuse.fusion import (
     load_model,
     predict_matrix,
     raw_score_matrix,
+    rescaled_baseline_r2,
     residual_table,
     save_model,
     train,
@@ -265,6 +266,20 @@ class TestEvaluate:
         base = evaluate(model, ds).row("people_flow_baseline")
         assert base.rmse_valid == 0.0
         assert base.r2_valid == 1.0
+
+    def test_rescaled_baseline_closes_a_linear_gap(self):
+        rng = np.random.default_rng(12)
+        X = np.zeros((40, len(FEATURE_NAMES)))
+        X[:, 0] = rng.integers(50, 500, size=40)
+        y = 2.0 * X[:, 0] + 5.0
+        assert rescaled_baseline_r2(dataset_from_arrays(X, y, split_index=30)) == pytest.approx(1.0, abs=1e-9)
+        # A constant training flow rescales to the training mean.
+        X[:30, 0] = 100.0
+        ds = dataset_from_arrays(X, y, split_index=30)
+        mean_r2 = 1.0 - np.sum((y[:30].mean() - y[30:]) ** 2) / np.sum((y[30:] - y[30:].mean()) ** 2)
+        assert rescaled_baseline_r2(ds) == mean_r2
+        y[30:] = 7.0
+        assert rescaled_baseline_r2(dataset_from_arrays(X, y, split_index=30)) is None
 
     def test_zero_variance_target_reports_none(self):
         rng = np.random.default_rng(10)

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from datetime import datetime
+from datetime import datetime, timedelta
 from unittest import mock
 
 import numpy as np
@@ -15,8 +15,6 @@ from odfuse.core import (
     TAG_ORDER,
     CountsByCategory,
     Direction,
-    NodeId,
-    NodeKind,
     RoadTag,
     RoutingReportObservation,
     RoutingTable,
@@ -29,6 +27,8 @@ from odfuse.core import (
 from odfuse.cli import main
 from odfuse.errors import ConfigError, DataError, InternalError, OdfuseError
 from odfuse.ingest import (
+    _MAX_DAYS,
+    _SYNTH_START,
     _read_routing_rows,
     _read_tollbooth_rows,
     _scan_routing_csv,
@@ -94,7 +94,7 @@ class TestReadTollboothCsv:
         rows = read_tollbooth_csv(p)
         assert len(rows) == 1
         obs = rows[0]
-        assert obs.node.name == "E6-Klett"
+        assert obs.node == "E6-Klett"
         assert obs.direction is Direction.INBOUND
         assert obs.counts.total == 500
         assert obs.counts.counts[CATEGORY_ORDER[0]] == 412
@@ -193,13 +193,12 @@ def tables(tb_rows, rt_rows):
     """Tables of undirected main-tollbooth rows on trunk roads: tollbooth rows
     (name, timestamp, total) with the total in the shortest length band, and
     routing rows (name, timestamp, flow) with flow None for a censored report."""
-    node = {name: NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH) for name, *_ in tb_rows + rt_rows}
     names, stamps, totals = zip(*tb_rows)
     tollbooth = TollboothTable.from_rows([make_hour_key(ts) for ts in stamps],
-                                         [(node[n], Direction.UNDIRECTED) for n in names],
+                                         [(n, Direction.UNDIRECTED) for n in names],
                                          [[total, 0, 0, 0, 0, 0, total] for total in totals])
     names, stamps, flows = zip(*rt_rows)
-    routing = RoutingTable.from_rows([make_hour_key(ts) for ts in stamps], [node[n] for n in names],
+    routing = RoutingTable.from_rows([make_hour_key(ts) for ts in stamps], list(names),
                                      [flow or 0 for flow in flows], [RoadTag.TRUNK] * len(names),
                                      [flow is None for flow in flows])
     return tollbooth, routing
@@ -264,7 +263,7 @@ class TestGenerateSynthetic:
     def test_identity_profile_matches_totals_exactly(self):
         net = grid_network(n_stations=3, n_dest=2)
         tb, rt = generate_synthetic(net, 2, identity_profile(seed=9))
-        flows = {(r.node.name, r.hour.timestamp): r.people_flow for r in rt}
+        flows = {(r.node, r.hour.timestamp): r.people_flow for r in rt}
         for obs in tb:
             assert flows[(obs.join_key(), obs.hour.timestamp)] == obs.counts.total
 
@@ -275,7 +274,7 @@ class TestGenerateSynthetic:
             seed=2,
         )
         tb, rt = generate_synthetic(net, 3, profile)
-        flows = {(r.node.name, r.hour.timestamp): r.people_flow for r in rt}
+        flows = {(r.node, r.hour.timestamp): r.people_flow for r in rt}
         diffs = [flows[(o.join_key(), o.hour.timestamp)] - o.counts.total for o in tb]
         assert np.mean(diffs) > 0
 
@@ -296,8 +295,8 @@ class TestGenerateSynthetic:
         high = BiasProfile(gains=gains, censor_threshold=150, seed=7)
         _, rt_low = generate_synthetic(net, 3, low)
         _, rt_high = generate_synthetic(net, 3, high)
-        censored_low = {(r.node.name, r.hour.timestamp) for r in rt_low if r.censored}
-        censored_high = {(r.node.name, r.hour.timestamp) for r in rt_high if r.censored}
+        censored_low = {(r.node, r.hour.timestamp) for r in rt_low if r.censored}
+        censored_high = {(r.node, r.hour.timestamp) for r in rt_high if r.censored}
         assert censored_low <= censored_high
 
     def test_deterministic_csv_bytes(self, tmp_path):
@@ -333,6 +332,17 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(grid_network(), 0, identity_profile())
 
+    def test_days_bound_is_the_last_hour_a_datetime_holds(self):
+        last_hour = datetime.fromisoformat(_SYNTH_START) + timedelta(hours=24 * _MAX_DAYS - 1)
+        assert (_MAX_DAYS, last_hour) == (2_913_230, datetime(9999, 12, 31, 23))
+        with pytest.raises(OverflowError):
+            last_hour + timedelta(days=1)
+
+    @pytest.mark.parametrize("days", [2_913_231, 10**30])
+    def test_rejects_days_past_the_last_datetime(self, days):
+        with pytest.raises(ConfigError, match=f"days must be at most 2913230, .*, got {days}"):
+            generate_synthetic(grid_network(), days, identity_profile())
+
     def test_roundtrip_through_csv(self, tmp_path):
         net = grid_network(n_stations=2, n_dest=1)
         profile = BiasProfile(
@@ -346,6 +356,17 @@ class TestGenerateSynthetic:
         assert len(tb2) == len(tb)
         assert [o.counts.total for o in tb2] == [o.counts.total for o in tb]
         assert [r.censored for r in rt2] == [r.censored for r in rt]
+
+    def test_tables_survive_a_trip_through_disk(self, tmp_path):
+        """Every field, node names and series included, reads back from the
+        files alone as generate_synthetic made it."""
+        profile = BiasProfile(gains={RoadTag.PRIMARY: 1.4, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 0.7},
+                              noise_scale=0.1, censor_threshold=120, seed=42)
+        tb, rt = generate_synthetic(trondheim_fixture(), 1, profile)
+        write_tollbooth_csv(tmp_path / "tb.csv", tb)
+        write_routing_csv(tmp_path / "rt.csv", rt)
+        assert_tables_equal(read_tollbooth_csv(tmp_path / "tb.csv"), tb)
+        assert_tables_equal(read_routing_csv(tmp_path / "rt.csv"), rt)
 
 
 def assert_tables_equal(table, expected):
@@ -392,11 +413,11 @@ class TestBlockWriters:
         names = [_QUOTED_NAMES[i % len(_QUOTED_NAMES)] for i in range(n_rows)]
         directions = [list(Direction)[i % 3] for i in range(n_rows)]
         tollbooth = TollboothTable.from_rows(
-            hours, [(NodeId(name=n, kind=NodeKind.MAIN_TOLLBOOTH), d) for n, d in zip(names, directions)],
+            hours, list(zip(names, directions)),
             [[i, 0, 2, 0, 0, 10**15, i + 7] for i in range(n_rows)])
         censored = [i % 3 == 0 for i in range(n_rows)]
         routing = RoutingTable.from_rows(
-            hours, [NodeId(name=n, kind=NodeKind.INFERRED_DESTINATION) for n in names],
+            hours, names,
             [0 if c else 17 * i for i, c in enumerate(censored)], [TAG_ORDER[i % 3] for i in range(n_rows)], censored)
         return tollbooth, routing
 
@@ -406,10 +427,10 @@ class TestBlockWriters:
         write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
         write_routing_csv(tmp_path / "rt.csv", routing)
         write_csv(tmp_path / "tb_rows.csv", TOLLBOOTH_HEADER.split(","), (
-            [o.hour.isoformat(), o.node.name, o.direction.value,
+            [o.hour.isoformat(), o.node, o.direction.value,
              *(int(o.counts.counts[c]) for c in CATEGORY_ORDER), int(o.counts.total)] for o in tollbooth))
         write_csv(tmp_path / "rt_rows.csv", ["timestamp", "node", "people_flow", "road_tag"], (
-            [o.hour.isoformat(), o.node.name, "<T" if o.censored else int(o.people_flow), o.road_tag.value]
+            [o.hour.isoformat(), o.node, "<T" if o.censored else int(o.people_flow), o.road_tag.value]
             for o in routing))
         assert (tmp_path / "tb.csv").read_bytes() == (tmp_path / "tb_rows.csv").read_bytes()
         assert (tmp_path / "rt.csv").read_bytes() == (tmp_path / "rt_rows.csv").read_bytes()
@@ -450,9 +471,8 @@ class TestBlockWriters:
     @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
     def test_four_digit_years_survive_a_write_and_read(self, tmp_path, year):
         hours = [make_hour_key(datetime(year, 3, 1, h)) for h in (5, 6)]
-        tollbooth = TollboothTable.from_rows(hours, [(NodeId(name="A", kind=NodeKind.MAIN_TOLLBOOTH),
-                                                      Direction.UNDIRECTED)] * 2, [[1] * 7, [2] * 7])
-        routing = RoutingTable.from_rows(hours, [NodeId(name="A", kind=NodeKind.INFERRED_DESTINATION)] * 2, [10, 0],
+        tollbooth = TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)] * 2, [[1] * 7, [2] * 7])
+        routing = RoutingTable.from_rows(hours, ["A"] * 2, [10, 0],
                                          [RoadTag.PRIMARY] * 2, [False, True])
         write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
         write_routing_csv(tmp_path / "rt.csv", routing)
@@ -521,7 +541,7 @@ class TestDifferenceSeries:
 class TestTables:
     def test_items_are_the_observations(self):
         tollbooth, routing = tables([("A", H8, 10), ("B", H9, 20), ("A", H8, 10)], [("A", H8, 12), ("B", H9, None)])
-        a, b = (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH) for name in "AB")
+        a, b = "AB"
         h8, h9 = make_hour_key(H8), make_hour_key(H9)
 
         def counts(total):
@@ -542,9 +562,16 @@ class TestTables:
     @pytest.mark.parametrize("values", [[-5, 0, 0, 0, 0, 0, 5], [5, 0, 0, 0, 0, 0, -5], [np.nan] * 7, [np.inf] * 7],
                              ids=["count", "total", "nan", "inf"])
     def test_bad_counts_rejected(self, values):
-        series = (NodeId(name="A", kind=NodeKind.MAIN_TOLLBOOTH), Direction.UNDIRECTED)
+        series = ("A", Direction.UNDIRECTED)
         with pytest.raises(DataError, match="row 1: counts and total must be finite and non-negative"):
             TollboothTable.from_rows([make_hour_key(H8), make_hour_key(H9)], [series] * 2, [[1] * 7, values])
+
+    def test_empty_names_rejected(self):
+        hours = [make_hour_key(H8), make_hour_key(H9)]
+        with pytest.raises(DataError, match="row 1: station name cannot be empty"):
+            TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED), ("", Direction.INBOUND)], [[1] * 7] * 2)
+        with pytest.raises(DataError, match="row 0: node name cannot be empty"):
+            RoutingTable.from_rows(hours, ["", "A"], [4, 5], [RoadTag.TRUNK] * 2, [False, False])
 
     @pytest.mark.parametrize(("flow", "censored", "rule"), [
         (-50, False, "people_flow must be finite and non-negative"),
@@ -553,9 +580,8 @@ class TestTables:
         (3, True, "censored rows must carry people_flow = 0"),
     ], ids=["negative", "nan", "inf", "censored-nonzero"])
     def test_bad_flows_rejected(self, flow, censored, rule):
-        node = NodeId(name="A", kind=NodeKind.MAIN_TOLLBOOTH)
         with pytest.raises(DataError, match=f"row 1: {rule}"):
-            RoutingTable.from_rows([make_hour_key(H8), make_hour_key(H9)], [node] * 2, [4, flow],
+            RoutingTable.from_rows([make_hour_key(H8), make_hour_key(H9)], ["A"] * 2, [4, flow],
                                    [RoadTag.TRUNK] * 2, [False, censored])
 
 
@@ -661,9 +687,9 @@ def routing_files(draw):
     return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad, canonical)
 
 
-def _outcome(read, path, network):
+def _outcome(read, path):
     try:
-        rows = read(path, network)
+        rows = read(path)
     except DataError as exc:
         return "DataError", str(exc)
     observations = list(rows)
@@ -687,20 +713,18 @@ class TestReaderParity:
     or DataErrors with the same message."""
 
     @_FUZZ
-    @given(text=tollbooth_files(), with_network=st.booleans())
-    def test_tollbooth_reader_matches_per_row_reader(self, tmp_path_factory, text, with_network):
+    @given(text=tollbooth_files())
+    def test_tollbooth_reader_matches_per_row_reader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("parity") / "tollbooth.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        net = trondheim_fixture() if with_network else None
-        assert _outcome(read_tollbooth_csv, path, net) == _outcome(reference_read_tollbooth_csv, path, net)
+        assert _outcome(read_tollbooth_csv, path) == _outcome(reference_read_tollbooth_csv, path)
 
     @_FUZZ
-    @given(text=routing_files(), with_network=st.booleans())
-    def test_routing_reader_matches_per_row_reader(self, tmp_path_factory, text, with_network):
+    @given(text=routing_files())
+    def test_routing_reader_matches_per_row_reader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("parity") / "routing.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        net = trondheim_fixture() if with_network else None
-        assert _outcome(read_routing_csv, path, net) == _outcome(reference_read_routing_csv, path, net)
+        assert _outcome(read_routing_csv, path) == _outcome(reference_read_routing_csv, path)
 
     @_FUZZ
     @given(body=st.binary(max_size=200), which=st.sampled_from(["tollbooth", "routing"]))
@@ -742,9 +766,9 @@ def synth_output(tmp_path_factory):
     return {days: run(days) for days in (30, 56)}
 
 
-def _table_or_error(read, path, network=None):
+def _table_or_error(read, path):
     try:
-        return read(path, network)
+        return read(path)
     except DataError as exc:
         return str(exc)
 
@@ -755,15 +779,13 @@ class TestByteScan:
     exactly as the per-row reader reads it."""
 
     @pytest.mark.parametrize("days", [30, 56])
-    @pytest.mark.parametrize("with_network", [False, True], ids=["no-network", "network"])
     @pytest.mark.parametrize("which", ["tollbooth", "routing"])
-    def test_synth_output_takes_the_scan(self, synth_output, days, with_network, which):
+    def test_synth_output_takes_the_scan(self, synth_output, days, which):
         scan, read_rows, _ = _READERS[which]
         path = synth_output[days] / f"{which}.csv"
-        network = trondheim_fixture() if with_network else None
-        table = scan(path, network)
+        table = scan(path)
         assert table is not None
-        assert_tables_equal(table, read_rows(path, network))
+        assert_tables_equal(table, read_rows(path))
 
     @pytest.mark.parametrize("form", ["lf", "no-final-line-end", "header-only", "header-only-no-line-end"])
     @pytest.mark.parametrize("which", ["tollbooth", "routing"])
@@ -775,9 +797,9 @@ class TestByteScan:
                 "header-only": header + b"\r\n", "header-only-no-line-end": header}[form]
         path = tmp_path / f"{which}.csv"
         path.write_bytes(text)
-        table = scan(path, None)
+        table = scan(path)
         assert table is not None
-        assert_tables_equal(table, read_rows(path, None))
+        assert_tables_equal(table, read_rows(path))
         assert len(table) == (0 if form.startswith("header-only") else 720 * (9 if which == "tollbooth" else 17))
 
     _ROWS = {
@@ -791,7 +813,7 @@ class TestByteScan:
         for which, (scan, read_rows, _) in _READERS.items():
             path = tmp_path / f"{which}.csv"
             path.write_text("\r\n".join(self._ROWS[which]) + "\r\n", encoding="utf-8", newline="")
-            assert_tables_equal(scan(path, None), read_rows(path, None))
+            assert_tables_equal(scan(path), read_rows(path))
 
     # Each case replaces the first occurrence of a text in a base file that
     # the scan reads.
@@ -824,7 +846,7 @@ class TestByteScan:
         assert old in text
         path = tmp_path / f"{which}.csv"
         path.write_text(text.replace(old, new, 1), encoding="utf-8", newline="")
-        assert scan(path, None) is None
+        assert scan(path) is None
         expected, outcome = _table_or_error(read_rows, path), _table_or_error(read, path)
         if isinstance(expected, str):
             assert outcome == expected
@@ -837,9 +859,9 @@ class TestByteScan:
         rows = self._ROWS["routing"]
         path.write_text("\r\n".join(rows[:-1] + [rows[-1].replace("ØstreRosten", "N" * width)]) + "\r\n",
                         encoding="utf-8", newline="")
-        table = _scan_routing_csv(path, None)
-        assert table is not None and table.nodes[-1].name == "N" * width
-        assert_tables_equal(table, _read_routing_rows(path, None))
+        table = _scan_routing_csv(path)
+        assert table is not None and table.nodes[-1] == "N" * width
+        assert_tables_equal(table, _read_routing_rows(path))
 
     def test_field_beyond_the_csv_field_limit_declines(self, tmp_path):
         path = tmp_path / "routing.csv"
@@ -847,12 +869,12 @@ class TestByteScan:
                         encoding="utf-8", newline="")
         limit = csv.field_size_limit(100)
         try:
-            assert _scan_routing_csv(path, None) is None
+            assert _scan_routing_csv(path) is None
             with pytest.raises(DataError, match="field larger than field limit"):
                 read_routing_csv(path)
         finally:
             csv.field_size_limit(limit)
 
     def test_missing_file_declines(self, tmp_path):
-        assert _scan_tollbooth_csv(tmp_path / "absent.csv", None) is None
-        assert _scan_routing_csv(tmp_path, None) is None  # a directory
+        assert _scan_tollbooth_csv(tmp_path / "absent.csv") is None
+        assert _scan_routing_csv(tmp_path) is None  # a directory

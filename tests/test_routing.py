@@ -11,8 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from odfuse.core import (
     CATEGORY_ORDER,
     Direction,
-    NodeId,
-    NodeKind,
     RoadTag,
     RoutingTable,
     TollboothTable,
@@ -23,7 +21,8 @@ from odfuse.core import write_csv
 from odfuse import routing
 from odfuse.errors import DataError, InternalError
 from odfuse.fusion import FusionModel, GbtHyperparams, predict_matrix, train
-from odfuse.ingest import FEATURE_NAMES, TARGET_NAMES, BiasProfile, build_dataset, feature_matrix, generate_synthetic
+from odfuse.ingest import (FEATURE_NAMES, TARGET_NAMES, BiasProfile, build_dataset, feature_matrix, generate_synthetic,
+                           write_tollbooth_csv)
 from odfuse.network import (
     BoundaryConfig,
     BoundaryDirection,
@@ -52,6 +51,7 @@ from odfuse.routing import (
 )
 
 from _helpers import (
+    check_routing_files,
     destination,
     expected_hour_total,
     make_tree,
@@ -419,8 +419,8 @@ class TestDistribute:
 def destination_rows(net, hour, flows):
     """A routing table with one uncensored report per destination at ``hour``."""
     dests = net.destinations()
-    return RoutingTable.from_rows([hour] * len(dests), [d.node for d in dests],
-                                  [flows.get(d.node.name, 0.0) for d in dests], [d.road_tag for d in dests],
+    return RoutingTable.from_rows([hour] * len(dests), [d.name for d in dests],
+                                  [flows.get(d.name, 0.0) for d in dests], [d.road_tag for d in dests],
                                   [False] * len(dests))
 
 
@@ -479,7 +479,7 @@ class TestBuildOdMatrix:
         hour = HOUR
         names = ("E6-Klett", "Storlersbakken-Trondheim")
         tb = TollboothTable.from_rows(
-            [hour] * 2, [(NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH), Direction.UNDIRECTED) for name in names],
+            [hour] * 2, [(name, Direction.UNDIRECTED) for name in names],
             [[250, 0, 0, 0, 0, 0, 250]] * 2,
         )
         rt = destination_rows(net, hour, {"Brøttemsvegen": 60, "Heimsdalvegen": 40, "Industripark": 50})
@@ -510,11 +510,11 @@ class TestBuildOdMatrix:
         dest_names = set(net.destination_names())
         by_hour = {}
         for obs in rt:
-            if obs.node.name in dest_names:
+            if obs.node in dest_names:
                 by_hour.setdefault(obs.hour, []).append(obs)
         for hour, rows in list(by_hour.items())[:24]:
             preds = predict_matrix(model, np.array([reference_features(r) for r in rows]))[:, 1:]
-            joint = joint_from_predictions(hour, [r.node.name for r in rows], preds, [r.censored for r in rows])
+            joint = joint_from_predictions(hour, [r.node for r in rows], preds, [r.censored for r in rows])
             assert sum(joint.mass.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -612,10 +612,10 @@ def mixed_tables(net, censored_hour: int, n_hours: int = 8, seed: int = 5):
         up, down = sorted(counts[4:])
         counts[4:] = (up, down) if h % 2 else (down, up)
         for (name, direction), n in zip(series, counts.tolist()):
-            tb.append((hour, (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH), direction), [n, 0, 0, 0, 0, 0, n]))
+            tb.append((hour, (name, direction), [n, 0, 0, 0, 0, 0, n]))
         for node in net.destinations():
             censored = h == censored_hour
-            rt.append((hour, node.node, 0 if censored else int(rng.integers(0, 3000)), node.road_tag, censored))
+            rt.append((hour, node.name, 0 if censored else int(rng.integers(0, 3000)), node.road_tag, censored))
     return TollboothTable.from_rows(*zip(*tb)), RoutingTable.from_rows(*zip(*rt))
 
 
@@ -668,17 +668,21 @@ def check_against_reference(run, net, model, tb, rt, hours=None) -> list[tuple]:
 class TestOdParity:
     """The batched build against the per-decision reference loop: the same
     decisions and ledger in the same order, the reference's rows in the
-    CSV's order, and the same OD CSV bytes."""
+    CSV's order, and the same OD CSV bytes; the files written conserve the
+    tollbooth counts."""
 
     def check(self, tmp_path, net, model, tb, rt, hours=None):
         run = build_od_matrix(net, model, tb, rt, hours)
         expected = check_against_reference(run, net, model, tb, rt, hours)
         assert od_rows(run) == file_order(expected)
         assert len(run.matrix) == len(expected)
-        write_od_csv(tmp_path / "od.csv", run.matrix)
+        write_od_csv(tmp_path / "od_matrix.csv", run.matrix)
         write_reference_od_csv(tmp_path / "reference.csv", expected)
-        assert (tmp_path / "od.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "od_matrix.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert conservation_violations(run) == []
+        write_ledger_csv(tmp_path / "ledger.csv", run.ledger)
+        write_tollbooth_csv(tmp_path / "tollbooth.csv", tb)
+        check_routing_files(tmp_path, net)
         return run
 
     def test_criterion7_fixture(self, criterion7, tmp_path):
@@ -693,7 +697,7 @@ class TestOdParity:
         assert [e.hour.isoformat() for e in fallback] == ["2024-03-04T09:00"]
         reversed_scenarios = {d.scenario for d in run.decisions if d.reversed_roles and d.volume}
         assert reversed_scenarios == {Scenario.LOCAL_OUTFLOW, Scenario.PASSTHROUGH_NET}
-        assert b'"East, ""B"""' in (tmp_path / "od.csv").read_bytes()
+        assert b'"East, ""B"""' in (tmp_path / "od_matrix.csv").read_bytes()
 
     def test_rows_shuffled_within_hours(self, criterion7, tmp_path):
         net, model, tb, rt = criterion7
@@ -741,10 +745,10 @@ def tables_from_counts(net, hourly_counts: list[dict], seed: int = 3):
         hour = make_hour_key(start + timedelta(hours=h))
         for key, n in counts.items():
             name, _, direction = key.partition("|")
-            series = (NodeId(name=name, kind=NodeKind.MAIN_TOLLBOOTH), Direction(direction or "Undirected"))
+            series = (name, Direction(direction or "Undirected"))
             tb.append((hour, series, [n, 0, 0, 0, 0, 0, n]))
         for node in net.destinations():
-            rt.append((hour, node.node, int(rng.integers(0, 3000)), node.road_tag, False))
+            rt.append((hour, node.name, int(rng.integers(0, 3000)), node.road_tag, False))
     return TollboothTable.from_rows(*zip(*tb)), RoutingTable.from_rows(*zip(*rt))
 
 
@@ -869,8 +873,8 @@ class TestHourChecks:
         key = net.referenced_count_keys()[0]
         keep = net.destination_names()[0]
         tb = without_rows(tb, lambda o: o.hour == hours[5] and o.join_key() == key)
-        rt = without_rows(rt, lambda o: o.hour == hours[3] and o.node.name in net.destination_names()
-                          and o.node.name != keep)
+        rt = without_rows(rt, lambda o: o.hour == hours[3] and o.node in net.destination_names()
+                          and o.node != keep)
         counts = {o.join_key(): int(o.counts.total) for o in tb if o.hour == hours[3]}
         decisions, _ = reference_decide_flows(net, counts, hours[3])
         first = next(d for d in decisions if d.volume and d.scenario is not Scenario.PASSTHROUGH_BYPASS)
@@ -885,8 +889,8 @@ class TestHourChecks:
         key = net.referenced_count_keys()[0]
         keep = net.destination_names()[0]
         tb = without_rows(tb, lambda o: o.hour == hours[3] and o.join_key() == key)
-        rt = without_rows(rt, lambda o: o.hour == hours[3] and o.node.name in net.destination_names()
-                          and o.node.name != keep)
+        rt = without_rows(rt, lambda o: o.hour == hours[3] and o.node in net.destination_names()
+                          and o.node != keep)
         message = f"missing tollbooth counts for {[key]} at {hours[3].isoformat()}"
         with pytest.raises(DataError, match=re.escape(message)):
             build_od_matrix(net, model, tb, rt)
@@ -897,7 +901,7 @@ class TestHourChecks:
         hours = sorted(tb.hours, key=lambda h: h.timestamp)
         dests = set(net.destination_names())
         tb = without_rows(tb, lambda o: o.hour == hours[late_hour])
-        rt = without_rows(rt, lambda o: o.hour == hours[2] and o.node.name in dests)
+        rt = without_rows(rt, lambda o: o.hour == hours[2] and o.node in dests)
         expected = "no tollbooth counts" if late_hour == 2 else "no destination routing rows"
         # An hour without rows must fail on its check, not on mass arithmetic first.
         with warnings.catch_warnings(), \
@@ -910,7 +914,7 @@ class TestHourChecks:
         hours = sorted(tb.hours, key=lambda h: h.timestamp)
         key = net.referenced_count_keys()[-1]
         tb = without_rows(tb, lambda o: o.hour == hours[6] and o.join_key() == key)
-        row = next(i for i, o in enumerate(rt) if o.hour == hours[4] and o.node.name in net.destination_names())
+        row = next(i for i, o in enumerate(rt) if o.hour == hours[4] and o.node in net.destination_names())
         rt = take_rows(rt, list(range(len(rt))) + [row])
         with pytest.raises(DataError, match=re.escape(f"duplicate destination rows for hour {hours[4].isoformat()}")):
             build_od_matrix(net, model, tb, rt)

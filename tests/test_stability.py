@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odfuse.core import NodeId, NodeKind, RoadTag, RoutingTable, make_hour_key
+from odfuse.core import RoadTag, RoutingTable, make_hour_key
 from odfuse.errors import DataError
 from odfuse.stability import (
     DIURNAL,
@@ -21,8 +21,7 @@ from odfuse.stability import (
 def flow_table(rows):
     """A routing table of one node's trunk-road reports, one per (timestamp, flow) pair."""
     n = len(rows)
-    node = NodeId(name="N", kind=NodeKind.MAIN_TOLLBOOTH)
-    return RoutingTable.from_rows([make_hour_key(ts) for ts, _ in rows], [node] * n, [flow for _, flow in rows],
+    return RoutingTable.from_rows([make_hour_key(ts) for ts, _ in rows], ["N"] * n, [flow for _, flow in rows],
                                   [RoadTag.TRUNK] * n, [False] * n)
 
 
