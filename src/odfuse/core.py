@@ -10,7 +10,8 @@ writer takes a whole table, already in the file's row order: it assembles
 fixed-width byte fields padded with a byte that UTF-8 never holds, drops
 the padding and writes each block of consecutive rows at once; its bytes
 are those of ``write_csv``. Every JSON document a user supplies is read by
-``read_json``.
+``read_json``. An input table checks its rows when it is built, so neither
+its consumers nor its observations check them again.
 """
 
 from __future__ import annotations
@@ -236,11 +237,6 @@ class CountsByCategory:
         cls, counts: dict[VehicleCategory, float], total: float
     ) -> "CountsByCategory":
         full = {cat: float(counts.get(cat, 0.0)) for cat in CATEGORY_ORDER}
-        for cat, v in full.items():
-            if v < 0:
-                raise DataError(f"negative count {v!r} for category {cat.key}")
-        if total < 0:
-            raise DataError(f"negative total {total!r}")
         mismatch = abs(total - sum(full.values())) > TOTAL_MISMATCH_TOLERANCE * total
         return cls(counts=full, total=float(total), total_mismatch=mismatch)
 
@@ -276,12 +272,6 @@ class RoutingReportObservation:
     road_tag: RoadTag
     censored: bool = False
 
-    def __post_init__(self) -> None:
-        if self.people_flow < 0:
-            raise DataError(f"people_flow must be non-negative, got {self.people_flow}")
-        if self.censored and self.people_flow != 0:
-            raise DataError("censored rows must carry people_flow = 0")
-
 
 def _ranks(keys: Sequence) -> np.ndarray:
     """Position of each key in the sorted table."""
@@ -290,17 +280,18 @@ def _ranks(keys: Sequence) -> np.ndarray:
     return ranks
 
 
-def _first_repeat(codes: np.ndarray) -> int | None:
-    """Index of the first element equal to an earlier one, or None."""
+def _reject_repeat(codes: np.ndarray, message) -> None:
+    """A DataError ``message(i)`` for the first row ``i`` whose code an earlier row has, if any has."""
     order = np.argsort(codes, kind="stable")
     repeats = order[1:][codes[order[1:]] == codes[order[:-1]]]
-    return int(repeats.min()) if len(repeats) else None
+    if len(repeats):
+        raise DataError(message(int(repeats.min())))
 
 
 def _reject(bad: np.ndarray, rule: str) -> None:
-    """A DataError naming the first row where ``bad`` is set, if any is."""
+    """A DataError naming the first row where ``bad`` is set in any column, if any is."""
     if bad.any():
-        raise DataError(f"row {int(np.argmax(bad))}: {rule}")
+        raise DataError(f"row {int(np.argmax(bad)) // (bad.size // len(bad))}: {rule}")
 
 
 def _codes(keys: list, values: list) -> tuple[tuple, np.ndarray]:
@@ -342,7 +333,9 @@ class TollboothTable(_Rows):
     first appearance; ``series`` indexes ``series_ids``, the distinct
     (station, direction) series. ``counts`` holds the six length-band
     counts in CATEGORY_ORDER and ``total`` the reported total. Indexing and
-    iteration build ``TollboothObservation`` objects.
+    iteration build ``TollboothObservation`` objects. A table holds finite,
+    non-negative whole counts and totals, named stations and one row per
+    (count key, hour); a DataError names the first row that breaks this.
     """
 
     hours: tuple[HourKey, ...]
@@ -352,22 +345,34 @@ class TollboothTable(_Rows):
     counts: np.ndarray
     total: np.ndarray
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        values = np.column_stack((self.counts, self.total))
+        _reject(~((values >= 0) & (values < np.inf)), "counts and total must be finite and non-negative")
+        _reject(values != np.floor(values), "counts and total must be whole numbers")
+        _reject(np.array([not name for name, _ in self.series_ids], dtype=bool)[self.series],
+                "station name cannot be empty")
+        keys, key = self.key_codes()
+        _reject_repeat(self.hour * len(keys) + key, lambda i: f"duplicate tollbooth series {keys[key[i]]!r} "
+                       f"at {self.hours[self.hour[i]].isoformat()}")
+
     @classmethod
     def from_rows(cls, hours: list[HourKey], series: list[tuple[str, Direction]], values) -> "TollboothTable":
         """A table from each row's hour, (station name, direction) series and
-        six counts followed by the total; a negative or non-finite value, or
-        an empty station name, is a DataError."""
+        six counts followed by the total."""
         values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
-        _reject(~((values >= 0) & (values < np.inf)).all(axis=1), "counts and total must be finite and non-negative")
-        _reject(np.array([not name for name, _ in series], dtype=bool), "station name cannot be empty")
         hour_table, hour = _codes([h.timestamp for h in hours], hours)
         series_ids, series_codes = _codes(series, series)
         return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
                    counts=values[:, :-1], total=values[:, -1])
 
-    def series_keys(self) -> list[str]:
-        """The count key of each series, as ``TollboothObservation.join_key``."""
-        return [series_key(name, direction) for name, direction in self.series_ids]
+    def key_codes(self) -> tuple[list[str], np.ndarray]:
+        """The distinct count keys, sorted, and each row's index into them. A
+        key is ``series_key``'s: ("A|Inbound", UNDIRECTED) and ("A", INBOUND) share one."""
+        series_keys = [series_key(name, direction) for name, direction in self.series_ids]
+        keys = sorted(set(series_keys))
+        codes = {k: i for i, k in enumerate(keys)}
+        return keys, np.array([codes[k] for k in series_keys], dtype=np.int64)[self.series]
 
     def _item(self, i: int) -> TollboothObservation:
         name, direction = self.series_ids[self.series[i]]
@@ -383,7 +388,9 @@ class RoutingTable(_Rows):
     ``hour`` indexes ``hours``, the distinct hours by timestamp in order of
     first appearance; ``node`` indexes ``nodes``; ``tag`` indexes
     TAG_ORDER. ``flow`` is the people flow, zero where ``censored``.
-    Indexing and iteration build ``RoutingReportObservation`` objects.
+    Indexing and iteration build ``RoutingReportObservation`` objects. A table
+    holds finite, non-negative whole flows, named nodes and one row per (node
+    name, hour); a DataError names the first row that breaks this.
     """
 
     hours: tuple[HourKey, ...]
@@ -394,16 +401,21 @@ class RoutingTable(_Rows):
     tag: np.ndarray
     censored: np.ndarray
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _reject(~((self.flow >= 0) & (self.flow < np.inf)), "people_flow must be finite and non-negative")
+        _reject(self.flow != np.floor(self.flow), "people_flow must be a whole number")
+        _reject(self.censored & (self.flow != 0), "censored rows must carry people_flow = 0")
+        _reject(np.array([not name for name in self.nodes], dtype=bool)[self.node], "node name cannot be empty")
+        name = _codes(self.nodes, self.nodes)[1][self.node]  # nodes of one name share a code
+        _reject_repeat(name * len(self.hours) + self.hour, lambda i: "duplicate routing row for node "
+                       f"{self.nodes[self.node[i]]!r} at {self.hours[self.hour[i]].isoformat()}")
+
     @classmethod
     def from_rows(cls, hours: list[HourKey], nodes: list[str], flow: list, tags: list[RoadTag],
                   censored: list[bool]) -> "RoutingTable":
-        """A table from each row's hour, node name, flow, road tag and censor
-        flag; a negative or non-finite flow, a censored row with a non-zero
-        flow, or an empty node name, is a DataError."""
+        """A table from each row's hour, node name, flow, road tag and censor flag."""
         flow, censored = np.array(flow, dtype=np.float64), np.array(censored, dtype=bool)
-        _reject(~((flow >= 0) & (flow < np.inf)), "people_flow must be finite and non-negative")
-        _reject(censored & (flow != 0), "censored rows must carry people_flow = 0")
-        _reject(np.array([not name for name in nodes], dtype=bool), "node name cannot be empty")
         hour_table, hour = _codes([h.timestamp for h in hours], hours)
         node_table, node = _codes(nodes, nodes)
         tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}

@@ -607,16 +607,24 @@ class MetricsReport:
         raise KeyError(name)
 
 
+def _finite(value: float, statistic: str) -> float:
+    if not math.isfinite(value):
+        raise DataError(f"{statistic} is not finite: the predictions or the counts overflow float64")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+    return _finite(float(np.sqrt(np.mean((pred - y) ** 2))), "RMSE")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _r2(pred: np.ndarray, y: np.ndarray) -> float | None:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         return None
     ss_res = float(np.sum((pred - y) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return _finite(1.0 - ss_res / _finite(ss_tot, "R^2"), "R^2")  # an infinite ss_tot gives a meaningless R^2
 
 
 def _metric_row(name: str, dataset: FusionDataset, t: int, train: np.ndarray, valid: np.ndarray) -> MetricRow:

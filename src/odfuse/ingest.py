@@ -15,11 +15,13 @@ LF or CRLF line ends, no quote, NUL or lone CR, every record with all its
 fields non-empty, and counts of 1 to 18 ASCII digits (or the sentinel). Any
 other file goes to the per-row ``csv.reader`` path: quoted names such as
 ``"E6-Klett"``, counts that ``int()`` reads with a sign, space or underscore,
-and every file with a bad value. That path alone raises errors, naming the
-file and line. Both paths parse each distinct timestamp, series, node or
-road-tag text once through the same code tables, so they give equal tables
-and messages. A reader needs only the file: the tables name their stations
-and nodes, and a node's kind is the network's alone.
+and every file with a bad value. That path alone raises a bad value's
+error, naming the file and line. A table rule, such as no repeated (series,
+hour), makes the scan decline and the per-row reader raise the table's
+message. Both paths parse each distinct timestamp, series, node or road-tag
+text once through the same code tables, so they give equal tables and
+messages. A reader needs only the file: the tables name their stations and
+nodes, and a node's kind is the network's alone.
 
 Synthetic data keeps a fixed draw order, so that a seed keeps its data:
 series in network order, hour by hour, six scalar Poisson draws in band
@@ -47,7 +49,6 @@ from .core import (
     RoadTag,
     RoutingTable,
     TollboothTable,
-    _first_repeat,
     _ranks,
     make_hour_key,
     series_key,
@@ -508,29 +509,20 @@ def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray,
     """
     names: dict[str, int] = {}
     rt_name = np.array([names.setdefault(n, len(names)) for n in routing.nodes], dtype=np.int64)[routing.node]
-    repeat = _first_repeat(rt_name * len(routing.hours) + routing.hour)
-    if repeat is not None:
-        raise DataError(
-            f"duplicate routing row for node {routing.nodes[routing.node[repeat]]!r} "
-            f"at {routing.hours[routing.hour[repeat]].isoformat()}"
-        )
     # Routing row of each (node name, hour); the extra last row and column
     # stand for the keys and hours that routing lacks, and hold no row.
     row_of = np.full((len(names) + 1, len(routing.hours) + 1), -1, dtype=np.int64)
     row_of[rt_name, routing.hour] = np.arange(len(routing))
-    series_keys = tollbooth.series_keys()
+    keys, key = tollbooth.key_codes()
     hour_codes = {h.timestamp: i for i, h in enumerate(routing.hours)}
-    series_name = np.array([names.get(k, len(names)) for k in series_keys], dtype=np.int64)
+    key_name = np.array([names.get(k, len(names)) for k in keys], dtype=np.int64)
     hour_code = np.array([hour_codes.get(h.timestamp, len(hour_codes)) for h in tollbooth.hours], dtype=np.int64)
-    match = row_of[series_name[tollbooth.series], hour_code[tollbooth.hour]]
+    match = row_of[key_name[key], hour_code[tollbooth.hour]]
     tb_rows = np.nonzero(match >= 0)[0]
     tb_rows = tb_rows[~routing.censored[match[tb_rows]]]
-    keys = sorted(set(series_keys))
-    key_codes = {k: i for i, k in enumerate(keys)}
-    key = np.array([key_codes[k] for k in series_keys], dtype=np.int64)[tollbooth.series[tb_rows]]
     time = _ranks([h.timestamp for h in tollbooth.hours])[tollbooth.hour[tb_rows]]
-    order = np.lexsort((key, time))
-    return tb_rows[order], match[tb_rows[order]], key[order], keys
+    order = np.lexsort((key[tb_rows], time))
+    return tb_rows[order], match[tb_rows[order]], key[tb_rows[order]], keys
 
 
 def build_dataset(

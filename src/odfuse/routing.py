@@ -52,8 +52,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType, _first_repeat,
-                   _ranks, _Rows, map_vehicle_type, write_csv_columns)
+from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType, _ranks,
+                   _Rows, map_vehicle_type, write_csv_columns)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
 from .ingest import TARGET_NAMES, feature_matrix
@@ -111,12 +111,6 @@ class FlowDecision:
     origin: str
     eligible_destinations: tuple[str, ...]
     reversed_roles: bool = False
-
-    def __post_init__(self) -> None:
-        if self.volume < 0:
-            raise InternalError(f"negative decision volume {self.volume}")
-        if self.scenario is Scenario.PASSTHROUGH_BYPASS and len(self.eligible_destinations) != 1:
-            raise InternalError("bypass decisions have exactly one destination")
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,18 +605,12 @@ def build_od_matrix(
     conservation ledger and distributes. ``hours`` defaults to every hour
     present in the tollbooth data. Of the hours that fail a check, the
     earliest is reported, with the first failing check of: no tollbooth
-    counts; destination rows missing or repeated; count keys missing; an
-    eligible destination without rows.
+    counts; no destination rows; count keys missing; an eligible
+    destination without rows. The tables reject repeated rows themselves.
     """
     # Hour x count-key grid of integer totals, -1 where a series has no row.
-    series_keys = tollbooth.series_keys()
-    keys = list(dict.fromkeys(series_keys))
+    keys, row_key = tollbooth.key_codes()
     key_codes = {k: i for i, k in enumerate(keys)}
-    row_key = np.array([key_codes[k] for k in series_keys], dtype=np.int64)[tollbooth.series]
-    repeat = _first_repeat(tollbooth.hour * len(keys) + row_key)
-    if repeat is not None:
-        raise DataError(f"duplicate tollbooth series {keys[row_key[repeat]]!r} "
-                        f"at {tollbooth.hours[tollbooth.hour[repeat]].isoformat()}")
     # _apportion splits a total T over k weights by float64 quotas T * w. The
     # renormalised weights and the quotas carry a relative rounding error of
     # about (k + 1) * 2**-53, under half a vehicle while T <= 2**53 / (2 * (k + 2)),
@@ -666,7 +654,7 @@ def build_od_matrix(
     referenced = network.referenced_count_keys()
     counts = {k: totals[tb_hour, key_codes.get(k, -1)] for k in referenced}
     no_counts = tb_hour < 0
-    bad_rows = (bounds[1:] == bounds[:-1]) | (rows_per_dest > 1).reshape(n_hours, -1).any(axis=1)
+    no_rows = bounds[1:] == bounds[:-1]
     missing = np.zeros(n_hours, dtype=bool)
     for total in counts.values():
         missing |= total < 0
@@ -678,7 +666,7 @@ def build_od_matrix(
 
     decisions, ledger = _decide(network, hour_keys, {k: np.maximum(v, 0) for k, v in counts.items()}, fallback)
     absent = _absent(decisions, dest_names, present)
-    checks = np.stack([no_counts, bad_rows, missing, np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
+    checks = np.stack([no_counts, no_rows, missing, np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
     failing = checks.any(axis=0)
     if failing.any():
         h = int(np.argmax(failing))
@@ -686,8 +674,7 @@ def build_od_matrix(
         if check == 0:
             raise DataError(f"no tollbooth counts for hour {when}")
         if check == 1:
-            what = "no destination routing rows" if bounds[h] == bounds[h + 1] else "duplicate destination rows"
-            raise DataError(f"{what} for hour {when}")
+            raise DataError(f"no destination routing rows for hour {when}")
         if check == 2:
             raise DataError(f"missing tollbooth counts for {[k for k in referenced if counts[k][h] < 0]} at {when}")
         raise _absent_error(decisions, int(np.nonzero(absent & (decisions.hour == h))[0][0]), dest_names, present)

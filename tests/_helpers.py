@@ -854,9 +854,20 @@ def _reference_check_header(row: list[str] | None, expected: list[str], path: Pa
         )
 
 
+def _reference_repeat(keys: list, message) -> None:
+    """Raise ``message(i)`` for the first row ``i`` whose key an earlier row has."""
+    seen: set = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            raise DataError(message(i))
+        seen.add(key)
+
+
 def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]:
     """The per-row tollbooth reader: one set of observation objects per row.
-    The oracle for the column reader ``odfuse.ingest.read_tollbooth_csv``."""
+    The oracle for the column reader ``odfuse.ingest.read_tollbooth_csv``.
+    Counts are read by ``int()``, so they are whole; once every row is
+    read, a second row of one count key and hour is a DataError."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"tollbooth file not found: {p}")
@@ -895,11 +906,15 @@ def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]
                     counts=CountsByCategory.with_reported_total(counts, float(total)),
                 )
             )
+    _reference_repeat([(o.join_key(), o.hour.timestamp) for o in out],
+                      lambda i: f"duplicate tollbooth series {out[i].join_key()!r} at {out[i].hour.isoformat()}")
     return out
 
 
 def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL) -> list[RoutingReportObservation]:
-    """The per-row routing reader: the oracle for ``odfuse.ingest.read_routing_csv``."""
+    """The per-row routing reader: the oracle for ``odfuse.ingest.read_routing_csv``.
+    Flows are read by ``int()``, so they are whole; once every row is read,
+    a second row of one node name and hour is a DataError."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"routing file not found: {p}")
@@ -936,6 +951,8 @@ def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL
                     censored=censored,
                 )
             )
+    _reference_repeat([(o.node, o.hour.timestamp) for o in out],
+                      lambda i: f"duplicate routing row for node {out[i].node!r} at {out[i].hour.isoformat()}")
     return out
 
 

@@ -275,6 +275,51 @@ class TestStabilityCommand:
         cfg = write_config(tmp_path / "run.json")
         assert main(["--config", str(cfg), "stability"]) == 1
 
+    def test_repeated_routing_row_is_data_error(self, explained_run, tmp_path, capsys):
+        _, out = explained_run
+        routing = tmp_path / "routing.csv"
+        lines = (out / "routing.csv").read_bytes().split(b"\r\n")
+        routing.write_bytes(b"\r\n".join([*lines[:3], lines[1], *lines[3:]]))
+        node, hour = lines[1].decode().split(",")[1], lines[1].decode().split(",")[0]
+        cfg = write_config(tmp_path / "run.json")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "stability", "--routing-a", str(routing), "--routing-b", str(routing)]) == 2
+        assert capsys.readouterr().err == f"odfuse: data error: duplicate routing row for node {node!r} at {hour}\n"
+
+
+class TestMalformedRunInputs:
+    @pytest.mark.parametrize("command", ["train", "eval", "explain"])
+    def test_repeated_tollbooth_row_is_data_error(self, explained_run, tmp_path, capsys, command):
+        cfg, out = explained_run
+        for name in ("routing.csv", "model.json"):
+            shutil.copy(out / name, tmp_path / name)
+        lines = (out / "tollbooth.csv").read_bytes().split(b"\r\n")
+        (tmp_path / "tollbooth.csv").write_bytes(b"\r\n".join([*lines[:-1], lines[5], b""]))
+        hour, name, direction = lines[5].decode().split(",")[:3]
+        key = name if direction == "Undirected" else f"{name}|{direction}"
+        doc = {**json.loads(cfg.read_text(encoding="utf-8")), "out_dir": str(tmp_path)}
+        (tmp_path / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(tmp_path / "run.json"), command]) == 2
+        assert capsys.readouterr().err == f"odfuse: data error: duplicate tollbooth series {key!r} at {hour}\n"
+
+    @pytest.mark.parametrize(("command", "statistic"), [("eval", "RMSE"), ("explain", "R^2")])
+    def test_scores_that_overflow_the_statistics_are_data_error(self, tmp_path, capsys, command, statistic):
+        cfg = write_config(tmp_path / "run.json", synthetic={"days": 3}, hyperparams={"n_trees": 3, "max_depth": 2},
+                           explain={"target": "total", "max_rows": 16, "repeats": 1})
+        for step in ("synth", "train"):
+            assert main(["--config", str(cfg), step]) == 0
+        path = tmp_path / "out" / "model.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        tree = doc["targets"]["total"]["trees"][0]
+        tree["value"] = [1e300 if f == -1 else v for f, v in zip(tree["feature"], tree["value"])]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), command]) == 2
+        assert f"{statistic} is not finite" in capsys.readouterr().err
+
 
 class TestRoute:
     def test_worked_example_exact_entries(self, tmp_path):
@@ -313,7 +358,7 @@ class TestRoute:
             (
                 [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
                  (("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Brøttemsvegen", 300))],
-                "duplicate destination rows for hour 2025-01-30T17:00",
+                "duplicate routing row for node 'Brøttemsvegen' at 2025-01-30T17:00",
             ),
             (
                 [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
@@ -321,8 +366,21 @@ class TestRoute:
                 "eligible destinations ['Heimsdalvegen'] absent from the joint distribution "
                 "at 2025-01-30T17:00",
             ),
+            (
+                [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
+                 (("E6-Klett", 7), ("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Industripark", 300),
+                  ("E6-Klett", 7))],
+                "duplicate routing row for node 'E6-Klett' at 2025-01-30T17:00",
+            ),
+            (
+                [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
+                 (("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Industripark", 300))]
+                + [("2025-01-30T18:00", "Industripark", 5)] * 2,
+                "duplicate routing row for node 'Industripark' at 2025-01-30T18:00",
+            ),
         ],
-        ids=["no-destination-rows", "duplicate-destination", "eligible-destination-missing"],
+        ids=["no-destination-rows", "duplicate-destination", "eligible-destination-missing",
+             "duplicate-non-destination", "duplicate-outside-window"],
     )
     def test_bad_simulation_hour_exit_2(self, tmp_path, capsys, rows, message):
         config = write_worked_example_fixture(tmp_path / "fixture")

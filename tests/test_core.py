@@ -9,8 +9,6 @@ from odfuse.core import (
     CATEGORY_ORDER,
     CountsByCategory,
     Direction,
-    RoadTag,
-    RoutingReportObservation,
     VehicleCategory,
     VehicleType,
     category_of_length,
@@ -120,10 +118,6 @@ class TestCountsByCategory:
         c = CountsByCategory.with_reported_total(counts, 100)
         assert c.total_mismatch
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(DataError):
-            CountsByCategory.with_reported_total({VehicleCategory.UNDER_5_6: -1}, 0)
-
 
 class TestVehicleTypeMapping:
     def test_passenger(self):
@@ -142,16 +136,6 @@ class TestVehicleTypeMapping:
 
 
 class TestObservations:
-    def test_censored_requires_zero_flow(self):
-        with pytest.raises(DataError):
-            RoutingReportObservation(
-                node="X",
-                hour=make_hour_key("2023-11-06T08:00"),
-                people_flow=5.0,
-                road_tag=RoadTag.SECONDARY,
-                censored=True,
-            )
-
     def test_join_key_qualifies_direction(self):
         from odfuse.core import TollboothObservation
 

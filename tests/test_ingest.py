@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import re
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -540,7 +542,7 @@ class TestDifferenceSeries:
 
 class TestTables:
     def test_items_are_the_observations(self):
-        tollbooth, routing = tables([("A", H8, 10), ("B", H9, 20), ("A", H8, 10)], [("A", H8, 12), ("B", H9, None)])
+        tollbooth, routing = tables([("A", H8, 10), ("B", H9, 20), ("A", H9, 30)], [("A", H8, 12), ("B", H9, None)])
         a, b = "AB"
         h8, h9 = make_hour_key(H8), make_hour_key(H9)
 
@@ -549,21 +551,30 @@ class TestTables:
 
         at_a = TollboothObservation(node=a, direction=Direction.UNDIRECTED, hour=h8, counts=counts(10))
         at_b = TollboothObservation(node=b, direction=Direction.UNDIRECTED, hour=h9, counts=counts(20))
-        assert list(tollbooth) == [at_a, at_b, at_a]
+        later_a = TollboothObservation(node=a, direction=Direction.UNDIRECTED, hour=h9, counts=counts(30))
+        assert list(tollbooth) == [at_a, at_b, later_a]
         assert list(routing) == [
             RoutingReportObservation(node=a, hour=h8, people_flow=12.0, road_tag=RoadTag.TRUNK),
             RoutingReportObservation(node=b, hour=h9, people_flow=0.0, road_tag=RoadTag.TRUNK, censored=True),
         ]
-        assert (tollbooth[-1], tollbooth[1:]) == (at_a, [at_b, at_a])
+        assert (tollbooth[-1], tollbooth[1:]) == (later_a, [at_b, later_a])
         assert len(tollbooth.hours) == 2 and len(tollbooth.series_ids) == 2
         with pytest.raises(IndexError):
             routing[2]
 
-    @pytest.mark.parametrize("values", [[-5, 0, 0, 0, 0, 0, 5], [5, 0, 0, 0, 0, 0, -5], [np.nan] * 7, [np.inf] * 7],
-                             ids=["count", "total", "nan", "inf"])
-    def test_bad_counts_rejected(self, values):
+    _BAD_COUNTS = "counts and total must be finite and non-negative"
+
+    @pytest.mark.parametrize(("values", "rule"), [
+        ([-5, 0, 0, 0, 0, 0, 5], _BAD_COUNTS),
+        ([5, 0, 0, 0, 0, 0, -5], _BAD_COUNTS),
+        ([np.nan] * 7, _BAD_COUNTS),
+        ([np.inf] * 7, _BAD_COUNTS),
+        ([1.5, 0, 0, 0, 0, 0, 2], "counts and total must be whole numbers"),
+        ([1, 0, 0, 0, 0, 0, 607.5], "counts and total must be whole numbers"),
+    ], ids=["count", "total", "nan", "inf", "fractional-count", "fractional-total"])
+    def test_bad_counts_rejected(self, values, rule):
         series = ("A", Direction.UNDIRECTED)
-        with pytest.raises(DataError, match="row 1: counts and total must be finite and non-negative"):
+        with pytest.raises(DataError, match=f"row 1: {rule}"):
             TollboothTable.from_rows([make_hour_key(H8), make_hour_key(H9)], [series] * 2, [[1] * 7, values])
 
     def test_empty_names_rejected(self):
@@ -577,17 +588,32 @@ class TestTables:
         (-50, False, "people_flow must be finite and non-negative"),
         (np.nan, False, "people_flow must be finite and non-negative"),
         (np.inf, False, "people_flow must be finite and non-negative"),
+        (2.5, False, "people_flow must be a whole number"),
         (3, True, "censored rows must carry people_flow = 0"),
-    ], ids=["negative", "nan", "inf", "censored-nonzero"])
+    ], ids=["negative", "nan", "inf", "fractional", "censored-nonzero"])
     def test_bad_flows_rejected(self, flow, censored, rule):
         with pytest.raises(DataError, match=f"row 1: {rule}"):
             RoutingTable.from_rows([make_hour_key(H8), make_hour_key(H9)], ["A"] * 2, [4, flow],
                                    [RoadTag.TRUNK] * 2, [False, censored])
 
+    def test_series_sharing_a_count_key_and_hour_rejected(self):
+        series = [("A", Direction.INBOUND), ("A|Inbound", Direction.UNDIRECTED), ("A", Direction.OUTBOUND)]
+        with pytest.raises(DataError, match=re.escape("duplicate tollbooth series 'A|Inbound' at 2023-11-06T08:00")):
+            TollboothTable.from_rows([make_hour_key(H8)] * 3, series, [[1] * 7] * 3)
+
+    def test_replace_into_a_repeated_row_rejected(self):
+        tollbooth, routing = tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("B", H8, 5)])
+        with pytest.raises(DataError, match=re.escape("duplicate tollbooth series 'A' at 2023-11-06T09:00")):
+            dataclasses.replace(tollbooth, hour=np.array([1, 1]))
+        with pytest.raises(DataError, match=re.escape("duplicate routing row for node 'A' at 2023-11-06T08:00")):
+            dataclasses.replace(routing, node=np.array([0, 0]))
+        with pytest.raises(DataError, match="row 0: people_flow must be a whole number"):
+            dataclasses.replace(routing, flow=np.array([0.5, 5.0]))
+
 
 class TestJoinParity:
-    """The column join against the per-pair join, on rows shuffled, thinned,
-    repeated and mixed with reports of nodes no station counts."""
+    """The column join against the per-pair join, on rows shuffled, thinned
+    and mixed with reports of nodes no station counts."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -597,7 +623,6 @@ class TestJoinParity:
         profile = BiasProfile(gains={tag: 1.2 for tag in RoadTag}, noise_scale=0.3, censor_threshold=70, seed=seed)
         tb, rt = generate_synthetic(net, 2, profile)
         tb_rows = rng.permutation(len(tb))[: int(len(tb) * rng.uniform(0.5, 1.0))]
-        tb_rows = np.concatenate([tb_rows, tb_rows[rng.integers(0, len(tb_rows), size=int(rng.integers(0, 4)))]])
         rt_rows = rng.permutation(len(rt))[: int(len(rt) * rng.uniform(0.5, 1.0))]
         tb, rt = take_rows(tb, tb_rows), take_rows(rt, rt_rows)
         X, Y, node_keys, hours, split_index = reference_dataset(tb, rt, 0.3)
@@ -659,8 +684,15 @@ def _corrupted(draw, rows, bad_values):
     return rows
 
 
-def _file_text(draw, header, columns, bad_values, canonical):
+def _file_text(draw, header, columns, bad_values, canonical, key):
     rows = [[draw(column) for column in columns] for _ in range(draw(st.integers(0, 12)))]
+    if draw(st.booleans()):
+        # Half the files keep the first row of each key: a file of many rows
+        # drawn at random almost always repeats one, which the table rejects.
+        distinct = {}
+        for row in rows:
+            distinct.setdefault(key(row), row)
+        rows = list(distinct.values())
     rows = _corrupted(draw, rows, bad_values)
     blank_after = set() if canonical else draw(st.sets(st.integers(0, 12), max_size=3))
     return _csv_text(header, rows, blank_after, draw(st.booleans()), draw(st.booleans()))
@@ -674,7 +706,8 @@ def tollbooth_files(draw):
                st.sampled_from(_DIRECTIONS)]
     columns += [counts] * 7
     bad = [_BAD_TIMESTAMPS, [""], ["Sideways", "inbound"]] + [_BAD_COUNTS] * 7
-    return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad, canonical)
+    return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad, canonical,
+                      lambda row: (row[0].replace(" ", "T"), row[1], row[2]))
 
 
 @st.composite
@@ -684,7 +717,8 @@ def routing_files(draw):
     columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_NODES + ([] if canonical else [_QUOTED_NAME])),
                st.just("<T") | counts, st.sampled_from(_TAGS)]
     bad = [_BAD_TIMESTAMPS, [""], _BAD_COUNTS + ["<t"], ["Motorway", ""]]
-    return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad, canonical)
+    return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad, canonical,
+                      lambda row: (row[0].replace(" ", "T"), row[1]))
 
 
 def _outcome(read, path):
@@ -852,6 +886,18 @@ class TestByteScan:
             assert outcome == expected
         else:
             assert_tables_equal(outcome, expected)
+
+    @pytest.mark.parametrize(("which", "row", "message"), [
+        ("tollbooth", "2023-11-06T08:00,E6-Klett,Inbound,1,0,0,0,0,0,1",
+         "duplicate tollbooth series 'E6-Klett|Inbound' at 2023-11-06T08:00"),
+        ("routing", "2023-11-06T08:00,E6-Klett,5,Primary", "duplicate routing row for node 'E6-Klett' at 2023-11-06T08:00"),
+    ], ids=["tollbooth", "routing"])
+    def test_repeated_row_declines_and_raises_the_table_message(self, tmp_path, which, row, message):
+        scan, read_rows, read = _READERS[which]
+        path = tmp_path / f"{which}.csv"
+        path.write_text("\r\n".join(self._ROWS[which] + [row]) + "\r\n", encoding="utf-8", newline="")
+        assert scan(path) is None
+        assert _table_or_error(read_rows, path) == _table_or_error(read, path) == message
 
     @pytest.mark.parametrize("width", [255, 256, 257, 5000])
     def test_wide_last_name_takes_the_scan(self, tmp_path, width):

@@ -499,11 +499,10 @@ class TestBuildOdMatrix:
             build_od_matrix(net, model, tb, take_rows(rt, []))
 
     def test_first_duplicate_tollbooth_series_is_named(self, trained_small):
-        net, model, tb, rt = trained_small
-        rows = take_rows(tb, np.r_[0:30, 25, 7, 30:len(tb)])
+        _, _, tb, _ = trained_small
         key, hour = tb[25].join_key(), tb[25].hour.isoformat()
         with pytest.raises(DataError, match=re.escape(f"duplicate tollbooth series {key!r} at {hour}")):
-            build_od_matrix(net, model, rows, rt)
+            take_rows(tb, np.r_[0:30, 25, 7, 30:len(tb)])
 
     def test_joint_sums_to_one_every_hour(self, trained_small):
         net, model, tb, rt = trained_small
@@ -909,14 +908,14 @@ class TestHourChecks:
             warnings.simplefilter("error")
             build_od_matrix(net, model, tb, rt, hours)
 
-    def test_duplicate_rows_before_later_missing_key(self, criterion7):
+    def test_missing_rows_before_later_missing_key(self, criterion7):
         net, model, tb, rt = criterion7
         hours = sorted(tb.hours, key=lambda h: h.timestamp)
         key = net.referenced_count_keys()[-1]
+        dests = set(net.destination_names())
         tb = without_rows(tb, lambda o: o.hour == hours[6] and o.join_key() == key)
-        row = next(i for i, o in enumerate(rt) if o.hour == hours[4] and o.node in net.destination_names())
-        rt = take_rows(rt, list(range(len(rt))) + [row])
-        with pytest.raises(DataError, match=re.escape(f"duplicate destination rows for hour {hours[4].isoformat()}")):
+        rt = without_rows(rt, lambda o: o.hour == hours[4] and o.node in dests)
+        with pytest.raises(DataError, match=re.escape(f"no destination routing rows for hour {hours[4].isoformat()}")):
             build_od_matrix(net, model, tb, rt)
 
 
