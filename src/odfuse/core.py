@@ -10,8 +10,10 @@ writer takes a whole table, already in the file's row order: it assembles
 fixed-width byte fields padded with a byte that UTF-8 never holds, drops
 the padding and writes each block of consecutive rows at once; its bytes
 are those of ``write_csv``. Every JSON document a user supplies is read by
-``read_json``. An input table checks its rows when it is built, so neither
-its consumers nor its observations check them again.
+``read_json``. An input table checks its shape, its code tables and its
+rows when it is built: a code table holds each hour, count key or node name
+once, so a code stands for one of them, and neither the table's consumers
+nor its observations merge codes or check rows again.
 """
 
 from __future__ import annotations
@@ -288,19 +290,26 @@ def _reject_repeat(codes: np.ndarray, message) -> None:
         raise DataError(message(int(repeats.min())))
 
 
+def _reject_twice(entries: Sequence, message) -> None:
+    """A DataError ``message(j, i)`` for the first entry ``i`` of a code table
+    equal to an earlier entry ``j``, if any is."""
+    first: dict = {}
+    for i, entry in enumerate(entries):
+        if first.setdefault(entry, i) != i:
+            raise DataError(message(first[entry], i))
+
+
 def _reject(bad: np.ndarray, rule: str) -> None:
     """A DataError naming the first row where ``bad`` is set in any column, if any is."""
     if bad.any():
         raise DataError(f"row {int(np.argmax(bad)) // (bad.size // len(bad))}: {rule}")
 
 
-def _codes(keys: list, values: list) -> tuple[tuple, np.ndarray]:
-    """Codes of ``keys`` in order of first appearance, and the first value
-    seen for each code."""
+def _codes(values: list) -> tuple[tuple, np.ndarray]:
+    """The distinct ``values`` in order of first appearance, and each value's code into them."""
     codes: dict = {}
-    column = np.array([codes.setdefault(key, len(codes)) for key in keys], dtype=np.int64)
-    first = np.unique(column, return_index=True)[1]
-    return tuple(values[i] for i in first.tolist()), column
+    column = np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int64)
+    return tuple(codes), column
 
 
 class _Rows(Sequence):
@@ -311,6 +320,26 @@ class _Rows(Sequence):
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        _reject_twice([h.timestamp for h in self.hours],
+                      lambda _, i: f"hour {self.hours[i].isoformat()} is listed twice in the table's hours")
+
+    def _check_columns(self, widths: dict[str, tuple[int, ...]], tables: dict[str, int]) -> None:
+        """A DataError unless ``hour`` is a 1-D array, each column in
+        ``widths`` an array of shape ``(len(hour), *width)``, and ``hour`` and
+        each code column in ``tables`` hold integers that index ``hours`` or a
+        table of the given length."""
+        got = lambda column: f"got {type(column).__name__} of shape {np.shape(column)}"  # noqa: E731
+        if not isinstance(self.hour, np.ndarray) or self.hour.ndim != 1:
+            raise DataError(f"column 'hour' must be a 1-D numpy array, {got(self.hour)}")
+        for name, width in widths.items():
+            column, shape = getattr(self, name), (len(self.hour), *width)
+            if not isinstance(column, np.ndarray) or column.shape != shape:
+                raise DataError(f"column {name!r} must be a numpy array of shape {shape}, {got(column)}")
+        for name, size in {"hour": len(self.hours), **tables}.items():
+            codes = getattr(self, name)
+            if codes.dtype.kind not in "iu":
+                raise DataError(f"column {name!r} must hold integer codes, got {codes.dtype}")
+            _reject((codes < 0) | (codes >= size), f"{name} code is outside its table of {size}")
 
     def __len__(self) -> int:
         return len(self.hour)
@@ -329,13 +358,15 @@ class _Rows(Sequence):
 class TollboothTable(_Rows):
     """Tollbooth observations as columns, one row per observation in input order.
 
-    ``hour`` indexes ``hours``, the distinct hours by timestamp in order of
-    first appearance; ``series`` indexes ``series_ids``, the distinct
-    (station, direction) series. ``counts`` holds the six length-band
-    counts in CATEGORY_ORDER and ``total`` the reported total. Indexing and
-    iteration build ``TollboothObservation`` objects. A table holds finite,
-    non-negative whole counts and totals, named stations and one row per
-    (count key, hour); a DataError names the first row that breaks this.
+    ``hour`` indexes ``hours``, one hour per timestamp in order of first
+    appearance; ``series`` indexes ``series_ids``, the (station, direction)
+    series, one per count key, so a series code is a count-key code.
+    ``counts`` holds the six length-band counts in CATEGORY_ORDER and
+    ``total`` the reported total. Indexing and iteration build
+    ``TollboothObservation`` objects. A table holds one row per ``hour``
+    entry in every column, codes inside their tables, finite, non-negative
+    whole counts and totals, named stations and one row per (series, hour);
+    a DataError names the repeated entry or the first row that breaks this.
     """
 
     hours: tuple[HourKey, ...]
@@ -347,32 +378,33 @@ class TollboothTable(_Rows):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._check_columns({"series": (), "counts": (len(CATEGORY_ORDER),), "total": ()},
+                            {"series": len(self.series_ids)})
+        keys = self.count_keys()
+        spelt = lambda s: f"({self.series_ids[s][0]!r}, {self.series_ids[s][1].value})"  # noqa: E731
+        _reject_twice(keys, lambda j, i: f"tollbooth series {spelt(j)} and {spelt(i)} share count key {keys[i]!r}")
         values = np.column_stack((self.counts, self.total))
         _reject(~((values >= 0) & (values < np.inf)), "counts and total must be finite and non-negative")
         _reject(values != np.floor(values), "counts and total must be whole numbers")
         _reject(np.array([not name for name, _ in self.series_ids], dtype=bool)[self.series],
                 "station name cannot be empty")
-        keys, key = self.key_codes()
-        _reject_repeat(self.hour * len(keys) + key, lambda i: f"duplicate tollbooth series {keys[key[i]]!r} "
-                       f"at {self.hours[self.hour[i]].isoformat()}")
+        _reject_repeat(self.hour * len(keys) + self.series, lambda i: f"duplicate tollbooth series "
+                       f"{keys[self.series[i]]!r} at {self.hours[self.hour[i]].isoformat()}")
 
     @classmethod
     def from_rows(cls, hours: list[HourKey], series: list[tuple[str, Direction]], values) -> "TollboothTable":
         """A table from each row's hour, (station name, direction) series and
         six counts followed by the total."""
         values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
-        hour_table, hour = _codes([h.timestamp for h in hours], hours)
-        series_ids, series_codes = _codes(series, series)
+        hour_table, hour = _codes(hours)
+        series_ids, series_codes = _codes(series)
         return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
                    counts=values[:, :-1], total=values[:, -1])
 
-    def key_codes(self) -> tuple[list[str], np.ndarray]:
-        """The distinct count keys, sorted, and each row's index into them. A
-        key is ``series_key``'s: ("A|Inbound", UNDIRECTED) and ("A", INBOUND) share one."""
-        series_keys = [series_key(name, direction) for name, direction in self.series_ids]
-        keys = sorted(set(series_keys))
-        codes = {k: i for i, k in enumerate(keys)}
-        return keys, np.array([codes[k] for k in series_keys], dtype=np.int64)[self.series]
+    def count_keys(self) -> list[str]:
+        """Each series' count key, indexed by ``series``: ``series_key``'s, so
+        ("A|Inbound", UNDIRECTED) and ("A", INBOUND) would share one."""
+        return [series_key(name, direction) for name, direction in self.series_ids]
 
     def _item(self, i: int) -> TollboothObservation:
         name, direction = self.series_ids[self.series[i]]
@@ -385,12 +417,14 @@ class TollboothTable(_Rows):
 class RoutingTable(_Rows):
     """Mobility reports as columns, one row per report in input order.
 
-    ``hour`` indexes ``hours``, the distinct hours by timestamp in order of
-    first appearance; ``node`` indexes ``nodes``; ``tag`` indexes
+    ``hour`` indexes ``hours``, one hour per timestamp in order of first
+    appearance; ``node`` indexes ``nodes``, one name each; ``tag`` indexes
     TAG_ORDER. ``flow`` is the people flow, zero where ``censored``.
     Indexing and iteration build ``RoutingReportObservation`` objects. A table
-    holds finite, non-negative whole flows, named nodes and one row per (node
-    name, hour); a DataError names the first row that breaks this.
+    holds one row per ``hour`` entry in every column, codes inside their
+    tables, finite, non-negative whole flows, named nodes and one row per
+    (node, hour); a DataError names the repeated entry or the first row that
+    breaks this.
     """
 
     hours: tuple[HourKey, ...]
@@ -403,12 +437,16 @@ class RoutingTable(_Rows):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._check_columns(dict.fromkeys(("node", "flow", "tag", "censored"), ()),
+                            {"node": len(self.nodes), "tag": len(TAG_ORDER)})
+        if self.censored.dtype != bool:
+            raise DataError(f"column 'censored' must hold booleans, got {self.censored.dtype}")
+        _reject_twice(self.nodes, lambda _, i: f"node name {self.nodes[i]!r} is listed twice in the table's nodes")
         _reject(~((self.flow >= 0) & (self.flow < np.inf)), "people_flow must be finite and non-negative")
         _reject(self.flow != np.floor(self.flow), "people_flow must be a whole number")
         _reject(self.censored & (self.flow != 0), "censored rows must carry people_flow = 0")
         _reject(np.array([not name for name in self.nodes], dtype=bool)[self.node], "node name cannot be empty")
-        name = _codes(self.nodes, self.nodes)[1][self.node]  # nodes of one name share a code
-        _reject_repeat(name * len(self.hours) + self.hour, lambda i: "duplicate routing row for node "
+        _reject_repeat(self.node * len(self.hours) + self.hour, lambda i: "duplicate routing row for node "
                        f"{self.nodes[self.node[i]]!r} at {self.hours[self.hour[i]].isoformat()}")
 
     @classmethod
@@ -416,8 +454,8 @@ class RoutingTable(_Rows):
                   censored: list[bool]) -> "RoutingTable":
         """A table from each row's hour, node name, flow, road tag and censor flag."""
         flow, censored = np.array(flow, dtype=np.float64), np.array(censored, dtype=bool)
-        hour_table, hour = _codes([h.timestamp for h in hours], hours)
-        node_table, node = _codes(nodes, nodes)
+        hour_table, hour = _codes(hours)
+        node_table, node = _codes(nodes)
         tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}
         return cls(hours=hour_table, nodes=node_table, hour=hour, node=node, flow=flow,
                    tag=np.array([tag_codes[t] for t in tags], dtype=np.int64), censored=censored)

@@ -16,12 +16,14 @@ fields non-empty, and counts of 1 to 18 ASCII digits (or the sentinel). Any
 other file goes to the per-row ``csv.reader`` path: quoted names such as
 ``"E6-Klett"``, counts that ``int()`` reads with a sign, space or underscore,
 and every file with a bad value. That path alone raises a bad value's
-error, naming the file and line. A table rule, such as no repeated (series,
-hour), makes the scan decline and the per-row reader raise the table's
-message. Both paths parse each distinct timestamp, series, node or road-tag
-text once through the same code tables, so they give equal tables and
-messages. A reader needs only the file: the tables name their stations and
-nodes, and a node's kind is the network's alone.
+error, naming the file and line. A table rule, such as one spelling per
+count key (``A,Inbound`` and ``A|Inbound,Undirected`` are one series) or no
+repeated (series, hour), makes the scan decline and the per-row reader raise
+the table's message after the file's name. Both paths parse each distinct
+timestamp, series, node or road-tag text once through the same code tables,
+so they give equal tables and messages. A reader needs only the file: the
+tables name their stations and nodes, and a node's kind is the network's
+alone.
 
 Synthetic data keeps a fixed draw order, so that a seed keeps its data:
 series in network order, hour by hour, six scalar Poisson draws in band
@@ -222,9 +224,9 @@ def _csv_rows(p: Path, header: list[str], label: str) -> Iterator[tuple[int, lis
 
 
 class _Codes(dict):
-    """The int code of each distinct text of one column. Texts whose parsed
-    values are equal share a code; ``parsed`` maps each value to its code, in
-    order of first appearance. The per-row readers try ``get`` first, and a
+    """The int code of each distinct text of one column. Texts that parse to
+    one value get its code; ``parsed`` maps each value to its code, in order
+    of first appearance. The per-row readers try ``get`` first, and a
     miss or code 0 falls through to ``code``; the byte scan calls ``code``
     once per distinct text."""
 
@@ -373,11 +375,20 @@ def _tollbooth_codes(p: Path) -> tuple[_Codes, _Codes]:
             _Codes(p, lambda key: (_node(key[0], "station"), Direction.parse(key[1]))))
 
 
+def _table(path: Path, table: type, **columns):
+    """``table(**columns)``; a rule the table holds to raises its DataError
+    with the file's name in front."""
+    try:
+        return table(**columns)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _tollbooth_table(hours: _Codes, series: _Codes, hour, row_series, values) -> TollboothTable:
     values = np.asarray(values, dtype=np.float64).reshape(len(hour), len(TOLLBOOTH_HEADER) - 3)
-    return TollboothTable(hours=tuple(hours.parsed), series_ids=tuple(series.parsed),
-                          hour=np.asarray(hour, dtype=np.int64), series=np.asarray(row_series, dtype=np.int64),
-                          counts=values[:, :-1], total=values[:, -1])
+    return _table(hours.path, TollboothTable, hours=tuple(hours.parsed), series_ids=tuple(series.parsed),
+                  hour=np.asarray(hour, dtype=np.int64), series=np.asarray(row_series, dtype=np.int64),
+                  counts=values[:, :-1], total=values[:, -1])
 
 
 def _scan_tollbooth_csv(p: Path) -> TollboothTable | None:
@@ -432,9 +443,9 @@ def _routing_table(hours: _Codes, nodes: _Codes, tags: _Codes, hour, node, flow,
     flow = np.asarray(flow, dtype=np.float64)
     censored = flow < 0
     tag_codes = np.array([TAG_ORDER.index(t) for t in tags.parsed], dtype=np.int64)
-    return RoutingTable(hours=tuple(hours.parsed), nodes=tuple(nodes.parsed), hour=np.asarray(hour, dtype=np.int64),
-                        node=np.asarray(node, dtype=np.int64), flow=np.where(censored, 0.0, flow), censored=censored,
-                        tag=tag_codes[np.asarray(tag, dtype=np.int64)])
+    return _table(hours.path, RoutingTable, hours=tuple(hours.parsed), nodes=tuple(nodes.parsed),
+                  hour=np.asarray(hour, dtype=np.int64), node=np.asarray(node, dtype=np.int64),
+                  flow=np.where(censored, 0.0, flow), censored=censored, tag=tag_codes[np.asarray(tag, dtype=np.int64)])
 
 
 _SENTINEL = np.frombuffer(CENSOR_SENTINEL.encode(), dtype=np.uint8)
@@ -507,17 +518,17 @@ def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray,
     (timestamp, node key); each pair's node key as a code; and the sorted
     node keys those codes index.
     """
-    names: dict[str, int] = {}
-    rt_name = np.array([names.setdefault(n, len(names)) for n in routing.nodes], dtype=np.int64)[routing.node]
-    # Routing row of each (node name, hour); the extra last row and column
-    # stand for the keys and hours that routing lacks, and hold no row.
-    row_of = np.full((len(names) + 1, len(routing.hours) + 1), -1, dtype=np.int64)
-    row_of[rt_name, routing.hour] = np.arange(len(routing))
-    keys, key = tollbooth.key_codes()
+    # Routing row of each (node, hour); the extra last row and column stand
+    # for the keys and hours that routing lacks, and hold no row.
+    row_of = np.full((len(routing.nodes) + 1, len(routing.hours) + 1), -1, dtype=np.int64)
+    row_of[routing.node, routing.hour] = np.arange(len(routing))
+    series_keys = tollbooth.count_keys()
+    keys, key = sorted(series_keys), _ranks(series_keys)[tollbooth.series]
+    node_codes = {name: i for i, name in enumerate(routing.nodes)}
     hour_codes = {h.timestamp: i for i, h in enumerate(routing.hours)}
-    key_name = np.array([names.get(k, len(names)) for k in keys], dtype=np.int64)
+    series_node = np.array([node_codes.get(k, len(node_codes)) for k in series_keys], dtype=np.int64)
     hour_code = np.array([hour_codes.get(h.timestamp, len(hour_codes)) for h in tollbooth.hours], dtype=np.int64)
-    match = row_of[key_name[key], hour_code[tollbooth.hour]]
+    match = row_of[series_node[tollbooth.series], hour_code[tollbooth.hour]]
     tb_rows = np.nonzero(match >= 0)[0]
     tb_rows = tb_rows[~routing.censored[match[tb_rows]]]
     time = _ranks([h.timestamp for h in tollbooth.hours])[tollbooth.hour[tb_rows]]

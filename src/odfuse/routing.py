@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 MASS_TOLERANCE = 1e-9
+# Counts and totals are int64 arrays: a larger one is a data error, not an overflow.
+_INT64 = np.iinfo(np.int64)
 
 
 class Scenario(Enum):
@@ -334,6 +336,8 @@ def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
     remainders, ties broken by larger weight then earlier index. Every
     output is floor(quota) or ceil(quota) and the outputs sum to ``total``.
     """
+    if not _INT64.min <= total <= _INT64.max:
+        raise DataError(f"total must be an integer within int64, got {total!r}")
     return _apportion(np.array([total]), np.asarray(weights, dtype=np.float64).reshape(1, -1))[0].tolist()
 
 
@@ -547,8 +551,8 @@ def decide_flows(
         raise DataError(f"missing tollbooth counts for {missing} at {hour.isoformat()}")
     for key in referenced:
         v = counts[key]
-        if v < 0 or int(v) != v:
-            raise DataError(f"count for {key!r} must be a non-negative integer, got {v!r}")
+        if not 0 <= v <= _INT64.max or int(v) != v:
+            raise DataError(f"count for {key!r} must be a non-negative integer within int64, got {v!r}")
     return _decide(network, (hour,), {k: np.array([int(counts[k])]) for k in referenced}, np.zeros(1, dtype=bool))
 
 
@@ -606,11 +610,11 @@ def build_od_matrix(
     present in the tollbooth data. Of the hours that fail a check, the
     earliest is reported, with the first failing check of: no tollbooth
     counts; no destination rows; count keys missing; an eligible
-    destination without rows. The tables reject repeated rows themselves.
+    destination without rows. The tables reject repeated rows, hours, count
+    keys and node names themselves.
     """
     # Hour x count-key grid of integer totals, -1 where a series has no row.
-    keys, row_key = tollbooth.key_codes()
-    key_codes = {k: i for i, k in enumerate(keys)}
+    keys, row_key = tollbooth.count_keys(), tollbooth.series
     # _apportion splits a total T over k weights by float64 quotas T * w. The
     # renormalised weights and the quotas carry a relative rounding error of
     # about (k + 1) * 2**-53, under half a vehicle while T <= 2**53 / (2 * (k + 2)),
@@ -652,7 +656,8 @@ def build_od_matrix(
     # Each referenced key's per-hour total, -1 where it has none.
     tb_hour = np.array([tollbooth_hour.get(hk.timestamp, -1) for hk in hour_keys], dtype=np.int64)
     referenced = network.referenced_count_keys()
-    counts = {k: totals[tb_hour, key_codes.get(k, -1)] for k in referenced}
+    key_index = {k: i for i, k in enumerate(keys)}
+    counts = {k: totals[tb_hour, key_index.get(k, -1)] for k in referenced}
     no_counts = tb_hour < 0
     no_rows = bounds[1:] == bounds[:-1]
     missing = np.zeros(n_hours, dtype=bool)

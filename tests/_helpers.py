@@ -863,11 +863,24 @@ def _reference_repeat(keys: list, message) -> None:
         seen.add(key)
 
 
+def _reference_spellings(p: Path, out: list[TollboothObservation]) -> None:
+    """Raise the DataError of the first row whose count key an earlier row
+    spells with another (station, direction), such as ``A,Inbound`` and
+    ``A|Inbound,Undirected``."""
+    first: dict = {}
+    for o in out:
+        name, direction = first.setdefault(o.join_key(), (o.node, o.direction))
+        if (name, direction) != (o.node, o.direction):
+            raise DataError(f"{p}: tollbooth series ({name!r}, {direction.value}) and "
+                            f"({o.node!r}, {o.direction.value}) share count key {o.join_key()!r}")
+
+
 def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]:
     """The per-row tollbooth reader: one set of observation objects per row.
     The oracle for the column reader ``odfuse.ingest.read_tollbooth_csv``.
     Counts are read by ``int()``, so they are whole; once every row is
-    read, a second row of one count key and hour is a DataError."""
+    read, a count key spelt two ways, then a second row of one count key and
+    hour, is a DataError naming the file."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"tollbooth file not found: {p}")
@@ -906,15 +919,16 @@ def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]
                     counts=CountsByCategory.with_reported_total(counts, float(total)),
                 )
             )
+    _reference_spellings(p, out)
     _reference_repeat([(o.join_key(), o.hour.timestamp) for o in out],
-                      lambda i: f"duplicate tollbooth series {out[i].join_key()!r} at {out[i].hour.isoformat()}")
+                      lambda i: f"{p}: duplicate tollbooth series {out[i].join_key()!r} at {out[i].hour.isoformat()}")
     return out
 
 
 def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL) -> list[RoutingReportObservation]:
     """The per-row routing reader: the oracle for ``odfuse.ingest.read_routing_csv``.
     Flows are read by ``int()``, so they are whole; once every row is read,
-    a second row of one node name and hour is a DataError."""
+    a second row of one node name and hour is a DataError naming the file."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"routing file not found: {p}")
@@ -952,7 +966,7 @@ def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL
                 )
             )
     _reference_repeat([(o.node, o.hour.timestamp) for o in out],
-                      lambda i: f"duplicate routing row for node {out[i].node!r} at {out[i].hour.isoformat()}")
+                      lambda i: f"{p}: duplicate routing row for node {out[i].node!r} at {out[i].hour.isoformat()}")
     return out
 
 

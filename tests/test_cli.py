@@ -283,8 +283,11 @@ class TestStabilityCommand:
         node, hour = lines[1].decode().split(",")[1], lines[1].decode().split(",")[0]
         cfg = write_config(tmp_path / "run.json")
         capsys.readouterr()
-        assert main(["--config", str(cfg), "stability", "--routing-a", str(routing), "--routing-b", str(routing)]) == 2
-        assert capsys.readouterr().err == f"odfuse: data error: duplicate routing row for node {node!r} at {hour}\n"
+        # The message names the faulty file of the two.
+        assert main(["--config", str(cfg), "stability", "--routing-a", str(out / "routing.csv"),
+                     "--routing-b", str(routing)]) == 2
+        assert capsys.readouterr().err == \
+            f"odfuse: data error: {routing}: duplicate routing row for node {node!r} at {hour}\n"
 
 
 class TestMalformedRunInputs:
@@ -301,7 +304,34 @@ class TestMalformedRunInputs:
         (tmp_path / "run.json").write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["--config", str(tmp_path / "run.json"), command]) == 2
-        assert capsys.readouterr().err == f"odfuse: data error: duplicate tollbooth series {key!r} at {hour}\n"
+        assert capsys.readouterr().err == \
+            f"odfuse: data error: {tmp_path / 'tollbooth.csv'}: duplicate tollbooth series {key!r} at {hour}\n"
+
+    @pytest.mark.parametrize("form", ["canonical", "quoted"])
+    @pytest.mark.parametrize("command", ["train", "eval", "explain", "route"])
+    def test_series_spelt_two_ways_is_data_error(self, explained_run, tmp_path, capsys, command, form):
+        # The first day's ØstreRosten,Inbound rows spelt as their count key,
+        # undirected: at hours of their own, so no (series, hour) repeats. A
+        # canonical file takes the byte scan, which declines; a quoted name
+        # sends the file to the per-row reader directly.
+        cfg, out = explained_run
+        for name in ("routing.csv", "model.json"):
+            shutil.copy(out / name, tmp_path / name)
+        lines = (out / "tollbooth.csv").read_bytes().decode("utf-8").split("\r\n")
+        respelt = [line.replace(",ØstreRosten,Inbound,", ",ØstreRosten|Inbound,Undirected,")
+                   if line.startswith("2023-11-06T") else line for line in lines]
+        assert sum(a != b for a, b in zip(lines, respelt)) == 24
+        text = "\r\n".join(respelt)
+        if form == "quoted":
+            text = text.replace(",E6-Klett,", ',"E6-Klett",', 1)
+        (tmp_path / "tollbooth.csv").write_text(text, encoding="utf-8", newline="")
+        doc = {**json.loads(cfg.read_text(encoding="utf-8")), "out_dir": str(tmp_path)}
+        (tmp_path / "run.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(tmp_path / "run.json"), command]) == 2
+        assert capsys.readouterr().err == (
+            f"odfuse: data error: {tmp_path / 'tollbooth.csv'}: tollbooth series ('ØstreRosten|Inbound', Undirected) "
+            "and ('ØstreRosten', Inbound) share count key 'ØstreRosten|Inbound'\n")
 
     @pytest.mark.parametrize(("command", "statistic"), [("eval", "RMSE"), ("explain", "R^2")])
     def test_scores_that_overflow_the_statistics_are_data_error(self, tmp_path, capsys, command, statistic):
@@ -358,7 +388,7 @@ class TestRoute:
             (
                 [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
                  (("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Brøttemsvegen", 300))],
-                "duplicate routing row for node 'Brøttemsvegen' at 2025-01-30T17:00",
+                "{routing}: duplicate routing row for node 'Brøttemsvegen' at 2025-01-30T17:00",
             ),
             (
                 [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
@@ -370,13 +400,13 @@ class TestRoute:
                 [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
                  (("E6-Klett", 7), ("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Industripark", 300),
                   ("E6-Klett", 7))],
-                "duplicate routing row for node 'E6-Klett' at 2025-01-30T17:00",
+                "{routing}: duplicate routing row for node 'E6-Klett' at 2025-01-30T17:00",
             ),
             (
                 [(WORKED_EXAMPLE_HOUR, name, flow) for name, flow in
                  (("Brøttemsvegen", 100), ("Heimsdalvegen", 200), ("Industripark", 300))]
                 + [("2025-01-30T18:00", "Industripark", 5)] * 2,
-                "duplicate routing row for node 'Industripark' at 2025-01-30T18:00",
+                "{routing}: duplicate routing row for node 'Industripark' at 2025-01-30T18:00",
             ),
         ],
         ids=["no-destination-rows", "duplicate-destination", "eligible-destination-missing",
@@ -395,6 +425,7 @@ class TestRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["--config", str(cfg_path), "route"]) == 2
+        message = message.format(routing=config["simulation"]["routing_csv"])
         assert capsys.readouterr().err == f"odfuse: data error: {message}\n"
 
     @pytest.mark.parametrize("key", ["start", "end"])

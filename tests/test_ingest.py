@@ -596,10 +596,60 @@ class TestTables:
             RoutingTable.from_rows([make_hour_key(H8), make_hour_key(H9)], ["A"] * 2, [4, flow],
                                    [RoadTag.TRUNK] * 2, [False, censored])
 
-    def test_series_sharing_a_count_key_and_hour_rejected(self):
-        series = [("A", Direction.INBOUND), ("A|Inbound", Direction.UNDIRECTED), ("A", Direction.OUTBOUND)]
-        with pytest.raises(DataError, match=re.escape("duplicate tollbooth series 'A|Inbound' at 2023-11-06T08:00")):
-            TollboothTable.from_rows([make_hour_key(H8)] * 3, series, [[1] * 7] * 3)
+    def test_series_sharing_a_count_key_rejected(self):
+        series = [("A", Direction.INBOUND), ("A", Direction.OUTBOUND), ("A|Inbound", Direction.UNDIRECTED)]
+        message = re.escape("tollbooth series ('A', Inbound) and ('A|Inbound', Undirected) share count key 'A|Inbound'")
+        # The rule needs no shared hour: at one hour or at three.
+        for stamps in ([H8, H8, H8], [H8, H9, H10]):
+            hours = [make_hour_key(ts) for ts in stamps]
+            with pytest.raises(DataError, match=message):
+                TollboothTable.from_rows(hours, series, [[1] * 7] * 3)
+            tollbooth = TollboothTable.from_rows(hours[:2], series[:2], [[1] * 7] * 2)
+            with pytest.raises(DataError, match=message):
+                dataclasses.replace(tollbooth, series_ids=(series[0], series[2]))
+
+    def test_repeated_hour_rejected(self):
+        h8 = make_hour_key(H8)
+        # Equal timestamps, one of them with a wrong derived field: two entries of one hour.
+        respelt = dataclasses.replace(h8, hour_of_day=9)
+        message = re.escape("hour 2023-11-06T08:00 is listed twice in the table's hours")
+        with pytest.raises(DataError, match=message):
+            TollboothTable.from_rows([h8, respelt], [("A", Direction.UNDIRECTED)] * 2, [[1] * 7] * 2)
+        with pytest.raises(DataError, match=message):
+            RoutingTable.from_rows([h8, respelt], ["A", "A"], [1, 2], [RoadTag.TRUNK] * 2, [False, False])
+        tollbooth, routing = tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("A", H9, 5)])
+        for table in (tollbooth, routing):
+            with pytest.raises(DataError, match=message):
+                dataclasses.replace(table, hours=(h8, h8))
+
+    def test_repeated_node_name_rejected(self):
+        _, routing = tables([("A", H8, 10)], [("A", H8, 12), ("B", H8, 5)])
+        with pytest.raises(DataError, match=re.escape("node name 'A' is listed twice in the table's nodes")):
+            dataclasses.replace(routing, nodes=("A", "A"))
+
+    @pytest.mark.parametrize(("which", "column", "value", "message"), [
+        ("tollbooth", "hour", np.array([0, 7]), "row 1: hour code is outside its table of 2"),
+        ("tollbooth", "hour", np.array([-1, 0]), "row 0: hour code is outside its table of 2"),
+        ("tollbooth", "hour", np.array([0.0, 1.0]), "column 'hour' must hold integer codes, got float64"),
+        ("tollbooth", "hour", np.array([[0, 1]]), "column 'hour' must be a 1-D numpy array, got ndarray of shape (1, 2)"),
+        ("tollbooth", "series", np.array([0, 3]), "row 1: series code is outside its table of 1"),
+        ("tollbooth", "series", [0, 0], "column 'series' must be a numpy array of shape (2,), got list of shape (2,)"),
+        ("tollbooth", "total", np.array([1.0, 2.0, 3.0]), "column 'total' must be a numpy array of shape (2,), got ndarray of shape (3,)"),
+        ("tollbooth", "counts", np.zeros((2, 5)), "column 'counts' must be a numpy array of shape (2, 6), got ndarray of shape (2, 5)"),
+        ("routing", "hour", np.array([0, 2]), "row 1: hour code is outside its table of 2"),
+        ("routing", "node", np.array([0, 1]), "row 1: node code is outside its table of 1"),
+        ("routing", "tag", np.array([0, 3]), "row 1: tag code is outside its table of 3"),
+        ("routing", "flow", np.array([5.0]), "column 'flow' must be a numpy array of shape (2,), got ndarray of shape (1,)"),
+        ("routing", "censored", np.array([False]), "column 'censored' must be a numpy array of shape (2,), got ndarray of shape (1,)"),
+        ("routing", "censored", np.array([0, 1]), "column 'censored' must hold booleans, got int64"),
+    ], ids=["hour-past-table", "hour-negative", "hour-float", "hour-2d", "series-past-table", "series-list",
+            "total-length", "counts-width", "routing-hour", "node", "tag", "flow-length", "censored-length",
+            "censored-int"])
+    def test_shape_and_codes_checked(self, which, column, value, message):
+        tables_by_name = dict(zip(("tollbooth", "routing"), tables([("A", H8, 10), ("A", H9, 20)],
+                                                                    [("A", H8, 12), ("A", H9, 5)])))
+        with pytest.raises(DataError, match=re.escape(message)):
+            dataclasses.replace(tables_by_name[which], **{column: value})
 
     def test_replace_into_a_repeated_row_rejected(self):
         tollbooth, routing = tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("B", H8, 5)])
@@ -684,7 +734,19 @@ def _corrupted(draw, rows, bad_values):
     return rows
 
 
-def _file_text(draw, header, columns, bad_values, canonical, key):
+def _respelt(draw, rows):
+    """A third of the tollbooth files gain a row, anywhere and at any hour,
+    that spells a directed row's series as its count key, undirected
+    (``A|Inbound,Undirected`` for ``A,Inbound``): the table rejects the file."""
+    directed = [row for row in rows if row[2] != "Undirected"]
+    if directed and draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(directed))
+        respelt = [draw(st.sampled_from(_TIMESTAMPS)), f"{row[1]}|{row[2]}", "Undirected", *row[3:]]
+        rows.insert(draw(st.integers(0, len(rows))), respelt)
+    return rows
+
+
+def _file_text(draw, header, columns, bad_values, canonical, key, respell=lambda draw, rows: rows):
     rows = [[draw(column) for column in columns] for _ in range(draw(st.integers(0, 12)))]
     if draw(st.booleans()):
         # Half the files keep the first row of each key: a file of many rows
@@ -693,7 +755,7 @@ def _file_text(draw, header, columns, bad_values, canonical, key):
         for row in rows:
             distinct.setdefault(key(row), row)
         rows = list(distinct.values())
-    rows = _corrupted(draw, rows, bad_values)
+    rows = _corrupted(draw, respell(draw, rows), bad_values)
     blank_after = set() if canonical else draw(st.sets(st.integers(0, 12), max_size=3))
     return _csv_text(header, rows, blank_after, draw(st.booleans()), draw(st.booleans()))
 
@@ -707,7 +769,7 @@ def tollbooth_files(draw):
     columns += [counts] * 7
     bad = [_BAD_TIMESTAMPS, [""], ["Sideways", "inbound"]] + [_BAD_COUNTS] * 7
     return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad, canonical,
-                      lambda row: (row[0].replace(" ", "T"), row[1], row[2]))
+                      lambda row: (row[0].replace(" ", "T"), row[1], row[2]), _respelt)
 
 
 @st.composite
@@ -891,13 +953,15 @@ class TestByteScan:
         ("tollbooth", "2023-11-06T08:00,E6-Klett,Inbound,1,0,0,0,0,0,1",
          "duplicate tollbooth series 'E6-Klett|Inbound' at 2023-11-06T08:00"),
         ("routing", "2023-11-06T08:00,E6-Klett,5,Primary", "duplicate routing row for node 'E6-Klett' at 2023-11-06T08:00"),
-    ], ids=["tollbooth", "routing"])
+        ("tollbooth", "2023-11-06T10:00,E6-Klett|Inbound,Undirected,1,0,0,0,0,0,1",
+         "tollbooth series ('E6-Klett', Inbound) and ('E6-Klett|Inbound', Undirected) share count key 'E6-Klett|Inbound'"),
+    ], ids=["tollbooth", "routing", "respelt-series"])
     def test_repeated_row_declines_and_raises_the_table_message(self, tmp_path, which, row, message):
         scan, read_rows, read = _READERS[which]
         path = tmp_path / f"{which}.csv"
         path.write_text("\r\n".join(self._ROWS[which] + [row]) + "\r\n", encoding="utf-8", newline="")
         assert scan(path) is None
-        assert _table_or_error(read_rows, path) == _table_or_error(read, path) == message
+        assert _table_or_error(read_rows, path) == _table_or_error(read, path) == f"{path}: {message}"
 
     @pytest.mark.parametrize("width", [255, 256, 257, 5000])
     def test_wide_last_name_takes_the_scan(self, tmp_path, width):

@@ -128,6 +128,11 @@ class TestLargestRemainder:
         with pytest.raises(InternalError, match="apportionment drift"):
             largest_remainder(2**62, [0.1, 0.2, 0.7])
 
+    @pytest.mark.parametrize("total", [2**63, 2**70, -2**70, float("inf"), float("nan")])
+    def test_total_outside_int64_is_a_data_error(self, total):
+        with pytest.raises(DataError, match=re.escape(f"total must be an integer within int64, got {total!r}")):
+            largest_remainder(total, [0.5, 0.5])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=0, max_value=100000),
@@ -308,6 +313,12 @@ class TestDecideFlows:
         with pytest.raises(DataError, match="non-negative integer"):
             decide_flows(net, {"E6-Klett": 1.5, "Storlersbakken-Trondheim": 2}, HOUR)
 
+    @pytest.mark.parametrize("count", [2**63, 2**70, float("inf"), float("nan")])
+    def test_count_outside_int64_is_a_data_error(self, count):
+        message = f"count for 'E6-Klett' must be a non-negative integer within int64, got {count!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            decide_flows(pair_only_network(), {"E6-Klett": count, "Storlersbakken-Trondheim": 2}, HOUR)
+
 
 class TestDistribute:
     def test_worked_example_destination_split(self):
@@ -466,6 +477,17 @@ class TestBuildOdMatrix:
         first, second = tb.hours[0], tb.hours[1]
         with pytest.raises(DataError, match=f"hour {re.escape(second.isoformat())} is listed twice"):
             build_od_matrix(net, model, tb, rt, [second, first, second])
+
+    def test_table_with_an_hour_listed_twice_is_rejected_before_routing(self, trained_small):
+        # The table rejects its own repeated hour, so the router never
+        # reports it as an hour the caller asked to route.
+        net, model, tb, rt = trained_small
+        twice = (tb.hours[0], *tb.hours[1:], tb.hours[0])
+        row = np.flatnonzero(tb.hour == 1)[0]
+        with pytest.raises(DataError, match=re.escape(f"hour {tb.hours[0].isoformat()} is listed twice in the "
+                                                      "table's hours")):
+            build_od_matrix(net, model, dataclasses.replace(
+                tb, hours=twice, hour=np.where(np.arange(len(tb)) == row, len(tb.hours), tb.hour)), rt)
 
     def test_deterministic_od_csv(self, trained_small, tmp_path):
         net, model, tb, rt = trained_small
