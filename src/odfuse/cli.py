@@ -247,13 +247,8 @@ def cmd_route(config: dict, out: Path) -> int:
     model = _model(out)
     tollbooth, routing = _tables(config, out, "simulation")
     sim = config["simulation"]
-    hours = None
-    if sim["start"] or sim["end"]:
-        start, end = (make_hour_key(sim[k]).timestamp if sim[k] else None for k in ("start", "end"))
-        hours = [hk for hk in tollbooth.hours if (start or hk.timestamp) <= hk.timestamp <= (end or hk.timestamp)]
-        if not hours:
-            raise DataError("no tollbooth hours inside the requested simulation window")
-    run = build_od_matrix(network, model, tollbooth, routing, hours)
+    start, end = (make_hour_key(sim[k]).timestamp if sim[k] else None for k in ("start", "end"))
+    run = build_od_matrix(network, model, tollbooth, routing, start, end)
     problems = conservation_violations(run)
     if problems:
         raise InternalError("conservation violated: " + "; ".join(problems[:5]))

@@ -460,6 +460,20 @@ class RoutingTable(_Rows):
         return cls(hours=hour_table, nodes=node_table, hour=hour, node=node, flow=flow,
                    tag=np.array([tag_codes[t] for t in tags], dtype=np.int64), censored=censored)
 
+    def rows_at(self, names: Sequence[str], hours: Sequence[HourKey]) -> np.ndarray:
+        """The row of each (node name, hour) pair, an int64 array of shape
+        ``(len(names), len(hours))``, -1 where the table has none; an hour
+        matches by timestamp."""
+        # The extra last row and column stand for the names and hours the
+        # table lacks, which code -1 picks, and hold no row.
+        grid = np.full((len(self.nodes) + 1, len(self.hours) + 1), -1, dtype=np.int64)
+        grid[self.node, self.hour] = np.arange(len(self))
+        node_codes = {name: i for i, name in enumerate(self.nodes)}
+        hour_codes = {h.timestamp: i for i, h in enumerate(self.hours)}
+        node = np.array([node_codes.get(name, -1) for name in names], dtype=np.int64)
+        hour = np.array([hour_codes.get(h.timestamp, -1) for h in hours], dtype=np.int64)
+        return grid[node[:, None], hour]
+
     def _item(self, i: int) -> RoutingReportObservation:
         return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],
                                         people_flow=float(self.flow[i]), road_tag=TAG_ORDER[self.tag[i]],

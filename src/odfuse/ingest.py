@@ -518,17 +518,9 @@ def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray,
     (timestamp, node key); each pair's node key as a code; and the sorted
     node keys those codes index.
     """
-    # Routing row of each (node, hour); the extra last row and column stand
-    # for the keys and hours that routing lacks, and hold no row.
-    row_of = np.full((len(routing.nodes) + 1, len(routing.hours) + 1), -1, dtype=np.int64)
-    row_of[routing.node, routing.hour] = np.arange(len(routing))
     series_keys = tollbooth.count_keys()
     keys, key = sorted(series_keys), _ranks(series_keys)[tollbooth.series]
-    node_codes = {name: i for i, name in enumerate(routing.nodes)}
-    hour_codes = {h.timestamp: i for i, h in enumerate(routing.hours)}
-    series_node = np.array([node_codes.get(k, len(node_codes)) for k in series_keys], dtype=np.int64)
-    hour_code = np.array([hour_codes.get(h.timestamp, len(hour_codes)) for h in tollbooth.hours], dtype=np.int64)
-    match = row_of[series_node[tollbooth.series], hour_code[tollbooth.hour]]
+    match = routing.rows_at(series_keys, tollbooth.hours)[tollbooth.series, tollbooth.hour]
     tb_rows = np.nonzero(match >= 0)[0]
     tb_rows = tb_rows[~routing.censored[match[tb_rows]]]
     time = _ranks([h.timestamp for h in tollbooth.hours])[tollbooth.hour[tb_rows]]

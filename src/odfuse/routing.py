@@ -20,14 +20,17 @@ renormalized over the scenario's eligible subset, integerized by largest
 remainder, then each destination's share is split across categories the
 same way. Every step is integer-exact, so vehicles are conserved.
 
-``build_od_matrix`` routes the whole run as arrays. One prediction block
-scores each distinct destination feature row once, for every hour. One
-decision kernel runs the three phases over the (hour x count key) grid of
-totals: every hour fills the same template of decision slots (internal,
-local in, local out, then bypass and net per booth pair), and a slot is
-kept where the phase rules keep it, so decisions and ledger events come
-out hour by hour in phase order. Decisions and the ledger are column
-tables; marginals are taken once per (hour, destination).
+``build_od_matrix`` routes the tollbooth's hours inside a window, in time
+order, as arrays. ``RoutingTable.rows_at`` finds each hour's destination
+rows, and one prediction block scores each distinct destination feature
+row once, for every hour. One decision kernel runs the three phases over
+the (hour x count key) grid of totals: every hour fills the same template
+of decision slots (internal, local in, local out, then bypass and net per
+booth pair), and a slot is kept where the phase rules keep it, so
+decisions and ledger events come out hour by hour in phase order.
+Decisions and the ledger are column tables; marginals are taken once per
+(hour, destination). Every total that is apportioned is bounded by
+``_exact_limit``, so that float64 quotas split it exactly.
 
 The OD matrix is assembled in blocks of whole hours, each about
 ``_OD_BLOCK`` decisions, so its transients stay the size of one block
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
 from itertools import product
 from pathlib import Path
@@ -67,8 +71,6 @@ __all__ = [
 ]
 
 MASS_TOLERANCE = 1e-9
-# Counts and totals are int64 arrays: a larger one is a data error, not an overflow.
-_INT64 = np.iinfo(np.int64)
 
 
 class Scenario(Enum):
@@ -299,6 +301,25 @@ def _composite_key(radices: Sequence[int], columns: Iterable[np.ndarray]) -> np.
     return key
 
 
+def _exact_limit(k: int) -> int:
+    """The largest total that ``_apportion`` splits exactly over at most k weights."""
+    # _apportion splits a total T over k weights by float64 quotas T * w. The
+    # renormalised weights and the quotas carry a relative rounding error of
+    # about (k + 1) * 2**-53, under half a vehicle while T <= 2**53 / (2 * (k + 2)),
+    # so the floors sum to between T - k and T, as largest remainder needs. The
+    # bound also keeps every int64 sum of a few such totals exact.
+    return 2**53 // (2 * (k + 2))
+
+
+def _check_exact(value, k: int, what: str) -> None:
+    """A DataError naming ``what`` unless ``value`` is a whole number from 0
+    to ``_exact_limit(k)``."""
+    limit = _exact_limit(k)
+    if not 0 <= value <= limit or int(value) != value:
+        raise DataError(f"{what} must be a non-negative integer of at most {limit}, the largest split exactly "
+                        f"over {k} weights, got {value!r}")
+
+
 def _apportion(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-batched ``largest_remainder``: row i splits ``totals[i]`` by ``weights[i]``."""
     totals = np.asarray(totals, dtype=np.int64)
@@ -336,8 +357,7 @@ def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
     remainders, ties broken by larger weight then earlier index. Every
     output is floor(quota) or ceil(quota) and the outputs sum to ``total``.
     """
-    if not _INT64.min <= total <= _INT64.max:
-        raise DataError(f"total must be an integer within int64, got {total!r}")
+    _check_exact(total, len(weights), "total")
     return _apportion(np.array([total]), np.asarray(weights, dtype=np.float64).reshape(1, -1))[0].tolist()
 
 
@@ -549,10 +569,9 @@ def decide_flows(
     missing = [k for k in referenced if k not in counts]
     if missing:
         raise DataError(f"missing tollbooth counts for {missing} at {hour.isoformat()}")
+    k = max(len(network.destination_names()), len(CATEGORY_ORDER))
     for key in referenced:
-        v = counts[key]
-        if not 0 <= v <= _INT64.max or int(v) != v:
-            raise DataError(f"count for {key!r} must be a non-negative integer within int64, got {v!r}")
+        _check_exact(counts[key], k, f"count for {key!r}")
     return _decide(network, (hour,), {k: np.array([int(counts[k])]) for k in referenced}, np.zeros(1, dtype=bool))
 
 
@@ -584,6 +603,7 @@ def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry
     eligible destinations by the renormalized destination marginal, then
     across categories per destination; both splits use largest remainder.
     """
+    _check_exact(decision.volume, max(len(decision.eligible_destinations), len(CATEGORY_ORDER)), "decision volume")
     names, weight, per_destination = _joint_arrays(joint)
     # hour, scenario, direction, volume, origin, eligible, reversed_roles
     row = (0, _SCENARIOS.index(decision.scenario), 0, decision.volume, 1, 0, decision.reversed_roles)
@@ -600,65 +620,54 @@ def build_od_matrix(
     model: FusionModel,
     tollbooth: TollboothTable,
     routing: RoutingTable,
-    hours: Iterable[HourKey] | None = None,
+    start: datetime | None = None,
+    end: datetime | None = None,
 ) -> RoutingRun:
-    """Assemble the OD matrix over a range of hours.
+    """Assemble the OD matrix over the tollbooth's hours from ``start`` to
+    ``end``, both included, in timestamp order; a bound of None is open.
 
     Infers each hour's joint distribution from the destination routing
     reports, decides scenario volumes from the tollbooth totals, builds the
-    conservation ledger and distributes. ``hours`` defaults to every hour
-    present in the tollbooth data. Of the hours that fail a check, the
-    earliest is reported, with the first failing check of: no tollbooth
-    counts; no destination rows; count keys missing; an eligible
-    destination without rows. The tables reject repeated rows, hours, count
-    keys and node names themselves.
+    conservation ledger and distributes. A bound that leaves no tollbooth
+    hour is a data error. Of the hours that fail a check, the earliest is
+    reported, with the first failing check of: no destination rows; count
+    keys missing; an eligible destination without rows. The tables reject
+    repeated rows, hours, count keys and node names themselves.
     """
+    # The tollbooth's hours inside the window, in timestamp order.
+    inside = sorted((i for i, h in enumerate(tollbooth.hours)
+                     if (start is None or start <= h.timestamp) and (end is None or h.timestamp <= end)),
+                    key=lambda i: tollbooth.hours[i].timestamp)
+    if not inside and (start is not None or end is not None):
+        raise DataError("no tollbooth hours inside the requested simulation window")
+    tb_hour, hour_keys = np.array(inside, dtype=np.int64), tuple(tollbooth.hours[i] for i in inside)
+    n_hours = len(hour_keys)
+
     # Hour x count-key grid of integer totals, -1 where a series has no row.
     keys, row_key = tollbooth.count_keys(), tollbooth.series
-    # _apportion splits a total T over k weights by float64 quotas T * w. The
-    # renormalised weights and the quotas carry a relative rounding error of
-    # about (k + 1) * 2**-53, under half a vehicle while T <= 2**53 / (2 * (k + 2)),
-    # so the floors sum to between T - k and T, as largest remainder needs. k is
-    # at most the destinations or the categories; the cast below needs T < 2**63.
-    limit = 2**53 // (2 * (max(len(network.destination_names()), len(CATEGORY_ORDER)) + 2))
+    limit = _exact_limit(max(len(network.destination_names()), len(CATEGORY_ORDER)))
     huge = np.flatnonzero(~(tollbooth.total <= limit))
     if len(huge):
         i = huge[0]
         raise DataError(f"tollbooth count for {keys[row_key[i]]!r} at {tollbooth.hours[tollbooth.hour[i]].isoformat()} "
                         f"exceeds {limit}, the largest count this network can route exactly")
-    totals = np.full((len(tollbooth.hours) + 1, len(keys) + 1), -1, dtype=np.int64)  # last row, column: absent
+    totals = np.full((len(tollbooth.hours), len(keys) + 1), -1, dtype=np.int64)  # last column: absent
     totals[tollbooth.hour, row_key] = tollbooth.total.astype(np.int64)
-    tollbooth_hour = {h.timestamp: i for i, h in enumerate(tollbooth.hours)}
 
-    hour_keys = tuple(sorted(tollbooth.hours if hours is None else hours, key=lambda h: h.timestamp))
-    for earlier, later in zip(hour_keys, hour_keys[1:]):
-        if earlier.timestamp == later.timestamp:
-            raise DataError(f"hour {later.isoformat()} is listed twice in the hours to route")
-    n_hours = len(hour_keys)
-
-    # Destination rows stable-sorted by hour: file order within an hour.
+    # Destination rows hour by hour, in file order within an hour.
     dest_names = network.destination_names()
-    dest_index = {name: i for i, name in enumerate(dest_names)}
-    node_dest = np.array([dest_index.get(n, -1) for n in routing.nodes], dtype=np.int64)[routing.node]
-    routing_hour = {h.timestamp: i for i, h in enumerate(routing.hours)}
-    by_hour = np.nonzero(node_dest >= 0)[0]
-    by_hour = by_hour[np.argsort(routing.hour[by_hour], kind="stable")]
-    codes = np.array([routing_hour.get(hk.timestamp, -1) for hk in hour_keys], dtype=np.int64)
-    lo = np.searchsorted(routing.hour[by_hour], codes, "left")
-    hi = np.searchsorted(routing.hour[by_hour], codes, "right")
-    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [by_hour[a:b] for a, b in zip(lo, hi)])
-    bounds = np.concatenate(([0], np.cumsum(hi - lo)))
-    row_dest = node_dest[flat]
-    row_hour = np.repeat(np.arange(n_hours), np.diff(bounds))
-    rows_per_dest = np.bincount(row_hour * len(dest_names) + row_dest, minlength=n_hours * len(dest_names))
-    present = rows_per_dest.reshape(n_hours, len(dest_names)) > 0
+    grid = routing.rows_at(dest_names, hour_keys).T
+    present = grid >= 0
+    row_hour, row_dest = np.nonzero(present)
+    rows = grid[row_hour, row_dest]
+    order = np.lexsort((rows, row_hour))
+    flat, row_hour, row_dest = rows[order], row_hour[order], row_dest[order]
+    bounds = np.searchsorted(row_hour, np.arange(n_hours + 1))
 
     # Each referenced key's per-hour total, -1 where it has none.
-    tb_hour = np.array([tollbooth_hour.get(hk.timestamp, -1) for hk in hour_keys], dtype=np.int64)
     referenced = network.referenced_count_keys()
     key_index = {k: i for i, k in enumerate(keys)}
     counts = {k: totals[tb_hour, key_index.get(k, -1)] for k in referenced}
-    no_counts = tb_hour < 0
     no_rows = bounds[1:] == bounds[:-1]
     missing = np.zeros(n_hours, dtype=bool)
     for total in counts.values():
@@ -671,16 +680,14 @@ def build_od_matrix(
 
     decisions, ledger = _decide(network, hour_keys, {k: np.maximum(v, 0) for k, v in counts.items()}, fallback)
     absent = _absent(decisions, dest_names, present)
-    checks = np.stack([no_counts, no_rows, missing, np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
+    checks = np.stack([no_rows, missing, np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
     failing = checks.any(axis=0)
     if failing.any():
         h = int(np.argmax(failing))
         check, when = int(np.argmax(checks[:, h])), hour_keys[h].isoformat()
         if check == 0:
-            raise DataError(f"no tollbooth counts for hour {when}")
-        if check == 1:
             raise DataError(f"no destination routing rows for hour {when}")
-        if check == 2:
+        if check == 1:
             raise DataError(f"missing tollbooth counts for {[k for k in referenced if counts[k][h] < 0]} at {when}")
         raise _absent_error(decisions, int(np.nonzero(absent & (decisions.hour == h))[0][0]), dest_names, present)
 

@@ -623,9 +623,10 @@ def reference_decide_flows(network: NetworkConfig, counts: dict, hour) -> tuple[
     return decisions, events
 
 
-def reference_route(network, model, tollbooth, routing, hours=None) -> tuple[list, list, list]:
-    """The per-hour, per-decision routing loop: its decisions, its ledger
-    events and its OD rows, each in run order.
+def reference_route(network, model, tollbooth, routing, start=None, end=None) -> tuple[list, list, list]:
+    """The per-hour, per-decision routing loop over the tollbooth's hours
+    from ``start`` to ``end`` (None: open): its decisions, its ledger events
+    and its OD rows, each in run order.
 
     Each hour's joint is a dict normalised by the hour's table sum (rows in
     file order, censored rows zeroed, uniform and ledgered when nothing
@@ -646,10 +647,10 @@ def reference_route(network, model, tollbooth, routing, hours=None) -> tuple[lis
     for obs in routing:
         if obs.node in dest_names:
             dest_rows.setdefault(obs.hour.timestamp, []).append(obs)
-    if hours is None:
-        hours = {obs.hour.timestamp: obs.hour for obs in tollbooth}.values()
+    hours = {obs.hour.timestamp: obs.hour for obs in tollbooth
+             if (start is None or start <= obs.hour.timestamp) and (end is None or obs.hour.timestamp <= end)}
     decisions, ledger, rows_out = [], [], []
-    for hour in sorted(hours, key=lambda h: h.timestamp):
+    for _, hour in sorted(hours.items()):
         rows = dest_rows[hour.timestamp]
         names = [r.node for r in rows]
         preds = predict_matrix(model, np.array([reference_features(r) for r in rows]))

@@ -457,6 +457,28 @@ class TestRoute:
         err = capsys.readouterr().err
         assert f"odfuse: data error: tollbooth count for 'E6-Klett' at {WORKED_EXAMPLE_HOUR} exceeds" in err
 
+    def test_window_around_the_hour_routes_it(self, tmp_path):
+        config = write_worked_example_fixture(tmp_path / "fixture")
+        config["simulation"].update(start="2025-01-30T16:00", end="2025-01-30T18:00")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        assert main(["--config", str(cfg_path), "route"]) == 0
+        out = tmp_path / "fixture" / "out"
+        for name in ("od_matrix.csv", "ledger.csv"):
+            assert {row[0] for row in read_csv(out / name)[1:]} == {WORKED_EXAMPLE_HOUR}
+        check_routing_files(out, load_network(config["network"]), config["simulation"]["tollbooth_csv"])
+
+    def test_window_past_the_data_exit_2(self, tmp_path, capsys):
+        config = write_worked_example_fixture(tmp_path / "fixture")
+        config["simulation"].update(start="2025-01-30T18:00")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "route"]) == 2
+        assert capsys.readouterr().err == "odfuse: data error: no tollbooth hours inside the requested simulation window\n"
+
     def test_route_before_train_fails(self, tmp_path):
         config = write_worked_example_fixture(tmp_path / "fixture")
         cfg_path = tmp_path / "run.json"

@@ -661,6 +661,32 @@ class TestTables:
             dataclasses.replace(routing, flow=np.array([0.5, 5.0]))
 
 
+class TestRowsAt:
+    def test_names_and_hours_the_table_lacks_give_minus_one(self):
+        _, routing = tables([("A", H8, 10)], [("A", H8, 12), ("B", H9, 5), ("A", H9, 7)])
+        h8, h9, h10 = (make_hour_key(h) for h in (H8, H9, H10))
+        rows = routing.rows_at(["B", "C", "A"], [h9, h10, h8, h9])
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[1, -1, -1, 1], [-1, -1, -1, -1], [2, -1, 0, 2]]
+        assert routing.rows_at([], [h8]).shape == (0, 1)
+        assert routing.rows_at(["A", "B"], []).shape == (2, 0)
+
+    def test_hours_match_by_timestamp_across_tables(self):
+        rng = np.random.default_rng(3)
+        _, routing = generate_synthetic(grid_network(n_stations=2, n_dest=2), 1, identity_profile())
+        shuffled = take_rows(routing, rng.permutation(len(routing)))
+        assert [h.timestamp for h in shuffled.hours] != [h.timestamp for h in routing.hours]
+        names = [*routing.nodes, "elsewhere"]
+        rows = shuffled.rows_at(names, routing.hours)
+        assert rows.shape == (len(names), len(routing.hours))
+        for (i, j), row in np.ndenumerate(rows):
+            original = routing.rows_at([names[i]], [routing.hours[j]])[0, 0]
+            assert (row < 0) == (original < 0)
+            if row >= 0:
+                assert shuffled[row] == routing[original]
+        assert (rows >= 0).sum() == len(routing)
+
+
 class TestJoinParity:
     """The column join against the per-pair join, on rows shuffled, thinned
     and mixed with reports of nodes no station counts."""

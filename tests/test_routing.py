@@ -122,15 +122,26 @@ class TestLargestRemainder:
         with pytest.raises(DataError, match=r"total 10000000000 by weights summing to 1\.0000000001"):
             largest_remainder(10**10, [0.5, 0.5 + 1e-10])
 
-    def test_drift_from_exact_weights_stays_internal(self):
-        # 0.1 + 0.2 + 0.7 is exactly 1.0 in float64; only a total beyond
-        # float64's integers can drift.
-        with pytest.raises(InternalError, match="apportionment drift"):
-            largest_remainder(2**62, [0.1, 0.2, 0.7])
+    def test_total_beyond_the_exact_bound_is_a_data_error(self):
+        # 0.1 + 0.2 + 0.7 is exactly 1.0 in float64, yet the quotas of 2**62
+        # drift through float64 rounding, and the floors of 2**63 - 1 sum past int64.
+        for total, weights in [(2**62, [0.1, 0.2, 0.7]), (2**63 - 1, [0.5, 0.5]), (2**53 // 10 + 1, [0.1, 0.2, 0.7]),
+                               (-5, [0.5, 0.5])]:
+            limit = 2**53 // (2 * (len(weights) + 2))
+            message = f"total must be a non-negative integer of at most {limit}, the largest split exactly over " \
+                      f"{len(weights)} weights, got {total!r}"
+            with pytest.raises(DataError, match=re.escape(message)):
+                largest_remainder(total, weights)
+
+    def test_total_at_the_exact_bound_sums_exactly(self):
+        limit = 2**53 // 10
+        assert sum(largest_remainder(limit, [0.1, 0.2, 0.7])) == limit
 
     @pytest.mark.parametrize("total", [2**63, 2**70, -2**70, float("inf"), float("nan")])
     def test_total_outside_int64_is_a_data_error(self, total):
-        with pytest.raises(DataError, match=re.escape(f"total must be an integer within int64, got {total!r}")):
+        message = f"total must be a non-negative integer of at most {2**53 // 8}, the largest split exactly over " \
+                  f"2 weights, got {total!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
             largest_remainder(total, [0.5, 0.5])
 
     @settings(max_examples=200, deadline=None)
@@ -315,9 +326,25 @@ class TestDecideFlows:
 
     @pytest.mark.parametrize("count", [2**63, 2**70, float("inf"), float("nan")])
     def test_count_outside_int64_is_a_data_error(self, count):
-        message = f"count for 'E6-Klett' must be a non-negative integer within int64, got {count!r}"
+        net = pair_only_network()
+        k = max(len(net.destination_names()), len(CATEGORY_ORDER))
+        message = f"count for 'E6-Klett' must be a non-negative integer of at most {count_bound(net)}, the largest " \
+                  f"split exactly over {k} weights, got {count!r}"
         with pytest.raises(DataError, match=re.escape(message)):
-            decide_flows(pair_only_network(), {"E6-Klett": count, "Storlersbakken-Trondheim": 2}, HOUR)
+            decide_flows(net, {"E6-Klett": count, "Storlersbakken-Trondheim": 2}, HOUR)
+
+    def test_count_above_the_bound_is_a_data_error(self):
+        # At 2**63 - 1 one hour's decision volumes sum past int64 in its balance event.
+        net = trondheim_fixture()
+        counts = dict.fromkeys(net.referenced_count_keys(), 5)
+        for count in (count_bound(net) + 1, 2**63 - 1):
+            counts["ØstreRosten|Inbound"] = count
+            with pytest.raises(DataError, match=re.escape(f"count for 'ØstreRosten|Inbound' must be a non-negative "
+                                                          f"integer of at most {count_bound(net)}")):
+                decide_flows(net, counts, HOUR)
+        counts["ØstreRosten|Inbound"] = count_bound(net)
+        _, events = decide_flows(net, counts, HOUR)
+        assert events[-1].amount == expected_hour_total(net, counts)
 
 
 class TestDistribute:
@@ -426,6 +453,17 @@ class TestDistribute:
         with pytest.raises(DataError, match="Nowhere"):
             distribute(decision, worked_example_joint())
 
+    @pytest.mark.parametrize("volume", [2**62, 2**53 // 16 + 1, -5])
+    def test_volume_beyond_the_exact_bound_is_a_data_error(self, volume):
+        # The volume comes from the caller, so a bad one is a data error.
+        decision = FlowDecision(hour=HOUR, scenario=Scenario.PASSTHROUGH_NET, direction="northbound:inflow",
+                                volume=volume, origin="E6-Klett",
+                                eligible_destinations=("Brøttemsvegen", "Heimsdalvegen", "Industripark"))
+        message = f"decision volume must be a non-negative integer of at most {2**53 // 16}, the largest split " \
+                  f"exactly over 6 weights, got {volume}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            distribute(decision, worked_example_joint())
+
 
 def destination_rows(net, hour, flows):
     """A routing table with one uncensored report per destination at ``hour``."""
@@ -472,15 +510,35 @@ class TestBuildOdMatrix:
             allocated[k] += n
         assert allocated == [d.volume for d in run.decisions]
 
-    def test_hour_listed_twice_is_data_error(self, trained_small):
+    def test_window_bounds_are_inclusive_and_none_is_open(self, trained_small):
         net, model, tb, rt = trained_small
-        first, second = tb.hours[0], tb.hours[1]
-        with pytest.raises(DataError, match=f"hour {re.escape(second.isoformat())} is listed twice"):
-            build_od_matrix(net, model, tb, rt, [second, first, second])
+        stamps = sorted(h.timestamp for h in tb.hours)
+        for start, end, routed in [(stamps[3], stamps[5], stamps[3:6]), (None, stamps[2], stamps[:3]),
+                                   (stamps[-2], None, stamps[-2:]), (stamps[4], stamps[4], stamps[4:5]),
+                                   (stamps[0] - timedelta(days=9), stamps[-1] + timedelta(days=9), stamps)]:
+            run = build_od_matrix(net, model, tb, rt, start, end)
+            assert [h.timestamp for h in run.decisions.hours] == routed
+            assert set(run.decisions.hour.tolist()) == set(range(len(routed)))
+            assert conservation_violations(run) == []
+
+    @pytest.mark.parametrize("days", [(9, None), (None, -9), (1, -1)])
+    def test_window_without_tollbooth_hours_is_a_data_error(self, trained_small, days):
+        net, model, tb, rt = trained_small
+        first, last = min(h.timestamp for h in tb.hours), max(h.timestamp for h in tb.hours)
+        start = None if days[0] is None else last + timedelta(days=days[0])
+        end = None if days[1] is None else first + timedelta(days=days[1])
+        with pytest.raises(DataError, match="^no tollbooth hours inside the requested simulation window$"):
+            build_od_matrix(net, model, tb, rt, start, end)
+
+    def test_header_only_tollbooth_routes_to_empty_tables(self, trained_small):
+        net, model, tb, rt = trained_small
+        run = build_od_matrix(net, model, take_rows(tb, []), rt)
+        assert (len(run.matrix), len(run.decisions), len(run.ledger), run.decisions.hours) == (0, 0, 0, ())
+        with pytest.raises(DataError, match="no tollbooth hours inside"):
+            build_od_matrix(net, model, take_rows(tb, []), rt, end=tb.hours[0].timestamp)
 
     def test_table_with_an_hour_listed_twice_is_rejected_before_routing(self, trained_small):
-        # The table rejects its own repeated hour, so the router never
-        # reports it as an hour the caller asked to route.
+        # The table rejects its own repeated hour before anything is routed.
         net, model, tb, rt = trained_small
         twice = (tb.hours[0], *tb.hours[1:], tb.hours[0])
         row = np.flatnonzero(tb.hour == 1)[0]
@@ -675,10 +733,10 @@ def by_hour(items) -> dict:
     return out
 
 
-def check_against_reference(run, net, model, tb, rt, hours=None) -> list[tuple]:
-    """The run's decisions and ledger equal the per-hour loop's, hour by
-    hour and in order; returns the loop's OD rows."""
-    decisions, ledger, rows = reference_route(net, model, tb, rt, hours)
+def check_against_reference(run, net, model, tb, rt, start=None, end=None) -> list[tuple]:
+    """The run's decisions and ledger equal the per-hour loop's over the
+    same window, hour by hour and in order; returns the loop's OD rows."""
+    decisions, ledger, rows = reference_route(net, model, tb, rt, start, end)
     assert by_hour(run.decisions) == by_hour(decisions)
     assert by_hour(run.ledger) == by_hour(ledger)
     assert list(run.decisions) == decisions
@@ -692,9 +750,9 @@ class TestOdParity:
     CSV's order, and the same OD CSV bytes; the files written conserve the
     tollbooth counts."""
 
-    def check(self, tmp_path, net, model, tb, rt, hours=None):
-        run = build_od_matrix(net, model, tb, rt, hours)
-        expected = check_against_reference(run, net, model, tb, rt, hours)
+    def check(self, tmp_path, net, model, tb, rt, start=None, end=None):
+        run = build_od_matrix(net, model, tb, rt, start, end)
+        expected = check_against_reference(run, net, model, tb, rt, start, end)
         assert od_rows(run) == file_order(expected)
         assert len(run.matrix) == len(expected)
         write_od_csv(tmp_path / "od_matrix.csv", run.matrix)
@@ -734,13 +792,8 @@ class TestOdParity:
         net, model, tb, rt = criterion7
         start = make_hour_key("2023-11-06T05:00").timestamp
         end = make_hour_key("2023-11-06T17:00").timestamp
-        hours = [
-            hk for hk in {o.hour.timestamp: o.hour for o in tb}.values()
-            if start <= hk.timestamp <= end
-        ]
-        assert len(hours) == 13
-        run = self.check(tmp_path, net, model, tb, rt, hours)
-        assert {e.hour.timestamp for e in run.matrix.entries} <= {hk.timestamp for hk in hours}
+        run = self.check(tmp_path, net, model, tb, rt, start, end)
+        assert [h.timestamp for h in run.decisions.hours] == [start + timedelta(hours=i) for i in range(13)]
 
     def test_equal_csv_keys_keep_decision_order(self, trained_small, tmp_path):
         _, model, _, _ = trained_small
@@ -923,12 +976,17 @@ class TestHourChecks:
         dests = set(net.destination_names())
         tb = without_rows(tb, lambda o: o.hour == hours[late_hour])
         rt = without_rows(rt, lambda o: o.hour == hours[2] and o.node in dests)
-        expected = "no tollbooth counts" if late_hour == 2 else "no destination routing rows"
+        if late_hour == 2:
+            # An hour the tollbooth lacks is not routed, so its lack of rows does not matter.
+            run = build_od_matrix(net, model, tb, rt)
+            assert run.decisions.hours == tuple(hours[:2] + hours[3:])
+            assert conservation_violations(run) == []
+            return
         # An hour without rows must fail on its check, not on mass arithmetic first.
-        with warnings.catch_warnings(), \
-                pytest.raises(DataError, match=re.escape(f"{expected} for hour {hours[2].isoformat()}")):
+        message = f"no destination routing rows for hour {hours[2].isoformat()}"
+        with warnings.catch_warnings(), pytest.raises(DataError, match=re.escape(message)):
             warnings.simplefilter("error")
-            build_od_matrix(net, model, tb, rt, hours)
+            build_od_matrix(net, model, tb, rt)
 
     def test_missing_rows_before_later_missing_key(self, criterion7):
         net, model, tb, rt = criterion7
