@@ -117,6 +117,9 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None, days: i
     data = config["data"]
     if data and config["synthetic"] and (data["tollbooth_csv"] or data["routing_csv"]):
         raise ConfigError("exactly one of data paths or synthetic parameters may be active")
+    start, end = config["simulation"]["start"], config["simulation"]["end"]
+    if start and end and make_hour_key(start).timestamp > make_hour_key(end).timestamp:
+        raise ConfigError(f"simulation.start {start} is later than simulation.end {end}")
     return config
 
 

@@ -314,7 +314,8 @@ def _codes(values: list) -> tuple[tuple, np.ndarray]:
 
 class _Rows(Sequence):
     """Read-only sequence over a column table with ``hours`` and ``hour``;
-    items are built on demand."""
+    items are built on demand. ``_names`` gives the names that ``rows_at``
+    looks up and each row's code into them."""
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -348,6 +349,22 @@ class _Rows(Sequence):
         if isinstance(index, slice):
             return [self._item(i) for i in range(len(self))[index]]
         return self._item(range(len(self))[index])
+
+    def rows_at(self, names: Sequence[str], hours: Sequence[HourKey]) -> np.ndarray:
+        """The row of each (name, hour) pair, an int64 array of shape
+        ``(len(names), len(hours))``, -1 where the table has none; an hour
+        matches by timestamp. A name is a count key of a tollbooth table and
+        a node name of a routing table."""
+        table, code = self._names
+        # The extra last row and column stand for the names and hours the
+        # table lacks, which code -1 picks, and hold no row.
+        grid = np.full((len(table) + 1, len(self.hours) + 1), -1, dtype=np.int64)
+        grid[code, self.hour] = np.arange(len(self))
+        name_codes = {name: i for i, name in enumerate(table)}
+        hour_codes = {h.timestamp: i for i, h in enumerate(self.hours)}
+        name = np.array([name_codes.get(n, -1) for n in names], dtype=np.int64)
+        hour = np.array([hour_codes.get(h.timestamp, -1) for h in hours], dtype=np.int64)
+        return grid[name[:, None], hour]
 
     def hour_field(self, name: str) -> np.ndarray:
         """One ``HourKey`` field per row, such as ``"hour_of_day"``, as integers."""
@@ -406,6 +423,8 @@ class TollboothTable(_Rows):
         ("A|Inbound", UNDIRECTED) and ("A", INBOUND) would share one."""
         return [series_key(name, direction) for name, direction in self.series_ids]
 
+    _names = property(lambda self: (self.count_keys(), self.series))
+
     def _item(self, i: int) -> TollboothObservation:
         name, direction = self.series_ids[self.series[i]]
         counts = dict(zip(CATEGORY_ORDER, self.counts[i].tolist()))
@@ -460,19 +479,7 @@ class RoutingTable(_Rows):
         return cls(hours=hour_table, nodes=node_table, hour=hour, node=node, flow=flow,
                    tag=np.array([tag_codes[t] for t in tags], dtype=np.int64), censored=censored)
 
-    def rows_at(self, names: Sequence[str], hours: Sequence[HourKey]) -> np.ndarray:
-        """The row of each (node name, hour) pair, an int64 array of shape
-        ``(len(names), len(hours))``, -1 where the table has none; an hour
-        matches by timestamp."""
-        # The extra last row and column stand for the names and hours the
-        # table lacks, which code -1 picks, and hold no row.
-        grid = np.full((len(self.nodes) + 1, len(self.hours) + 1), -1, dtype=np.int64)
-        grid[self.node, self.hour] = np.arange(len(self))
-        node_codes = {name: i for i, name in enumerate(self.nodes)}
-        hour_codes = {h.timestamp: i for i, h in enumerate(self.hours)}
-        node = np.array([node_codes.get(name, -1) for name in names], dtype=np.int64)
-        hour = np.array([hour_codes.get(h.timestamp, -1) for h in hours], dtype=np.int64)
-        return grid[node[:, None], hour]
+    _names = property(lambda self: (self.nodes, self.node))
 
     def _item(self, i: int) -> RoutingReportObservation:
         return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],

@@ -52,6 +52,7 @@ from .core import (
     RoutingTable,
     TollboothTable,
     _ranks,
+    _reject,
     make_hour_key,
     series_key,
     stat_cell,
@@ -491,16 +492,18 @@ def _read_routing_rows(p: Path) -> RoutingTable:
 
 
 def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
-    counts = np.column_stack((table.counts, table.total)).astype(np.int64)
+    counts = np.column_stack((table.counts, table.total))
+    _reject(counts >= 2.0**63, "counts and total must be below 2**63 to be written")
     write_csv_columns(path, TOLLBOOTH_HEADER, [
         ([h.isoformat() for h in table.hours], table.hour),
         ([name for name, _ in table.series_ids], table.series),
         ([direction.value for _, direction in table.series_ids], table.series),
-        *((None, column) for column in counts.T),
+        *((None, column) for column in counts.astype(np.int64).T),
     ])
 
 
 def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
+    _reject(table.flow >= 2.0**63, "people_flow must be below 2**63 to be written")
     # Flow cells as codes into their distinct texts, the sentinel among them.
     flows, flow = np.unique(np.where(table.censored, -1, table.flow.astype(np.int64)), return_inverse=True)
     write_csv_columns(path, ROUTING_HEADER, [

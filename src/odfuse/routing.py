@@ -21,16 +21,18 @@ remainder, then each destination's share is split across categories the
 same way. Every step is integer-exact, so vehicles are conserved.
 
 ``build_od_matrix`` routes the tollbooth's hours inside a window, in time
-order, as arrays. ``RoutingTable.rows_at`` finds each hour's destination
-rows, and one prediction block scores each distinct destination feature
-row once, for every hour. One decision kernel runs the three phases over
-the (hour x count key) grid of totals: every hour fills the same template
-of decision slots (internal, local in, local out, then bypass and net per
-booth pair), and a slot is kept where the phase rules keep it, so
-decisions and ledger events come out hour by hour in phase order.
-Decisions and the ledger are column tables; marginals are taken once per
-(hour, destination). Every total that is apportioned is bounded by
-``_exact_limit``, so that float64 quotas split it exactly.
+order, as arrays. One table lookup, ``rows_at``, finds the total of each
+referenced count key at each routed hour in the tollbooth table and each
+hour's destination rows in the routing table, and one prediction block
+scores each distinct destination feature row once, for every hour. One
+decision kernel runs the three phases over these (count key x hour)
+totals: every hour fills the same template of decision slots (internal,
+local in, local out, then bypass and net per booth pair), and a slot is
+kept where the phase rules keep it, so decisions and ledger events come
+out hour by hour in phase order. Decisions and the ledger are column
+tables; marginals are taken once per (hour, destination). Every routed
+total is bounded by ``_exact_limit``, so that float64 quotas split it
+exactly; counts the route does not read are not bounded.
 
 The OD matrix is assembled in blocks of whole hours, each about
 ``_OD_BLOCK`` decisions, so its transients stay the size of one block
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import product
+from itertools import compress, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -627,32 +629,36 @@ def build_od_matrix(
     ``end``, both included, in timestamp order; a bound of None is open.
 
     Infers each hour's joint distribution from the destination routing
-    reports, decides scenario volumes from the tollbooth totals, builds the
-    conservation ledger and distributes. A bound that leaves no tollbooth
-    hour is a data error. Of the hours that fail a check, the earliest is
-    reported, with the first failing check of: no destination rows; count
-    keys missing; an eligible destination without rows. The tables reject
+    reports, decides scenario volumes from the totals of the count keys the
+    network references, builds the conservation ledger and distributes. A
+    bound that leaves no tollbooth hour is a data error. So is a routed
+    total above ``_exact_limit``, named by its earliest hour, then its first
+    key in ``referenced_count_keys()`` order; counts of other keys or hours
+    are not read. Of the hours that fail a check, the earliest is reported,
+    with the first failing check of: no destination rows; count keys
+    missing; an eligible destination without rows. The tables reject
     repeated rows, hours, count keys and node names themselves.
     """
     # The tollbooth's hours inside the window, in timestamp order.
-    inside = sorted((i for i, h in enumerate(tollbooth.hours)
-                     if (start is None or start <= h.timestamp) and (end is None or h.timestamp <= end)),
-                    key=lambda i: tollbooth.hours[i].timestamp)
-    if not inside and (start is not None or end is not None):
+    hour_keys = tuple(sorted((h for h in tollbooth.hours
+                              if (start is None or start <= h.timestamp) and (end is None or h.timestamp <= end)),
+                             key=lambda h: h.timestamp))
+    if not hour_keys and (start is not None or end is not None):
         raise DataError("no tollbooth hours inside the requested simulation window")
-    tb_hour, hour_keys = np.array(inside, dtype=np.int64), tuple(tollbooth.hours[i] for i in inside)
     n_hours = len(hour_keys)
 
-    # Hour x count-key grid of integer totals, -1 where a series has no row.
-    keys, row_key = tollbooth.count_keys(), tollbooth.series
+    # Each referenced key's total at each routed hour, -1 where it has none
+    # (row -1 picks the -1 appended to the totals). Only these counts are
+    # bounded; _decide casts them to int64.
+    referenced = network.referenced_count_keys()
+    at = tollbooth.rows_at(referenced, hour_keys)
+    totals = np.append(tollbooth.total, -1)[at]
     limit = _exact_limit(max(len(network.destination_names()), len(CATEGORY_ORDER)))
-    huge = np.flatnonzero(~(tollbooth.total <= limit))
-    if len(huge):
-        i = huge[0]
-        raise DataError(f"tollbooth count for {keys[row_key[i]]!r} at {tollbooth.hours[tollbooth.hour[i]].isoformat()} "
-                        f"exceeds {limit}, the largest count this network can route exactly")
-    totals = np.full((len(tollbooth.hours), len(keys) + 1), -1, dtype=np.int64)  # last column: absent
-    totals[tollbooth.hour, row_key] = tollbooth.total.astype(np.int64)
+    huge = totals > limit
+    if huge.any():
+        h, k = np.argwhere(huge.T)[0]  # the earliest hour, then the first key
+        raise DataError(f"tollbooth count for {referenced[k]!r} at {hour_keys[h].isoformat()} exceeds {limit}, the "
+                        "largest count this network can route exactly")
 
     # Destination rows hour by hour, in file order within an hour.
     dest_names = network.destination_names()
@@ -664,23 +670,15 @@ def build_od_matrix(
     flat, row_hour, row_dest = rows[order], row_hour[order], row_dest[order]
     bounds = np.searchsorted(row_hour, np.arange(n_hours + 1))
 
-    # Each referenced key's per-hour total, -1 where it has none.
-    referenced = network.referenced_count_keys()
-    key_index = {k: i for i, k in enumerate(keys)}
-    counts = {k: totals[tb_hour, key_index.get(k, -1)] for k in referenced}
-    no_rows = bounds[1:] == bounds[:-1]
-    missing = np.zeros(n_hours, dtype=bool)
-    for total in counts.values():
-        missing |= total < 0
-
     # One prediction block for every hour; only the marginal grids outlive it.
     weight_grid, category_grid, fallback = _marginal_grids(
         _clamped_table(_predictions(model, routing, flat), routing.censored[flat]), bounds, row_hour, row_dest,
         len(dest_names))
 
-    decisions, ledger = _decide(network, hour_keys, {k: np.maximum(v, 0) for k, v in counts.items()}, fallback)
+    decisions, ledger = _decide(network, hour_keys, dict(zip(referenced, np.maximum(totals, 0))), fallback)
     absent = _absent(decisions, dest_names, present)
-    checks = np.stack([no_rows, missing, np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
+    checks = np.stack([bounds[1:] == bounds[:-1], (at < 0).any(axis=0),
+                       np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
     failing = checks.any(axis=0)
     if failing.any():
         h = int(np.argmax(failing))
@@ -688,7 +686,7 @@ def build_od_matrix(
         if check == 0:
             raise DataError(f"no destination routing rows for hour {when}")
         if check == 1:
-            raise DataError(f"missing tollbooth counts for {[k for k in referenced if counts[k][h] < 0]} at {when}")
+            raise DataError(f"missing tollbooth counts for {list(compress(referenced, at[:, h] < 0))} at {when}")
         raise _absent_error(decisions, int(np.nonzero(absent & (decisions.hour == h))[0][0]), dest_names, present)
 
     return RoutingRun(matrix=_od_matrix(decisions, weight_grid, category_grid, dest_names), ledger=ledger)

@@ -18,7 +18,7 @@ from odfuse.cli import config_hash, load_config, main
 from odfuse.errors import ConfigError
 from odfuse.fusion import GbtHyperparams, train
 from odfuse.ingest import FEATURE_NAMES, build_dataset, read_routing_csv, read_tollbooth_csv
-from odfuse.network import NetworkConfig, load_network
+from odfuse.network import NetworkConfig, load_network, trondheim_fixture
 
 from _helpers import WORKED_EXAMPLE_HOUR, check_routing_files, destination, station, write_worked_example_fixture
 
@@ -428,18 +428,32 @@ class TestRoute:
         message = message.format(routing=config["simulation"]["routing_csv"])
         assert capsys.readouterr().err == f"odfuse: data error: {message}\n"
 
-    @pytest.mark.parametrize("key", ["start", "end"])
-    @pytest.mark.parametrize("value", ["garbage", "2025-01-30T17:30", 17])
-    def test_bad_simulation_window_exit_1(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("window, message", [
+        *(pytest.param({key: value}, f"simulation.{key}: bad value {value!r}", id=f"{value}-{key}")
+          for value in ("garbage", "2025-01-30T17:30", 17) for key in ("start", "end")),
+        pytest.param({"start": "2025-01-30T18:00", "end": "2025-01-30T16:00"},
+                     "simulation.start 2025-01-30T18:00 is later than simulation.end 2025-01-30T16:00", id="reversed"),
+    ])
+    def test_bad_simulation_window_exit_1(self, tmp_path, capsys, window, message):
         config = write_worked_example_fixture(tmp_path / "fixture")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["--config", str(cfg_path), "train"]) == 0
-        config["simulation"][key] = value
+        config["simulation"].update(window)
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "route"]) == 1
-        assert f"odfuse: error: simulation.{key}: bad value {value!r}" in capsys.readouterr().err
+        assert f"odfuse: error: {message}" in capsys.readouterr().err
+
+    def test_window_of_one_hour_routes_it(self, tmp_path):
+        config = write_worked_example_fixture(tmp_path / "fixture")
+        config["simulation"].update(start=WORKED_EXAMPLE_HOUR, end=WORKED_EXAMPLE_HOUR)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        assert main(["--config", str(cfg_path), "route"]) == 0
+        for name in ("od_matrix.csv", "ledger.csv"):
+            assert {row[0] for row in read_csv(tmp_path / "fixture" / "out" / name)[1:]} == {WORKED_EXAMPLE_HOUR}
 
     # 18 digits take the byte scan; 20 digits the per-row reader.
     @pytest.mark.parametrize("count", ["999999999999999999", "10000000000000000000"])
@@ -456,6 +470,24 @@ class TestRoute:
         assert main(["--config", str(cfg_path), "route"]) == 2
         err = capsys.readouterr().err
         assert f"odfuse: data error: tollbooth count for 'E6-Klett' at {WORKED_EXAMPLE_HOUR} exceeds" in err
+
+    # A count beyond the bound that the route never reads: on a booth that no
+    # routing phase references, and on a referenced one after the window.
+    @pytest.mark.parametrize("station, simulation", [("Bjørndalsbrua", {}), ("E6-Klett", {"end": "2023-11-06T23:00"})],
+                             ids=["unreferenced", "outside-window"])
+    def test_count_beyond_the_bound_not_routed_exit_0(self, tmp_path, station, simulation):
+        cfg = write_config(tmp_path / "run.json", hyperparams={"n_trees": 5, "max_depth": 3}, simulation=simulation)
+        assert main(["--config", str(cfg), "synth"]) == 0
+        assert main(["--config", str(cfg), "train"]) == 0
+        path = tmp_path / "out" / "tollbooth.csv"
+        rows = read_csv(path)
+        [row] = [row for row in rows if row[:2] == ["2023-11-07T05:00", station]]
+        for column in (3, 9):  # c_under5_6 and total
+            row[column] = str(int(row[column]) + 2**52)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["--config", str(cfg), "route"]) == 0
+        check_routing_files(tmp_path / "out", trondheim_fixture())
 
     def test_window_around_the_hour_routes_it(self, tmp_path):
         config = write_worked_example_fixture(tmp_path / "fixture")

@@ -470,6 +470,26 @@ class TestBlockWriters:
                 write_csv_columns(tmp_path / "ragged.csv", ["a"] * len(columns), columns)
         assert not (tmp_path / "ragged.csv").exists()
 
+    def test_counts_from_2_63_are_refused_before_the_file_opens(self, tmp_path):
+        hours = [make_hour_key(h) for h in (H8, H9, H10)]
+        tollbooth = TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)] * 3,
+                                             [[1] * 7, [2**63 - 1024, 0, 0, 0, 0, 0, 2**63], [1e19] * 7])
+        routing = RoutingTable.from_rows(hours, ["A"] * 3, [10, 2**63, 1e19], [RoadTag.PRIMARY] * 3, [False] * 3)
+        with pytest.raises(DataError, match=re.escape("row 1: counts and total must be below 2**63 to be written")):
+            write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
+        with pytest.raises(DataError, match=re.escape("row 1: people_flow must be below 2**63 to be written")):
+            write_routing_csv(tmp_path / "rt.csv", routing)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_counts_just_below_2_63_survive_a_write_and_read(self, tmp_path):
+        hours = [make_hour_key(H8)]
+        tollbooth = TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)], [[2**63 - 1024] * 7])
+        routing = RoutingTable.from_rows(hours, ["A"], [2**63 - 1024], [RoadTag.PRIMARY], [False])
+        write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
+        write_routing_csv(tmp_path / "rt.csv", routing)
+        assert_tables_equal(read_tollbooth_csv(tmp_path / "tb.csv"), tollbooth)
+        assert_tables_equal(read_routing_csv(tmp_path / "rt.csv"), routing)
+
     @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
     def test_four_digit_years_survive_a_write_and_read(self, tmp_path, year):
         hours = [make_hour_key(datetime(year, 3, 1, h)) for h in (5, 6)]
@@ -685,6 +705,36 @@ class TestRowsAt:
             if row >= 0:
                 assert shuffled[row] == routing[original]
         assert (rows >= 0).sum() == len(routing)
+
+    def test_tollbooth_rows_by_count_key(self):
+        h8, h9, h10 = (make_hour_key(h) for h in (H8, H9, H10))
+        tollbooth = TollboothTable.from_rows(
+            [h9, h8, h9, h8],
+            [("ØstreRosten", Direction.INBOUND), ("ØstreRosten", Direction.OUTBOUND),
+             ("ØstreRosten", Direction.OUTBOUND), ("E6-Klett", Direction.UNDIRECTED)],
+            [[n, 0, 0, 0, 0, 0, n] for n in (1, 2, 3, 4)])
+        rows = tollbooth.rows_at(["ØstreRosten|Outbound", "ØstreRosten", "E6-Klett", "ØstreRosten|Inbound"],
+                                 [h8, h9, h10])
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[1, 2, -1], [-1, -1, -1], [3, -1, -1], [-1, 0, -1]]
+        assert tollbooth.rows_at([], [h8]).shape == (0, 1)
+        assert tollbooth.rows_at(["E6-Klett"], []).shape == (1, 0)
+
+    def test_tollbooth_hours_match_by_timestamp_across_tables(self):
+        rng = np.random.default_rng(5)
+        tollbooth, _ = generate_synthetic(trondheim_fixture(), 1, identity_profile())
+        shuffled = take_rows(tollbooth, rng.permutation(len(tollbooth)))
+        assert [h.timestamp for h in shuffled.hours] != [h.timestamp for h in tollbooth.hours]
+        keys = [*tollbooth.count_keys(), "ØstreRosten", "elsewhere"]
+        assert "ØstreRosten|Inbound" in keys
+        rows = shuffled.rows_at(keys, tollbooth.hours)
+        assert rows.shape == (len(keys), len(tollbooth.hours))
+        for (i, j), row in np.ndenumerate(rows):
+            original = tollbooth.rows_at([keys[i]], [tollbooth.hours[j]])[0, 0]
+            assert (row < 0) == (original < 0)
+            if row >= 0:
+                assert shuffled[row] == tollbooth[original]
+        assert (rows >= 0).sum() == len(tollbooth)
 
 
 class TestJoinParity:

@@ -1033,6 +1033,24 @@ class TestCountBound:
         with pytest.raises(DataError, match=re.escape(message)):
             build_od_matrix(net, model, tb, rt)
 
+    def test_count_above_the_bound_on_an_unreferenced_series_routes(self, trained_small):
+        net, model, _, _ = trained_small
+        counts = self.bound_counts(net, count_bound(net))
+        assert "Bjørndalsbrua" not in net.referenced_count_keys()
+        tb, rt = tables_from_counts(net, [{**counts, "Bjørndalsbrua": 2**60}])
+        run = build_od_matrix(net, model, tb, rt)
+        assert conservation_violations(run) == []
+        assert int(run.decisions.volume.sum()) == expected_hour_total(net, counts)
+
+    def test_count_above_the_bound_outside_the_window_routes(self, trained_small):
+        net, model, _, _ = trained_small
+        counts = self.bound_counts(net, count_bound(net))
+        tb, rt = tables_from_counts(net, [counts, {**counts, "E6-Trondheim": count_bound(net) + 1}])
+        run = build_od_matrix(net, model, tb, rt, end=make_hour_key("2024-05-06T00:00").timestamp)
+        assert conservation_violations(run) == []
+        assert [h.isoformat() for h in run.decisions.hours] == ["2024-05-06T00:00"]
+        assert int(run.decisions.volume.sum()) == expected_hour_total(net, counts)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 8, 17, 40])
     def test_splits_at_the_bound_sum_exactly(self, k):
         rng = np.random.default_rng(k)
