@@ -222,11 +222,12 @@ def cmd_explain(config: dict, out: Path) -> int:
         stride = X.shape[0] / opts["max_rows"]
         picks = sorted({int(i * stride) for i in range(opts["max_rows"])})
         X = X[picks]
+    # Every result before the first write, so that a failure leaves the earlier artifacts as they were.
     phi, base = shap_matrix(model, opts["target"], X)
-    write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
-    write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
     drops = permutation_importance(model, opts["target"], dataset,
                                    repeats=opts["repeats"], seed=config["seed"])
+    write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
+    write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
     write_permutation_csv(out / "permutation.csv", drops)
     log.info("explain: target %s over %d rows -> %s", opts["target"], X.shape[0], out)
     return 0

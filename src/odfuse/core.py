@@ -13,7 +13,10 @@ are those of ``write_csv``. Every JSON document a user supplies is read by
 ``read_json``. An input table checks its shape, its code tables and its
 rows when it is built: a code table holds each hour, count key or node name
 once, so a code stands for one of them, and neither the table's consumers
-nor its observations merge codes or check rows again.
+nor its observations merge codes or check rows again. A table holds its
+hours as one datetime64[h] array, whose derived fields come from array
+arithmetic; only its row views carry ``HourKey`` objects, one per hour,
+built on first use and shared.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,9 @@ __all__ = [
     "TollboothTable",
     "RoutingTable",
     "make_hour_key",
+    "hour_array",
+    "hour_text",
+    "hours_field",
     "write_csv",
     "write_csv_columns",
     "stat_cell",
@@ -216,6 +223,36 @@ def make_hour_key(timestamp: datetime | str) -> HourKey:
     )
 
 
+# The hours of a table: one datetime64[h] entry each, in the years 1 to 9999 that HourKey holds.
+HOUR_DTYPE = np.dtype("datetime64[h]")
+_FIRST_HOUR, _LAST_HOUR = np.datetime64("0001-01-01T00", "h"), np.datetime64("9999-12-31T23", "h")
+
+
+def hour_array(keys: Iterable[HourKey]) -> np.ndarray:
+    """The timestamps of ``keys`` as a datetime64[h] array."""
+    return np.array([key.timestamp for key in keys], dtype=HOUR_DTYPE)
+
+
+def hour_text(hours: np.datetime64 | np.ndarray) -> str | list[str]:
+    """An hour as ``YYYY-MM-DDTHH:MM``, as ``HourKey.isoformat`` gives it, or
+    the list of these texts of an array of hours, formatted in one call."""
+    return np.datetime_as_string(hours, unit="m").tolist()
+
+
+# HourKey's derived fields of hours counted from 1970-01-01T00, a Thursday;
+# numpy's floor division and modulo hold before 1970 too.
+_HOUR_FIELDS = {
+    "hour_of_day": lambda ticks: ticks % 24,
+    "day_of_week": lambda ticks: (ticks // 24 + 3) % 7,
+    "is_weekend": lambda ticks: (ticks // 24 + 3) % 7 >= 5,
+}
+
+
+def hours_field(hours: np.ndarray, name: str) -> np.ndarray:
+    """One ``HourKey`` field per hour, such as ``"hour_of_day"``, as integers."""
+    return _HOUR_FIELDS[name](hours.astype(np.int64)).astype(np.int64)
+
+
 # Reported totals may disagree with the category sum by at most this
 # fraction before the record is flagged.
 TOTAL_MISMATCH_TOLERANCE = 0.01
@@ -313,16 +350,31 @@ def _codes(values: list) -> tuple[tuple, np.ndarray]:
 
 
 class _Rows(Sequence):
-    """Read-only sequence over a column table with ``hours`` and ``hour``;
-    items are built on demand. ``_names`` gives the names that ``rows_at``
-    looks up and each row's code into them."""
+    """Read-only sequence over a column table with ``hours``, a datetime64[h]
+    array that holds each hour once, and ``hour``, each row's index into it;
+    items are built on demand, and share one ``HourKey`` per hour. ``_names``
+    gives the names that ``rows_at`` looks up and each row's code into them."""
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        _reject_twice([h.timestamp for h in self.hours],
-                      lambda _, i: f"hour {self.hours[i].isoformat()} is listed twice in the table's hours")
+        hours = self.hours
+        if not isinstance(hours, np.ndarray) or hours.dtype != HOUR_DTYPE or hours.ndim != 1:
+            got = f"{hours.dtype} array of shape {hours.shape}" if isinstance(hours, np.ndarray) else \
+                type(hours).__name__
+            raise DataError(f"hours must be a 1-D datetime64[h] array, got {got}")
+        outside = ~((hours >= _FIRST_HOUR) & (hours <= _LAST_HOUR))  # NaT too
+        if outside.any():
+            raise DataError(f"hour {hour_text(hours[np.argmax(outside)])} of the table's hours is not in the years "
+                            "1 to 9999")
+        _reject_repeat(hours.view(np.int64),
+                       lambda i: f"hour {hour_text(hours[i])} is listed twice in the table's hours")
+
+    @cached_property
+    def hour_keys(self) -> tuple[HourKey, ...]:
+        """One ``HourKey`` per entry of ``hours``, built on first use."""
+        return tuple(map(make_hour_key, self.hours.tolist()))
 
     def _check_columns(self, widths: dict[str, tuple[int, ...]], tables: dict[str, int]) -> None:
         """A DataError unless ``hour`` is a 1-D array, each column in
@@ -350,33 +402,36 @@ class _Rows(Sequence):
             return [self._item(i) for i in range(len(self))[index]]
         return self._item(range(len(self))[index])
 
-    def rows_at(self, names: Sequence[str], hours: Sequence[HourKey]) -> np.ndarray:
+    def rows_at(self, names: Sequence[str], hours: np.ndarray) -> np.ndarray:
         """The row of each (name, hour) pair, an int64 array of shape
-        ``(len(names), len(hours))``, -1 where the table has none; an hour
-        matches by timestamp. A name is a count key of a tollbooth table and
-        a node name of a routing table."""
+        ``(len(names), len(hours))``, -1 where the table has none; ``hours``
+        is a datetime64[h] array. A name is a count key of a tollbooth table
+        and a node name of a routing table."""
         table, code = self._names
         # The extra last row and column stand for the names and hours the
         # table lacks, which code -1 picks, and hold no row.
         grid = np.full((len(table) + 1, len(self.hours) + 1), -1, dtype=np.int64)
         grid[code, self.hour] = np.arange(len(self))
         name_codes = {name: i for i, name in enumerate(table)}
-        hour_codes = {h.timestamp: i for i, h in enumerate(self.hours)}
         name = np.array([name_codes.get(n, -1) for n in names], dtype=np.int64)
-        hour = np.array([hour_codes.get(h.timestamp, -1) for h in hours], dtype=np.int64)
+        # Each hour's code where the table has that hour: a search past the
+        # last hour picks the appended -1, and NaT equals no hour.
+        order = np.argsort(self.hours)
+        hour = np.append(order, -1)[np.searchsorted(self.hours, hours, sorter=order)]
+        hour[np.append(self.hours, np.datetime64("NaT"))[hour] != hours] = -1
         return grid[name[:, None], hour]
 
     def hour_field(self, name: str) -> np.ndarray:
         """One ``HourKey`` field per row, such as ``"hour_of_day"``, as integers."""
-        return np.array([int(getattr(h, name)) for h in self.hours], dtype=np.int64)[self.hour]
+        return hours_field(self.hours, name)[self.hour]
 
 
 @dataclass(frozen=True, eq=False)
 class TollboothTable(_Rows):
     """Tollbooth observations as columns, one row per observation in input order.
 
-    ``hour`` indexes ``hours``, one hour per timestamp in order of first
-    appearance; ``series`` indexes ``series_ids``, the (station, direction)
+    ``hour`` indexes ``hours``, datetime64[h] in order of first appearance;
+    ``series`` indexes ``series_ids``, the (station, direction)
     series, one per count key, so a series code is a count-key code.
     ``counts`` holds the six length-band counts in CATEGORY_ORDER and
     ``total`` the reported total. Indexing and iteration build
@@ -386,7 +441,7 @@ class TollboothTable(_Rows):
     a DataError names the repeated entry or the first row that breaks this.
     """
 
-    hours: tuple[HourKey, ...]
+    hours: np.ndarray
     series_ids: tuple[tuple[str, Direction], ...]
     hour: np.ndarray
     series: np.ndarray
@@ -406,7 +461,7 @@ class TollboothTable(_Rows):
         _reject(np.array([not name for name, _ in self.series_ids], dtype=bool)[self.series],
                 "station name cannot be empty")
         _reject_repeat(self.hour * len(keys) + self.series, lambda i: f"duplicate tollbooth series "
-                       f"{keys[self.series[i]]!r} at {self.hours[self.hour[i]].isoformat()}")
+                       f"{keys[self.series[i]]!r} at {hour_text(self.hours[self.hour[i]])}")
 
     @classmethod
     def from_rows(cls, hours: list[HourKey], series: list[tuple[str, Direction]], values) -> "TollboothTable":
@@ -415,7 +470,7 @@ class TollboothTable(_Rows):
         values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
         hour_table, hour = _codes(hours)
         series_ids, series_codes = _codes(series)
-        return cls(hours=hour_table, series_ids=series_ids, hour=hour, series=series_codes,
+        return cls(hours=hour_array(hour_table), series_ids=series_ids, hour=hour, series=series_codes,
                    counts=values[:, :-1], total=values[:, -1])
 
     def count_keys(self) -> list[str]:
@@ -428,7 +483,7 @@ class TollboothTable(_Rows):
     def _item(self, i: int) -> TollboothObservation:
         name, direction = self.series_ids[self.series[i]]
         counts = dict(zip(CATEGORY_ORDER, self.counts[i].tolist()))
-        return TollboothObservation(node=name, direction=direction, hour=self.hours[self.hour[i]],
+        return TollboothObservation(node=name, direction=direction, hour=self.hour_keys[self.hour[i]],
                                     counts=CountsByCategory.with_reported_total(counts, float(self.total[i])))
 
 
@@ -436,8 +491,8 @@ class TollboothTable(_Rows):
 class RoutingTable(_Rows):
     """Mobility reports as columns, one row per report in input order.
 
-    ``hour`` indexes ``hours``, one hour per timestamp in order of first
-    appearance; ``node`` indexes ``nodes``, one name each; ``tag`` indexes
+    ``hour`` indexes ``hours``, datetime64[h] in order of first appearance;
+    ``node`` indexes ``nodes``, one name each; ``tag`` indexes
     TAG_ORDER. ``flow`` is the people flow, zero where ``censored``.
     Indexing and iteration build ``RoutingReportObservation`` objects. A table
     holds one row per ``hour`` entry in every column, codes inside their
@@ -446,7 +501,7 @@ class RoutingTable(_Rows):
     breaks this.
     """
 
-    hours: tuple[HourKey, ...]
+    hours: np.ndarray
     nodes: tuple[str, ...]
     hour: np.ndarray
     node: np.ndarray
@@ -466,7 +521,7 @@ class RoutingTable(_Rows):
         _reject(self.censored & (self.flow != 0), "censored rows must carry people_flow = 0")
         _reject(np.array([not name for name in self.nodes], dtype=bool)[self.node], "node name cannot be empty")
         _reject_repeat(self.node * len(self.hours) + self.hour, lambda i: "duplicate routing row for node "
-                       f"{self.nodes[self.node[i]]!r} at {self.hours[self.hour[i]].isoformat()}")
+                       f"{self.nodes[self.node[i]]!r} at {hour_text(self.hours[self.hour[i]])}")
 
     @classmethod
     def from_rows(cls, hours: list[HourKey], nodes: list[str], flow: list, tags: list[RoadTag],
@@ -476,13 +531,13 @@ class RoutingTable(_Rows):
         hour_table, hour = _codes(hours)
         node_table, node = _codes(nodes)
         tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}
-        return cls(hours=hour_table, nodes=node_table, hour=hour, node=node, flow=flow,
+        return cls(hours=hour_array(hour_table), nodes=node_table, hour=hour, node=node, flow=flow,
                    tag=np.array([tag_codes[t] for t in tags], dtype=np.int64), censored=censored)
 
     _names = property(lambda self: (self.nodes, self.node))
 
     def _item(self, i: int) -> RoutingReportObservation:
-        return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hours[self.hour[i]],
+        return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hour_keys[self.hour[i]],
                                         people_flow=float(self.flow[i]), road_tag=TAG_ORDER[self.tag[i]],
                                         censored=bool(self.censored[i]))
 

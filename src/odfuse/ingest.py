@@ -19,9 +19,14 @@ and every file with a bad value. That path alone raises a bad value's
 error, naming the file and line. A table rule, such as one spelling per
 count key (``A,Inbound`` and ``A|Inbound,Undirected`` are one series) or no
 repeated (series, hour), makes the scan decline and the per-row reader raise
-the table's message after the file's name. Both paths parse each distinct
-timestamp, series, node or road-tag text once through the same code tables,
-so they give equal tables and messages. A reader needs only the file: the
+the table's message after the file's name. The scan reads a timestamp
+column of canonical ``YYYY-MM-DDTHH:00`` texts as one vector: one integer
+key per row, the distinct texts parsed by numpy and kept only where numpy
+writes each back byte for byte. Any other timestamp column, and every
+series, node or road-tag column, is parsed one distinct text at a time
+through the same code tables as the per-row reader, so both paths give
+equal tables and messages. A table holds its hours as datetime64[h], and
+the writers format them in one call. A reader needs only the file: the
 tables name their stations and nodes, and a node's kind is the network's
 alone.
 
@@ -37,7 +42,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +50,17 @@ import numpy as np
 from .core import (
     CATEGORY_ORDER,
     TAG_ORDER,
+    HOUR_DTYPE,
     Direction,
-    HourKey,
     NodeKind,
     RoadTag,
     RoutingTable,
     TollboothTable,
     _ranks,
     _reject,
+    hour_array,
+    hour_text,
+    hours_field,
     make_hour_key,
     series_key,
     stat_cell,
@@ -136,13 +144,13 @@ class FusionDataset:
 
     Rows are sorted by (timestamp, node key); ``split_index`` is the first
     validation row. Feature columns follow FEATURE_NAMES, target columns
-    TARGET_NAMES.
+    TARGET_NAMES; ``hours`` holds each row's hour as datetime64[h].
     """
 
     X: np.ndarray
     Y: np.ndarray
     node_keys: list[str]
-    hours: list[HourKey]
+    hours: np.ndarray
     split_index: int
 
     @property
@@ -371,9 +379,59 @@ def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nda
     return value, ok
 
 
-def _tollbooth_codes(p: Path) -> tuple[_Codes, _Codes]:
-    return (_Codes(p, make_hour_key, ", field 'timestamp'"),
-            _Codes(p, lambda key: (_node(key[0], "station"), Direction.parse(key[1]))))
+# A canonical timestamp: digits where the form has 'd', the form's own bytes elsewhere.
+_HOUR_FORM = np.frombuffer(b"dddd-dd-ddTdd:00", dtype=np.uint8)
+_HOUR_DIGIT = _HOUR_FORM == ord("d")
+
+
+def _hour_codes(p: Path) -> _Codes:
+    return _Codes(p, make_hour_key, ", field 'timestamp'")
+
+
+def _canonical_hours(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct hours of a timestamp column in order of first
+    appearance and each record's index into them, where every field is a
+    ``YYYY-MM-DDTHH:00`` text of a real hour in the years 1 to 9999 that
+    numpy writes back byte for byte; else None."""
+    if ((end - start) != len(_HOUR_FORM)).any():
+        return None
+    block = _gather(buf, start, len(_HOUR_FORM))
+    digits = block[:, _HOUR_DIGIT] - np.uint8(ord("0"))
+    if (digits > 9).any() or (block[:, ~_HOUR_DIGIT] != _HOUR_FORM[~_HOUR_DIGIT]).any():
+        return None
+    # YYYYMMDDHH as one integer: equal keys are equal texts. Year 0 parses in numpy alone.
+    key = digits.astype(np.int64) @ 10 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+    if (key < 10**6).any():
+        return None
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    texts = block[first[order]].view(f"S{len(_HOUR_FORM)}").reshape(-1)
+    try:
+        hours = texts.astype(HOUR_DTYPE)
+    except ValueError:  # a day or an hour out of range
+        return None
+    if (np.datetime_as_string(hours, unit="m").astype(texts.dtype) != texts).any():
+        return None  # a text that numpy reads as another hour
+    return hours, rank[inverse.reshape(-1)]
+
+
+def _scan_hours(p: Path, buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct hours of a scanned timestamp column in order of first
+    appearance, as datetime64[h], and each record's index into them. A
+    canonical column is read as one vector, any other through ``_Codes``
+    one distinct text at a time."""
+    canonical = _canonical_hours(buf, start, end)
+    if canonical is not None:
+        return canonical
+    hours = _hour_codes(p)
+    hour = _coded(hours, *_texts(buf, start, end))
+    return hour_array(hours.parsed), hour
+
+
+def _series_codes(p: Path) -> _Codes:
+    return _Codes(p, lambda key: (_node(key[0], "station"), Direction.parse(key[1])))
 
 
 def _table(path: Path, table: type, **columns):
@@ -385,9 +443,9 @@ def _table(path: Path, table: type, **columns):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _tollbooth_table(hours: _Codes, series: _Codes, hour, row_series, values) -> TollboothTable:
+def _tollbooth_table(hours: np.ndarray, series: _Codes, hour, row_series, values) -> TollboothTable:
     values = np.asarray(values, dtype=np.float64).reshape(len(hour), len(TOLLBOOTH_HEADER) - 3)
-    return _table(hours.path, TollboothTable, hours=tuple(hours.parsed), series_ids=tuple(series.parsed),
+    return _table(series.path, TollboothTable, hours=hours, series_ids=tuple(series.parsed),
                   hour=np.asarray(hour, dtype=np.int64), series=np.asarray(row_series, dtype=np.int64),
                   counts=values[:, :-1], total=values[:, -1])
 
@@ -397,8 +455,8 @@ def _scan_tollbooth_csv(p: Path) -> TollboothTable | None:
     where the file is not canonical or a text fails to parse."""
     try:
         buf, edges = _scan(p, TOLLBOOTH_HEADER)
-        hours, series = _tollbooth_codes(p)
-        hour = _coded(hours, *_texts(buf, edges[0] + 1, edges[1]))
+        hours, hour = _scan_hours(p, buf, edges[0] + 1, edges[1])
+        series = _series_codes(p)
         # Station and direction as one text: neither holds a comma.
         pairs, lines, index = _texts(buf, edges[1] + 1, edges[3])
         row_series = _coded(series, [tuple(pair.split(",")) for pair in pairs], lines, index)
@@ -424,27 +482,26 @@ def read_tollbooth_csv(path: str | Path) -> TollboothTable:
 def _read_tollbooth_rows(p: Path) -> TollboothTable:
     """The table of any tollbooth file, read row by row; a bad row raises a
     DataError naming the file and line."""
-    hours, series = _tollbooth_codes(p)
+    hours, series = _hour_codes(p), _series_codes(p)
     hour, row_series, values = [], [], []
     fields = TOLLBOOTH_HEADER[3:]
     for line, row in _csv_rows(p, TOLLBOOTH_HEADER, "tollbooth"):
         hour.append(hours.get(row[0]) or hours.code(row[0], line))
         row_series.append(series.get(key := (row[1], row[2])) or series.code(key, line))
         values.append(_counts(row[3:], line, fields))
-    return _tollbooth_table(hours, series, hour, row_series, values)
+    return _tollbooth_table(hour_array(hours.parsed), series, hour, row_series, values)
 
 
-def _routing_codes(p: Path) -> tuple[_Codes, _Codes, _Codes]:
-    return (_Codes(p, make_hour_key, ", field 'timestamp'"), _Codes(p, lambda name: _node(name, "node")),
-            _Codes(p, RoadTag.parse))
+def _routing_codes(p: Path) -> tuple[_Codes, _Codes]:
+    return _Codes(p, lambda name: _node(name, "node")), _Codes(p, RoadTag.parse)
 
 
-def _routing_table(hours: _Codes, nodes: _Codes, tags: _Codes, hour, node, flow, tag) -> RoutingTable:
+def _routing_table(hours: np.ndarray, nodes: _Codes, tags: _Codes, hour, node, flow, tag) -> RoutingTable:
     """The table of the given columns; ``flow`` is -1 where censored."""
     flow = np.asarray(flow, dtype=np.float64)
     censored = flow < 0
     tag_codes = np.array([TAG_ORDER.index(t) for t in tags.parsed], dtype=np.int64)
-    return _table(hours.path, RoutingTable, hours=tuple(hours.parsed), nodes=tuple(nodes.parsed),
+    return _table(nodes.path, RoutingTable, hours=hours, nodes=tuple(nodes.parsed),
                   hour=np.asarray(hour, dtype=np.int64), node=np.asarray(node, dtype=np.int64),
                   flow=np.where(censored, 0.0, flow), censored=censored, tag=tag_codes[np.asarray(tag, dtype=np.int64)])
 
@@ -457,8 +514,8 @@ def _scan_routing_csv(p: Path) -> RoutingTable | None:
     the file is not canonical or a text fails to parse."""
     try:
         buf, edges = _scan(p, ROUTING_HEADER)
-        hours, nodes, tags = _routing_codes(p)
-        hour = _coded(hours, *_texts(buf, edges[0] + 1, edges[1]))
+        hours, hour = _scan_hours(p, buf, edges[0] + 1, edges[1])
+        nodes, tags = _routing_codes(p)
         node = _coded(nodes, *_texts(buf, edges[1] + 1, edges[2]))
         tag = _coded(tags, *_texts(buf, edges[3] + 1, edges[4]))
         flow, ok = _digits(buf, edges[2] + 1, edges[3])
@@ -481,21 +538,21 @@ def read_routing_csv(path: str | Path) -> RoutingTable:
 def _read_routing_rows(p: Path) -> RoutingTable:
     """The table of any routing file, read row by row; a bad row raises a
     DataError naming the file and line."""
-    hours, nodes, tags = _routing_codes(p)
+    hours, (nodes, tags) = _hour_codes(p), _routing_codes(p)
     hour, node, flows, tag = [], [], [], []
     for line, row in _csv_rows(p, ROUTING_HEADER, "routing"):
         hour.append(hours.get(row[0]) or hours.code(row[0], line))
         node.append(nodes.get(row[1]) or nodes.code(row[1], line))
         flows.append(-1 if row[2] == CENSOR_SENTINEL else _parse_int_field(row[2], line, "people_flow"))
         tag.append(tags.get(row[3]) or tags.code(row[3], line))
-    return _routing_table(hours, nodes, tags, hour, node, flows, tag)
+    return _routing_table(hour_array(hours.parsed), nodes, tags, hour, node, flows, tag)
 
 
 def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
     counts = np.column_stack((table.counts, table.total))
     _reject(counts >= 2.0**63, "counts and total must be below 2**63 to be written")
     write_csv_columns(path, TOLLBOOTH_HEADER, [
-        ([h.isoformat() for h in table.hours], table.hour),
+        (hour_text(table.hours), table.hour),
         ([name for name, _ in table.series_ids], table.series),
         ([direction.value for _, direction in table.series_ids], table.series),
         *((None, column) for column in counts.astype(np.int64).T),
@@ -507,7 +564,7 @@ def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
     # Flow cells as codes into their distinct texts, the sentinel among them.
     flows, flow = np.unique(np.where(table.censored, -1, table.flow.astype(np.int64)), return_inverse=True)
     write_csv_columns(path, ROUTING_HEADER, [
-        ([h.isoformat() for h in table.hours], table.hour),
+        (hour_text(table.hours), table.hour),
         (table.nodes, table.node),
         ([CENSOR_SENTINEL if f < 0 else str(f) for f in flows.tolist()], flow),
         ([t.value for t in TAG_ORDER], table.tag),
@@ -526,8 +583,7 @@ def _join(tollbooth: TollboothTable, routing: RoutingTable) -> tuple[np.ndarray,
     match = routing.rows_at(series_keys, tollbooth.hours)[tollbooth.series, tollbooth.hour]
     tb_rows = np.nonzero(match >= 0)[0]
     tb_rows = tb_rows[~routing.censored[match[tb_rows]]]
-    time = _ranks([h.timestamp for h in tollbooth.hours])[tollbooth.hour[tb_rows]]
-    order = np.lexsort((key[tb_rows], time))
+    order = np.lexsort((key[tb_rows], tollbooth.hours[tollbooth.hour[tb_rows]]))
     return tb_rows[order], match[tb_rows[order]], key[tb_rows[order]], keys
 
 
@@ -548,8 +604,7 @@ def build_dataset(
     tb_rows, rt_rows, key, keys = _join(tollbooth, routing)
     if not len(tb_rows):
         raise DataError("no overlapping (node, hour) pairs between tollbooth and routing data")
-    hour = tollbooth.hour[tb_rows]
-    time = _ranks([h.timestamp for h in tollbooth.hours])[hour]
+    time = tollbooth.hours[tollbooth.hour[tb_rows]]
     timestamps = np.unique(time)
     n_valid_ts = max(1, round(valid_fraction * len(timestamps)))
     n_train_ts = len(timestamps) - n_valid_ts
@@ -559,7 +614,7 @@ def build_dataset(
         X=feature_matrix(routing, rt_rows),
         Y=np.column_stack((tollbooth.total[tb_rows], tollbooth.counts[tb_rows])),
         node_keys=[keys[k] for k in key.tolist()],
-        hours=[tollbooth.hours[h] for h in hour.tolist()],
+        hours=time,
         split_index=int(np.searchsorted(time, timestamps[n_train_ts])),
     )
 
@@ -642,9 +697,9 @@ def generate_synthetic(
                           f"got {days}")
     rng = np.random.default_rng(profile.seed)
     poisson, normal = rng.poisson, rng.normal
-    start = make_hour_key(_SYNTH_START).timestamp
-    hours = tuple(make_hour_key(start + timedelta(hours=i)) for i in range(days * 24))
-    shape = np.array([_diurnal_shape(hour.hour_of_day, hour.is_weekend) for hour in hours])
+    hours = np.datetime64(_SYNTH_START, "h") + np.arange(days * 24)
+    shape = np.array([_diurnal_shape(hour, weekend) for hour, weekend in
+                      zip(hours_field(hours, "hour_of_day").tolist(), hours_field(hours, "is_weekend").tolist())])
 
     series_ids: list[tuple[str, Direction]] = []
     station_counts: list[np.ndarray] = []

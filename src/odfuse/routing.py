@@ -59,7 +59,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (CATEGORY_ORDER, HourKey, RoutingTable, TollboothTable, VehicleCategory, VehicleType, _ranks,
-                   _Rows, map_vehicle_type, write_csv_columns)
+                   _Rows, hour_array, hour_text, map_vehicle_type, write_csv_columns)
 from .errors import DataError, InternalError
 from .fusion import FusionModel, predict_matrix
 from .ingest import TARGET_NAMES, feature_matrix
@@ -123,13 +123,13 @@ class FlowDecision:
 class DecisionTable(_Rows):
     """Flow decisions as columns, one row per decision in run order.
 
-    ``hour`` indexes ``hours``; ``scenario`` indexes the members of
+    ``hour`` indexes ``hours``, datetime64[h]; ``scenario`` indexes the members of
     ``Scenario`` in definition order; ``direction`` and ``origin`` index
     ``texts``; ``eligible`` indexes ``eligible_sets``, tuples of destination
     names. Indexing and iteration build ``FlowDecision`` objects.
     """
 
-    hours: tuple[HourKey, ...]
+    hours: np.ndarray
     texts: tuple[str, ...]
     eligible_sets: tuple[tuple[str, ...], ...]
     hour: np.ndarray
@@ -149,7 +149,7 @@ class DecisionTable(_Rows):
             raise InternalError("bypass decisions have exactly one destination")
 
     def _item(self, i: int) -> FlowDecision:
-        return FlowDecision(self.hours[self.hour[i]], _SCENARIOS[self.scenario[i]], self.texts[self.direction[i]],
+        return FlowDecision(self.hour_keys[self.hour[i]], _SCENARIOS[self.scenario[i]], self.texts[self.direction[i]],
                             int(self.volume[i]), self.texts[self.origin[i]], self.eligible_sets[self.eligible[i]],
                             bool(self.reversed_roles[i]))
 
@@ -216,17 +216,18 @@ class ODMatrix:
         return len(self.count)
 
     @property
-    def hours(self) -> tuple[HourKey, ...]:
+    def hours(self) -> np.ndarray:
         return self.decisions.hours
 
     @property
     def entries(self) -> list[ODEntry]:
-        """The rows as ``ODEntry`` objects, built anew on every access."""
-        decisions = self.decisions
+        """The rows as ``ODEntry`` objects, built anew on every access; they
+        share the decision table's ``HourKey`` of each hour."""
+        decisions, hour_keys = self.decisions, self.decisions.hour_keys
         columns = (decisions.hour[self.decision], self.origin, self.destination, self.vehicle_type, self.count,
                    decisions.scenario[self.decision], decisions.direction[self.decision])
         return [
-            ODEntry(self.hours[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n, _SCENARIOS[s],
+            ODEntry(hour_keys[h], self.nodes[o], self.nodes[d], _VEHICLE_TYPES[v], n, _SCENARIOS[s],
                     decisions.texts[k])
             for h, o, d, v, n, s, k in zip(*(c.tolist() for c in columns))
         ]
@@ -249,12 +250,12 @@ class LedgerEvent:
 class LedgerTable(_Rows):
     """The conservation ledger as columns, one row per event in run order.
 
-    ``hour`` indexes ``hours``; ``entry_type``, ``scenario``, ``direction``,
+    ``hour`` indexes ``hours``, datetime64[h]; ``entry_type``, ``scenario``, ``direction``,
     ``key`` and ``flag`` index ``texts``. Indexing and iteration build
     ``LedgerEvent`` objects.
     """
 
-    hours: tuple[HourKey, ...]
+    hours: np.ndarray
     texts: tuple[str, ...]
     hour: np.ndarray
     entry_type: np.ndarray
@@ -266,14 +267,14 @@ class LedgerTable(_Rows):
 
     def _item(self, i: int) -> LedgerEvent:
         t = self.texts
-        return LedgerEvent(self.hours[self.hour[i]], t[self.entry_type[i]], t[self.scenario[i]],
+        return LedgerEvent(self.hour_keys[self.hour[i]], t[self.entry_type[i]], t[self.scenario[i]],
                            t[self.direction[i]], t[self.key[i]], int(self.amount[i]), t[self.flag[i]])
 
 
 @dataclass
 class RoutingRun:
     """The OD matrix and the ledger of one run; the matrix holds the
-    decision table, and both tables share one ``hours`` tuple."""
+    decision table, and both tables share one ``hours`` array."""
 
     matrix: ODMatrix
     ledger: LedgerTable
@@ -479,7 +480,7 @@ def _kept(slots: list[tuple], n_hours: int, n_fields: int) -> list[np.ndarray]:
     return [np.nonzero(keep)[0], *grid[1:, keep]]
 
 
-def _decide(network: NetworkConfig, hours: tuple[HourKey, ...], counts: Mapping[str, np.ndarray],
+def _decide(network: NetworkConfig, hours: np.ndarray, counts: Mapping[str, np.ndarray],
             fallback: np.ndarray) -> tuple[DecisionTable, LedgerTable]:
     """The three routing phases over every hour at once.
 
@@ -574,7 +575,8 @@ def decide_flows(
     k = max(len(network.destination_names()), len(CATEGORY_ORDER))
     for key in referenced:
         _check_exact(counts[key], k, f"count for {key!r}")
-    return _decide(network, (hour,), {k: np.array([int(counts[k])]) for k in referenced}, np.zeros(1, dtype=bool))
+    return _decide(network, hour_array((hour,)), {k: np.array([int(counts[k])]) for k in referenced},
+                   np.zeros(1, dtype=bool))
 
 
 def _absent(decisions: DecisionTable, names: Sequence[str], present: np.ndarray) -> np.ndarray:
@@ -594,7 +596,7 @@ def _absent_error(decisions: DecisionTable, i: int, names: Sequence[str], presen
     h, index = decisions.hour[i], {name: j for j, name in enumerate(names)}
     unknown = [d for d in decisions.eligible_sets[decisions.eligible[i]] if d not in index or not present[h, index[d]]]
     return DataError(f"eligible destinations {unknown} absent from the joint distribution "
-                     f"at {decisions.hours[h].isoformat()}")
+                     f"at {hour_text(decisions.hours[h])}")
 
 
 def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry]:
@@ -609,8 +611,8 @@ def distribute(decision: FlowDecision, joint: JointDistribution) -> list[ODEntry
     names, weight, per_destination = _joint_arrays(joint)
     # hour, scenario, direction, volume, origin, eligible, reversed_roles
     row = (0, _SCENARIOS.index(decision.scenario), 0, decision.volume, 1, 0, decision.reversed_roles)
-    table = DecisionTable((decision.hour,), (decision.direction, decision.origin), (decision.eligible_destinations,),
-                          *(np.array([value]) for value in row))
+    table = DecisionTable(hour_array((decision.hour,)), (decision.direction, decision.origin),
+                          (decision.eligible_destinations,), *(np.array([value]) for value in row))
     present = np.ones((1, len(names)), dtype=bool)
     if _absent(table, names, present)[0]:
         raise _absent_error(table, 0, names, present)
@@ -622,8 +624,8 @@ def build_od_matrix(
     model: FusionModel,
     tollbooth: TollboothTable,
     routing: RoutingTable,
-    start: datetime | None = None,
-    end: datetime | None = None,
+    start: datetime | np.datetime64 | None = None,
+    end: datetime | np.datetime64 | None = None,
 ) -> RoutingRun:
     """Assemble the OD matrix over the tollbooth's hours from ``start`` to
     ``end``, both included, in timestamp order; a bound of None is open.
@@ -640,29 +642,33 @@ def build_od_matrix(
     repeated rows, hours, count keys and node names themselves.
     """
     # The tollbooth's hours inside the window, in timestamp order.
-    hour_keys = tuple(sorted((h for h in tollbooth.hours
-                              if (start is None or start <= h.timestamp) and (end is None or h.timestamp <= end)),
-                             key=lambda h: h.timestamp))
-    if not hour_keys and (start is not None or end is not None):
+    hours = tollbooth.hours
+    inside = np.ones(len(hours), dtype=bool)
+    if start is not None:
+        inside &= hours >= np.datetime64(start)
+    if end is not None:
+        inside &= hours <= np.datetime64(end)
+    hours = np.sort(hours[inside])
+    if not len(hours) and (start is not None or end is not None):
         raise DataError("no tollbooth hours inside the requested simulation window")
-    n_hours = len(hour_keys)
+    n_hours = len(hours)
 
     # Each referenced key's total at each routed hour, -1 where it has none
     # (row -1 picks the -1 appended to the totals). Only these counts are
     # bounded; _decide casts them to int64.
     referenced = network.referenced_count_keys()
-    at = tollbooth.rows_at(referenced, hour_keys)
+    at = tollbooth.rows_at(referenced, hours)
     totals = np.append(tollbooth.total, -1)[at]
     limit = _exact_limit(max(len(network.destination_names()), len(CATEGORY_ORDER)))
     huge = totals > limit
     if huge.any():
         h, k = np.argwhere(huge.T)[0]  # the earliest hour, then the first key
-        raise DataError(f"tollbooth count for {referenced[k]!r} at {hour_keys[h].isoformat()} exceeds {limit}, the "
+        raise DataError(f"tollbooth count for {referenced[k]!r} at {hour_text(hours[h])} exceeds {limit}, the "
                         "largest count this network can route exactly")
 
     # Destination rows hour by hour, in file order within an hour.
     dest_names = network.destination_names()
-    grid = routing.rows_at(dest_names, hour_keys).T
+    grid = routing.rows_at(dest_names, hours).T
     present = grid >= 0
     row_hour, row_dest = np.nonzero(present)
     rows = grid[row_hour, row_dest]
@@ -675,14 +681,14 @@ def build_od_matrix(
         _clamped_table(_predictions(model, routing, flat), routing.censored[flat]), bounds, row_hour, row_dest,
         len(dest_names))
 
-    decisions, ledger = _decide(network, hour_keys, dict(zip(referenced, np.maximum(totals, 0))), fallback)
+    decisions, ledger = _decide(network, hours, dict(zip(referenced, np.maximum(totals, 0))), fallback)
     absent = _absent(decisions, dest_names, present)
     checks = np.stack([bounds[1:] == bounds[:-1], (at < 0).any(axis=0),
                        np.bincount(decisions.hour[absent], minlength=n_hours) > 0])
     failing = checks.any(axis=0)
     if failing.any():
         h = int(np.argmax(failing))
-        check, when = int(np.argmax(checks[:, h])), hour_keys[h].isoformat()
+        check, when = int(np.argmax(checks[:, h])), hour_text(hours[h])
         if check == 0:
             raise DataError(f"no destination routing rows for hour {when}")
         if check == 1:
@@ -727,8 +733,8 @@ def _od_matrix(decisions: DecisionTable, weight_grid: np.ndarray, category_grid:
     volume, and the block's rows of positive count are sorted once into the
     order of ``ODMatrix``.
     """
-    stamps, hour = [h.timestamp for h in decisions.hours], decisions.hour
-    if stamps != sorted(stamps) or (hour[1:] < hour[:-1]).any():
+    hours, hour = decisions.hours, decisions.hour
+    if (hours[1:] < hours[:-1]).any() or (hour[1:] < hour[:-1]).any():
         raise InternalError("decisions are not hour-major in timestamp order")
     texts, sets = decisions.texts, decisions.eligible_sets
     names = [texts[c] for c in np.unique(decisions.origin).tolist()] + [name for members in sets for name in members]
@@ -795,7 +801,7 @@ def conservation_violations(run: RoutingRun) -> list[str]:
     for i in np.nonzero(ledger.entry_type == ledger.texts.index("balance"))[0]:
         h, amount = ledger.hour[i], int(ledger.amount[i])
         if decided[h] != amount:
-            problems.append(f"balance mismatch at {ledger.hours[h].timestamp}: ledger {amount}, "
+            problems.append(f"balance mismatch at {ledger.hours[h].item()}: ledger {amount}, "
                             f"decisions {int(decided[h])}")
     return problems
 
@@ -808,7 +814,7 @@ def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
     decisions = matrix.decisions
     # The decision columns are narrowed before the gather, which makes one value per OD row.
     write_csv_columns(path, ["timestamp", "origin", "destination", "vehicle_type", "count", "scenario"], [
-        ([h.isoformat() for h in matrix.hours], decisions.hour.astype(np.int32)[matrix.decision]),
+        (hour_text(matrix.hours), decisions.hour.astype(np.int32)[matrix.decision]),
         (matrix.nodes, matrix.origin), (matrix.nodes, matrix.destination),
         ([t.value for t in _VEHICLE_TYPES], matrix.vehicle_type), (None, matrix.count),
         ([s.value for s in _SCENARIOS], decisions.scenario.astype(np.int8)[matrix.decision]),
@@ -818,6 +824,6 @@ def write_od_csv(path: str | Path, matrix: ODMatrix) -> None:
 def write_ledger_csv(path: str | Path, ledger: LedgerTable) -> None:
     texts = ledger.texts
     write_csv_columns(path, ["timestamp", "entry_type", "scenario", "direction", "key", "amount", "flag"], [
-        ([h.isoformat() for h in ledger.hours], ledger.hour), (texts, ledger.entry_type), (texts, ledger.scenario),
+        (hour_text(ledger.hours), ledger.hour), (texts, ledger.entry_type), (texts, ledger.scenario),
         (texts, ledger.direction), (texts, ledger.key), (None, ledger.amount), (texts, ledger.flag),
     ])

@@ -7,7 +7,8 @@ values by subset enumeration, apportionment by integer-vector search and
 by the scalar largest-remainder loop, routing decisions, ledger and OD
 rows by the per-hour, per-decision routing loop, permutation importance
 by tree-by-tree re-scoring, conservation by direct recomputation from raw
-counts, in memory and from the routing files read back with ``csv``, CSV
+counts, in memory and from the routing files read back with ``csv``, the
+synth and eval files by recomputation from the CSVs they are made of, CSV
 parsing by the per-row readers that build observation objects, model
 features by the encoding written out one report at a time, and synthetic
 data by one array Poisson draw per (series, hour)."""
@@ -36,6 +37,7 @@ from odfuse.core import (
     TollboothObservation,
     TollboothTable,
     csv_cell,
+    hour_array,
     make_hour_key,
     series_key,
 )
@@ -209,7 +211,7 @@ def take_rows(table, rows):
     node tables follow the picked rows' first appearance, as a file with
     these rows in this order would give."""
     rows = np.asarray(rows, dtype=np.int64)
-    hours = [table.hours[h] for h in table.hour[rows]]
+    hours = [table.hour_keys[h] for h in table.hour[rows]]
     if isinstance(table, TollboothTable):
         return TollboothTable.from_rows(hours, [table.series_ids[s] for s in table.series[rows]],
                                         np.column_stack((table.counts, table.total))[rows])
@@ -487,6 +489,59 @@ def _per_hour(amounts: dict) -> dict:
     for (hour, _), amount in amounts.items():
         out[hour] = out.get(hour, 0) + amount
     return out
+
+
+def check_synth_files(out_dir) -> None:
+    """The files of a synth run read back with ``csv`` alone. Every
+    ``tollbooth.csv`` total is the sum of its six bands. ``difference.csv``
+    holds, in (count key, hour of day) order, the mean of total minus
+    people_flow over each tollbooth row and the ``routing.csv`` row of its
+    count key and timestamp text, where that report is not censored; the
+    hour of day is the timestamp text's characters 11 and 12."""
+    out_dir = Path(out_dir)
+    flows = {(node, hour): flow for hour, node, flow, _ in _csv_body(out_dir / "routing.csv", ROUTING_HEADER)}
+    cells: dict = {}  # the total minus the flow of each joined row, per (count key, hour of day)
+    for line, (hour, station, direction, *bands, total) in enumerate(
+            _csv_body(out_dir / "tollbooth.csv", TOLLBOOTH_HEADER), start=2):
+        total = _integer(total, "total", 0)
+        assert sum(_integer(band, "count", 0) for band in bands) == total, \
+            f"tollbooth.csv: line {line}: total {total} is not the sum of the bands {bands}"
+        key = series_key(station, Direction(direction))
+        flow = flows.get((key, hour), CENSOR_SENTINEL)
+        if flow != CENSOR_SENTINEL:
+            cells.setdefault((key, int(hour[11:13])), []).append(total - int(flow))
+    expected = [[key, str(hour), repr(sum(diffs) / len(diffs))] for (key, hour), diffs in sorted(cells.items())]
+    difference = _csv_body(out_dir / "difference.csv", ["node", "hour_of_day", "mean_diff"])
+    wrong = [(row, want) for row, want in zip(difference, expected) if row != want]
+    assert len(difference) == len(expected) and not wrong, \
+        f"difference.csv: {len(difference)} cells, expected {len(expected)}; first wrong (got, expected): {wrong[:1]}"
+
+
+def check_eval_files(out_dir) -> None:
+    """The validation RMSE and R^2 in ``metrics.csv`` of the total and of
+    the people-flow baseline, recomputed from ``residuals.csv`` read with
+    ``csv`` and summed with ``math.fsum``: the total's from residual_model,
+    the baseline's from residual_baseline, and the total sum of squares from
+    y_total, where zero makes R^2 NA. Each agrees to a relative 1e-12."""
+    out_dir = Path(out_dir)
+    metrics = {row[0]: row for row in _csv_body(out_dir / "metrics.csv",
+                                                  ["target", "rmse_train", "r2_train", "rmse_valid", "r2_valid"])}
+    residuals = [[float(value) for value in row] for row in
+                 _csv_body(out_dir / "residuals.csv", ["y_total", "residual_model", "residual_baseline"])]
+    assert residuals, "residuals.csv: no validation rows"
+    n = len(residuals)
+    mean = math.fsum(row[0] for row in residuals) / n
+    ss_tot = math.fsum((row[0] - mean) ** 2 for row in residuals)
+    for name, column in (("total", 1), ("people_flow_baseline", 2)):
+        ss_res = math.fsum(row[column] ** 2 for row in residuals)
+        rmse_text, r2_text = metrics[name][3:]
+        assert math.isclose(float(rmse_text), math.sqrt(ss_res / n), rel_tol=1e-12), \
+            f"metrics.csv: {name} rmse_valid {rmse_text}, residuals give {math.sqrt(ss_res / n)!r}"
+        if ss_tot == 0:
+            assert r2_text == "NA", f"metrics.csv: {name} r2_valid {r2_text}, expected NA for a constant total"
+        else:
+            assert math.isclose(float(r2_text), 1 - ss_res / ss_tot, rel_tol=1e-12), \
+                f"metrics.csv: {name} r2_valid {r2_text}, residuals give {1 - ss_res / ss_tot!r}"
 
 
 def reference_largest_remainder(total: int, weights: list[float]) -> list[int]:
@@ -1001,14 +1056,16 @@ def reference_features(obs: RoutingReportObservation) -> list[float]:
 
 
 def reference_dataset(tollbooth, routing, valid_fraction: float) -> tuple:
-    """(X, Y, node keys, hours, split index) built one joined pair at a time."""
+    """(X, Y, node keys, hours, split index) built one joined pair at a time;
+    the hours are the pairs' timestamps as datetime64[h]."""
     pairs = reference_join_rows(tollbooth, routing)
     timestamps = sorted({tb.hour.timestamp for tb, _ in pairs})
     cutoff = timestamps[len(timestamps) - max(1, round(valid_fraction * len(timestamps)))]
     X = np.array([reference_features(rt) for _, rt in pairs])
     Y = np.array([[tb.counts.total] + [tb.counts.counts[c] for c in CATEGORY_ORDER] for tb, _ in pairs])
     split_index = sum(1 for tb, _ in pairs if tb.hour.timestamp < cutoff)
-    return X, Y, [tb.join_key() for tb, _ in pairs], [tb.hour for tb, _ in pairs], split_index
+    hours = np.array([tb.hour.timestamp for tb, _ in pairs], dtype="datetime64[h]")
+    return X, Y, [tb.join_key() for tb, _ in pairs], hours, split_index
 
 
 def reference_difference_series(tollbooth, routing) -> dict:
@@ -1052,11 +1109,11 @@ def reference_generate_synthetic(network: NetworkConfig, days: int, profile) -> 
     flow = np.concatenate([np.zeros(0, dtype=np.int64)] + flows)
     censored = flow < profile.censor_threshold
     tollbooth = TollboothTable(
-        hours=hours, series_ids=tuple(series_ids), hour=np.tile(np.arange(n_hours), len(series_ids)),
+        hours=hour_array(hours), series_ids=tuple(series_ids), hour=np.tile(np.arange(n_hours), len(series_ids)),
         series=np.repeat(np.arange(len(series_ids)), n_hours), counts=counts, total=counts.sum(axis=1),
     )
     routing = RoutingTable(
-        hours=hours, nodes=tuple(nodes), hour=np.tile(np.arange(n_hours), len(nodes)),
+        hours=hour_array(hours), nodes=tuple(nodes), hour=np.tile(np.arange(n_hours), len(nodes)),
         node=np.repeat(np.arange(len(nodes)), n_hours), flow=np.where(censored, 0.0, flow),
         tag=np.repeat(np.array(tags, dtype=np.int64), n_hours), censored=censored,
     )

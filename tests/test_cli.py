@@ -17,10 +17,11 @@ from odfuse.attribution import permutation_importance
 from odfuse.cli import config_hash, load_config, main
 from odfuse.errors import ConfigError
 from odfuse.fusion import GbtHyperparams, train
-from odfuse.ingest import FEATURE_NAMES, build_dataset, read_routing_csv, read_tollbooth_csv
+from odfuse.ingest import FEATURE_NAMES, TOLLBOOTH_HEADER, build_dataset, read_routing_csv, read_tollbooth_csv
 from odfuse.network import NetworkConfig, load_network, trondheim_fixture
 
-from _helpers import WORKED_EXAMPLE_HOUR, check_routing_files, destination, station, write_worked_example_fixture
+from _helpers import (WORKED_EXAMPLE_HOUR, check_eval_files, check_routing_files, check_synth_files, destination,
+                      station, write_worked_example_fixture)
 
 
 def write_config(path, **overrides):
@@ -79,6 +80,7 @@ class TestSynth:
         rows = read_csv(tmp_path / "out" / "difference.csv")
         assert rows[0] == ["node", "hour_of_day", "mean_diff"]
         assert len(rows) > 1
+        check_synth_files(tmp_path / "out")
 
 
 class TestPipeline:
@@ -92,6 +94,7 @@ class TestPipeline:
         assert len(rows) == 1 + 8  # header + baseline + total + six categories
         assert rows[1][0] == "people_flow_baseline"
         assert rows[2][0] == "total"
+        check_eval_files(tmp_path / "out")
 
     def test_eval_before_train_fails_with_data_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
@@ -332,6 +335,30 @@ class TestMalformedRunInputs:
         assert capsys.readouterr().err == (
             f"odfuse: data error: {tmp_path / 'tollbooth.csv'}: tollbooth series ('ØstreRosten|Inbound', Undirected) "
             "and ('ØstreRosten', Inbound) share count key 'ØstreRosten|Inbound'\n")
+
+    def test_zero_variance_validation_target_leaves_earlier_artifacts(self, tmp_path, capsys):
+        # Ten hours of one station A, whose two validation hours both total 50.
+        totals, flows = [12, 30, 7, 45, 22, 18, 60, 33, 50, 50], [10, 28, 9, 40, 25, 15, 55, 30, 48, 52]
+        (tmp_path / "tollbooth.csv").write_text("".join(
+            [",".join(TOLLBOOTH_HEADER) + "\n"] +
+            [f"2023-11-06T{h:02d}:00,A,Undirected,{t},0,0,0,0,0,{t}\n" for h, t in enumerate(totals)]), encoding="utf-8")
+        (tmp_path / "routing.csv").write_text("".join(
+            ["timestamp,node,people_flow,road_tag\n"] +
+            [f"2023-11-06T{h:02d}:00,A,{f},Primary\n" for h, f in enumerate(flows)]), encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.json", synthetic=None, out_dir=str(out),
+                           data={"tollbooth_csv": str(tmp_path / "tollbooth.csv"),
+                                 "routing_csv": str(tmp_path / "routing.csv")},
+                           hyperparams={"n_trees": 2, "max_depth": 2, "min_samples_leaf": 1},
+                           explain={"target": "total", "max_rows": 16, "repeats": 1})
+        assert main(["--config", str(cfg), "train"]) == 0
+        for name in ("importance.csv", "attributions.csv", "permutation.csv"):
+            (out / name).write_bytes(f"{name} of an earlier run\r\n".encode())
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "explain"]) == 2
+        assert capsys.readouterr().err == "odfuse: data error: validation target has zero variance\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize(("command", "statistic"), [("eval", "RMSE"), ("explain", "R^2")])
     def test_scores_that_overflow_the_statistics_are_data_error(self, tmp_path, capsys, command, statistic):

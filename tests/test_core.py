@@ -2,8 +2,9 @@ import csv
 import io
 from datetime import datetime
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odfuse.core import (
     CATEGORY_ORDER,
@@ -13,6 +14,9 @@ from odfuse.core import (
     VehicleType,
     category_of_length,
     csv_cell,
+    hour_array,
+    hour_text,
+    hours_field,
     make_hour_key,
     map_vehicle_type,
 )
@@ -69,6 +73,26 @@ class TestMakeHourKey:
     def test_weekend_agrees_with_day_of_week(self, ts):
         key = make_hour_key(ts)
         assert key.is_weekend == (key.day_of_week in (5, 6))
+
+
+class TestHourArrays:
+    """The array arithmetic of hours against ``HourKey``, one hour at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.datetimes(max_value=datetime(9999, 12, 31, 23)).map(
+        lambda d: d.replace(minute=0, second=0, microsecond=0)), max_size=40))
+    @example([datetime(1, 1, 1, 0), datetime(1969, 12, 31, 23), datetime(1970, 1, 1, 0), datetime(1970, 1, 4, 5),
+              datetime(1899, 12, 30, 12), datetime(9999, 12, 31, 23)])
+    def test_fields_and_texts_equal_the_hour_keys(self, stamps):
+        keys = [make_hour_key(ts) for ts in stamps]
+        hours = hour_array(keys)
+        assert hours.dtype == np.dtype("datetime64[h]") and hours.tolist() == stamps
+        for name in ("hour_of_day", "day_of_week", "is_weekend"):
+            field = hours_field(hours, name)
+            assert field.dtype == np.int64
+            assert field.tolist() == [int(getattr(key, name)) for key in keys], name
+        assert hour_text(hours) == [key.isoformat() for key in keys]
+        assert [hour_text(hour) for hour in hours] == [key.isoformat() for key in keys]
 
 
 class TestCategoryOfLength:

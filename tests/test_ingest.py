@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from odfuse import core
+from odfuse import core, ingest
 from odfuse.core import (
     CATEGORY_ORDER,
     TAG_ORDER,
@@ -234,9 +234,8 @@ class TestBuildDataset:
         net = grid_network(n_stations=3, n_dest=1)
         tb, rt = generate_synthetic(net, 5, identity_profile(seed=3))
         ds = build_dataset(tb, rt, valid_fraction=0.3)
-        max_train = max(h.timestamp for h in ds.hours[: ds.split_index])
-        min_valid = min(h.timestamp for h in ds.hours[ds.split_index :])
-        assert max_train <= min_valid
+        assert ds.hours.dtype == np.dtype("datetime64[h]") and len(ds.hours) == ds.n_rows
+        assert ds.hours[: ds.split_index].max() < ds.hours[ds.split_index :].min()
 
     def test_row_count_bounded_by_inputs(self):
         net = grid_network(n_stations=2, n_dest=2)
@@ -640,7 +639,24 @@ class TestTables:
         tollbooth, routing = tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("A", H9, 5)])
         for table in (tollbooth, routing):
             with pytest.raises(DataError, match=message):
-                dataclasses.replace(table, hours=(h8, h8))
+                dataclasses.replace(table, hours=np.array([H8, H8], dtype="datetime64[h]"))
+
+    @pytest.mark.parametrize(("hours", "message"), [
+        ((make_hour_key(H8), make_hour_key(H9)), "hours must be a 1-D datetime64[h] array, got tuple"),
+        (np.array([H8, H9], dtype="datetime64[m]"),
+         "hours must be a 1-D datetime64[h] array, got datetime64[m] array of shape (2,)"),
+        (np.array([[H8, H9]], dtype="datetime64[h]"),
+         "hours must be a 1-D datetime64[h] array, got datetime64[h] array of shape (1, 2)"),
+        (np.array([H8, "NaT"], dtype="datetime64[h]"), "hour NaT of the table's hours is not in the years 1 to 9999"),
+        (np.array([H8, "10000-01-01T00"], dtype="datetime64[h]"),
+         "hour 10000-01-01T00:00 of the table's hours is not in the years 1 to 9999"),
+        (np.array(["0000-12-31T23", H8], dtype="datetime64[h]"),
+         "hour 0000-12-31T23:00 of the table's hours is not in the years 1 to 9999"),
+    ], ids=["tuple", "minutes", "2d", "nat", "year-10000", "year-0"])
+    def test_hours_must_be_an_array_of_hours_views_can_hold(self, hours, message):
+        for table in tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("A", H9, 5)]):
+            with pytest.raises(DataError, match=re.escape(message)):
+                dataclasses.replace(table, hours=hours)
 
     def test_repeated_node_name_rejected(self):
         _, routing = tables([("A", H8, 10)], [("A", H8, 12), ("B", H8, 5)])
@@ -684,53 +700,54 @@ class TestTables:
 class TestRowsAt:
     def test_names_and_hours_the_table_lacks_give_minus_one(self):
         _, routing = tables([("A", H8, 10)], [("A", H8, 12), ("B", H9, 5), ("A", H9, 7)])
-        h8, h9, h10 = (make_hour_key(h) for h in (H8, H9, H10))
-        rows = routing.rows_at(["B", "C", "A"], [h9, h10, h8, h9])
+        rows = routing.rows_at(["B", "C", "A"], np.array([H9, H10, H8, H9, "2023-11-06T07"], dtype="datetime64[h]"))
         assert rows.dtype == np.int64
-        assert rows.tolist() == [[1, -1, -1, 1], [-1, -1, -1, -1], [2, -1, 0, 2]]
-        assert routing.rows_at([], [h8]).shape == (0, 1)
-        assert routing.rows_at(["A", "B"], []).shape == (2, 0)
+        assert rows.tolist() == [[1, -1, -1, 1, -1], [-1, -1, -1, -1, -1], [2, -1, 0, 2, -1]]
+        assert routing.rows_at([], np.array([H8], dtype="datetime64[h]")).shape == (0, 1)
+        assert routing.rows_at(["A", "B"], np.array([], dtype="datetime64[h]")).shape == (2, 0)
+        empty = take_rows(routing, [])
+        assert empty.rows_at(["A"], np.array([H8], dtype="datetime64[h]")).tolist() == [[-1]]
 
     def test_hours_match_by_timestamp_across_tables(self):
         rng = np.random.default_rng(3)
         _, routing = generate_synthetic(grid_network(n_stations=2, n_dest=2), 1, identity_profile())
         shuffled = take_rows(routing, rng.permutation(len(routing)))
-        assert [h.timestamp for h in shuffled.hours] != [h.timestamp for h in routing.hours]
+        assert not np.array_equal(shuffled.hours, routing.hours)
         names = [*routing.nodes, "elsewhere"]
         rows = shuffled.rows_at(names, routing.hours)
         assert rows.shape == (len(names), len(routing.hours))
         for (i, j), row in np.ndenumerate(rows):
-            original = routing.rows_at([names[i]], [routing.hours[j]])[0, 0]
+            original = routing.rows_at([names[i]], routing.hours[j:j + 1])[0, 0]
             assert (row < 0) == (original < 0)
             if row >= 0:
                 assert shuffled[row] == routing[original]
         assert (rows >= 0).sum() == len(routing)
 
     def test_tollbooth_rows_by_count_key(self):
-        h8, h9, h10 = (make_hour_key(h) for h in (H8, H9, H10))
+        h8, h9 = (make_hour_key(h) for h in (H8, H9))
         tollbooth = TollboothTable.from_rows(
             [h9, h8, h9, h8],
             [("ØstreRosten", Direction.INBOUND), ("ØstreRosten", Direction.OUTBOUND),
              ("ØstreRosten", Direction.OUTBOUND), ("E6-Klett", Direction.UNDIRECTED)],
             [[n, 0, 0, 0, 0, 0, n] for n in (1, 2, 3, 4)])
         rows = tollbooth.rows_at(["ØstreRosten|Outbound", "ØstreRosten", "E6-Klett", "ØstreRosten|Inbound"],
-                                 [h8, h9, h10])
+                                 np.array([H8, H9, H10], dtype="datetime64[h]"))
         assert rows.dtype == np.int64
         assert rows.tolist() == [[1, 2, -1], [-1, -1, -1], [3, -1, -1], [-1, 0, -1]]
-        assert tollbooth.rows_at([], [h8]).shape == (0, 1)
-        assert tollbooth.rows_at(["E6-Klett"], []).shape == (1, 0)
+        assert tollbooth.rows_at([], np.array([H8], dtype="datetime64[h]")).shape == (0, 1)
+        assert tollbooth.rows_at(["E6-Klett"], np.array([], dtype="datetime64[h]")).shape == (1, 0)
 
     def test_tollbooth_hours_match_by_timestamp_across_tables(self):
         rng = np.random.default_rng(5)
         tollbooth, _ = generate_synthetic(trondheim_fixture(), 1, identity_profile())
         shuffled = take_rows(tollbooth, rng.permutation(len(tollbooth)))
-        assert [h.timestamp for h in shuffled.hours] != [h.timestamp for h in tollbooth.hours]
+        assert not np.array_equal(shuffled.hours, tollbooth.hours)
         keys = [*tollbooth.count_keys(), "ØstreRosten", "elsewhere"]
         assert "ØstreRosten|Inbound" in keys
         rows = shuffled.rows_at(keys, tollbooth.hours)
         assert rows.shape == (len(keys), len(tollbooth.hours))
         for (i, j), row in np.ndenumerate(rows):
-            original = tollbooth.rows_at([keys[i]], [tollbooth.hours[j]])[0, 0]
+            original = tollbooth.rows_at([keys[i]], tollbooth.hours[j:j + 1])[0, 0]
             assert (row < 0) == (original < 0)
             if row >= 0:
                 assert shuffled[row] == tollbooth[original]
@@ -754,7 +771,8 @@ class TestJoinParity:
         X, Y, node_keys, hours, split_index = reference_dataset(tb, rt, 0.3)
         ds = build_dataset(tb, rt, 0.3)
         assert np.array_equal(ds.X, X) and np.array_equal(ds.Y, Y)
-        assert (ds.node_keys, ds.hours, ds.split_index) == (node_keys, hours, split_index)
+        assert (ds.node_keys, ds.split_index) == (node_keys, split_index)
+        assert ds.hours.dtype == hours.dtype and np.array_equal(ds.hours, hours)
         assert difference_series(tb, rt) == reference_difference_series(tb, rt)
 
     def test_first_duplicate_routing_row_is_named(self):
@@ -763,13 +781,19 @@ class TestJoinParity:
             build_dataset(*tables([("A", H8, 10), ("B", H9, 20)], [rt_b, rt_a, rt_b, rt_a]))
 
 
-# Text pools for generated CSV files: one hour in two text forms, names that
-# carry a direction, counts near 2**53 (where float64 rounds) and of 17 or 18
-# digits, and per column the malformed values a corrupted row gets. Half the
-# files are canonical, so that the byte scan reads them when they are valid;
-# the rest can also draw a name that needs quoting, counts that int() reads
-# but the scan leaves to the per-row reader, and blank lines.
-_TIMESTAMPS = ["2023-11-06T08:00", "2023-11-06 08:00", "2023-11-06T09:00", "2023-11-11T23:00"]
+# Text pools for generated CSV files: canonical hours from the years 1 to
+# 9999, one hour in four text forms, names that carry a direction, counts
+# near 2**53 (where float64 rounds) and of 17 or 18 digits, and per column
+# the malformed values a corrupted row gets, among them canonical-looking
+# hours that are no hour. Half the files are canonical, so that the byte
+# scan reads them when they are valid; the rest can also draw a name that
+# needs quoting, counts that int() reads but the scan leaves to the per-row
+# reader, and blank lines. Half the files draw only canonical hours, which
+# the scan parses as one vector; the rest also draw the other spellings,
+# which take the scan's per-text path.
+_CANONICAL_TIMESTAMPS = ["2023-11-06T08:00", "2023-11-06T09:00", "2023-11-11T23:00", "2024-02-29T00:00",
+                         "0001-01-01T00:00", "0999-12-31T23:00", "9999-12-31T23:00"]
+_TIMESTAMPS = _CANONICAL_TIMESTAMPS + ["2023-11-06 08:00", "2023-11-06T08", "2023-11-06T08:00:00"]
 _STATIONS = ["E6-Klett", "ØstreRosten"]
 _DIRECTIONS = ["Inbound", "Outbound", "Undirected"]
 _NODES = ["Brøttemsvegen", "ØstreRosten|Inbound", "E6-Klett"]
@@ -778,7 +802,8 @@ _QUOTED_NAME = 'Gate, "7"'
 _CANONICAL_COUNTS = st.one_of(st.integers(0, 10**7), st.integers(2**53 - 2, 2**53 + 2),
                               st.integers(10**16, 10**18 - 1)).map(str) | st.sampled_from(["0", "007"])
 _LENIENT_COUNTS = st.sampled_from([" 7", "1_000", "+5", "٣", str(10**18), str(2**63 + 1)])
-_BAD_TIMESTAMPS = ["2023-11-06T08:30", "nonsense", ""]
+_BAD_TIMESTAMPS = ["2023-11-06T08:30", "nonsense", "", "2023-02-29T00:00", "2023-11-06T24:00", "2023-13-01T00:00",
+                   "0000-01-01T00:00"]
 _BAD_COUNTS = ["-1", "", "x", "1.5"]
 
 
@@ -836,27 +861,31 @@ def _file_text(draw, header, columns, bad_values, canonical, key, respell=lambda
     return _csv_text(header, rows, blank_after, draw(st.booleans()), draw(st.booleans()))
 
 
+def _timestamps(draw):
+    return st.sampled_from(_CANONICAL_TIMESTAMPS if draw(st.booleans()) else _TIMESTAMPS)
+
+
 @st.composite
 def tollbooth_files(draw):
     canonical = draw(st.booleans())
     counts = _CANONICAL_COUNTS if canonical else _CANONICAL_COUNTS | _LENIENT_COUNTS
-    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_STATIONS + ([] if canonical else [_QUOTED_NAME])),
+    columns = [_timestamps(draw), st.sampled_from(_STATIONS + ([] if canonical else [_QUOTED_NAME])),
                st.sampled_from(_DIRECTIONS)]
     columns += [counts] * 7
     bad = [_BAD_TIMESTAMPS, [""], ["Sideways", "inbound"]] + [_BAD_COUNTS] * 7
     return _file_text(draw, TOLLBOOTH_HEADER.split(","), columns, bad, canonical,
-                      lambda row: (row[0].replace(" ", "T"), row[1], row[2]), _respelt)
+                      lambda row: (make_hour_key(row[0]), row[1], row[2]), _respelt)
 
 
 @st.composite
 def routing_files(draw):
     canonical = draw(st.booleans())
     counts = _CANONICAL_COUNTS if canonical else _CANONICAL_COUNTS | _LENIENT_COUNTS
-    columns = [st.sampled_from(_TIMESTAMPS), st.sampled_from(_NODES + ([] if canonical else [_QUOTED_NAME])),
+    columns = [_timestamps(draw), st.sampled_from(_NODES + ([] if canonical else [_QUOTED_NAME])),
                st.just("<T") | counts, st.sampled_from(_TAGS)]
     bad = [_BAD_TIMESTAMPS, [""], _BAD_COUNTS + ["<t"], ["Motorway", ""]]
     return _file_text(draw, ["timestamp", "node", "people_flow", "road_tag"], columns, bad, canonical,
-                      lambda row: (row[0].replace(" ", "T"), row[1]))
+                      lambda row: (make_hour_key(row[0]), row[1]))
 
 
 def _outcome(read, path):
@@ -868,7 +897,7 @@ def _outcome(read, path):
     if isinstance(rows, (TollboothTable, RoutingTable)):
         # Code tables hold each distinct hour (by timestamp) and series or
         # node once, in order of first appearance.
-        assert rows.hours == tuple({o.hour.timestamp: o.hour for o in observations}.values())
+        assert rows.hours.tolist() == list(dict.fromkeys(o.hour.timestamp for o in observations))
         if isinstance(rows, TollboothTable):
             assert rows.series_ids == tuple(dict.fromkeys((o.node, o.direction) for o in observations))
         else:
@@ -1024,6 +1053,36 @@ class TestByteScan:
             assert outcome == expected
         else:
             assert_tables_equal(outcome, expected)
+
+    # Each form replaces the second row's hour, 2023-11-06T09:00. Canonical
+    # texts of real hours are parsed as one vector, without make_hour_key;
+    # other texts, the first row's hour spelt another way among them, take
+    # the per-text path; canonical-looking texts of no hour decline the scan.
+    @pytest.mark.parametrize(("form", "path"), [
+        ("2023-11-06T05:00", "vector"), ("2023-11-06T08:00", "vector"), ("2024-02-29T00:00", "vector"),
+        ("0001-01-01T00:00", "vector"), ("0999-12-31T23:00", "vector"), ("9999-12-31T23:00", "vector"),
+        ("2023-11-06 05:00", "per-text"), ("2023-11-06T05", "per-text"), ("2023-11-06T05:00:00", "per-text"),
+        ("2023-11-06 08:00", "per-text"),
+        ("2023-02-29T00:00", "declined"), ("2023-11-06T24:00", "declined"), ("2023-11-06T05:30", "declined"),
+        ("2023-13-01T00:00", "declined"), ("0000-01-01T00:00", "declined"),
+    ])
+    @pytest.mark.parametrize("which", ["tollbooth", "routing"])
+    def test_timestamp_forms_read_as_per_row(self, tmp_path, which, form, path):
+        scan, read_rows, read = _READERS[which]
+        file = tmp_path / f"{which}.csv"
+        file.write_text("\r\n".join(self._ROWS[which]).replace("2023-11-06T09:00", form) + "\r\n",
+                        encoding="utf-8", newline="")
+        expected = _table_or_error(read_rows, file)
+        if path == "declined":
+            assert scan(file) is None
+            assert isinstance(expected, str) and _table_or_error(read, file) == expected
+            return
+        with mock.patch.object(ingest, "make_hour_key", wraps=make_hour_key) as parse:
+            table = scan(file)
+        assert table is not None and parse.called == (path == "per-text")
+        assert_tables_equal(table, expected)
+        assert_tables_equal(read(file), expected)
+        assert table.hours.tolist() == list(dict.fromkeys(o.hour.timestamp for o in expected))
 
     @pytest.mark.parametrize(("which", "row", "message"), [
         ("tollbooth", "2023-11-06T08:00,E6-Klett,Inbound,1,0,0,0,0,0,1",

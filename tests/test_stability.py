@@ -179,7 +179,7 @@ class TestComparePeriods:
         # node N at 00:00 through as a row of another hour code.
         rows = [(f"2023-11-06T{h:02d}:00", 10 + h * h) for h in range(24)]
         original = flow_table(rows)
-        hours = original.hours + (original.hours[0],)
+        hours = np.append(original.hours, original.hours[0])
         with pytest.raises(DataError, match="hour 2023-11-06T00:00 is listed twice in the table's hours"):
             compare_periods(RoutingTable(hours=hours, nodes=original.nodes, hour=np.r_[original.hour, 24],
                                          node=np.r_[original.node, 0], flow=np.r_[original.flow, 500.0],
