@@ -342,11 +342,27 @@ def _reject(bad: np.ndarray, rule: str) -> None:
         raise DataError(f"row {int(np.argmax(bad)) // (bad.size // len(bad))}: {rule}")
 
 
+def _whole_numbers(values, shape: tuple[int, ...], what: str, whole: str) -> np.ndarray:
+    """``values`` as an int64 array of ``shape``; a DataError names the first
+    row of a value that is not finite and non-negative, not ``whole``, or
+    2**63 or more. The values are checked as the Python numbers they are."""
+    exact = np.array(values, dtype=object).reshape(shape)
+    with np.errstate(invalid="ignore"):  # NaN compares unordered
+        _reject(~((exact >= 0) & (exact < np.inf)), f"{what} must be finite and non-negative")
+    _reject(exact % 1 != 0, f"{what} must be {whole}")
+    _reject(exact >= 2**63, f"{what} must be below 2**63")
+    return exact.astype(np.int64)
+
+
 def _codes(values: list) -> tuple[tuple, np.ndarray]:
     """The distinct ``values`` in order of first appearance, and each value's code into them."""
     codes: dict = {}
     column = np.array([codes.setdefault(v, len(codes)) for v in values], dtype=np.int64)
     return tuple(codes), column
+
+
+# How _check_columns names what a column of each dtype it requires holds.
+_HOLDS = {np.integer: "integer codes", np.int64: "int64 counts", np.bool_: "booleans"}
 
 
 class _Rows(Sequence):
@@ -376,22 +392,23 @@ class _Rows(Sequence):
         """One ``HourKey`` per entry of ``hours``, built on first use."""
         return tuple(map(make_hour_key, self.hours.tolist()))
 
-    def _check_columns(self, widths: dict[str, tuple[int, ...]], tables: dict[str, int]) -> None:
-        """A DataError unless ``hour`` is a 1-D array, each column in
-        ``widths`` an array of shape ``(len(hour), *width)``, and ``hour`` and
-        each code column in ``tables`` hold integers that index ``hours`` or a
-        table of the given length."""
+    def _check_columns(self, columns: dict[str, tuple[tuple[int, ...], type]], tables: dict[str, int]) -> None:
+        """A DataError unless ``hour`` is a 1-D integer array, each column in
+        ``columns``, given as ``(width, dtype)``, an array of shape
+        ``(len(hour), *width)`` and of ``dtype`` or a subtype of it, and
+        ``hour`` and each code column in ``tables`` index ``hours`` or a table
+        of the given length."""
         got = lambda column: f"got {type(column).__name__} of shape {np.shape(column)}"  # noqa: E731
         if not isinstance(self.hour, np.ndarray) or self.hour.ndim != 1:
             raise DataError(f"column 'hour' must be a 1-D numpy array, {got(self.hour)}")
-        for name, width in widths.items():
+        for name, (width, dtype) in {"hour": ((), np.integer), **columns}.items():
             column, shape = getattr(self, name), (len(self.hour), *width)
             if not isinstance(column, np.ndarray) or column.shape != shape:
                 raise DataError(f"column {name!r} must be a numpy array of shape {shape}, {got(column)}")
+            if not np.issubdtype(column.dtype, dtype):
+                raise DataError(f"column {name!r} must hold {_HOLDS[dtype]}, got {column.dtype}")
         for name, size in {"hour": len(self.hours), **tables}.items():
             codes = getattr(self, name)
-            if codes.dtype.kind not in "iu":
-                raise DataError(f"column {name!r} must hold integer codes, got {codes.dtype}")
             _reject((codes < 0) | (codes >= size), f"{name} code is outside its table of {size}")
 
     def __len__(self) -> int:
@@ -434,11 +451,12 @@ class TollboothTable(_Rows):
     ``series`` indexes ``series_ids``, the (station, direction)
     series, one per count key, so a series code is a count-key code.
     ``counts`` holds the six length-band counts in CATEGORY_ORDER and
-    ``total`` the reported total. Indexing and iteration build
-    ``TollboothObservation`` objects. A table holds one row per ``hour``
-    entry in every column, codes inside their tables, finite, non-negative
-    whole counts and totals, named stations and one row per (series, hour);
-    a DataError names the repeated entry or the first row that breaks this.
+    ``total`` the reported total, both int64. Indexing and iteration build
+    ``TollboothObservation`` objects, which carry the counts as floats. A
+    table holds one row per ``hour`` entry in every column, codes inside
+    their tables, non-negative counts and totals, named stations and one row
+    per (series, hour); a DataError names the repeated entry or the first
+    row that breaks this.
     """
 
     hours: np.ndarray
@@ -450,14 +468,12 @@ class TollboothTable(_Rows):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self._check_columns({"series": (), "counts": (len(CATEGORY_ORDER),), "total": ()},
-                            {"series": len(self.series_ids)})
+        self._check_columns({"series": ((), np.integer), "counts": ((len(CATEGORY_ORDER),), np.int64),
+                             "total": ((), np.int64)}, {"series": len(self.series_ids)})
         keys = self.count_keys()
         spelt = lambda s: f"({self.series_ids[s][0]!r}, {self.series_ids[s][1].value})"  # noqa: E731
         _reject_twice(keys, lambda j, i: f"tollbooth series {spelt(j)} and {spelt(i)} share count key {keys[i]!r}")
-        values = np.column_stack((self.counts, self.total))
-        _reject(~((values >= 0) & (values < np.inf)), "counts and total must be finite and non-negative")
-        _reject(values != np.floor(values), "counts and total must be whole numbers")
+        _reject(np.column_stack((self.counts, self.total)) < 0, "counts and total must be finite and non-negative")
         _reject(np.array([not name for name, _ in self.series_ids], dtype=bool)[self.series],
                 "station name cannot be empty")
         _reject_repeat(self.hour * len(keys) + self.series, lambda i: f"duplicate tollbooth series "
@@ -466,8 +482,9 @@ class TollboothTable(_Rows):
     @classmethod
     def from_rows(cls, hours: list[HourKey], series: list[tuple[str, Direction]], values) -> "TollboothTable":
         """A table from each row's hour, (station name, direction) series and
-        six counts followed by the total."""
-        values = np.array(values, dtype=np.float64).reshape(len(hours), len(CATEGORY_ORDER) + 1)
+        six counts followed by the total, whole numbers below 2**63 of any
+        numeric type; a DataError names the first row of another value."""
+        values = _whole_numbers(values, (len(hours), len(CATEGORY_ORDER) + 1), "counts and total", "whole numbers")
         hour_table, hour = _codes(hours)
         series_ids, series_codes = _codes(series)
         return cls(hours=hour_array(hour_table), series_ids=series_ids, hour=hour, series=series_codes,
@@ -493,12 +510,12 @@ class RoutingTable(_Rows):
 
     ``hour`` indexes ``hours``, datetime64[h] in order of first appearance;
     ``node`` indexes ``nodes``, one name each; ``tag`` indexes
-    TAG_ORDER. ``flow`` is the people flow, zero where ``censored``.
-    Indexing and iteration build ``RoutingReportObservation`` objects. A table
-    holds one row per ``hour`` entry in every column, codes inside their
-    tables, finite, non-negative whole flows, named nodes and one row per
-    (node, hour); a DataError names the repeated entry or the first row that
-    breaks this.
+    TAG_ORDER. ``flow`` is the int64 people flow, zero where ``censored``.
+    Indexing and iteration build ``RoutingReportObservation`` objects, which
+    carry the flow as a float. A table holds one row per ``hour`` entry in
+    every column, codes inside their tables, non-negative flows, named nodes
+    and one row per (node, hour); a DataError names the repeated entry or the
+    first row that breaks this.
     """
 
     hours: np.ndarray
@@ -511,13 +528,10 @@ class RoutingTable(_Rows):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self._check_columns(dict.fromkeys(("node", "flow", "tag", "censored"), ()),
-                            {"node": len(self.nodes), "tag": len(TAG_ORDER)})
-        if self.censored.dtype != bool:
-            raise DataError(f"column 'censored' must hold booleans, got {self.censored.dtype}")
+        self._check_columns({"node": ((), np.integer), "flow": ((), np.int64), "tag": ((), np.integer),
+                             "censored": ((), np.bool_)}, {"node": len(self.nodes), "tag": len(TAG_ORDER)})
         _reject_twice(self.nodes, lambda _, i: f"node name {self.nodes[i]!r} is listed twice in the table's nodes")
-        _reject(~((self.flow >= 0) & (self.flow < np.inf)), "people_flow must be finite and non-negative")
-        _reject(self.flow != np.floor(self.flow), "people_flow must be a whole number")
+        _reject(self.flow < 0, "people_flow must be finite and non-negative")
         _reject(self.censored & (self.flow != 0), "censored rows must carry people_flow = 0")
         _reject(np.array([not name for name in self.nodes], dtype=bool)[self.node], "node name cannot be empty")
         _reject_repeat(self.node * len(self.hours) + self.hour, lambda i: "duplicate routing row for node "
@@ -526,8 +540,10 @@ class RoutingTable(_Rows):
     @classmethod
     def from_rows(cls, hours: list[HourKey], nodes: list[str], flow: list, tags: list[RoadTag],
                   censored: list[bool]) -> "RoutingTable":
-        """A table from each row's hour, node name, flow, road tag and censor flag."""
-        flow, censored = np.array(flow, dtype=np.float64), np.array(censored, dtype=bool)
+        """A table from each row's hour, node name, flow, road tag and censor
+        flag; a flow is a whole number below 2**63 of any numeric type, and a
+        DataError names the first row of another value."""
+        flow, censored = _whole_numbers(flow, (-1,), "people_flow", "a whole number"), np.array(censored, dtype=bool)
         hour_table, hour = _codes(hours)
         node_table, node = _codes(nodes)
         tag_codes = {tag: code for code, tag in enumerate(TAG_ORDER)}

@@ -26,9 +26,12 @@ writes each back byte for byte. Any other timestamp column, and every
 series, node or road-tag column, is parsed one distinct text at a time
 through the same code tables as the per-row reader, so both paths give
 equal tables and messages. A table holds its hours as datetime64[h], and
-the writers format them in one call. A reader needs only the file: the
-tables name their stations and nodes, and a node's kind is the network's
-alone.
+the writers format them in one call. Counts, totals and flows are int64
+from file to table to file: the scan sums its digits in int64, the
+per-row reader reads a count with ``int()`` and rejects one of 2**63 or
+more as a bad value, and the writers write the integers as they are. A
+reader needs only the file: the tables name their stations and nodes, and
+a node's kind is the network's alone.
 
 Synthetic data keeps a fixed draw order, so that a seed keeps its data:
 series in network order, hour by hour, six scalar Poisson draws in band
@@ -57,7 +60,6 @@ from .core import (
     RoutingTable,
     TollboothTable,
     _ranks,
-    _reject,
     hour_array,
     hour_text,
     hours_field,
@@ -174,8 +176,8 @@ class FusionDataset:
         return self.Y[self.split_index :]
 
 
-# Counts become float64, so larger integers are data errors, not overflows.
-_LARGEST_COUNT = int(np.finfo(np.float64).max)
+# Counts are int64, so larger integers are data errors, not overflows.
+_LARGEST_COUNT = 2**63 - 1
 
 
 def _parse_int_field(raw: str, line: int, field: str) -> int:
@@ -444,7 +446,7 @@ def _table(path: Path, table: type, **columns):
 
 
 def _tollbooth_table(hours: np.ndarray, series: _Codes, hour, row_series, values) -> TollboothTable:
-    values = np.asarray(values, dtype=np.float64).reshape(len(hour), len(TOLLBOOTH_HEADER) - 3)
+    values = np.asarray(values, dtype=np.int64).reshape(len(hour), len(TOLLBOOTH_HEADER) - 3)
     return _table(series.path, TollboothTable, hours=hours, series_ids=tuple(series.parsed),
                   hour=np.asarray(hour, dtype=np.int64), series=np.asarray(row_series, dtype=np.int64),
                   counts=values[:, :-1], total=values[:, -1])
@@ -463,7 +465,7 @@ def _scan_tollbooth_csv(p: Path) -> TollboothTable | None:
         values, ok = _digits(buf, edges[3:-1] + 1, edges[4:])
         if not ok.all():
             raise _Irregular
-        return _tollbooth_table(hours, series, hour, row_series, values.T.astype(np.float64, order="C"))
+        return _tollbooth_table(hours, series, hour, row_series, values.T)
     except (_Irregular, DataError, UnicodeDecodeError, OSError):
         return None
 
@@ -498,12 +500,12 @@ def _routing_codes(p: Path) -> tuple[_Codes, _Codes]:
 
 def _routing_table(hours: np.ndarray, nodes: _Codes, tags: _Codes, hour, node, flow, tag) -> RoutingTable:
     """The table of the given columns; ``flow`` is -1 where censored."""
-    flow = np.asarray(flow, dtype=np.float64)
+    flow = np.asarray(flow, dtype=np.int64)
     censored = flow < 0
     tag_codes = np.array([TAG_ORDER.index(t) for t in tags.parsed], dtype=np.int64)
     return _table(nodes.path, RoutingTable, hours=hours, nodes=tuple(nodes.parsed),
                   hour=np.asarray(hour, dtype=np.int64), node=np.asarray(node, dtype=np.int64),
-                  flow=np.where(censored, 0.0, flow), censored=censored, tag=tag_codes[np.asarray(tag, dtype=np.int64)])
+                  flow=np.where(censored, 0, flow), censored=censored, tag=tag_codes[np.asarray(tag, dtype=np.int64)])
 
 
 _SENTINEL = np.frombuffer(CENSOR_SENTINEL.encode(), dtype=np.uint8)
@@ -549,20 +551,17 @@ def _read_routing_rows(p: Path) -> RoutingTable:
 
 
 def write_tollbooth_csv(path: str | Path, table: TollboothTable) -> None:
-    counts = np.column_stack((table.counts, table.total))
-    _reject(counts >= 2.0**63, "counts and total must be below 2**63 to be written")
     write_csv_columns(path, TOLLBOOTH_HEADER, [
         (hour_text(table.hours), table.hour),
         ([name for name, _ in table.series_ids], table.series),
         ([direction.value for _, direction in table.series_ids], table.series),
-        *((None, column) for column in counts.astype(np.int64).T),
+        *((None, column) for column in table.counts.T), (None, table.total),
     ])
 
 
 def write_routing_csv(path: str | Path, table: RoutingTable) -> None:
-    _reject(table.flow >= 2.0**63, "people_flow must be below 2**63 to be written")
     # Flow cells as codes into their distinct texts, the sentinel among them.
-    flows, flow = np.unique(np.where(table.censored, -1, table.flow.astype(np.int64)), return_inverse=True)
+    flows, flow = np.unique(np.where(table.censored, -1, table.flow), return_inverse=True)
     write_csv_columns(path, ROUTING_HEADER, [
         (hour_text(table.hours), table.hour),
         (table.nodes, table.node),
@@ -612,7 +611,7 @@ def build_dataset(
         raise DataError(f"dataset spans too few hours ({len(timestamps)}) for the requested split")
     return FusionDataset(
         X=feature_matrix(routing, rt_rows),
-        Y=np.column_stack((tollbooth.total[tb_rows], tollbooth.counts[tb_rows])),
+        Y=np.column_stack((tollbooth.total[tb_rows], tollbooth.counts[tb_rows])).astype(np.float64),
         node_keys=[keys[k] for k in key.tolist()],
         hours=time,
         split_index=int(np.searchsorted(time, timestamps[n_train_ts])),
@@ -728,11 +727,12 @@ def generate_synthetic(
                 total = sum(hour_counts)
                 noise.append(normal(0.0, profile.noise_scale * gain * total) if total > 0 else 0.0)
                 draws.append(hour_counts)
-            counts = np.array(draws, dtype=np.float64)
-            flow = np.maximum(np.round(gain * counts.sum(axis=1) + np.array(noise)), 0.0)
-            if not (flow < 2.0**63).all():  # NaN fails too
+            counts = np.array(draws, dtype=np.int64)
+            total = counts.sum(axis=1, dtype=np.float64)  # exact below 2**53, and it never wraps
+            flow = np.maximum(np.round(gain * total + np.array(noise)), 0.0)
+            if not ((flow < 2.0**63) & (total < 2.0**63)).all():  # NaN fails too
                 raise ConfigError(f"node {node.name!r}: the gain for {node.road_tag.value}, noise_scale "
-                                  "or the node's scale makes synthetic flows overflow int64")
+                                  "or the node's scale makes synthetic counts or flows overflow int64")
             if is_station:
                 series_ids.append((node.name, direction))
                 station_counts.append(counts)
@@ -741,7 +741,7 @@ def generate_synthetic(
             flows.append(flow.astype(np.int64))
 
     n_hours = len(hours)
-    counts = np.concatenate([np.zeros((0, len(CATEGORY_ORDER)))] + station_counts)
+    counts = np.concatenate([np.zeros((0, len(CATEGORY_ORDER)), dtype=np.int64)] + station_counts)
     flow = np.concatenate([np.zeros(0, dtype=np.int64)] + flows)
     censored = flow < profile.censor_threshold
     tollbooth = TollboothTable(
@@ -750,7 +750,7 @@ def generate_synthetic(
     )
     routing = RoutingTable(
         hours=hours, nodes=tuple(nodes), hour=np.tile(np.arange(n_hours), len(nodes)),
-        node=np.repeat(np.arange(len(nodes)), n_hours), flow=np.where(censored, 0.0, flow),
+        node=np.repeat(np.arange(len(nodes)), n_hours), flow=np.where(censored, 0, flow),
         tag=np.repeat(np.array(tags, dtype=np.int64), n_hours), censored=censored,
     )
     return tollbooth, routing

@@ -480,18 +480,18 @@ def _kept(slots: list[tuple], n_hours: int, n_fields: int) -> list[np.ndarray]:
     return [np.nonzero(keep)[0], *grid[1:, keep]]
 
 
-def _decide(network: NetworkConfig, hours: np.ndarray, counts: Mapping[str, np.ndarray],
+def _decide(network: NetworkConfig, hours: np.ndarray, left: dict[str, np.ndarray],
             fallback: np.ndarray) -> tuple[DecisionTable, LedgerTable]:
     """The three routing phases over every hour at once.
 
-    ``counts`` maps each count key the network references to its per-hour
-    integer totals; ``fallback`` flags the hours whose joint fell back to
-    uniform. Each decision slot of the hour template also has its ledger
-    event; a consume event precedes the internal decision, a fallback
-    event opens and a balance event closes every hour.
+    ``left`` maps each count key the network references to its per-hour
+    int64 totals, and each phase replaces an entry with what it leaves of
+    it; ``fallback`` flags the hours whose joint fell back to uniform. Each
+    decision slot of the hour template also has its ledger event; a consume
+    event precedes the internal decision, a fallback event opens and a
+    balance event closes every hour.
     """
     n = len(hours)
-    left = {key: np.asarray(counts[key], dtype=np.int64) for key in network.referenced_count_keys()}
     texts: dict[str, int] = {"": 0}
     sets: dict[tuple[str, ...], int] = {}
     text = lambda value: texts.setdefault(value, len(texts))  # noqa: E731
@@ -655,7 +655,7 @@ def build_od_matrix(
 
     # Each referenced key's total at each routed hour, -1 where it has none
     # (row -1 picks the -1 appended to the totals). Only these counts are
-    # bounded; _decide casts them to int64.
+    # bounded.
     referenced = network.referenced_count_keys()
     at = tollbooth.rows_at(referenced, hours)
     totals = np.append(tollbooth.total, -1)[at]
@@ -801,7 +801,7 @@ def conservation_violations(run: RoutingRun) -> list[str]:
     for i in np.nonzero(ledger.entry_type == ledger.texts.index("balance"))[0]:
         h, amount = ledger.hour[i], int(ledger.amount[i])
         if decided[h] != amount:
-            problems.append(f"balance mismatch at {ledger.hours[h].item()}: ledger {amount}, "
+            problems.append(f"balance mismatch at {hour_text(ledger.hours[h])}: ledger {amount}, "
                             f"decisions {int(decided[h])}")
     return problems
 

@@ -898,6 +898,8 @@ def _reference_int_field(raw: str, line: int, field: str) -> int:
         raise DataError(f"unparseable integer {raw!r} at line {line}, field {field!r}") from exc
     if value < 0:
         raise DataError(f"negative count at line {line}, field {field!r}")
+    if value >= 2**63:
+        raise DataError(f"count too large at line {line}, field {field!r}")
     return value
 
 
@@ -934,8 +936,8 @@ def _reference_spellings(p: Path, out: list[TollboothObservation]) -> None:
 def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]:
     """The per-row tollbooth reader: one set of observation objects per row.
     The oracle for the column reader ``odfuse.ingest.read_tollbooth_csv``.
-    Counts are read by ``int()``, so they are whole; once every row is
-    read, a count key spelt two ways, then a second row of one count key and
+    Counts are read by ``int()``, so they are whole, and one of 2**63 or
+    more is too large; once every row is read, a count key spelt two ways, then a second row of one count key and
     hour, is a DataError naming the file."""
     p = Path(path)
     if not p.exists():
@@ -983,8 +985,8 @@ def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]
 
 def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL) -> list[RoutingReportObservation]:
     """The per-row routing reader: the oracle for ``odfuse.ingest.read_routing_csv``.
-    Flows are read by ``int()``, so they are whole; once every row is read,
-    a second row of one node name and hour is a DataError naming the file."""
+    Flows are read by ``int()``, so they are whole, and one of 2**63 or more
+    is too large; once every row is read, a second row of one node name and hour is a DataError naming the file."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"routing file not found: {p}")
@@ -1091,7 +1093,7 @@ def reference_generate_synthetic(network: NetworkConfig, days: int, profile) -> 
         series = [Direction(d) for d in node.directions] if node.directions else [Direction.UNDIRECTED]
         for series_index, direction in enumerate(series):
             rates = np.maximum((node.scale * (1.0 - 0.12 * series_index) * shape)[:, None] * comp, 0.0)
-            counts = np.empty_like(rates)
+            counts = np.empty(rates.shape, dtype=np.int64)
             noise = np.zeros(len(hours))
             for i, rate in enumerate(rates):
                 counts[i] = rng.poisson(rate)
@@ -1105,7 +1107,7 @@ def reference_generate_synthetic(network: NetworkConfig, days: int, profile) -> 
             tags.append(TAG_ORDER.index(node.road_tag))
             flows.append(np.maximum(np.round(gain * counts.sum(axis=1) + noise), 0.0).astype(np.int64))
     n_hours = len(hours)
-    counts = np.concatenate([np.zeros((0, len(CATEGORY_ORDER)))] + station_counts)
+    counts = np.concatenate([np.zeros((0, len(CATEGORY_ORDER)), dtype=np.int64)] + station_counts)
     flow = np.concatenate([np.zeros(0, dtype=np.int64)] + flows)
     censored = flow < profile.censor_threshold
     tollbooth = TollboothTable(
@@ -1114,7 +1116,7 @@ def reference_generate_synthetic(network: NetworkConfig, days: int, profile) -> 
     )
     routing = RoutingTable(
         hours=hour_array(hours), nodes=tuple(nodes), hour=np.tile(np.arange(n_hours), len(nodes)),
-        node=np.repeat(np.arange(len(nodes)), n_hours), flow=np.where(censored, 0.0, flow),
+        node=np.repeat(np.arange(len(nodes)), n_hours), flow=np.where(censored, 0, flow),
         tag=np.repeat(np.array(tags, dtype=np.int64), n_hours), censored=censored,
     )
     return tollbooth, routing

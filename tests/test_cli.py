@@ -482,21 +482,27 @@ class TestRoute:
         for name in ("od_matrix.csv", "ledger.csv"):
             assert {row[0] for row in read_csv(tmp_path / "fixture" / "out" / name)[1:]} == {WORKED_EXAMPLE_HOUR}
 
-    # 18 digits take the byte scan; 20 digits the per-row reader.
-    @pytest.mark.parametrize("count", ["999999999999999999", "10000000000000000000"])
-    def test_count_too_large_to_apportion_exit_2(self, tmp_path, capsys, count):
+    # 18 digits take the byte scan and 19 the per-row reader; both exceed the
+    # routing bound. 20 digits exceed int64, which the per-row reader refuses.
+    @pytest.mark.parametrize(("count", "message"), [
+        ("999999999999999999", "tollbooth count for 'E6-Klett' at {hour} exceeds"),
+        ("1000000000000000000", "tollbooth count for 'E6-Klett' at {hour} exceeds"),
+        ("10000000000000000000", "count too large at line {line}, field 'total'"),
+    ], ids=["999999999999999999", "1000000000000000000", "10000000000000000000"])
+    def test_count_too_large_to_apportion_exit_2(self, tmp_path, capsys, count, message):
         config = write_worked_example_fixture(tmp_path / "fixture")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["--config", str(cfg_path), "train"]) == 0
         path = Path(config["simulation"]["tollbooth_csv"])
         header, *rows = path.read_text(encoding="utf-8").splitlines()
+        line = 2 + next(i for i, row in enumerate(rows) if ",E6-Klett," in row)
         rows = [row.rpartition(",")[0] + "," + count if ",E6-Klett," in row else row for row in rows]
         path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "route"]) == 2
         err = capsys.readouterr().err
-        assert f"odfuse: data error: tollbooth count for 'E6-Klett' at {WORKED_EXAMPLE_HOUR} exceeds" in err
+        assert f"odfuse: data error: {message.format(hour=WORKED_EXAMPLE_HOUR, line=line)}" in err
 
     # A count beyond the bound that the route never reads: on a booth that no
     # routing phase references, and on a referenced one after the window.
@@ -602,6 +608,28 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"{out / 'tollbooth.csv'}: line 2: unknown direction 'Sideways'" in err
         assert "Traceback" not in err
+
+    # 2**63 has 19 digits, so the byte scan declines either file and the
+    # per-row reader names the line and field.
+    @pytest.mark.parametrize(("which", "row", "field"), [
+        ("tollbooth", "2023-11-06T08:00,A,Undirected,9223372036854775808,0,0,0,0,0,1", "c_under5_6"),
+        ("routing", "2023-11-06T08:00,A,9223372036854775808,Primary", "people_flow"),
+    ], ids=["tollbooth", "routing"])
+    def test_count_of_2_63_exit_2(self, tmp_path, capsys, which, row, field):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tollbooth.csv").write_text(
+            "timestamp,station,direction,c_under5_6,c_5_6_7_6,c_7_6_12_5,c_12_5_16_0,c_16_0_24_0,c_over24_0,total\n"
+            "2023-11-06T08:00,A,Undirected,1,0,0,0,0,0,1\n", encoding="utf-8")
+        (out / "routing.csv").write_text(
+            "timestamp,node,people_flow,road_tag\n2023-11-06T08:00,A,10,Primary\n", encoding="utf-8")
+        header = (out / f"{which}.csv").read_text(encoding="utf-8").splitlines()[0]
+        (out / f"{which}.csv").write_text(f"{header}\n{row}\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "train"]) == 2
+        err = capsys.readouterr().err
+        assert f"odfuse: data error: count too large at line 2, field {field!r}\n" == err
 
     def test_line_after_a_multi_line_field_is_named(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -469,21 +469,10 @@ class TestBlockWriters:
                 write_csv_columns(tmp_path / "ragged.csv", ["a"] * len(columns), columns)
         assert not (tmp_path / "ragged.csv").exists()
 
-    def test_counts_from_2_63_are_refused_before_the_file_opens(self, tmp_path):
-        hours = [make_hour_key(h) for h in (H8, H9, H10)]
-        tollbooth = TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)] * 3,
-                                             [[1] * 7, [2**63 - 1024, 0, 0, 0, 0, 0, 2**63], [1e19] * 7])
-        routing = RoutingTable.from_rows(hours, ["A"] * 3, [10, 2**63, 1e19], [RoadTag.PRIMARY] * 3, [False] * 3)
-        with pytest.raises(DataError, match=re.escape("row 1: counts and total must be below 2**63 to be written")):
-            write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
-        with pytest.raises(DataError, match=re.escape("row 1: people_flow must be below 2**63 to be written")):
-            write_routing_csv(tmp_path / "rt.csv", routing)
-        assert list(tmp_path.iterdir()) == []
-
     def test_counts_just_below_2_63_survive_a_write_and_read(self, tmp_path):
         hours = [make_hour_key(H8)]
-        tollbooth = TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)], [[2**63 - 1024] * 7])
-        routing = RoutingTable.from_rows(hours, ["A"], [2**63 - 1024], [RoadTag.PRIMARY], [False])
+        tollbooth = TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)], [[2**63 - 1] * 7])
+        routing = RoutingTable.from_rows(hours, ["A"], [2**63 - 1], [RoadTag.PRIMARY], [False])
         write_tollbooth_csv(tmp_path / "tb.csv", tollbooth)
         write_routing_csv(tmp_path / "rt.csv", routing)
         assert_tables_equal(read_tollbooth_csv(tmp_path / "tb.csv"), tollbooth)
@@ -678,9 +667,13 @@ class TestTables:
         ("routing", "flow", np.array([5.0]), "column 'flow' must be a numpy array of shape (2,), got ndarray of shape (1,)"),
         ("routing", "censored", np.array([False]), "column 'censored' must be a numpy array of shape (2,), got ndarray of shape (1,)"),
         ("routing", "censored", np.array([0, 1]), "column 'censored' must hold booleans, got int64"),
+        ("tollbooth", "counts", np.ones((2, 6)), "column 'counts' must hold int64 counts, got float64"),
+        ("tollbooth", "total", np.array([10.0, 20.0]), "column 'total' must hold int64 counts, got float64"),
+        ("routing", "flow", np.array([12.0, 5.0]), "column 'flow' must hold int64 counts, got float64"),
+        ("routing", "flow", np.array([12, 5], dtype=np.int32), "column 'flow' must hold int64 counts, got int32"),
     ], ids=["hour-past-table", "hour-negative", "hour-float", "hour-2d", "series-past-table", "series-list",
             "total-length", "counts-width", "routing-hour", "node", "tag", "flow-length", "censored-length",
-            "censored-int"])
+            "censored-int", "counts-float", "total-float", "flow-float", "flow-int32"])
     def test_shape_and_codes_checked(self, which, column, value, message):
         tables_by_name = dict(zip(("tollbooth", "routing"), tables([("A", H8, 10), ("A", H9, 20)],
                                                                     [("A", H8, 12), ("A", H9, 5)])))
@@ -693,8 +686,23 @@ class TestTables:
             dataclasses.replace(tollbooth, hour=np.array([1, 1]))
         with pytest.raises(DataError, match=re.escape("duplicate routing row for node 'A' at 2023-11-06T08:00")):
             dataclasses.replace(routing, node=np.array([0, 0]))
-        with pytest.raises(DataError, match="row 0: people_flow must be a whole number"):
-            dataclasses.replace(routing, flow=np.array([0.5, 5.0]))
+        with pytest.raises(DataError, match="row 0: people_flow must be finite and non-negative"):
+            dataclasses.replace(routing, flow=np.array([-1, 5]))
+
+    def test_counts_from_2_63_are_refused_by_from_rows(self):
+        hours = [make_hour_key(h) for h in (H8, H9, H10)]
+        for big in (2**63, 1e19):
+            with pytest.raises(DataError, match=re.escape("row 1: counts and total must be below 2**63")):
+                TollboothTable.from_rows(hours, [("A", Direction.UNDIRECTED)] * 3,
+                                         [[1] * 7, [2**63 - 1, 0, 0, 0, 0, 0, big], [big] * 7])
+            with pytest.raises(DataError, match=re.escape("row 1: people_flow must be below 2**63")):
+                RoutingTable.from_rows(hours, ["A"] * 3, [10, big, big], [RoadTag.PRIMARY] * 3, [False] * 3)
+        # Nor can a column hold such a value: an int64 column holds none, and any other dtype is refused.
+        tollbooth, routing = tables([("A", H8, 10), ("A", H9, 20)], [("A", H8, 12), ("A", H9, 5)])
+        with pytest.raises(DataError, match=re.escape("column 'total' must hold int64 counts, got uint64")):
+            dataclasses.replace(tollbooth, total=np.array([10, 2**63], dtype=np.uint64))
+        with pytest.raises(DataError, match=re.escape("column 'flow' must hold int64 counts, got float64")):
+            dataclasses.replace(routing, flow=np.array([12, 1e19]))
 
 
 class TestRowsAt:
@@ -783,7 +791,7 @@ class TestJoinParity:
 
 # Text pools for generated CSV files: canonical hours from the years 1 to
 # 9999, one hour in four text forms, names that carry a direction, counts
-# near 2**53 (where float64 rounds) and of 17 or 18 digits, and per column
+# near 2**53 (where float64 would round) and of 17 or 18 digits, and per column
 # the malformed values a corrupted row gets, among them canonical-looking
 # hours that are no hour. Half the files are canonical, so that the byte
 # scan reads them when they are valid; the rest can also draw a name that
@@ -801,10 +809,10 @@ _TAGS = ["Primary", "Trunk", "Secondary"]
 _QUOTED_NAME = 'Gate, "7"'
 _CANONICAL_COUNTS = st.one_of(st.integers(0, 10**7), st.integers(2**53 - 2, 2**53 + 2),
                               st.integers(10**16, 10**18 - 1)).map(str) | st.sampled_from(["0", "007"])
-_LENIENT_COUNTS = st.sampled_from([" 7", "1_000", "+5", "٣", str(10**18), str(2**63 + 1)])
+_LENIENT_COUNTS = st.sampled_from([" 7", "1_000", "+5", "٣", str(10**18), str(2**63 - 1)])
 _BAD_TIMESTAMPS = ["2023-11-06T08:30", "nonsense", "", "2023-02-29T00:00", "2023-11-06T24:00", "2023-13-01T00:00",
                    "0000-01-01T00:00"]
-_BAD_COUNTS = ["-1", "", "x", "1.5"]
+_BAD_COUNTS = ["-1", "", "x", "1.5", str(2**63), str(2**63 + 1)]
 
 
 def _csv_text(header, rows, blank_after, crlf, final_line_end):
@@ -1123,3 +1131,49 @@ class TestByteScan:
     def test_missing_file_declines(self, tmp_path):
         assert _scan_tollbooth_csv(tmp_path / "absent.csv") is None
         assert _scan_routing_csv(tmp_path) is None  # a directory
+
+
+class TestWholeCounts:
+    """Counts, totals and flows stay int64 from file to table to file: exact
+    past 2**53, where float64 would round, up to 2**63 - 1. Columns and bytes
+    are compared, not the row views, which carry floats."""
+
+    @staticmethod
+    def _text(which, count):
+        if which == "tollbooth":
+            return f"{TOLLBOOTH_HEADER}\r\n2023-11-06T08:00,E6-Klett,Inbound,{count},23,31,12,18,4,{count}\r\n"
+        return f"timestamp,node,people_flow,road_tag\r\n2023-11-06T08:00,E6-Klett,{count},Primary\r\n"
+
+    # A canonical count of up to 18 digits takes the byte scan, and a quoted
+    # station or node name, or a count of 19 digits, the per-row reader.
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**63 - 1])
+    @pytest.mark.parametrize("form", ["canonical", "quoted"])
+    @pytest.mark.parametrize("which", ["tollbooth", "routing"])
+    def test_count_reads_exactly_and_writes_back_byte_for_byte(self, tmp_path, which, form, count):
+        scan, read_rows, read = _READERS[which]
+        text = self._text(which, count)
+        path = tmp_path / f"{which}.csv"
+        path.write_text(text if form == "canonical" else text.replace("E6-Klett", '"E6-Klett"'),
+                        encoding="utf-8", newline="")
+        table = read(path)
+        assert (scan(path) is not None) == (form == "canonical" and count < 10**18)
+        assert_tables_equal(table, read_rows(path))
+        for column in ((table.counts[:, 0], table.total) if which == "tollbooth" else (table.flow,)):
+            assert column.dtype == np.int64 and column.tolist() == [count]
+        write = write_tollbooth_csv if which == "tollbooth" else write_routing_csv
+        write(tmp_path / "written.csv", table)
+        assert (tmp_path / "written.csv").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("form", ["canonical", "quoted"])
+    @pytest.mark.parametrize(("which", "field"), [("tollbooth", "c_under5_6"), ("routing", "people_flow")])
+    def test_count_of_2_63_is_too_large(self, tmp_path, which, field, form):
+        scan, _, read = _READERS[which]
+        text = self._text(which, 2**63)
+        path = tmp_path / f"{which}.csv"
+        path.write_text(text if form == "canonical" else text.replace("E6-Klett", '"E6-Klett"'),
+                        encoding="utf-8", newline="")
+        assert scan(path) is None
+        reference = reference_read_tollbooth_csv if which == "tollbooth" else reference_read_routing_csv
+        for reader in (read, reference):
+            with pytest.raises(DataError, match=re.escape(f"count too large at line 2, field {field!r}")):
+                reader(path)

@@ -1134,7 +1134,7 @@ class TestConservationViolations:
         amount[i] += 1
         run.ledger = dataclasses.replace(run.ledger, amount=amount)
         assert conservation_violations(run) == [
-            f"balance mismatch at {event.hour.timestamp}: ledger {event.amount + 1}, "
+            f"balance mismatch at {event.hour.isoformat()}: ledger {event.amount + 1}, "
             f"decisions {event.amount}"
         ]
 
