@@ -267,17 +267,17 @@ class CountsByCategory:
     the category sum by more than 1% of the total.
     """
 
-    counts: dict[VehicleCategory, float]
-    total: float
+    counts: dict[VehicleCategory, int]
+    total: int
     total_mismatch: bool = field(default=False, compare=False)
 
     @classmethod
     def with_reported_total(
-        cls, counts: dict[VehicleCategory, float], total: float
+        cls, counts: dict[VehicleCategory, int], total: int
     ) -> "CountsByCategory":
-        full = {cat: float(counts.get(cat, 0.0)) for cat in CATEGORY_ORDER}
+        full = {cat: counts.get(cat, 0) for cat in CATEGORY_ORDER}
         mismatch = abs(total - sum(full.values())) > TOTAL_MISMATCH_TOLERANCE * total
-        return cls(counts=full, total=float(total), total_mismatch=mismatch)
+        return cls(counts=full, total=total, total_mismatch=mismatch)
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ class RoutingReportObservation:
 
     node: str
     hour: HourKey
-    people_flow: float
+    people_flow: int
     road_tag: RoadTag
     censored: bool = False
 
@@ -452,7 +452,7 @@ class TollboothTable(_Rows):
     series, one per count key, so a series code is a count-key code.
     ``counts`` holds the six length-band counts in CATEGORY_ORDER and
     ``total`` the reported total, both int64. Indexing and iteration build
-    ``TollboothObservation`` objects, which carry the counts as floats. A
+    ``TollboothObservation`` objects, which carry the counts as ints. A
     table holds one row per ``hour`` entry in every column, codes inside
     their tables, non-negative counts and totals, named stations and one row
     per (series, hour); a DataError names the repeated entry or the first
@@ -501,7 +501,7 @@ class TollboothTable(_Rows):
         name, direction = self.series_ids[self.series[i]]
         counts = dict(zip(CATEGORY_ORDER, self.counts[i].tolist()))
         return TollboothObservation(node=name, direction=direction, hour=self.hour_keys[self.hour[i]],
-                                    counts=CountsByCategory.with_reported_total(counts, float(self.total[i])))
+                                    counts=CountsByCategory.with_reported_total(counts, self.total[i].item()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +512,7 @@ class RoutingTable(_Rows):
     ``node`` indexes ``nodes``, one name each; ``tag`` indexes
     TAG_ORDER. ``flow`` is the int64 people flow, zero where ``censored``.
     Indexing and iteration build ``RoutingReportObservation`` objects, which
-    carry the flow as a float. A table holds one row per ``hour`` entry in
+    carry the flow as an int. A table holds one row per ``hour`` entry in
     every column, codes inside their tables, non-negative flows, named nodes
     and one row per (node, hour); a DataError names the repeated entry or the
     first row that breaks this.
@@ -554,7 +554,7 @@ class RoutingTable(_Rows):
 
     def _item(self, i: int) -> RoutingReportObservation:
         return RoutingReportObservation(node=self.nodes[self.node[i]], hour=self.hour_keys[self.hour[i]],
-                                        people_flow=float(self.flow[i]), road_tag=TAG_ORDER[self.tag[i]],
+                                        people_flow=self.flow[i].item(), road_tag=TAG_ORDER[self.tag[i]],
                                         censored=bool(self.censored[i]))
 
 

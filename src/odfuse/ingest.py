@@ -12,26 +12,27 @@ File formats (UTF-8, ISO-8601 hour timestamps):
 Each reader first tries one vectorised byte scan of the whole file. It
 reads canonical files, as ``synth`` writes them: the header byte for byte,
 LF or CRLF line ends, no quote, NUL or lone CR, every record with all its
-fields non-empty, and counts of 1 to 18 ASCII digits (or the sentinel). Any
+fields non-empty, every timestamp a canonical ``YYYY-MM-DDTHH:00`` text of
+a real hour, and counts of 1 to 18 ASCII digits (or the sentinel). Any
 other file goes to the per-row ``csv.reader`` path: quoted names such as
-``"E6-Klett"``, counts that ``int()`` reads with a sign, space or underscore,
-and every file with a bad value. That path alone raises a bad value's
-error, naming the file and line. A table rule, such as one spelling per
-count key (``A,Inbound`` and ``A|Inbound,Undirected`` are one series) or no
-repeated (series, hour), makes the scan decline and the per-row reader raise
-the table's message after the file's name. The scan reads a timestamp
-column of canonical ``YYYY-MM-DDTHH:00`` texts as one vector: one integer
-key per row, the distinct texts parsed by numpy and kept only where numpy
-writes each back byte for byte. Any other timestamp column, and every
-series, node or road-tag column, is parsed one distinct text at a time
-through the same code tables as the per-row reader, so both paths give
-equal tables and messages. A table holds its hours as datetime64[h], and
-the writers format them in one call. Counts, totals and flows are int64
-from file to table to file: the scan sums its digits in int64, the
-per-row reader reads a count with ``int()`` and rejects one of 2**63 or
-more as a bad value, and the writers write the integers as they are. A
-reader needs only the file: the tables name their stations and nodes, and
-a node's kind is the network's alone.
+``"E6-Klett"``, every other timestamp spelling (``2023-11-06 08:00``,
+``2023-11-06T08``), counts that ``int()`` reads with a sign, space or
+underscore, and every file with a bad value. That path alone raises a bad
+value's error, naming the file and line. A table rule, such as one
+spelling per count key (``A,Inbound`` and ``A|Inbound,Undirected`` are one
+series) or no repeated (series, hour), makes the scan decline and the
+per-row reader raise the table's message after the file's name. The scan
+reads the timestamp column as one vector: one integer key per row, the
+distinct texts parsed by numpy and kept only where numpy writes each back
+byte for byte. Every series, node or road-tag column is parsed one
+distinct text at a time through the same code tables as the per-row
+reader, so both paths give equal tables and messages. A table holds its
+hours as datetime64[h], and the writers format them in one call. Counts,
+totals and flows are int64 from file to table to file: the scan sums its
+digits in int64, the per-row reader reads a count with ``int()`` and
+rejects one of 2**63 or more as a bad value, and the writers write the
+integers as they are. A reader needs only the file: the tables name their
+stations and nodes, and a node's kind is the network's alone.
 
 Synthetic data keeps a fixed draw order, so that a seed keeps its data:
 series in network order, hour by hour, six scalar Poisson draws in band
@@ -180,27 +181,16 @@ class FusionDataset:
 _LARGEST_COUNT = 2**63 - 1
 
 
-def _parse_int_field(raw: str, line: int, field: str) -> int:
+def _parse_int_field(path: Path, raw: str, line: int, field: str) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise DataError(f"unparseable integer {raw!r} at line {line}, field {field!r}") from exc
+        raise DataError(f"{path}: unparseable integer {raw!r} at line {line}, field {field!r}") from exc
     if value < 0:
-        raise DataError(f"negative count at line {line}, field {field!r}")
+        raise DataError(f"{path}: negative count at line {line}, field {field!r}")
     if value > _LARGEST_COUNT:
-        raise DataError(f"count too large at line {line}, field {field!r}")
+        raise DataError(f"{path}: count too large at line {line}, field {field!r}")
     return value
-
-
-def _counts(raw: list[str], line: int, fields: list[str]) -> list[int]:
-    """The counts in ``raw``; the first bad one raises ``_parse_int_field``'s DataError."""
-    try:
-        values = list(map(int, raw))
-        if min(values) >= 0 and max(values) <= _LARGEST_COUNT:
-            return values
-    except ValueError:
-        pass
-    return [_parse_int_field(text, line, field) for text, field in zip(raw, fields)]
 
 
 def _check_header(row: list[str] | None, expected: list[str], path: Path) -> None:
@@ -237,9 +227,7 @@ def _csv_rows(p: Path, header: list[str], label: str) -> Iterator[tuple[int, lis
 class _Codes(dict):
     """The int code of each distinct text of one column. Texts that parse to
     one value get its code; ``parsed`` maps each value to its code, in order
-    of first appearance. The per-row readers try ``get`` first, and a
-    miss or code 0 falls through to ``code``; the byte scan calls ``code``
-    once per distinct text."""
+    of first appearance."""
 
     def __init__(self, path: Path, parse, where: str = "") -> None:
         super().__init__()
@@ -339,6 +327,16 @@ def _prefixes(width: int) -> np.ndarray:
     return (np.arange(width) < np.arange(width + 1)[:, None]).astype(np.uint8).reshape(-1)
 
 
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The record of each distinct value's first appearance, in that order,
+    and each record's index into them."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
 def _texts(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The distinct texts of one column in order of first appearance, the file
     line each first appears on, and each record's index into them."""
@@ -348,13 +346,10 @@ def _texts(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[list[st
         raise _Irregular
     block = _gather(buf, start, width)
     block *= _gather(_prefixes(width), length, width, width)
-    distinct, first, inverse = np.unique(block.view(f"S{width}").reshape(-1), return_index=True,
-                                         return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
+    items = block.view(f"S{width}").reshape(-1)
+    first, index = _first_appearance(items)
     # Records are one line each after the header line.
-    return [distinct[i].decode("utf-8") for i in order.tolist()], first[order] + 2, rank[inverse.reshape(-1)]
+    return [text.decode("utf-8") for text in items[first].tolist()], first + 2, index
 
 
 def _coded(codes: _Codes, keys: list, lines: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -390,46 +385,30 @@ def _hour_codes(p: Path) -> _Codes:
     return _Codes(p, make_hour_key, ", field 'timestamp'")
 
 
-def _canonical_hours(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _canonical_hours(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct hours of a timestamp column in order of first
-    appearance and each record's index into them, where every field is a
-    ``YYYY-MM-DDTHH:00`` text of a real hour in the years 1 to 9999 that
-    numpy writes back byte for byte; else None."""
+    appearance, as datetime64[h], and each record's index into them. Every
+    field must be a ``YYYY-MM-DDTHH:00`` text of a real hour in the years 1
+    to 9999 that numpy writes back byte for byte; else ``_Irregular``."""
     if ((end - start) != len(_HOUR_FORM)).any():
-        return None
+        raise _Irregular
     block = _gather(buf, start, len(_HOUR_FORM))
     digits = block[:, _HOUR_DIGIT] - np.uint8(ord("0"))
     if (digits > 9).any() or (block[:, ~_HOUR_DIGIT] != _HOUR_FORM[~_HOUR_DIGIT]).any():
-        return None
+        raise _Irregular
     # YYYYMMDDHH as one integer: equal keys are equal texts. Year 0 parses in numpy alone.
     key = digits.astype(np.int64) @ 10 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
     if (key < 10**6).any():
-        return None
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    texts = block[first[order]].view(f"S{len(_HOUR_FORM)}").reshape(-1)
+        raise _Irregular
+    first, hour = _first_appearance(key)
+    texts = block[first].view(f"S{len(_HOUR_FORM)}").reshape(-1)
     try:
         hours = texts.astype(HOUR_DTYPE)
     except ValueError:  # a day or an hour out of range
-        return None
+        raise _Irregular from None
     if (np.datetime_as_string(hours, unit="m").astype(texts.dtype) != texts).any():
-        return None  # a text that numpy reads as another hour
-    return hours, rank[inverse.reshape(-1)]
-
-
-def _scan_hours(p: Path, buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct hours of a scanned timestamp column in order of first
-    appearance, as datetime64[h], and each record's index into them. A
-    canonical column is read as one vector, any other through ``_Codes``
-    one distinct text at a time."""
-    canonical = _canonical_hours(buf, start, end)
-    if canonical is not None:
-        return canonical
-    hours = _hour_codes(p)
-    hour = _coded(hours, *_texts(buf, start, end))
-    return hour_array(hours.parsed), hour
+        raise _Irregular  # a text that numpy reads as another hour
+    return hours, hour
 
 
 def _series_codes(p: Path) -> _Codes:
@@ -457,7 +436,7 @@ def _scan_tollbooth_csv(p: Path) -> TollboothTable | None:
     where the file is not canonical or a text fails to parse."""
     try:
         buf, edges = _scan(p, TOLLBOOTH_HEADER)
-        hours, hour = _scan_hours(p, buf, edges[0] + 1, edges[1])
+        hours, hour = _canonical_hours(buf, edges[0] + 1, edges[1])
         series = _series_codes(p)
         # Station and direction as one text: neither holds a comma.
         pairs, lines, index = _texts(buf, edges[1] + 1, edges[3])
@@ -488,9 +467,9 @@ def _read_tollbooth_rows(p: Path) -> TollboothTable:
     hour, row_series, values = [], [], []
     fields = TOLLBOOTH_HEADER[3:]
     for line, row in _csv_rows(p, TOLLBOOTH_HEADER, "tollbooth"):
-        hour.append(hours.get(row[0]) or hours.code(row[0], line))
-        row_series.append(series.get(key := (row[1], row[2])) or series.code(key, line))
-        values.append(_counts(row[3:], line, fields))
+        hour.append(hours.code(row[0], line))
+        row_series.append(series.code((row[1], row[2]), line))
+        values.append([_parse_int_field(p, text, line, field) for text, field in zip(row[3:], fields)])
     return _tollbooth_table(hour_array(hours.parsed), series, hour, row_series, values)
 
 
@@ -516,7 +495,7 @@ def _scan_routing_csv(p: Path) -> RoutingTable | None:
     the file is not canonical or a text fails to parse."""
     try:
         buf, edges = _scan(p, ROUTING_HEADER)
-        hours, hour = _scan_hours(p, buf, edges[0] + 1, edges[1])
+        hours, hour = _canonical_hours(buf, edges[0] + 1, edges[1])
         nodes, tags = _routing_codes(p)
         node = _coded(nodes, *_texts(buf, edges[1] + 1, edges[2]))
         tag = _coded(tags, *_texts(buf, edges[3] + 1, edges[4]))
@@ -543,10 +522,10 @@ def _read_routing_rows(p: Path) -> RoutingTable:
     hours, (nodes, tags) = _hour_codes(p), _routing_codes(p)
     hour, node, flows, tag = [], [], [], []
     for line, row in _csv_rows(p, ROUTING_HEADER, "routing"):
-        hour.append(hours.get(row[0]) or hours.code(row[0], line))
-        node.append(nodes.get(row[1]) or nodes.code(row[1], line))
-        flows.append(-1 if row[2] == CENSOR_SENTINEL else _parse_int_field(row[2], line, "people_flow"))
-        tag.append(tags.get(row[3]) or tags.code(row[3], line))
+        hour.append(hours.code(row[0], line))
+        node.append(nodes.code(row[1], line))
+        flows.append(-1 if row[2] == CENSOR_SENTINEL else _parse_int_field(p, row[2], line, "people_flow"))
+        tag.append(tags.code(row[3], line))
     return _routing_table(hour_array(hours.parsed), nodes, tags, hour, node, flows, tag)
 
 

@@ -16,6 +16,7 @@ data by one array Poisson draw per (series, hour)."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from datetime import timedelta
@@ -544,6 +545,40 @@ def check_eval_files(out_dir) -> None:
                 f"metrics.csv: {name} r2_valid {r2_text}, residuals give {1 - ss_res / ss_tot!r}"
 
 
+def check_explain_files(out_dir, target: str) -> None:
+    """The files of an explain run of ``target`` read back with ``csv`` and
+    ``json`` alone. Every ``attributions.csv`` row has one base_value, and
+    it is the target's expected value from ``model.json``: its base_score
+    plus learning_rate times the sum over its trees of each tree's
+    cover-weighted mean leaf value, to a relative 1e-12. ``importance.csv``
+    holds each feature's mean absolute attribution, and its ``tagValue`` row
+    the sum of the ``tag_*`` rows."""
+    out_dir = Path(out_dir)
+    with open(out_dir / "model.json", encoding="utf-8") as fh:
+        model = json.load(fh)
+    names = model["feature_names"]
+    rows = [[float(value) for value in row] for row in _csv_body(out_dir / "attributions.csv", ["base_value", *names])]
+    assert rows, "attributions.csv: no rows"
+    bases = sorted({row[0] for row in rows})
+    assert len(bases) == 1, f"attributions.csv: {len(bases)} base values, from {bases[0]!r} to {bases[-1]!r}"
+    doc = model["targets"][target]
+    expected = doc["base_score"] + model["hyperparams"]["learning_rate"] * math.fsum(
+        math.fsum(value * cover for value, cover, feature in zip(tree["value"], tree["cover"], tree["feature"])
+                  if feature == -1) / tree["cover"][0] for tree in doc["trees"])
+    assert math.isclose(bases[0], expected, rel_tol=1e-12), \
+        f"attributions.csv: base_value {bases[0]!r}, model.json gives {expected!r}"
+    importance = {name: float(value) for name, value, _ in
+                  _csv_body(out_dir / "importance.csv", ["feature", "mean_abs_shap", "rank"])}
+    assert list(importance) == [*names, "tagValue"], f"importance.csv: features {list(importance)}"
+    for j, name in enumerate(names, start=1):
+        mean = math.fsum(abs(row[j]) for row in rows) / len(rows)
+        assert math.isclose(importance[name], mean, rel_tol=1e-12, abs_tol=1e-15), \
+            f"importance.csv: {name} {importance[name]!r}, attributions give {mean!r}"
+    tags = math.fsum(value for name, value in importance.items() if name.startswith("tag_"))
+    assert math.isclose(importance["tagValue"], tags, rel_tol=1e-12, abs_tol=1e-15), \
+        f"importance.csv: tagValue {importance['tagValue']!r}, the tag rows sum to {tags!r}"
+
+
 def reference_largest_remainder(total: int, weights: list[float]) -> list[int]:
     """Scalar largest remainder, one split at a time: the oracle for the
     row-batched kernel in ``odfuse.routing``.
@@ -891,15 +926,15 @@ def reference_write_csv_columns(path: str | Path, header, columns) -> None:
             fh.write(CSV_EOL.join(map(",".join, zip(*texts))) + CSV_EOL)
 
 
-def _reference_int_field(raw: str, line: int, field: str) -> int:
+def _reference_int_field(path: Path, raw: str, line: int, field: str) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise DataError(f"unparseable integer {raw!r} at line {line}, field {field!r}") from exc
+        raise DataError(f"{path}: unparseable integer {raw!r} at line {line}, field {field!r}") from exc
     if value < 0:
-        raise DataError(f"negative count at line {line}, field {field!r}")
+        raise DataError(f"{path}: negative count at line {line}, field {field!r}")
     if value >= 2**63:
-        raise DataError(f"count too large at line {line}, field {field!r}")
+        raise DataError(f"{path}: count too large at line {line}, field {field!r}")
     return value
 
 
@@ -965,16 +1000,16 @@ def reference_read_tollbooth_csv(path: str | Path) -> list[TollboothObservation]
             except DataError as exc:
                 raise DataError(f"{p}: line {line}: {exc}") from exc
             counts = {
-                cat: float(_reference_int_field(row[3 + i], line, TOLLBOOTH_HEADER[3 + i]))
+                cat: _reference_int_field(p, row[3 + i], line, TOLLBOOTH_HEADER[3 + i])
                 for i, cat in enumerate(CATEGORY_ORDER)
             }
-            total = _reference_int_field(row[9], line, "total")
+            total = _reference_int_field(p, row[9], line, "total")
             out.append(
                 TollboothObservation(
                     node=name,
                     direction=direction,
                     hour=hour,
-                    counts=CountsByCategory.with_reported_total(counts, float(total)),
+                    counts=CountsByCategory.with_reported_total(counts, total),
                 )
             )
     _reference_spellings(p, out)
@@ -1009,7 +1044,7 @@ def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL
             if not name:
                 raise DataError(f"{p}: line {line}: empty node name")
             censored = row[2] == sentinel
-            flow = 0 if censored else _reference_int_field(row[2], line, "people_flow")
+            flow = 0 if censored else _reference_int_field(p, row[2], line, "people_flow")
             try:
                 tag = RoadTag.parse(row[3])
             except DataError as exc:
@@ -1018,7 +1053,7 @@ def reference_read_routing_csv(path: str | Path, sentinel: str = CENSOR_SENTINEL
                 RoutingReportObservation(
                     node=name,
                     hour=hour,
-                    people_flow=float(flow),
+                    people_flow=flow,
                     road_tag=tag,
                     censored=censored,
                 )

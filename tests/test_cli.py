@@ -8,7 +8,6 @@ import shutil
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -20,8 +19,8 @@ from odfuse.fusion import GbtHyperparams, train
 from odfuse.ingest import FEATURE_NAMES, TOLLBOOTH_HEADER, build_dataset, read_routing_csv, read_tollbooth_csv
 from odfuse.network import NetworkConfig, load_network, trondheim_fixture
 
-from _helpers import (WORKED_EXAMPLE_HOUR, check_eval_files, check_routing_files, check_synth_files, destination,
-                      station, write_worked_example_fixture)
+from _helpers import (WORKED_EXAMPLE_HOUR, check_eval_files, check_explain_files, check_routing_files,
+                      check_synth_files, destination, station, write_worked_example_fixture)
 
 
 def write_config(path, **overrides):
@@ -126,6 +125,7 @@ class TestPipeline:
         assert len(att) <= 1 + 16
         perm = read_csv(tmp_path / "out" / "permutation.csv")
         assert perm[0] == ["feature", "r2_drop"]
+        check_explain_files(tmp_path / "out", "total")
 
     def test_config_hash_logged(self, tmp_path, caplog):
         cfg = write_config(tmp_path / "run.json")
@@ -165,12 +165,7 @@ class TestExplainArtifacts:
         _, out = explained_run
         att = read_csv(out / "attributions.csv")
         assert att[0] == ["base_value", *FEATURE_NAMES] and len(att) == 1 + 32
-        phi = np.array([[float(v) for v in row[1:]] for row in att[1:]])
-        imp = {row[0]: float(row[1]) for row in read_csv(out / "importance.csv")[1:]}
-        for j, name in enumerate(FEATURE_NAMES):
-            assert imp[name] == pytest.approx(np.abs(phi[:, j]).mean(), rel=1e-12, abs=1e-15)
-        tags = math.fsum(v for name, v in imp.items() if name.startswith("tag_"))
-        assert imp["tagValue"] == pytest.approx(tags, rel=1e-12, abs=1e-15)
+        check_explain_files(out, "total")
 
 
 # Each corruption of the first "total" tree and the message that rejects it.
@@ -487,7 +482,7 @@ class TestRoute:
     @pytest.mark.parametrize(("count", "message"), [
         ("999999999999999999", "tollbooth count for 'E6-Klett' at {hour} exceeds"),
         ("1000000000000000000", "tollbooth count for 'E6-Klett' at {hour} exceeds"),
-        ("10000000000000000000", "count too large at line {line}, field 'total'"),
+        ("10000000000000000000", "{path}: count too large at line {line}, field 'total'"),
     ], ids=["999999999999999999", "1000000000000000000", "10000000000000000000"])
     def test_count_too_large_to_apportion_exit_2(self, tmp_path, capsys, count, message):
         config = write_worked_example_fixture(tmp_path / "fixture")
@@ -502,7 +497,7 @@ class TestRoute:
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "route"]) == 2
         err = capsys.readouterr().err
-        assert f"odfuse: data error: {message.format(hour=WORKED_EXAMPLE_HOUR, line=line)}" in err
+        assert f"odfuse: data error: {message.format(hour=WORKED_EXAMPLE_HOUR, line=line, path=path)}" in err
 
     # A count beyond the bound that the route never reads: on a booth that no
     # routing phase references, and on a referenced one after the window.
@@ -610,7 +605,7 @@ class TestConfigHandling:
         assert "Traceback" not in err
 
     # 2**63 has 19 digits, so the byte scan declines either file and the
-    # per-row reader names the line and field.
+    # per-row reader names the file, line and field.
     @pytest.mark.parametrize(("which", "row", "field"), [
         ("tollbooth", "2023-11-06T08:00,A,Undirected,9223372036854775808,0,0,0,0,0,1", "c_under5_6"),
         ("routing", "2023-11-06T08:00,A,9223372036854775808,Primary", "people_flow"),
@@ -629,7 +624,7 @@ class TestConfigHandling:
         capsys.readouterr()
         assert main(["--config", str(cfg), "train"]) == 2
         err = capsys.readouterr().err
-        assert f"odfuse: data error: count too large at line 2, field {field!r}\n" == err
+        assert f"odfuse: data error: {out / f'{which}.csv'}: count too large at line 2, field {field!r}\n" == err
 
     def test_line_after_a_multi_line_field_is_named(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -798,7 +798,7 @@ class TestJoinParity:
 # needs quoting, counts that int() reads but the scan leaves to the per-row
 # reader, and blank lines. Half the files draw only canonical hours, which
 # the scan parses as one vector; the rest also draw the other spellings,
-# which take the scan's per-text path.
+# which the scan leaves to the per-row reader.
 _CANONICAL_TIMESTAMPS = ["2023-11-06T08:00", "2023-11-06T09:00", "2023-11-11T23:00", "2024-02-29T00:00",
                          "0001-01-01T00:00", "0999-12-31T23:00", "9999-12-31T23:00"]
 _TIMESTAMPS = _CANONICAL_TIMESTAMPS + ["2023-11-06 08:00", "2023-11-06T08", "2023-11-06T08:00:00"]
@@ -1063,9 +1063,10 @@ class TestByteScan:
             assert_tables_equal(outcome, expected)
 
     # Each form replaces the second row's hour, 2023-11-06T09:00. Canonical
-    # texts of real hours are parsed as one vector, without make_hour_key;
-    # other texts, the first row's hour spelt another way among them, take
-    # the per-text path; canonical-looking texts of no hour decline the scan.
+    # texts of real hours are parsed as one vector, without make_hour_key.
+    # Other spellings, the first row's hour spelt another way among them,
+    # decline the scan and read through the per-row reader ("per-text");
+    # canonical-looking texts of no hour decline it and raise its message.
     @pytest.mark.parametrize(("form", "path"), [
         ("2023-11-06T05:00", "vector"), ("2023-11-06T08:00", "vector"), ("2024-02-29T00:00", "vector"),
         ("0001-01-01T00:00", "vector"), ("0999-12-31T23:00", "vector"), ("9999-12-31T23:00", "vector"),
@@ -1087,9 +1088,13 @@ class TestByteScan:
             return
         with mock.patch.object(ingest, "make_hour_key", wraps=make_hour_key) as parse:
             table = scan(file)
-        assert table is not None and parse.called == (path == "per-text")
+        if path == "vector":
+            assert table is not None and not parse.called
+            assert_tables_equal(table, expected)
+        else:
+            assert table is None
+        table = read(file)
         assert_tables_equal(table, expected)
-        assert_tables_equal(read(file), expected)
         assert table.hours.tolist() == list(dict.fromkeys(o.hour.timestamp for o in expected))
 
     @pytest.mark.parametrize(("which", "row", "message"), [
@@ -1135,8 +1140,8 @@ class TestByteScan:
 
 class TestWholeCounts:
     """Counts, totals and flows stay int64 from file to table to file: exact
-    past 2**53, where float64 would round, up to 2**63 - 1. Columns and bytes
-    are compared, not the row views, which carry floats."""
+    past 2**53, where float64 would round, up to 2**63 - 1. The row views
+    carry them as Python ints."""
 
     @staticmethod
     def _text(which, count):
@@ -1164,6 +1169,23 @@ class TestWholeCounts:
         write(tmp_path / "written.csv", table)
         assert (tmp_path / "written.csv").read_bytes() == text.encode()
 
+    # 2**53 + 1 in c_under5_6 and total, or in people_flow, which float64 rounds to 2**53.
+    @pytest.mark.parametrize("form", ["canonical", "quoted"])
+    @pytest.mark.parametrize("which", ["tollbooth", "routing"])
+    def test_row_views_carry_the_count_as_an_int(self, tmp_path, which, form):
+        scan, _, read = _READERS[which]
+        text = self._text(which, 2**53 + 1)
+        path = tmp_path / f"{which}.csv"
+        path.write_text(text if form == "canonical" else text.replace("E6-Klett", '"E6-Klett"'),
+                        encoding="utf-8", newline="")
+        table = read(path)
+        assert (scan(path) is not None) == (form == "canonical")
+        if which == "tollbooth":
+            values = [table[0].counts.total, table[0].counts.counts[CATEGORY_ORDER[0]]]
+        else:
+            values = [table[0].people_flow]
+        assert all(type(value) is int and value == 2**53 + 1 for value in values)
+
     @pytest.mark.parametrize("form", ["canonical", "quoted"])
     @pytest.mark.parametrize(("which", "field"), [("tollbooth", "c_under5_6"), ("routing", "people_flow")])
     def test_count_of_2_63_is_too_large(self, tmp_path, which, field, form):
@@ -1175,5 +1197,5 @@ class TestWholeCounts:
         assert scan(path) is None
         reference = reference_read_tollbooth_csv if which == "tollbooth" else reference_read_routing_csv
         for reader in (read, reference):
-            with pytest.raises(DataError, match=re.escape(f"count too large at line 2, field {field!r}")):
+            with pytest.raises(DataError, match=re.escape(f"{path}: count too large at line 2, field {field!r}")):
                 reader(path)
