@@ -143,7 +143,7 @@ def shap_matrix(model: FusionModel, target: str, X: np.ndarray) -> tuple[np.ndar
 def global_importance(feature_names: tuple[str, ...], phi: np.ndarray) -> GlobalImportance:
     """Mean absolute attribution per feature over the rows of ``phi``."""
     if phi.shape[0] == 0:
-        raise DataError("global importance needs at least one row")
+        raise DataError("global_importance needs at least one row")
     mean_abs = np.abs(phi).mean(axis=0)
     order = sorted(range(len(feature_names)), key=lambda i: (-mean_abs[i], i))
     tag_total = float(

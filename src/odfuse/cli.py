@@ -137,6 +137,17 @@ def _out_dir(config: dict) -> Path:
     return out
 
 
+def _artifacts(out: Path, *names: str) -> list[Path]:
+    """The paths in ``out`` of the artifacts a command writes, checked before
+    it reads or writes anything: a directory in an artifact's place is a
+    ConfigError, so that no artifact is written when a later one cannot be."""
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: Is a directory")
+    return paths
+
+
 def _network(config: dict) -> NetworkConfig:
     return load_network(config["network"]) if config["network"] else trondheim_fixture()
 
@@ -177,25 +188,24 @@ def cmd_synth(config: dict, out: Path) -> int:
     synth = config["synthetic"]
     if not synth:
         raise ConfigError("synth requires synthetic parameters in the config")
+    tollbooth_path, routing_path, difference_path = _artifacts(out, "tollbooth.csv", "routing.csv", "difference.csv")
     network = _network(config)
     profile = _built("synthetic", BiasProfile, gains={RoadTag(k): v for k, v in synth["gains"].items()},
                      noise_scale=synth["noise_scale"], censor_threshold=synth["censor_threshold"],
                      seed=config["seed"])
     out.mkdir(parents=True, exist_ok=True)
     tollbooth, routing = generate_synthetic(network, synth["days"], profile)
-    write_tollbooth_csv(out / "tollbooth.csv", tollbooth)
-    write_routing_csv(out / "routing.csv", routing)
-    write_difference_csv(out / "difference.csv", difference_series(tollbooth, routing))
+    write_tollbooth_csv(tollbooth_path, tollbooth)
+    write_routing_csv(routing_path, routing)
+    write_difference_csv(difference_path, difference_series(tollbooth, routing))
     log.info("synth: %d tollbooth rows, %d routing rows -> %s", len(tollbooth), len(routing), out)
     return 0
 
 
 def cmd_train(config: dict, out: Path) -> int:
     hp = _built("hyperparams", GbtHyperparams, **{"seed": config["seed"], **config["hyperparams"]})
+    [path] = _artifacts(out, "model.json")
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "model.json"
-    if path.is_dir():  # found before the fit, not after it
-        raise ConfigError(f"cannot write {path}: Is a directory")
     dataset = build_dataset(*_tables(config, out), config["valid_fraction"])
     save_model(train(dataset, hp), path)
     log.info("train: %d rows (split %d) -> %s", dataset.n_rows, dataset.split_index, path)
@@ -203,10 +213,11 @@ def cmd_train(config: dict, out: Path) -> int:
 
 
 def cmd_eval(config: dict, out: Path) -> int:
+    metrics, residuals = _artifacts(out, "metrics.csv", "residuals.csv")
     model, dataset = _model_and_dataset(config, out)
     report = evaluate(model, dataset)
-    write_metrics_csv(out / "metrics.csv", report)
-    write_residuals_csv(out / "residuals.csv", residual_table(dataset, report.pred_valid))
+    write_metrics_csv(metrics, report)
+    write_residuals_csv(residuals, residual_table(dataset, report.pred_valid))
     r2 = rescaled_baseline_r2(dataset)  # diagnostic only, for the log
     if r2 is not None:
         log.info("eval: linearly rescaled flow baseline valid r2 %.4f", r2)
@@ -216,6 +227,7 @@ def cmd_eval(config: dict, out: Path) -> int:
 
 def cmd_explain(config: dict, out: Path) -> int:
     opts = config["explain"]
+    importance, attributions, permutation = _artifacts(out, "importance.csv", "attributions.csv", "permutation.csv")
     model, dataset = _model_and_dataset(config, out)
     X = dataset.X_valid
     if X.shape[0] > opts["max_rows"]:
@@ -226,9 +238,9 @@ def cmd_explain(config: dict, out: Path) -> int:
     phi, base = shap_matrix(model, opts["target"], X)
     drops = permutation_importance(model, opts["target"], dataset,
                                    repeats=opts["repeats"], seed=config["seed"])
-    write_importance_csv(out / "importance.csv", global_importance(model.feature_names, phi))
-    write_attributions_csv(out / "attributions.csv", model.feature_names, phi, base)
-    write_permutation_csv(out / "permutation.csv", drops)
+    write_importance_csv(importance, global_importance(model.feature_names, phi))
+    write_attributions_csv(attributions, model.feature_names, phi, base)
+    write_permutation_csv(permutation, drops)
     log.info("explain: target %s over %d rows -> %s", opts["target"], X.shape[0], out)
     return 0
 
@@ -238,15 +250,17 @@ def cmd_stability(config: dict, out: Path, routing_a: str | None, routing_b: str
     path_b = routing_b or config["stability"]["routing_b"]
     if not path_a or not path_b:
         raise ConfigError("stability needs two routing CSVs (--routing-a/--routing-b or config.stability)")
+    [path] = _artifacts(out, "stability.csv")
     out.mkdir(parents=True, exist_ok=True)
     rows_a = read_routing_csv(path_a)
     rows_b = read_routing_csv(path_b)
-    write_stability_csv(out / "stability.csv", compare_periods(rows_a, rows_b))
-    log.info("stability: %s vs %s -> %s", path_a, path_b, out / "stability.csv")
+    write_stability_csv(path, compare_periods(rows_a, rows_b))
+    log.info("stability: %s vs %s -> %s", path_a, path_b, path)
     return 0
 
 
 def cmd_route(config: dict, out: Path) -> int:
+    od_matrix, ledger = _artifacts(out, "od_matrix.csv", "ledger.csv")
     network = _network(config)
     model = _model(out)
     tollbooth, routing = _tables(config, out, "simulation")
@@ -256,8 +270,8 @@ def cmd_route(config: dict, out: Path) -> int:
     problems = conservation_violations(run)
     if problems:
         raise InternalError("conservation violated: " + "; ".join(problems[:5]))
-    write_od_csv(out / "od_matrix.csv", run.matrix)
-    write_ledger_csv(out / "ledger.csv", run.ledger)
+    write_od_csv(od_matrix, run.matrix)
+    write_ledger_csv(ledger, run.ledger)
     log.info("route: %d OD entries over %d decisions -> %s", len(run.matrix), len(run.decisions), out)
     return 0
 

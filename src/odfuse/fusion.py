@@ -51,16 +51,16 @@ call that built them: ``permutation_importance`` builds its target's once
 for all of its re-scorings, and nothing keeps them after.
 
 The seven targets share only their inputs, so ``train`` fits them in two
-processes: one worker, forked after the shared inputs are built, fits the
-odd-indexed targets while the calling process fits the even-indexed ones,
-and the models merge in target order. Each target's fit is the same
-arithmetic in either process, so the model is byte-identical to a
-one-process fit. The inputs reach the worker through the fork; only target
-indices go to it and only fitted models come back. The fit stays in one
-process when the platform cannot fork, when the process may run on fewer
-than two CPUs, or when training rows x trees is under
-``_PARALLEL_MIN_WORK``, where starting the worker costs more than it
-saves."""
+processes: one forked worker fits the odd-indexed targets while the
+calling process fits the even-indexed ones, and the models merge in target
+order. Each target's fit is the same arithmetic in either process, so the
+model is byte-identical to a one-process fit. The worker receives the
+shared inputs, pickled, with its target indices, and only fitted models
+come back. ``train`` keeps no module state, so several threads may train
+at once. The fit stays in one process when the platform cannot fork, when
+the process may run on fewer than two CPUs, or when training rows x trees
+is under ``_PARALLEL_MIN_WORK``, where starting the worker costs more than
+it saves."""
 
 from __future__ import annotations
 
@@ -330,17 +330,12 @@ def _candidates(codes: np.ndarray, msl: int, den: np.ndarray) -> tuple[np.ndarra
 # targets worth about 34 ms, and the two-process fit is about 9% faster.
 _PARALLEL_MIN_WORK = 40_000
 
-# The shared inputs of the fit in progress: the root node, value codes,
-# distinct values per feature, training targets, hyperparameters and the
-# per-fit tables (gain denominators and root candidates). Set by
-# ``train`` so that a forked worker inherits them rather than receiving
-# them pickled, as a spawned one would. One fit at a time per process.
-_fit_inputs: tuple | None = None
-
-
-def _fit_targets(targets: list[int]) -> dict[int, TargetModel]:
-    """Boost the targets with these column indices of ``Y_train``."""
-    root, codes, values, Y, hp, den, root_candidates = _fit_inputs
+def _fit_targets(inputs: tuple, targets: list[int]) -> dict[int, TargetModel]:
+    """Boost the targets with these column indices of ``Y``, from the fit's
+    shared ``inputs``: the root node, value codes, distinct values per
+    feature, training targets ``Y``, hyperparameters and the per-fit tables
+    (gain denominators and root candidates)."""
+    root, codes, values, Y, hp, den, root_candidates = inputs
     fitted = {}
     for t in targets:
         y = Y[:, t]
@@ -371,7 +366,6 @@ def _fork_context(work: int):
 def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionModel:
     """Fit all seven target models on the training partition, in two
     processes when the fit is large enough (see the module docstring)."""
-    global _fit_inputs
     hp = hp or GbtHyperparams()
     X = dataset.X_train
     if X.shape[0] == 0:
@@ -396,24 +390,21 @@ def train(dataset: FusionDataset, hp: GbtHyperparams | None = None) -> FusionMod
     den = np.arange(n + 1, dtype=np.float64) + hp.l2_leaf_regularization
     root_candidates = _candidates(root[1], msl, den) if n >= 2 * msl else None
     targets = list(range(len(TARGET_NAMES)))
-    _fit_inputs = (root, codes, values, dataset.Y_train, hp, den, root_candidates)
-    try:
-        context = _fork_context(X.shape[0] * hp.n_trees)
-        if context is None:
-            fitted = _fit_targets(targets)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
+    inputs = (root, codes, values, dataset.Y_train, hp, den, root_candidates)
+    context = _fork_context(X.shape[0] * hp.n_trees)
+    if context is None:
+        fitted = _fit_targets(inputs, targets)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-            with ProcessPoolExecutor(1, mp_context=context) as pool:
-                odd = pool.submit(_fit_targets, targets[1::2])
-                fitted = _fit_targets(targets[0::2])
-                try:
-                    fitted.update(odd.result())
-                except BrokenProcessPool as exc:
-                    raise InternalError(f"training worker died: {exc}") from exc
-    finally:
-        _fit_inputs = None
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            odd = pool.submit(_fit_targets, inputs, targets[1::2])
+            fitted = _fit_targets(inputs, targets[0::2])
+            try:
+                fitted.update(odd.result())
+            except BrokenProcessPool as exc:
+                raise InternalError(f"training worker died: {exc}") from exc
     targets = {name: fitted[t] for t, name in enumerate(TARGET_NAMES)}
     return FusionModel(hyperparams=hp, feature_names=FEATURE_NAMES, targets=targets)
 

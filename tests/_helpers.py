@@ -7,11 +7,12 @@ values by subset enumeration, apportionment by integer-vector search and
 by the scalar largest-remainder loop, routing decisions, ledger and OD
 rows by the per-hour, per-decision routing loop, permutation importance
 by tree-by-tree re-scoring, conservation by direct recomputation from raw
-counts, in memory and from the routing files read back with ``csv``, the
-synth and eval files by recomputation from the CSVs they are made of, CSV
-parsing by the per-row readers that build observation objects, model
-features by the encoding written out one report at a time, and synthetic
-data by one array Poisson draw per (series, hour)."""
+counts, in memory and from the routing files read back with ``csv``, per
+hour and per count key by its network role, the synth and eval files by
+recomputation from the CSVs they are made of, CSV parsing by the per-row
+readers that build observation objects, model features by the encoding
+written out one report at a time, and synthetic data by one array Poisson
+draw per (series, hour)."""
 
 from __future__ import annotations
 
@@ -444,8 +445,19 @@ def check_routing_files(out_dir, network: NetworkConfig, tollbooth_csv=None) -> 
     the OD rows are non-decreasing in (timestamp, scenario, origin,
     destination, vehicle_type), compared as texts; that per (hour, scenario)
     the OD counts sum to the ledger's decisions; that each hour's balance
-    equals its decisions; and that each hour's OD total is
-    ``expected_hour_total`` of that hour's tollbooth totals."""
+    equals its decisions; that each hour's OD total is
+    ``expected_hour_total`` of that hour's tollbooth totals; and, per routed
+    hour, that the ledger accounts for each referenced count key's total by
+    the key's role in ``network``:
+
+    - a ramp: its ``consume`` rows plus its ``LocalInflow`` or
+      ``LocalOutflow`` decision;
+    - a passthrough pair member: the pair's ``PassthroughBypass`` decision,
+      keyed by the upstream booth, plus the pair's ``PassthroughNet``
+      decision keyed by that member (an inflow for the upstream booth, an
+      outflow for the downstream one);
+    - the boundary: the ``Internal`` decisions keyed by the boundary node
+      sum to |inbound - outbound|."""
     out_dir = Path(out_dir)
     od = _csv_body(out_dir / "od_matrix.csv", _OD_HEADER)
     ledger = _csv_body(out_dir / "ledger.csv", _LEDGER_HEADER)
@@ -460,8 +472,11 @@ def check_routing_files(out_dir, network: NetworkConfig, tollbooth_csv=None) -> 
 
     decided: dict = {}  # ledger decision amount per (hour, scenario)
     balance: dict = {}
-    for hour, entry_type, scenario, _, _, amount, _ in ledger:
+    booked: dict = {}  # ledger amount per (hour, entry type, scenario, key), by direction
+    for hour, entry_type, scenario, direction, key, amount, _ in ledger:
         amount = _integer(amount, "ledger amount", 0)
+        by_direction = booked.setdefault((hour, entry_type, scenario, key), {})
+        by_direction[direction] = by_direction.get(direction, 0) + amount
         if entry_type == "decision":
             decided[hour, scenario] = decided.get((hour, scenario), 0) + amount
         elif entry_type == "balance":
@@ -482,6 +497,31 @@ def check_routing_files(out_dir, network: NetworkConfig, tollbooth_csv=None) -> 
         expected = expected_hour_total(network, totals[hour])
         assert hour_routed.get(hour, 0) == expected, \
             f"{hour}: OD total {hour_routed.get(hour)}, tollbooth counts route {expected}"
+        _check_key_roles(network, hour, totals[hour], booked)
+
+
+def _check_key_roles(network: NetworkConfig, hour: str, total: dict, booked: dict) -> None:
+    """The ledger rows of ``hour`` account for each referenced count key's
+    tollbooth ``total`` by the key's role (see ``check_routing_files``)."""
+    def amount(entry_type: str, scenario: str, key: str, direction: str | None = None) -> int:
+        by_direction = booked.get((hour, entry_type, scenario, key), {})
+        return by_direction.get(direction, 0) if direction else sum(by_direction.values())
+
+    def check(what: str, got: int, want: int) -> None:
+        assert got == want, f"ledger.csv at {hour}: {what} books {got}, tollbooth counts give {want}"
+
+    boundary, ramps = network.boundary, network.ramps
+    if boundary is not None:
+        check(f"boundary {boundary.node!r}", amount("decision", "Internal", boundary.node),
+              abs(total[boundary.inbound_key] - total[boundary.outbound_key]))
+    if ramps is not None:
+        for key, scenario in ((ramps.onramp, "LocalInflow"), (ramps.offramp, "LocalOutflow")):
+            check(f"ramp {key!r}", amount("consume", "Internal", key) + amount("decision", scenario, key), total[key])
+    for pair in network.passthrough_pairs:
+        bypass = amount("decision", "PassthroughBypass", pair.upstream, f"{pair.axis}:bypass")
+        for key, net in ((pair.upstream, "inflow"), (pair.downstream, "outflow")):
+            check(f"passthrough member {key!r}",
+                  bypass + amount("decision", "PassthroughNet", key, f"{pair.axis}:{net}"), total[key])
 
 
 def _per_hour(amounts: dict) -> dict:

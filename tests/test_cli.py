@@ -288,6 +288,17 @@ class TestStabilityCommand:
             f"odfuse: data error: {routing}: duplicate routing row for node {node!r} at {hour}\n"
 
 
+# The artifacts of each command, in the order it writes them.
+ARTIFACTS = {
+    "synth": ("tollbooth.csv", "routing.csv", "difference.csv"),
+    "train": ("model.json",),
+    "eval": ("metrics.csv", "residuals.csv"),
+    "explain": ("importance.csv", "attributions.csv", "permutation.csv"),
+    "route": ("od_matrix.csv", "ledger.csv"),
+    "stability": ("stability.csv",),
+}
+
+
 class TestMalformedRunInputs:
     @pytest.mark.parametrize("command", ["train", "eval", "explain"])
     def test_repeated_tollbooth_row_is_data_error(self, explained_run, tmp_path, capsys, command):
@@ -354,6 +365,34 @@ class TestMalformedRunInputs:
         assert main(["--config", str(cfg), "explain"]) == 2
         assert capsys.readouterr().err == "odfuse: data error: validation target has zero variance\n"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize(("command", "artifact"), [
+        (command, artifact) for command, artifacts in ARTIFACTS.items() for artifact in artifacts])
+    def test_directory_at_an_artifact_path_writes_nothing(self, explained_run, tmp_path, capsys, monkeypatch,
+                                                           command, artifact):
+        # Found before the command's first read or write, so none of its
+        # artifacts is replaced, not even one written before the directory's.
+        def no_read(*args):
+            raise AssertionError("an input was read before the artifact paths were checked")
+
+        for name in ("_network", "_model", "_tables", "read_routing_csv"):
+            monkeypatch.setattr(cli, name, no_read)
+        cfg, out = explained_run
+        shutil.copytree(out, tmp_path / "out")
+        out = tmp_path / "out"
+        for name in ARTIFACTS[command]:
+            (out / name).unlink(missing_ok=True)
+            (out / name).write_bytes(f"{name} of an earlier run\r\n".encode())
+        (out / artifact).unlink()
+        (out / artifact).mkdir()
+        before = {path.name: path.is_file() and path.read_bytes() for path in out.iterdir()}
+        argv = ["--config", str(cfg), "--out", str(out), command]
+        if command == "stability":
+            argv += ["--routing-a", str(out / "routing.csv"), "--routing-b", str(out / "routing.csv")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith(f"odfuse: error: cannot write {out / artifact}: Is a directory\n")
+        assert {path.name: path.is_file() and path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize(("command", "statistic"), [("eval", "RMSE"), ("explain", "R^2")])
     def test_scores_that_overflow_the_statistics_are_data_error(self, tmp_path, capsys, command, statistic):

@@ -3,6 +3,7 @@ import gc
 import json
 import multiprocessing
 import os
+import threading
 import weakref
 
 import numpy as np
@@ -526,6 +527,28 @@ class TestTwoProcessFit:
         ds = _parity_dataset(4, 20, ["continuous"] * len(FEATURE_NAMES))
         with pytest.raises(error, match=message):
             train(ds, GbtHyperparams(n_trees=1))
+
+
+class TestConcurrentFits:
+    def test_two_threads_each_fit_their_own_data(self, monkeypatch):
+        # Both fits build their inputs before either one fits: each waits at
+        # the barrier where train picks its process count, then fits in one.
+        gains = {RoadTag.PRIMARY: 1.4, RoadTag.TRUNK: 1.0, RoadTag.SECONDARY: 0.7}
+        datasets = [build_dataset(*generate_synthetic(trondheim_fixture(), 2, BiasProfile(
+            gains=gains, noise_scale=0.1, censor_threshold=120, seed=seed)), 0.2) for seed in (1, 2)]
+        hp = GbtHyperparams(n_trees=3, max_depth=3)
+        sequential = [train(ds, hp) for ds in datasets]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def one_process_after_both_built(work):
+            barrier.wait()
+            return None
+
+        monkeypatch.setattr(fusion, "_fork_context", one_process_after_both_built)
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            concurrent_fits = list(pool.map(lambda ds: train(ds, hp), datasets))
+        for got, want in zip(concurrent_fits, sequential):
+            _assert_same_model(got, want)
 
 
 def _model_of(trees_per_target: list, base: float = 2.5, lr: float = 0.1) -> FusionModel:
